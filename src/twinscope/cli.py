@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .linalg import RankDecisionError, hs_norm, pauli
+from .linalg import RankDecisionError, from_pauli, hs_norm
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -37,7 +37,7 @@ from .mds import (
     validate_density_matrix,
     weights_from_t,
 )
-from .report import format_float, matrix_tree, parse_state_file, render
+from .report import matrix_tree, parse_state_file, render
 from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
 from .twins import (
     ObservablePair,
@@ -47,6 +47,7 @@ from .twins import (
     distant_correlation,
     pair_parameters,
     ppt_separable,
+    pull_back,
     subspace_residual,
     twin_space,
 )
@@ -80,9 +81,12 @@ def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
     if len(parts) != count:
         raise ValueError(f"{label} expects {count} comma-separated values, got {len(parts)}")
     try:
-        return np.array([float(p) for p in parts])
+        values = np.array([float(p) for p in parts])
     except ValueError as exc:
         raise ValueError(f"{label}: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"{label} values must be finite, got {text!r}")
+    return values
 
 
 def load_state_spec(args: argparse.Namespace) -> StateSpec:
@@ -226,10 +230,8 @@ def _class_tree(cls: MdsClass) -> dict:
 
 def cmd_classify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     diagnostics: dict = {}
-    if spec.kind in ("t", "weights"):
-        t, _, _, _, _ = _resolve_t(spec)
-    else:
-        t, _, _, _, cf = _resolve_t(spec)
+    t, _, _, _, cf = _resolve_t(spec)
+    if cf is not None:
         diagnostics["canonicalization_residual"] = cf.residual
         diagnostics["canonical_t"] = list(t)
     cls = classify(t, args.tol)
@@ -308,17 +310,7 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         if cls.kind != NON_STATE:
             analytic = _analytic_for(cls)
             if analytic is not None:
-                pulled = TwinSpace(
-                    basis=tuple(
-                        ObservablePair(
-                            a1=u1.conj().T @ p.a1 @ u1, a2=u2.conj().T @ p.a2 @ u2
-                        )
-                        for p in analytic.basis
-                    ),
-                    dimension=analytic.dimension,
-                    has_nontrivial=analytic.has_nontrivial,
-                    singular_value_gap=analytic.singular_value_gap,
-                )
+                pulled = pull_back(analytic, u1, u2)
                 result["analytic"] = {
                     "stratum": cls.kind,
                     "basis": [_pair_tree(p) for p in pulled.basis],
@@ -381,9 +373,7 @@ def cmd_correlate(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]
     rho = state_matrix(spec)
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
-    a1 = sum(c1[i] * pauli(i) for i in range(4))
-    a2 = sum(c2[i] * pauli(i) for i in range(4))
-    report = distant_correlation(ObservablePair(a1=a1, a2=a2), rho)
+    report = distant_correlation(ObservablePair(a1=from_pauli(c1), a2=from_pauli(c2)), rho)
     return {
         "result": {
             "a1_pauli": list(c1),
@@ -433,15 +423,16 @@ def run(argv: list[str]) -> int:
         parser.print_usage(sys.stderr)
         print("twinscope: error: a subcommand is required", file=sys.stderr)
         return 1
+    # RankDecisionError is a ValueError, so the exit-2 branch comes first
     try:
         spec = load_state_spec(args)
         tree, code = _HANDLERS[args.command](args, spec)
-    except (ValueError, OSError) as exc:
-        print(f"twinscope {args.command}: error: {exc}", file=sys.stderr)
-        return 1
     except (InternalConsistencyError, RankDecisionError) as exc:
         print(f"twinscope {args.command}: internal consistency failure: {exc}", file=sys.stderr)
         return 2
+    except (ValueError, OSError) as exc:
+        print(f"twinscope {args.command}: error: {exc}", file=sys.stderr)
+        return 1
     report = {
         "command": args.command,
         "version": __version__,

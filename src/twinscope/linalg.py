@@ -4,6 +4,11 @@ Everything here works on plain numpy arrays at dimensions up to 32 (the
 largest system assembled anywhere is the stacked 32x8 twin condition).
 Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
+
+The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
+(I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
+read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
+Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k.
 """
 
 from __future__ import annotations
@@ -17,14 +22,13 @@ RANK_TOL = 1e-9
 # Absolute tolerance for Hermiticity guards.
 HERMITIAN_TOL = 1e-9
 
-_PAULI = (
-    np.eye(2, dtype=complex),
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
+PAULI = np.array(
+    [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
+    dtype=complex,
 )
-for _m in _PAULI:
-    _m.setflags(write=False)
+PAULI.setflags(write=False)
+PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+PAULI2.setflags(write=False)
 
 
 class RankDecisionError(ValueError):
@@ -38,14 +42,28 @@ def pauli(i: int) -> np.ndarray:
     """
     if i not in (0, 1, 2, 3):
         raise ValueError(f"Pauli index must be in 0..3, got {i}")
-    return _PAULI[i]
+    return PAULI[i]
+
+
+def to_pauli(a: np.ndarray) -> np.ndarray:
+    """Real Pauli components Tr(sigma_k a)/2 of a 2x2 operator, k = 0..3.
+
+    Accepts a stack (..., 2, 2) and returns (..., 4). Only the real parts
+    are kept, which is exact for Hermitian input.
+    """
+    return np.einsum("kab,...ba->...k", PAULI, np.asarray(a, dtype=complex)).real / 2
+
+
+def from_pauli(c: np.ndarray) -> np.ndarray:
+    """The operator sum_k c_k sigma_k; a stack (..., 4) gives (..., 2, 2)."""
+    return np.tensordot(np.asarray(c), PAULI, axes=(-1, 0))
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two matrices."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if not (np.all(np.isfinite(a.real)) and np.all(np.isfinite(b.real))):
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
         raise ValueError("tensor: entries must be finite")
     return np.kron(a, b)
 

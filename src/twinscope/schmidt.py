@@ -19,10 +19,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import RANK_TOL, hermitian_check, hs_norm, partial_trace, pauli, svd, tensor
-
-# Residual tolerance quoted in the reconstruction guarantees below.
-RECONSTRUCTION_TOL = 1e-10
+from .linalg import (
+    PAULI2,
+    RANK_TOL,
+    from_pauli,
+    hermitian_check,
+    hs_norm,
+    partial_trace,
+    svd,
+    tensor,
+)
 
 
 def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -209,11 +215,7 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
     # Tr[(sigma_i x sigma_j) rho] / 2 is real for Hermitian input.
-    coeff = np.empty((4, 4))
-    for i in range(4):
-        for j in range(4):
-            coeff[i, j] = np.trace(tensor(pauli(i), pauli(j)) @ rho).real / 2
-    coeff /= norm
+    coeff = np.einsum("ijab,ba->ij", PAULI2, rho).real / 2 / norm
     u, s, vh = np.linalg.svd(coeff)
     # sign convention: first significant entry of each left column positive
     for k in range(4):
@@ -223,13 +225,8 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
             u[:, k] = -col
             vh[k, :] = -vh[k, :]
     rank = int(np.count_nonzero(s > tol * s[0]))
-    half_paulis = [pauli(i) / np.sqrt(2) for i in range(4)]
-    left_ops = tuple(
-        sum(u[i, k] * half_paulis[i] for i in range(4)) for k in range(rank)
-    )
-    right_ops = tuple(
-        sum(vh[k, j] * half_paulis[j] for j in range(4)) for k in range(rank)
-    )
+    left_ops = tuple(from_pauli(u[:, k]) / np.sqrt(2) for k in range(rank))
+    right_ops = tuple(from_pauli(vh[k]) / np.sqrt(2) for k in range(rank))
     coeffs = s[:rank].copy()
     return OperatorSchmidt(
         coefficients=coeffs,

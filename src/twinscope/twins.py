@@ -25,13 +25,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    PAULI2,
     eigh,
+    from_pauli,
     hermitian_check,
     hs_norm,
-    partial_trace,
     pauli,
     real_nullspace,
     tensor,
+    to_pauli,
 )
 from .mds import (
     BELL_VERTEX,
@@ -91,19 +93,26 @@ class CorrelationReport:
 
 def pair_parameters(pair: ObservablePair) -> np.ndarray:
     """Real 8-vector of Pauli components (a1 then a2)."""
-    out = np.empty(8)
-    for i in range(4):
-        out[i] = np.trace(pauli(i) @ pair.a1).real / 2
-        out[4 + i] = np.trace(pauli(i) @ pair.a2).real / 2
-    return out
+    return np.concatenate([to_pauli(pair.a1), to_pauli(pair.a2)])
 
 
 def pair_from_parameters(x: np.ndarray) -> ObservablePair:
     """Inverse of pair_parameters."""
     x = np.asarray(x, dtype=float).reshape(-1)
-    a1 = sum(x[i] * pauli(i) for i in range(4))
-    a2 = sum(x[4 + i] * pauli(i) for i in range(4))
-    return ObservablePair(a1=a1, a2=a2)
+    return ObservablePair(a1=from_pauli(x[:4]), a2=from_pauli(x[4:]))
+
+
+def pull_back(space: TwinSpace, u1: np.ndarray, u2: np.ndarray) -> TwinSpace:
+    """Carry a twin space of (u1 x u2) rho (u1 x u2)^dag back onto rho."""
+    return TwinSpace(
+        basis=tuple(
+            ObservablePair(a1=u1.conj().T @ p.a1 @ u1, a2=u2.conj().T @ p.a2 @ u2)
+            for p in space.basis
+        ),
+        dimension=space.dimension,
+        has_nontrivial=space.has_nontrivial,
+        singular_value_gap=space.singular_value_gap,
+    )
 
 
 def _space_parameters(space: TwinSpace) -> np.ndarray:
@@ -156,21 +165,16 @@ def is_twin_pair(
                 f"is_twin_pair: {name} is not Hermitian "
                 f"(max deviation {chk.max_deviation:.3e})"
             )
-    residual = hs_norm(tensor(pair.a1, pauli(0)) @ rho - tensor(pauli(0), pair.a2) @ rho)
+    residual = hs_norm(tensor(pair.a1, np.eye(2)) @ rho - tensor(np.eye(2), pair.a2) @ rho)
     return residual <= tol, float(residual)
 
 
 def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
     """Real 32x8 system whose nullspace is the twin solution space."""
     rho = np.asarray(rho, dtype=complex)
-    cols = []
-    for k in range(4):
-        g = tensor(pauli(k), pauli(0)) @ rho
-        cols.append(np.concatenate([g.real.ravel(), g.imag.ravel()]))
-    for k in range(4):
-        g = tensor(pauli(0), pauli(k)) @ rho
-        cols.append(-np.concatenate([g.real.ravel(), g.imag.ravel()]))
-    return np.column_stack(cols)
+    # column k < 4 is (sigma_k x I) rho, column 4 + k is -(I x sigma_k) rho
+    g = np.concatenate([PAULI2[:, 0] @ rho, -(PAULI2[0, :] @ rho)]).reshape(8, 16)
+    return np.concatenate([g.real, g.imag], axis=1).T
 
 
 _TRIVIAL_DIRECTION = np.zeros(8)
@@ -254,12 +258,7 @@ def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"bell_twin_partner: a1 is not Hermitian (max deviation {chk.max_deviation:.3e})"
         )
-    alpha = np.trace(a1).real / 2
-    out = alpha * pauli(0)
-    for i, sign in zip((1, 2, 3), BELL_TWIN_SIGNS[k]):
-        beta = np.trace(pauli(i) @ a1).real / 2
-        out = out + sign * beta * pauli(i)
-    return out
+    return from_pauli(np.array((1, *BELL_TWIN_SIGNS[k])) * to_pauli(a1))
 
 
 def analytic_vertex_twins(k: int) -> TwinSpace:
@@ -336,8 +335,8 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
     rho = validate_density_matrix(rho)
     w1, v1 = eigh(np.asarray(pair.a1, dtype=complex), 1e-10)
     w2, v2 = eigh(np.asarray(pair.a2, dtype=complex), 1e-10)
-    exp1 = np.trace(tensor(pair.a1, pauli(0)) @ rho).real
-    exp2 = np.trace(tensor(pauli(0), pair.a2) @ rho).real
+    exp1 = np.trace(tensor(pair.a1, np.eye(2)) @ rho).real
+    exp2 = np.trace(tensor(np.eye(2), pair.a2) @ rho).real
     gap = abs(exp1 - exp2)
     if abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9:
         dist = np.zeros((2, 2))

@@ -32,12 +32,12 @@ from .mds import (
 from .schmidt import pure_twin_partner
 from .twins import (
     ObservablePair,
-    TwinSpace,
     analytic_edge_twins,
     analytic_vertex_twins,
     contains_pair,
     distant_correlation,
     is_twin_pair,
+    pull_back,
     simultaneous_twins,
     subspace_residual,
     twin_space,
@@ -69,13 +69,6 @@ class VerifyContext:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
-
-    def pull_back_pair(self, pair: ObservablePair) -> ObservablePair:
-        """Carry a twin pair of T(t) onto the input frame."""
-        return ObservablePair(
-            a1=self.u1.conj().T @ pair.a1 @ self.u1,
-            a2=self.u2.conj().T @ pair.a2 @ self.u2,
-        )
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
         u = tensor(self.u1, self.u2)
@@ -193,16 +186,9 @@ def _analytic_space(ctx: VerifyContext):
 
 def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
     oracle = twin_space(ctx.rho, ctx.tol)
-    analytic = _analytic_space(ctx)
-    pulled = [ctx.pull_back_pair(p) for p in analytic.basis]
-    worst = max(contains_pair(oracle, p) for p in pulled)
-    pulled_space = TwinSpace(
-        basis=tuple(pulled),
-        dimension=analytic.dimension,
-        has_nontrivial=analytic.has_nontrivial,
-        singular_value_gap=analytic.singular_value_gap,
-    )
-    mutual = subspace_residual(oracle, pulled_space)
+    pulled = pull_back(_analytic_space(ctx), ctx.u1, ctx.u2)
+    worst = max(contains_pair(oracle, p) for p in pulled.basis)
+    mutual = subspace_residual(oracle, pulled)
     ok = worst <= 1e-9 and mutual <= 1e-9
     return CheckResult(
         "analytic-twins-in-oracle",

@@ -1,5 +1,6 @@
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,40 @@ def test_exit_code_one_on_bad_input(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert invoke(capsys, "classify", "--input", str(missing))[0] == 1
     assert invoke(capsys, "nonsense-command")[0] == 1
+    non_finite = (
+        ("--t", ("classify", "--t", "nan,0,0")),
+        ("--t", ("classify", "--t=inf,0,0")),
+        ("--t", ("twins", "--t=-inf,0,0")),
+        ("--weights", ("classify", "--weights", "nan,0,0,1")),
+        ("--a1", ("correlate", "--t", "0,0,1", "--a1", "0,nan,0,0", "--a2", "0,0,0,1")),
+        ("--a2", ("correlate", "--t", "0,0,1", "--a1", "0,0,0,1", "--a2", "inf,0,0,0")),
+    )
+    for flag, argv in non_finite:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, _, err = invoke(capsys, *argv)
+        assert code == 1
+        assert f"{flag} values must be finite" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_ambiguous_rank_exits_two(capsys):
+    code, out, err = invoke(
+        capsys, "twins", "--t=0.29999999910000003,-0.29999999910000003,0.999999997"
+    )
+    assert code == 2
+    assert out == ""
+    assert "ambiguous rank decision" in err
+
+
+def test_state_boundary_point_classifies(capsys):
+    # the smallest weight sits within rounding of -tol, so the weight and
+    # eigenvalue tests fall on opposite sides of the cut
+    code, out, _ = invoke(
+        capsys, "classify", "--t=0.2970718388005156,-0.044622861356271804,0.7475510265557562"
+    )
+    assert code == 0
+    assert "class: generic_interior" in out
 
 
 def test_error_messages_are_distinct(capsys, tmp_path):
@@ -223,6 +258,21 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert "binary_edge" in result.stdout
+
+
+def test_import_loads_no_scipy():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, twinscope.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 def test_complex_format_roundtrip():

@@ -83,6 +83,16 @@ def test_tensor_bilinear():
     assert np.allclose(tensor(a, b + 2 * c), tensor(a, b) + 2 * tensor(a, c))
 
 
+def test_tensor_rejects_non_finite():
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.nan), complex(0, np.inf)):
+        m = I2.copy()
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            tensor(m, I2)
+        with pytest.raises(ValueError, match="finite"):
+            tensor(I2, m)
+
+
 def test_partial_trace_singlet_is_maximally_mixed():
     singlet = np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2)
     proj = np.outer(singlet, singlet.conj())

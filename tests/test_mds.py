@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from twinscope.mds import (
     validate_density_matrix,
     weights_from_t,
 )
+from twinscope.mds import _su2_from_rotation
 
 HALF_I2 = np.eye(2) / 2
 
@@ -332,3 +335,35 @@ def test_classify_never_sees_two_unit_components():
                 classify(random_edge_t(rng, axis, case), tol=1e-6)
     for k in range(4):
         classify(bell_t_vector(k), tol=1e-6)
+
+
+def _proper_signed_permutations():
+    for perm in itertools.permutations(range(3)):
+        for signs in itertools.product((1.0, -1.0), repeat=3):
+            r = np.zeros((3, 3))
+            r[range(3), perm] = signs
+            if np.linalg.det(r) > 0:
+                yield r
+
+
+def test_su2_lift_reproduces_rotation():
+    # the signed permutations include the pi rotations, where 1 + tr r = 0
+    # forces a pivot other than the trace
+    rotations = list(_proper_signed_permutations())
+    assert len(rotations) == 24
+    rng = np.random.default_rng(1978)
+    for _ in range(500):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rotations.append(q * np.sign(np.linalg.det(q)))
+    for r in rotations:
+        u = _su2_from_rotation(r)
+        rec = np.array(
+            [
+                [np.trace(pauli(i) @ u @ pauli(j) @ u.conj().T).real / 2 for j in (1, 2, 3)]
+                for i in (1, 2, 3)
+            ]
+        )
+        assert np.abs(rec - r).max() <= 1e-12
+        assert np.trace(u).real >= 0
+        assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
+        assert abs(np.linalg.det(u) - 1) <= 1e-12
