@@ -20,11 +20,10 @@ import numpy as np
 from . import __version__
 from .linalg import RankDecisionError, from_pauli, hs_norm
 from .mds import (
-    BELL_VERTEX,
-    BINARY_EDGE,
     NON_STATE,
     DEFAULT_TOL,
     STATE_VALIDATION_TOL,
+    CanonicalForm,
     InternalConsistencyError,
     MdsClass,
     build_T,
@@ -35,15 +34,12 @@ from .mds import (
     is_state,
     t_from_weights,
     validate_density_matrix,
-    weights_from_t,
 )
 from .report import matrix_tree, parse_state_file, render
 from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
 from .twins import (
     ObservablePair,
-    TwinSpace,
-    analytic_edge_twins,
-    analytic_vertex_twins,
+    analytic_twins,
     distant_correlation,
     pair_parameters,
     ppt_separable,
@@ -193,25 +189,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_t(spec: StateSpec):
-    """t-vector, frame unitaries, matrix, and canonical form for the input.
+def _resolve(spec: StateSpec) -> tuple[np.ndarray, CanonicalForm | None]:
+    """Density matrix and canonical form of the input.
 
-    For a t/weights input the frame is the identity and no canonicalization
-    happens. Matrix and pure inputs must be maximally disordered and are
-    canonicalized.
+    A t/weights input is its own canonical form (identity frame, residual 0)
+    and is not tested for tetrahedron membership here. A matrix or pure
+    input is canonicalized when its subsystems are maximally disordered;
+    otherwise the form is None.
     """
     if spec.kind in ("t", "weights"):
         t = spec.t if spec.kind == "t" else t_from_weights(spec.weights)
         eye = np.eye(2, dtype=complex)
-        return t, eye, eye, build_T(t), None
+        return build_T(t), CanonicalForm(u1=eye, u2=eye, t=t, residual=0.0)
     rho = state_matrix(spec)
-    if not is_mds(rho):
-        raise ValueError(
-            "input state does not have maximally disordered subsystems; "
-            "classification on the tetrahedron does not apply"
-        )
-    cf = canonicalize(rho)
-    return cf.t, cf.u1, cf.u2, rho, cf
+    return rho, canonicalize(rho) if is_mds(rho) else None
 
 
 def _class_tree(cls: MdsClass) -> dict:
@@ -230,12 +221,17 @@ def _class_tree(cls: MdsClass) -> dict:
 
 def cmd_classify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     diagnostics: dict = {}
-    t, _, _, _, cf = _resolve_t(spec)
-    if cf is not None:
+    _, cf = _resolve(spec)
+    if cf is None:
+        raise ValueError(
+            "input state does not have maximally disordered subsystems; "
+            "classification on the tetrahedron does not apply"
+        )
+    if spec.kind in ("matrix", "pure"):
         diagnostics["canonicalization_residual"] = cf.residual
-        diagnostics["canonical_t"] = list(t)
-    cls = classify(t, args.tol)
-    verdict = is_state(t, args.tol)
+        diagnostics["canonical_t"] = list(cf.t)
+    cls = classify(cf.t, args.tol)
+    verdict = is_state(cf.t, args.tol)
     diagnostics["min_weight"] = verdict.min_weight
     diagnostics["min_eigenvalue"] = verdict.min_eigenvalue
     return {"result": _class_tree(cls), "diagnostics": diagnostics}, 0
@@ -277,27 +273,12 @@ def _pair_tree(pair: ObservablePair) -> dict:
     return {"a1_pauli": list(x[:4]), "a2_pauli": list(x[4:])}
 
 
-def _analytic_for(cls: MdsClass) -> TwinSpace | None:
-    if cls.kind == BELL_VERTEX:
-        return analytic_vertex_twins(cls.vertex)
-    if cls.kind == BINARY_EDGE:
-        return analytic_edge_twins(cls)
-    return None
-
-
 def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     diagnostics: dict = {}
-    if spec.kind in ("matrix", "pure"):
-        rho = state_matrix(spec)
-        mds_input = is_mds(rho)
-        t = u1 = u2 = None
-        if mds_input:
-            cf = canonicalize(rho)
-            t, u1, u2 = cf.t, cf.u1, cf.u2
-            diagnostics["canonical_t"] = list(t)
-            diagnostics["canonicalization_residual"] = cf.residual
-    else:
-        t, u1, u2, rho, _ = _resolve_t(spec)
+    rho, cf = _resolve(spec)
+    if cf is not None and spec.kind in ("matrix", "pure"):
+        diagnostics["canonical_t"] = list(cf.t)
+        diagnostics["canonicalization_residual"] = cf.residual
     space = twin_space(rho, args.tol)
     result: dict = {
         "dimension": space.dimension,
@@ -305,12 +286,12 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         "singular_value_gap": space.singular_value_gap,
         "basis": [_pair_tree(p) for p in space.basis],
     }
-    if t is not None:
-        cls = classify(t, args.tol)
+    if cf is not None:
+        cls = classify(cf.t, args.tol)
         if cls.kind != NON_STATE:
-            analytic = _analytic_for(cls)
+            analytic = analytic_twins(cls)
             if analytic is not None:
-                pulled = pull_back(analytic, u1, u2)
+                pulled = pull_back(analytic, cf.u1, cf.u2)
                 result["analytic"] = {
                     "stratum": cls.kind,
                     "basis": [_pair_tree(p) for p in pulled.basis],
@@ -325,22 +306,17 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
 
 
 def cmd_verify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
+    rho, cf = _resolve(spec)
+    if cf is None:
+        raise ValueError("verify expects a state with maximally disordered subsystems")
     if spec.kind in ("t", "weights"):
-        t, _, _, rho, _ = _resolve_t(spec)
-        verdict = is_state(t, args.tol)
+        verdict = is_state(cf.t, args.tol)
         if not verdict.ok:
             raise ValueError(
                 f"verify expects a state; weight w{verdict.offending_index} = "
                 f"{verdict.min_weight:.12g} is negative"
             )
-        ctx = make_context(rho, t, args.tol, args.seed)
-    else:
-        rho = state_matrix(spec)
-        if not is_mds(rho):
-            raise ValueError(
-                "verify expects a state with maximally disordered subsystems"
-            )
-        ctx = make_context(rho, None, args.tol, args.seed)
+    ctx = make_context(rho, cf, args.tol, args.seed)
     results = run_verification(ctx)
     passed = sum(1 for r in results if r.passed)
     tree = {

@@ -107,14 +107,6 @@ class OperatorSchmidt:
     degeneracy: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RangeProjector:
-    """Hermitian idempotent onto the range of a reduced operator, plus complement."""
-
-    projector: np.ndarray
-    complement: np.ndarray
-
-
 def pure_schmidt(phi: np.ndarray, tol: float = RANK_TOL) -> PureSchmidt:
     """Schmidt expansion of a normalized 4-vector.
 
@@ -155,17 +147,6 @@ def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
     for l, r in zip(ps.left_vectors, ps.right_vectors):
         w += np.outer(r, l)
     return AntiunitaryMap(unitary_part=w, rank=ps.schmidt_rank)
-
-
-def range_projector(rho: np.ndarray, tol: float = RANK_TOL) -> RangeProjector:
-    """Projector onto the range of a Hermitian positive operator."""
-    from .linalg import eigh
-
-    w, v = eigh(rho)
-    top = w[0] if w.size else 0.0
-    cols = v[:, w > tol * max(top, 1.0)]
-    proj = cols @ cols.conj().T
-    return RangeProjector(projector=proj, complement=np.eye(rho.shape[0]) - proj)
 
 
 def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:

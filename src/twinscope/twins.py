@@ -273,6 +273,15 @@ def analytic_vertex_twins(k: int) -> TwinSpace:
     )
 
 
+def analytic_twins(cls: MdsClass) -> TwinSpace | None:
+    """Closed-form twin space of a classified state; None off the vertex and edge strata."""
+    if cls.kind == BELL_VERTEX:
+        return analytic_vertex_twins(cls.vertex)
+    if cls.kind == BINARY_EDGE:
+        return analytic_edge_twins(cls)
+    return None
+
+
 def ppt_separable(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, float]:
     """Positive-partial-transpose test, decisive for two qubits.
 

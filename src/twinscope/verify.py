@@ -18,6 +18,7 @@ from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
     GENERIC_INTERIOR,
+    CanonicalForm,
     MdsClass,
     bell_state,
     bell_t_vector,
@@ -32,8 +33,8 @@ from .mds import (
 from .schmidt import pure_twin_partner
 from .twins import (
     ObservablePair,
-    analytic_edge_twins,
-    analytic_vertex_twins,
+    TwinSpace,
+    analytic_twins,
     contains_pair,
     distant_correlation,
     is_twin_pair,
@@ -57,13 +58,18 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class VerifyContext:
-    """Input state plus its generating form: (u1 x u2) rho (u1 x u2)^dag = T(t)."""
+    """Input state plus its generating form: (u1 x u2) rho (u1 x u2)^dag = T(t).
+
+    `cls` is the classification of t and `space` the oracle twin space of
+    rho; both are computed once, in make_context, and shared by the checks.
+    """
 
     rho: np.ndarray
     t: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
     cls: MdsClass
+    space: TwinSpace
     tol: float
     seed: int
 
@@ -77,27 +83,27 @@ class VerifyContext:
 
 def make_context(
     rho: np.ndarray,
-    t: np.ndarray | None,
+    cf: CanonicalForm | None,
     tol: float,
     seed: int,
 ) -> VerifyContext:
-    """Resolve the generating form of the input.
+    """Resolve the generating form, the class and the oracle twin space of rho.
 
-    When the t-vector is already known (t/weights input) the frame is the
-    identity; a raw matrix is canonicalized first.
+    `cf` is the canonical form of rho when the caller already has one (for a
+    t/weights input, the identity frame); with None, rho is canonicalized here.
     """
-    if t is not None:
-        t = np.asarray(t, dtype=float)
-        u1 = np.eye(2, dtype=complex)
-        u2 = np.eye(2, dtype=complex)
-    else:
+    if cf is None:
         cf = canonicalize(rho)
-        t = cf.t
-        u1 = cf.u1
-        u2 = cf.u2
-    cls = classify(t, tol)
-    return VerifyContext(rho=np.asarray(rho, dtype=complex), t=t, u1=u1, u2=u2,
-                         cls=cls, tol=tol, seed=seed)
+    return VerifyContext(
+        rho=np.asarray(rho, dtype=complex),
+        t=cf.t,
+        u1=cf.u1,
+        u2=cf.u2,
+        cls=classify(cf.t, tol),
+        space=twin_space(rho, tol),
+        tol=tol,
+        seed=seed,
+    )
 
 
 def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
@@ -112,7 +118,7 @@ def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
-    w = weights_from_t(ctx.t)
+    w = ctx.cls.weights
     direct = sum(w[k] * bell_state(k)[1] for k in range(4))
     err = np.abs(build_T(ctx.t) - direct).max()
     return CheckResult(
@@ -122,7 +128,9 @@ def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
 
 def _check_state_test_agreement(ctx: VerifyContext) -> CheckResult:
     verdict = is_state(ctx.t, ctx.tol)
-    ok = verdict.ok and verdict.min_weight >= -ctx.tol and verdict.min_eigenvalue >= -ctx.tol
+    # the two tests compute the same number, so they must agree to rounding
+    rounding = 1e-12 * max(1.0, float(np.abs(ctx.cls.weights).sum()))
+    ok = verdict.ok and abs(verdict.min_weight - verdict.min_eigenvalue) <= rounding
     return CheckResult(
         "state-test-agreement",
         bool(ok),
@@ -142,7 +150,7 @@ def _check_vertex_sign_table(ctx: VerifyContext) -> CheckResult:
 
 def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
     mixture = edge_mixture(ctx.cls)
-    w = weights_from_t(ctx.t)
+    w = ctx.cls.weights
     err = 0.0
     for k in range(4):
         err = max(err, abs(w[k] - mixture.get(k, 0.0)))
@@ -168,7 +176,7 @@ def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
-    space = twin_space(ctx.rho, ctx.tol)
+    space = ctx.space
     expected = EXPECTED_TWIN_DIMENSION[ctx.cls.kind]
     return CheckResult(
         "twin-dimension-law",
@@ -178,15 +186,9 @@ def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _analytic_space(ctx: VerifyContext):
-    if ctx.cls.kind == BELL_VERTEX:
-        return analytic_vertex_twins(ctx.cls.vertex)
-    return analytic_edge_twins(ctx.cls)
-
-
 def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
-    oracle = twin_space(ctx.rho, ctx.tol)
-    pulled = pull_back(_analytic_space(ctx), ctx.u1, ctx.u2)
+    oracle = ctx.space
+    pulled = pull_back(analytic_twins(ctx.cls), ctx.u1, ctx.u2)
     worst = max(contains_pair(oracle, p) for p in pulled.basis)
     mutual = subspace_residual(oracle, pulled)
     ok = worst <= 1e-9 and mutual <= 1e-9
@@ -198,10 +200,10 @@ def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
-    w = weights_from_t(ctx.t)
+    w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > 1e-6]
     components = [ctx.pull_back_state(bell_state(k)[1]) for k in support]
-    via_mixture = twin_space(ctx.rho, ctx.tol)
+    via_mixture = ctx.space
     via_intersection = simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
     ok = via_mixture.dimension == via_intersection.dimension and res <= 1e-9
@@ -218,7 +220,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
     v1 = random_unitary(rng)
     v2 = random_unitary(rng)
     moved_state = tensor(v1, v2) @ ctx.rho @ tensor(v1, v2).conj().T
-    space = twin_space(ctx.rho, ctx.tol)
+    space = ctx.space
     moved_space = twin_space(moved_state, ctx.tol)
     if moved_space.dimension != space.dimension:
         return CheckResult(
@@ -253,7 +255,7 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
     rng = ctx.rng()
-    space = twin_space(ctx.rho, ctx.tol)
+    space = ctx.space
     worst_member = 0.0
     for _ in range(5):
         a1 = random_hermitian(rng)
@@ -281,11 +283,10 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
-    space = twin_space(ctx.rho, ctx.tol)
     counted = 0
     worst_mismatch = 0.0
     worst_gap = 0.0
-    for pair in space.basis:
+    for pair in ctx.space.basis:
         report = distant_correlation(pair, ctx.rho)
         if report.degenerate:
             continue
@@ -302,9 +303,8 @@ def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_twin_spectra_match(ctx: VerifyContext) -> CheckResult:
-    space = twin_space(ctx.rho, ctx.tol)
     worst = 0.0
-    for pair in space.basis[1:]:
+    for pair in ctx.space.basis[1:]:
         s1 = np.sort(np.linalg.eigvalsh(pair.a1))
         s2 = np.sort(np.linalg.eigvalsh(pair.a2))
         worst = max(worst, float(np.abs(s1 - s2).max()))

@@ -1,0 +1,36 @@
+"""The benchmark harness runs end to end on the current sources.
+
+Timings are not checked; they are too noisy to gate on. The run exercises the harness's own calls into twinscope, such as
+the positional make_context(rho, None, tol, seed) of verify-scrambled.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_verify_scrambled_benchmark_runs():
+    result = subprocess.run(
+        [
+            sys.executable,
+            "benchmarks/run.py",
+            "--workload", "verify-scrambled",
+            "--seed", "1",
+            "--seconds", "1",
+            "--trace", "0",
+        ],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    report = json.loads(result.stdout.splitlines()[-1])
+    assert report["failed"] == 0
+    assert report["attempted"] > 0
+    bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    for metric in bench["end_to_end"]:
+        assert metric["name"] in report["metrics"]

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from twinscope.cli import run
+from twinscope.linalg import random_unitary, tensor
+from twinscope.mds import build_T
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
 
@@ -201,6 +203,11 @@ def test_state_boundary_point_classifies(capsys):
     )
     assert code == 0
     assert "class: generic_interior" in out
+    code, out, _ = invoke(
+        capsys, "verify", "--t=0.2970718388005156,-0.044622861356271804,0.7475510265557562"
+    )
+    assert code == 0
+    assert "failed: 0" in out
 
 
 def test_error_messages_are_distinct(capsys, tmp_path):
@@ -227,6 +234,26 @@ def test_non_mds_matrix_rejected_for_classify(capsys, tmp_path):
     code, _, err = invoke(capsys, "classify", "--input", str(path))
     assert code == 1
     assert "disordered" in err
+    code, out, _ = invoke(capsys, "twins", "--input", str(path))
+    assert code == 0
+    assert "analytic" not in out
+    code, _, err = invoke(capsys, "verify", "--input", str(path))
+    assert code == 1
+    assert "disordered" in err
+
+
+def test_verify_matrix_and_pure_input(capsys, tmp_path, singlet_file):
+    rng = np.random.default_rng(17)
+    u = tensor(random_unitary(rng), random_unitary(rng))
+    rho = u @ build_T(np.array([0.4, -0.4, 1.0])) @ u.conj().T
+    path = tmp_path / "scrambled_edge.txt"
+    rows = [" ".join(format_complex(z) for z in row) for row in rho]
+    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    for state_file, stratum in ((str(path), "binary_edge"), (singlet_file, "bell_vertex")):
+        code, out, _ = invoke(capsys, "verify", "--input", state_file)
+        assert code == 0
+        assert "failed: 0" in out
+        assert f"stratum: {stratum}" in out
 
 
 def test_reports_are_deterministic(capsys):

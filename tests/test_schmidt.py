@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from twinscope.linalg import hs_inner, hs_norm, partial_trace, pauli, random_unitary, tensor
-from twinscope.mds import bell_state, build_T, random_interior_t, t_from_weights
+from twinscope.mds import bell_state, build_T, random_interior_t
 from twinscope.schmidt import (
     correlation_operator,
     operator_schmidt,
     pure_schmidt,
     pure_twin_partner,
-    range_projector,
     reconstruct,
 )
 
@@ -187,14 +186,6 @@ def test_pure_twin_partner_rejects_noncommuting():
     phi = np.array([0.9, 0, 0, np.sqrt(1 - 0.81)], dtype=complex)
     with pytest.raises(ValueError, match="commute"):
         pure_twin_partner(pauli(1).copy(), phi)
-
-
-def test_range_projector_idempotent_complement():
-    t = t_from_weights([0.0, 0.3, 0.7, 0.0])
-    rho = build_T(t)
-    rp = range_projector(rho)
-    assert np.abs(rp.projector @ rp.projector - rp.projector).max() < 1e-10
-    assert np.abs(rp.projector + rp.complement - np.eye(4)).max() < 1e-12
 
 
 def test_operator_schmidt_edge_state_coefficients():

@@ -9,7 +9,9 @@ from twinscope.linalg import (
     tensor,
 )
 from twinscope.mds import (
+    NON_STATE,
     bell_state,
+    bell_t_vector,
     build_T,
     classify,
     random_edge_t,
@@ -20,6 +22,7 @@ from twinscope.schmidt import pure_twin_partner
 from twinscope.twins import (
     ObservablePair,
     analytic_edge_twins,
+    analytic_twins,
     analytic_vertex_twins,
     bell_twin_partner,
     biorthogonal_separable_forms,
@@ -144,6 +147,22 @@ def test_analytic_edge_twins_all_axes():
 def test_analytic_edge_twins_rejects_non_edge():
     with pytest.raises(ValueError):
         analytic_edge_twins(classify(np.array([0.0, 0.0, 0.0])))
+
+
+def test_analytic_twins_dispatch():
+    rng = np.random.default_rng(11)
+    for k in range(4):
+        space = analytic_twins(classify(bell_t_vector(k)))
+        assert space.dimension == 4
+        assert subspace_residual(space, analytic_vertex_twins(k)) <= 1e-12
+    for axis in (1, 2, 3):
+        for case in ("A", "B"):
+            assert analytic_twins(classify(random_edge_t(rng, axis, case))).dimension == 2
+    assert analytic_twins(classify(random_interior_t(rng))) is None
+    for t in ([1.0, 1.0, 1.0], [0.0, 0.0, 1.5]):
+        cls = classify(np.array(t))
+        assert cls.kind == NON_STATE
+        assert analytic_twins(cls) is None
 
 
 def test_bell_twin_partner_sign_table():
