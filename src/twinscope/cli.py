@@ -110,6 +110,16 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
     return StateSpec(kind="pure", pure=data, source=args.input)
 
 
+def _check_tetrahedron(t: np.ndarray, tol: float) -> None:
+    """Reject a t-vector outside the tetrahedron (a Bell weight below -tol)."""
+    verdict = is_state(t, tol)
+    if not verdict.ok:
+        raise ValueError(
+            f"t-vector {t.tolist()} is outside the tetrahedron "
+            f"(weight w{verdict.offending_index} = {verdict.min_weight:.12g})"
+        )
+
+
 def state_matrix(spec: StateSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Density matrix of a state spec; t/weights variants must lie in the tetrahedron."""
     if spec.kind == "matrix":
@@ -117,12 +127,7 @@ def state_matrix(spec: StateSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
     if spec.kind == "pure":
         return np.outer(spec.pure, spec.pure.conj())
     t = spec.t if spec.kind == "t" else t_from_weights(spec.weights)
-    verdict = is_state(t, tol)
-    if not verdict.ok:
-        raise ValueError(
-            f"t-vector {list(t)} is outside the tetrahedron "
-            f"(weight w{verdict.offending_index} = {verdict.min_weight:.12g})"
-        )
+    _check_tetrahedron(t, tol)
     return build_T(t)
 
 
@@ -276,7 +281,9 @@ def _pair_tree(pair: ObservablePair) -> dict:
 def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     diagnostics: dict = {}
     rho, cf = _resolve(spec)
-    if cf is not None and spec.kind in ("matrix", "pure"):
+    if spec.kind in ("t", "weights"):
+        _check_tetrahedron(cf.t, args.tol)
+    elif cf is not None:
         diagnostics["canonical_t"] = list(cf.t)
         diagnostics["canonicalization_residual"] = cf.residual
     space = twin_space(rho, args.tol)
@@ -310,12 +317,7 @@ def cmd_verify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     if cf is None:
         raise ValueError("verify expects a state with maximally disordered subsystems")
     if spec.kind in ("t", "weights"):
-        verdict = is_state(cf.t, args.tol)
-        if not verdict.ok:
-            raise ValueError(
-                f"verify expects a state; weight w{verdict.offending_index} = "
-                f"{verdict.min_weight:.12g} is negative"
-            )
+        _check_tetrahedron(cf.t, args.tol)
     ctx = make_context(rho, cf, args.tol, args.seed)
     results = run_verification(ctx)
     passed = sum(1 for r in results if r.passed)
@@ -364,7 +366,7 @@ def cmd_correlate(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]
 
 def cmd_canonicalize(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     rho = state_matrix(spec)
-    cf = canonicalize(rho, args.tol)
+    cf = canonicalize(rho)
     return {
         "result": {
             "t": list(cf.t),

@@ -5,6 +5,10 @@ largest system assembled anywhere is the stacked 32x8 twin condition).
 Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
 
+Every rank decision goes through rank_split: a value at or below the cut
+vanishes, and one within a factor RANK_GUARD of it makes the decision
+ambiguous (RankDecisionError). Callers choose only what they cut and where.
+
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
 read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
@@ -19,6 +23,8 @@ import numpy as np
 
 # Relative threshold for all rank decisions (nullspaces, Schmidt spectra).
 RANK_TOL = 1e-9
+# No value may lie within this factor of a rank cut, on either side.
+RANK_GUARD = 10.0
 # Absolute tolerance for Hermiticity guards.
 HERMITIAN_TOL = 1e-9
 
@@ -181,16 +187,34 @@ class NullspaceResult:
     gap: float
 
 
+def rank_split(values: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
+    """Split nonnegative values at a cut: (mask of the vanishing ones, gap).
+
+    A value vanishes when it is <= threshold; gap is the smallest kept over
+    the largest vanishing value (inf if there is none, or it is 0). Any value
+    within a factor RANK_GUARD of the cut raises RankDecisionError.
+    """
+    values = np.asarray(values, dtype=float)
+    zero = values <= threshold
+    listed = values.tolist()  # python min/max beat numpy on a few values
+    smallest_kept = min((v for v in listed if v > threshold), default=np.inf)
+    largest_dropped = max((v for v in listed if v <= threshold), default=0.0)
+    if smallest_kept < RANK_GUARD * threshold or largest_dropped > threshold / RANK_GUARD:
+        raise RankDecisionError(
+            f"ambiguous rank decision: values cluster around the cut {threshold:.3e} "
+            f"(smallest kept {smallest_kept:.3e}, largest dropped {largest_dropped:.3e}, "
+            f"guard factor {RANK_GUARD:g})"
+        )
+    gap = smallest_kept / largest_dropped if largest_dropped > 0 else np.inf
+    return zero, float(gap)
+
+
 def real_nullspace(m: np.ndarray, tol: float = RANK_TOL) -> NullspaceResult:
     """Orthonormal basis of the nullspace of a real matrix.
 
-    A singular value counts as zero when it is <= tol * (largest singular
-    value). The reported `gap` is the ratio between the smallest retained
-    and the largest discarded singular value (inf when either side is
-    empty). The decision is treated as ambiguous, and RankDecisionError
-    raised, when any singular value lands within a factor of 10 of the
-    threshold on either side - i.e. when there is no gap of at least two
-    orders of magnitude around the cut.
+    The singular values (padded with zeros to the column count) are split
+    by rank_split at tol * (largest singular value); `gap` is its ratio of
+    the smallest retained to the largest discarded singular value.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
@@ -200,26 +224,9 @@ def real_nullspace(m: np.ndarray, tol: float = RANK_TOL) -> NullspaceResult:
     s_full = np.zeros(n)
     s_full[: s.size] = s
     smax = s_full[0] if s_full.size else 0.0
-    threshold = tol * smax
-    null_mask = s_full <= threshold
-    rank = int(np.count_nonzero(~null_mask))
-    kept = s_full[~null_mask]
-    dropped = s_full[null_mask]
-    if kept.size and dropped.size and dropped.max() > 0:
-        gap = float(kept.min() / dropped.max())
-    else:
-        gap = float("inf")
-    kept_close = kept.size and kept.min() < 10 * threshold
-    dropped_close = dropped.size and dropped.max() > threshold / 10
-    if kept_close or dropped_close:
-        raise RankDecisionError(
-            f"ambiguous rank decision: singular values cluster around the "
-            f"threshold {threshold:.3e} "
-            f"(smallest kept {kept.min() if kept.size else float('nan'):.3e}, "
-            f"largest dropped {dropped.max() if dropped.size else 0.0:.3e})"
-        )
-    basis = vt[rank:].copy()
-    return NullspaceResult(basis=basis, singular_values=s_full, rank=rank, gap=gap)
+    null_mask, gap = rank_split(s_full, tol * smax)
+    rank = n - int(np.count_nonzero(null_mask))
+    return NullspaceResult(basis=vt[rank:].copy(), singular_values=s_full, rank=rank, gap=gap)
 
 
 def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:

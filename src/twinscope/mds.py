@@ -7,15 +7,15 @@ four Bell projectors. Both are linearly related; a t-vector describes a
 state exactly when all four weights are nonnegative, which carves the
 tetrahedron out of the cube [-1,1]^3.
 
-Strata of the tetrahedron:
-  * vertices   - the four Bell projectors (all |t_i| = 1),
-  * open edges - binary Bell mixtures (exactly one |t_i| = 1), split into
-    case A (t_i = +1, two non-singlet states) and case B (t_i = -1,
-    singlet plus one other),
+Strata of the tetrahedron, read off the vanishing Bell weights:
+  * vertices   - the four Bell projectors (three weights vanish),
+  * open edges - binary Bell mixtures (two weights vanish, |t_i| = 1 on
+    one axis), split into case A (t_i = +1, two non-singlet states) and
+    case B (t_i = -1, singlet plus one other),
   * everything else with all weights positive - generic interior/face
-    points.
-A state can never have |t_i| = 1 for exactly two axes; seeing that counts
-as an internal fault, not a classification.
+    points (one vanishing weight only moves a point onto a face).
+Which weights vanish is one rank decision, made by linalg.rank_split on the
+weights with the cut at tol; the weights sum to 1, so the cut is relative.
 """
 
 from __future__ import annotations
@@ -32,10 +32,11 @@ from .linalg import (
     hermitian_check,
     hs_norm,
     partial_trace,
+    rank_split,
     tensor,
 )
 
-# Default absolute tolerance for "equals 1", weight negativity, residuals.
+# Default rank cut on the Bell weights, weight-negativity and residual bound.
 DEFAULT_TOL = 1e-9
 # Looser validation gate for externally supplied density matrices.
 STATE_VALIDATION_TOL = 1e-8
@@ -199,12 +200,11 @@ _CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
     """Classify a t-vector as vertex, edge, interior, or non-state.
 
-    Counts the axes with |t_i| within tol of 1: three means a Bell vertex
-    (identified by sign pattern), one means a binary edge (case A for
-    t_i = +1, case B for t_i = -1, with the consistency relation between
-    the two free coordinates verified), zero means a generic point with
-    all weights positive. A count of two is impossible for states and
-    raises InternalConsistencyError.
+    The stratum is the number of vanishing Bell weights, which rank_split
+    decides on |w| of all but the smallest weight at cut tol. Three mean the
+    Bell vertex of the surviving index; two a binary edge, case B when w0
+    survives, on the axis k in 1..3 that vanishes or survives with w0; fewer
+    a generic point.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     w = weights_from_t(t)
@@ -217,56 +217,35 @@ def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
                 f"weight w{verdict.offending_index} = {verdict.min_weight:.12g} < -{tol:g}"
             ),
         )
-    at_one = [i for i in (1, 2, 3) if abs(abs(t[i - 1]) - 1) <= tol]
-    count = len(at_one)
-    if count == 2:
-        raise InternalConsistencyError(
-            f"exactly two |t_i| equal 1 within {tol:g} for a state: t = {t.tolist()}"
-        )
-    if count == 3:
-        signs = tuple(1 if t[i] > 0 else -1 for i in range(3))
-        table = {(-1, 1, 1): 1, (1, -1, 1): 2, (1, 1, -1): 3, (-1, -1, -1): 0}
-        k = table.get(signs)
-        if k is None:
-            raise InternalConsistencyError(
-                f"state with all |t_i| = 1 has a non-Bell sign pattern {signs}"
-            )
+    rest = np.argsort(w)[1:]
+    zero, gap = rank_split(np.abs(w[rest]), tol)
+    alive = sorted(rest[~zero].tolist())
+    cut = f"cut {tol:g}, rank gap {gap:.3e}"
+    if len(alive) == 1:
         return MdsClass(
             kind=BELL_VERTEX,
             weights=w,
-            vertex=k,
-            detail=f"sign pattern {signs} identifies Bell projector {k}",
+            vertex=alive[0],
+            detail=f"only w{alive[0]} survives the {cut}: Bell projector {alive[0]}",
         )
-    if count == 1:
-        i = at_one[0]
-        j, m = _CYCLIC[i]
-        case = "A" if t[i - 1] > 0 else "B"
-        if case == "A":
-            violation = abs(t[m - 1] + t[j - 1])
-        else:
-            violation = abs(t[m - 1] - t[j - 1])
-        if violation > 8 * tol:
-            raise InternalConsistencyError(
-                f"edge consistency violated on axis {i} case {case}: "
-                f"|relation residual| = {violation:.3e}"
-            )
-        detail = (
-            f"axis {i} case {case}: t{i} = {t[i - 1]:.12g}, free coordinate "
-            f"t{j} = {t[j - 1]:.12g}, consistency residual {violation:.3e}"
-        )
+    if len(alive) == 2:
+        case = "B" if 0 in alive else "A"
+        i = next(k for k in (1, 2, 3) if (k in alive) == (0 in alive))
+        j, _ = _CYCLIC[i]
         return MdsClass(
             kind=BINARY_EDGE,
             weights=w,
             axis=i,
             case=case,
             edge_parameter=float(t[j - 1]),
-            detail=detail,
+            detail=f"w{alive[0]} and w{alive[1]} survive the {cut}: axis {i} "
+            f"case {case}, free coordinate t{j} = {t[j - 1]:.12g}",
         )
-    margin = float(1 - np.abs(t).max())
     return MdsClass(
         kind=GENERIC_INTERIOR,
         weights=w,
-        detail=f"all |t_i| below 1 (margin {margin:.12g}); all weights nonnegative",
+        detail=f"at most one weight vanishes: the second smallest, w{rest[0]} = "
+        f"{w[rest[0]]:.12g}, clears the cut {tol:g}",
     )
 
 
@@ -343,14 +322,15 @@ def correlation_matrix(rho: np.ndarray) -> np.ndarray:
     return np.einsum("ijab,ba->ij", PAULI2[1:, 1:], rho).real
 
 
-def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalForm:
+def canonicalize(rho: np.ndarray) -> CanonicalForm:
     """Local unitaries (u1, u2) and t with (u1 x u2) rho (u1 x u2)^dagger = T(t).
 
     The correlation matrix is decomposed as A diag(t) B^T with both factors
     forced into SO(3) (flipping the sign of the last singular value when
     needed); the rotations transpose onto the state's two sides and lift to
     SU(2). Axes are then permuted so |t| is descending, ties broken by
-    signed value descending.
+    signed value descending. A transport residual above DEFAULT_TOL raises
+    InternalConsistencyError.
     """
     rho = validate_density_matrix(rho)
     half = np.eye(2) / 2
@@ -387,9 +367,9 @@ def canonicalize(rho: np.ndarray, tol: float = DEFAULT_TOL) -> CanonicalForm:
     u2 = _su2_from_rotation(r2)
     transported = tensor(u1, u2) @ rho @ tensor(u1, u2).conj().T
     residual = hs_norm(transported - build_T(t))
-    if residual > tol:
+    if residual > DEFAULT_TOL:
         raise InternalConsistencyError(
-            f"canonicalization residual {residual:.3e} exceeds {tol:g}"
+            f"canonicalization residual {residual:.3e} exceeds {DEFAULT_TOL:g}"
         )
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual))
 

@@ -26,6 +26,7 @@ from .linalg import (
     hermitian_check,
     hs_norm,
     partial_trace,
+    rank_split,
     svd,
     tensor,
 )
@@ -112,6 +113,7 @@ def pure_schmidt(phi: np.ndarray, tol: float = RANK_TOL) -> PureSchmidt:
 
     Coefficients are the singular values of the 2x2 coefficient matrix;
     their squares equal the common spectrum of both reduced operators.
+    The Schmidt rank is decided by rank_split at tol * (largest coefficient).
     Each left vector is phase-normalized (first significant entry real
     positive) with the compensating phase pushed into its right partner.
     """
@@ -123,7 +125,7 @@ def pure_schmidt(phi: np.ndarray, tol: float = RANK_TOL) -> PureSchmidt:
         raise ValueError(f"pure_schmidt expects a normalized vector, |phi| = {norm:.12g}")
     m = phi.reshape(2, 2)
     u, s, vh = svd(m)
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
     coeffs = s[:rank].copy()
     left = u[:, :rank].T.copy()
     right = vh[:rank].copy()
@@ -181,8 +183,9 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
 
     The operator is normalized to a unit supervector; coefficients are the
     singular values of its real coefficient matrix in the normalized Pauli
-    product basis. Zero coefficients are truncated (reduced Schmidt rank)
-    rather than padded with an arbitrary basis completion.
+    product basis. Coefficients that rank_split finds vanishing at
+    tol * (largest coefficient) are truncated (reduced Schmidt rank) rather
+    than padded with an arbitrary basis completion.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
@@ -205,7 +208,7 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
         if idx.size and col[idx[0]] < 0:
             u[:, k] = -col
             vh[k, :] = -vh[k, :]
-    rank = int(np.count_nonzero(s > tol * s[0]))
+    rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
     left_ops = tuple(from_pauli(u[:, k]) / np.sqrt(2) for k in range(rank))
     right_ops = tuple(from_pauli(vh[k]) / np.sqrt(2) for k in range(rank))
     coeffs = s[:rank].copy()

@@ -26,6 +26,7 @@ import numpy as np
 
 from .linalg import (
     PAULI2,
+    NullspaceResult,
     eigh,
     from_pauli,
     hermitian_check,
@@ -180,16 +181,24 @@ def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
 _TRIVIAL_DIRECTION = np.zeros(8)
 _TRIVIAL_DIRECTION[0] = _TRIVIAL_DIRECTION[4] = 1 / np.sqrt(2)
 _TRIVIAL_DIRECTION.setflags(write=False)
+_SVD_ERROR = 32 * 8 * np.finfo(float).eps  # SVD backward error over s_max, m * n * eps
 
 
-def _space_from_nullspace(basis: np.ndarray, gap: float) -> TwinSpace:
-    """Orthonormal twin space from nullspace rows, trivial pair pinned first."""
+def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
+    """Orthonormal twin space from a nullspace, trivial pair pinned first.
+
+    The computed nullspace may tilt from the exact one, which holds the
+    trivial pair, by the SVD backward error over the smallest kept singular
+    value (Wedin, BIT 12, 99 (1972)); only a larger miss is a fault.
+    """
+    basis = ns.basis
     dim = basis.shape[0]
     if dim == 0:
         raise InternalConsistencyError("twin system has an empty nullspace")
     e = _TRIVIAL_DIRECTION
     proj = basis.T @ (basis @ e)
-    if np.linalg.norm(proj - e) > 1e-9:
+    s = ns.singular_values
+    if np.linalg.norm(proj - e) > _SVD_ERROR * s[0] / s[ns.rank - 1]:
         raise InternalConsistencyError(
             "the trivial pair (I, I) is missing from the computed twin space"
         )
@@ -209,15 +218,14 @@ def _space_from_nullspace(basis: np.ndarray, gap: float) -> TwinSpace:
         basis=pairs,
         dimension=dim,
         has_nontrivial=dim > 1,
-        singular_value_gap=gap,
+        singular_value_gap=ns.gap,
     )
 
 
 def twin_space(rho: np.ndarray, tol: float = DEFAULT_TOL) -> TwinSpace:
     """Brute-force solution space of the twin condition for one state."""
     rho = validate_density_matrix(rho)
-    ns = real_nullspace(twin_condition_matrix(rho), tol)
-    return _space_from_nullspace(ns.basis, ns.gap)
+    return _space_from_nullspace(real_nullspace(twin_condition_matrix(rho), tol))
 
 
 def simultaneous_twins(states: list[np.ndarray], tol: float = DEFAULT_TOL) -> TwinSpace:
@@ -225,8 +233,7 @@ def simultaneous_twins(states: list[np.ndarray], tol: float = DEFAULT_TOL) -> Tw
     if not states:
         raise ValueError("simultaneous_twins needs at least one state")
     blocks = [twin_condition_matrix(validate_density_matrix(rho)) for rho in states]
-    ns = real_nullspace(np.vstack(blocks), tol)
-    return _space_from_nullspace(ns.basis, ns.gap)
+    return _space_from_nullspace(real_nullspace(np.vstack(blocks), tol))
 
 
 def analytic_edge_twins(cls: MdsClass) -> TwinSpace:

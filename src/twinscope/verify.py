@@ -201,7 +201,7 @@ def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
 
 def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
     w = ctx.cls.weights
-    support = [k for k in range(4) if w[k] > 1e-6]
+    support = [k for k in range(4) if w[k] > ctx.tol]
     components = [ctx.pull_back_state(bell_state(k)[1]) for k in support]
     via_mixture = ctx.space
     via_intersection = simultaneous_twins(components, ctx.tol)

@@ -1,6 +1,8 @@
+import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,25 @@ def mixed_file(tmp_path):
         entries.append(" ".join(row))
     path.write_text("matrix 4 4\n" + "\n".join(entries) + "\n")
     return str(path)
+
+
+@pytest.fixture
+def scrambled_edge_file(tmp_path):
+    rng = np.random.default_rng(17)
+    u = tensor(random_unitary(rng), random_unitary(rng))
+    rho = u @ build_T(np.array([0.4, -0.4, 1.0])) @ u.conj().T
+    path = tmp_path / "scrambled_edge.txt"
+    rows = [" ".join(format_complex(z) for z in row) for row in rho]
+    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+# child interpreters import twinscope from the source tree, as pytest does
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])),
+}
 
 
 def invoke(capsys, *argv):
@@ -122,6 +143,7 @@ def test_verify_three_strata_exit_zero(capsys):
         ("--weights", "1,0,0,0"),
         ("--t", "0.4,-0.4,1"),
         ("--t", "0.2,0.1,-0.05"),
+        ("--weights", "2e-7,0.3,0.6999996,2e-7"),
     ):
         code, out, _ = invoke(capsys, "verify", *state_args)
         assert code == 0
@@ -193,6 +215,31 @@ def test_ambiguous_rank_exits_two(capsys):
     assert code == 2
     assert out == ""
     assert "ambiguous rank decision" in err
+    # classify decides the same stratum boundary from the Bell weights
+    code, out, err = invoke(capsys, "classify", "--t=0.4,-0.4,0.999999995")
+    assert code == 2
+    assert out == ""
+    assert "ambiguous rank decision" in err
+
+
+def test_non_state_t_has_one_message(capsys):
+    messages = set()
+    for cmd in ("schmidt", "twins", "verify"):
+        code, out, err = invoke(capsys, cmd, "--t=1,1,1")
+        assert code == 1
+        assert out == ""
+        messages.add(err.split(": error: ", 1)[1])
+    assert messages == {"t-vector [1.0, 1.0, 1.0] is outside the tetrahedron (weight w0 = -0.5)\n"}
+    code, out, _ = invoke(capsys, "classify", "--t=1,1,1")
+    assert code == 0
+    assert "class: non_state" in out
+
+
+def test_canonicalize_ignores_rank_tol(capsys, scrambled_edge_file):
+    # --tol is the rank cut; the canonicalization residual bound is fixed
+    code, out, _ = invoke(capsys, "canonicalize", "--tol", "1e-17", "--input", scrambled_edge_file)
+    assert code == 0
+    assert "residual:" in out
 
 
 def test_state_boundary_point_classifies(capsys):
@@ -242,14 +289,8 @@ def test_non_mds_matrix_rejected_for_classify(capsys, tmp_path):
     assert "disordered" in err
 
 
-def test_verify_matrix_and_pure_input(capsys, tmp_path, singlet_file):
-    rng = np.random.default_rng(17)
-    u = tensor(random_unitary(rng), random_unitary(rng))
-    rho = u @ build_T(np.array([0.4, -0.4, 1.0])) @ u.conj().T
-    path = tmp_path / "scrambled_edge.txt"
-    rows = [" ".join(format_complex(z) for z in row) for row in rho]
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
-    for state_file, stratum in ((str(path), "binary_edge"), (singlet_file, "bell_vertex")):
+def test_verify_matrix_and_pure_input(capsys, scrambled_edge_file, singlet_file):
+    for state_file, stratum in ((scrambled_edge_file, "binary_edge"), (singlet_file, "bell_vertex")):
         code, out, _ = invoke(capsys, "verify", "--input", state_file)
         assert code == 0
         assert "failed: 0" in out
@@ -282,6 +323,7 @@ def test_console_entry_point_runs():
         [sys.executable, "-m", "twinscope", "classify", "--t", "0,0,1"],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0
     assert "binary_edge" in result.stdout
@@ -297,6 +339,7 @@ def test_import_loads_no_scipy():
         ],
         capture_output=True,
         text=True,
+        env=CHILD_ENV,
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"

@@ -12,6 +12,7 @@ from twinscope.linalg import (
     pauli,
     random_hermitian,
     random_unitary,
+    rank_split,
     real_nullspace,
     svd,
     tensor,
@@ -244,6 +245,20 @@ def test_real_nullspace_flags_ambiguous_rank():
     m = np.diag([1.0, 5e-9, 1e-11])
     with pytest.raises(RankDecisionError):
         real_nullspace(m, tol=1e-9)
+
+
+def test_rank_split_mask_gap_and_guard_band():
+    zero, gap = rank_split(np.array([1.0, 1e-12, 0.5, 0.0]), 1e-9)
+    assert zero.tolist() == [False, True, False, True]
+    assert gap == 0.5 / 1e-12
+    assert rank_split(np.array([1.0, 0.0]), 1e-9)[1] == np.inf
+    assert rank_split(np.array([1.0, 0.5]), 1e-9)[1] == np.inf
+    # a value within a factor 10 of the cut, on either side, is ambiguous
+    for value in (5e-9, 9.9e-9, 1.01e-10, 1e-9):
+        with pytest.raises(RankDecisionError, match="ambiguous rank decision"):
+            rank_split(np.array([1.0, value]), 1e-9)
+    assert rank_split(np.array([1.0, 1e-8]), 1e-9)[0].tolist() == [False, False]
+    assert rank_split(np.array([1.0, 1e-10]), 1e-9)[0].tolist() == [False, True]
 
 
 def test_hermitian_check():

@@ -325,9 +325,9 @@ def test_mds_partial_traces_maximally_mixed():
 
 
 def test_classify_never_sees_two_unit_components():
-    # a state with two |t_i| at 1 forces the third there too, so the
-    # impossible-count guard must stay silent across random edge and
-    # vertex samples even at a sloppy tolerance
+    # edge and vertex samples have their vanishing Bell weights at rounding
+    # level and the others well away from the cut, so the weight-count
+    # decision answers even at a sloppy tolerance
     rng = np.random.default_rng(20)
     for axis in (1, 2, 3):
         for case in ("A", "B"):

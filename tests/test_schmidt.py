@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinscope.linalg import hs_inner, hs_norm, partial_trace, pauli, random_unitary, tensor
+from twinscope.linalg import RankDecisionError, hs_inner, hs_norm, partial_trace, pauli, random_unitary, tensor
 from twinscope.mds import bell_state, build_T, random_interior_t
 from twinscope.schmidt import (
     correlation_operator,
@@ -279,3 +279,13 @@ def test_reconstruct_centroid():
     os_ = operator_schmidt(np.eye(4, dtype=complex) / 4)
     rebuilt = reconstruct(os_, hs_norm(np.eye(4) / 4))
     assert np.abs(rebuilt - np.eye(4) / 4).max() < 1e-12
+
+
+def test_schmidt_ranks_share_the_guard_band():
+    # a coefficient 3e-10 below the largest sits inside the band around 1e-9
+    with pytest.raises(RankDecisionError):
+        operator_schmidt(build_T(np.array([0.5, 0.3, 1.2e-9])))
+    with pytest.raises(RankDecisionError):
+        pure_schmidt(np.array([1.0, 0.0, 0.0, 3e-10]) / np.sqrt(1 + 9e-20))
+    assert operator_schmidt(build_T(np.array([0.5, 0.3, 0.0]))).schmidt_rank == 3
+    assert pure_schmidt(np.array([1.0, 0.0, 0.0, 0.0])).schmidt_rank == 1

@@ -379,3 +379,12 @@ def test_pair_parameter_roundtrip():
     x = rng.standard_normal(8)
     pair = pair_from_parameters(x)
     assert np.abs(pair_parameters(pair) - x).max() < 1e-12
+
+
+def test_trivial_pair_kept_near_edge():
+    # the smallest kept singular value is ~1.5e-8 of the largest, so the
+    # computed nullspace tilts by more than a fixed 1e-9 from the exact one
+    t = np.array([-0.4120694927964107, -0.4120694981014408, -0.9999999711535859])
+    space = twin_space(build_T(t))
+    assert space.dimension == 1
+    assert not space.has_nontrivial
