@@ -26,6 +26,7 @@ from .mds import (
     CanonicalForm,
     InternalConsistencyError,
     MdsClass,
+    StateVerdict,
     build_T,
     canonicalize,
     classify,
@@ -110,14 +111,18 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
     return StateSpec(kind="pure", pure=data, source=args.input)
 
 
-def _check_tetrahedron(t: np.ndarray, tol: float) -> None:
-    """Reject a t-vector outside the tetrahedron (a Bell weight below -tol)."""
+def _check_tetrahedron(t: np.ndarray, tol: float) -> StateVerdict:
+    """Reject a t-vector outside the tetrahedron (a Bell weight below -tol).
+
+    Returns the is_state verdict, for classify to reuse.
+    """
     verdict = is_state(t, tol)
     if not verdict.ok:
         raise ValueError(
             f"t-vector {t.tolist()} is outside the tetrahedron "
             f"(weight w{verdict.offending_index} = {verdict.min_weight:.12g})"
         )
+    return verdict
 
 
 def state_matrix(spec: StateSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
@@ -236,9 +241,8 @@ def cmd_classify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         diagnostics["canonicalization_residual"] = cf.residual
         diagnostics["canonical_t"] = list(cf.t)
     cls = classify(cf.t, args.tol)
-    verdict = is_state(cf.t, args.tol)
-    diagnostics["min_weight"] = verdict.min_weight
-    diagnostics["min_eigenvalue"] = verdict.min_eigenvalue
+    diagnostics["min_weight"] = cls.verdict.min_weight
+    diagnostics["min_eigenvalue"] = cls.verdict.min_eigenvalue
     return {"result": _class_tree(cls), "diagnostics": diagnostics}, 0
 
 
@@ -281,8 +285,9 @@ def _pair_tree(pair: ObservablePair) -> dict:
 def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     diagnostics: dict = {}
     rho, cf = _resolve(spec)
+    verdict = None
     if spec.kind in ("t", "weights"):
-        _check_tetrahedron(cf.t, args.tol)
+        verdict = _check_tetrahedron(cf.t, args.tol)
     elif cf is not None:
         diagnostics["canonical_t"] = list(cf.t)
         diagnostics["canonicalization_residual"] = cf.residual
@@ -294,7 +299,7 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         "basis": [_pair_tree(p) for p in space.basis],
     }
     if cf is not None:
-        cls = classify(cf.t, args.tol)
+        cls = classify(cf.t, args.tol, verdict)
         if cls.kind != NON_STATE:
             analytic = analytic_twins(cls)
             if analytic is not None:
@@ -316,9 +321,10 @@ def cmd_verify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     rho, cf = _resolve(spec)
     if cf is None:
         raise ValueError("verify expects a state with maximally disordered subsystems")
+    verdict = None
     if spec.kind in ("t", "weights"):
-        _check_tetrahedron(cf.t, args.tol)
-    ctx = make_context(rho, cf, args.tol, args.seed)
+        verdict = _check_tetrahedron(cf.t, args.tol)
+    ctx = make_context(rho, cf, args.tol, args.seed, verdict)
     results = run_verification(ctx)
     passed = sum(1 for r in results if r.passed)
     tree = {

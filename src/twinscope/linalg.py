@@ -5,6 +5,13 @@ largest system assembled anywhere is the stacked 32x8 twin condition).
 Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
 
+eigh returns eigenvalues and phase-normalized eigenvectors; eigvalsh returns
+the eigenvalues alone, for callers that read no eigenvector. Both reject
+input that is not Hermitian within the same tolerance. The phase convention
+of eigh and svd, and the sign convention of real factors elsewhere, is one
+rule, leading_phases: the first entry above 1e-12 in magnitude of each
+column is made real positive.
+
 Every rank decision goes through rank_split: a value at or below the cut
 vanishes, and one within a factor RANK_GUARD of it makes the decision
 ambiguous (RankDecisionError). Callers choose only what they cut and where.
@@ -12,7 +19,8 @@ ambiguous (RankDecisionError). Callers choose only what they cut and where.
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
 read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
-Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k.
+Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k
+for a whole stack of coefficient rows in one product.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ PAULI = np.array(
     dtype=complex,
 )
 PAULI.setflags(write=False)
+_PAULI_ROWS = PAULI.reshape(4, 4)
 PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
 PAULI2.setflags(write=False)
 
@@ -62,7 +71,8 @@ def to_pauli(a: np.ndarray) -> np.ndarray:
 
 def from_pauli(c: np.ndarray) -> np.ndarray:
     """The operator sum_k c_k sigma_k; a stack (..., 4) gives (..., 2, 2)."""
-    return np.tensordot(np.asarray(c), PAULI, axes=(-1, 0))
+    c = np.asarray(c)
+    return (c @ _PAULI_ROWS).reshape(*c.shape[:-1], 2, 2)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -121,24 +131,28 @@ def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck
     return HermitianCheck(max_deviation=dev, tolerance=tol)
 
 
-def _phase_normalize_columns(u: np.ndarray, compensate: np.ndarray | None = None) -> None:
-    """Rotate each column of u so its first significant entry is real positive.
+def leading_phases(a: np.ndarray) -> np.ndarray:
+    """Unit phase of the first entry above 1e-12 in magnitude of each column.
 
-    When `compensate` is given (rows paired with u's columns, as in an SVD),
-    the inverse phase is pushed into the matching row to keep the product
-    fixed; columns beyond the paired range are normalized without
-    compensation. Operates in place.
+    Dividing a column by its phase makes that entry real positive. A real
+    array gives signs +-1.0, a complex one unit complex numbers; a column
+    with no such entry gets 1.
     """
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size == 0:
-            continue
-        z = col[idx[0]]
-        phase = z / abs(z)
-        u[:, k] = col * np.conj(phase)
-        if compensate is not None and k < compensate.shape[0]:
-            compensate[k, :] *= phase
+    big = np.abs(a) > 1e-12
+    z = np.where(big.any(axis=0), a[big.argmax(axis=0), np.arange(a.shape[1])], 1)
+    return z / np.abs(z)
+
+
+def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
+    """(m + m^dagger)/2, after rejecting m when it is not Hermitian within tol."""
+    m = np.asarray(m, dtype=complex)
+    chk = hermitian_check(m, tol)
+    if not chk.passes:
+        raise ValueError(
+            f"eigh: matrix is not Hermitian within {tol:g} "
+            f"(max deviation {chk.max_deviation:.3e})"
+        )
+    return (m + m.conj().T) / 2
 
 
 def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
@@ -148,18 +162,17 @@ def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndar
     eigenvector phase-normalized so its first significant entry is real
     positive. Rejects input that is not Hermitian within `tol`.
     """
-    m = np.asarray(m, dtype=complex)
-    chk = hermitian_check(m, tol)
-    if not chk.passes:
-        raise ValueError(
-            f"eigh: matrix is not Hermitian within {tol:g} "
-            f"(max deviation {chk.max_deviation:.3e})"
-        )
-    w, v = np.linalg.eigh((m + m.conj().T) / 2)
-    w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    _phase_normalize_columns(v)
-    return w, v
+    w, v = np.linalg.eigh(_hermitian_part(m, tol))
+    v = v[:, ::-1]
+    return w[::-1].copy(), v * leading_phases(v).conj()
+
+
+def eigvalsh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, descending, without eigenvectors.
+
+    The same guard as eigh: rejects input that is not Hermitian within `tol`.
+    """
+    return np.linalg.eigvalsh(_hermitian_part(m, tol))[::-1].copy()
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -169,12 +182,11 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     positive) and the compensating phase is pushed into the matching right
     vector, so the factorization stays exact.
     """
-    m = np.asarray(m, dtype=complex)
-    u, s, vh = np.linalg.svd(m)
-    u = u.copy()
-    vh = vh.copy()
-    _phase_normalize_columns(u, compensate=vh)
-    return u, s, vh
+    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex))
+    phase = leading_phases(u)
+    k = min(phase.size, vh.shape[0])
+    vh[:k] *= phase[:k, None]
+    return u * phase.conj(), s, vh
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ import numpy as np
 from .linalg import (
     PAULI,
     PAULI2,
-    eigh,
+    eigvalsh,
     from_pauli,
     hermitian_check,
     hs_norm,
@@ -93,7 +93,8 @@ class MdsClass:
     For a vertex, `vertex` holds the Bell index. For an edge, `axis` is the
     coordinate with |t_axis| = 1, `case` is "A" (t_axis = +1) or "B"
     (t_axis = -1), and `edge_parameter` is the free coordinate t_{axis+1}
-    (cyclic). `weights` always carries the Bell mixing weights of the input.
+    (cyclic). `weights` always carries the Bell mixing weights of the input,
+    and `verdict` the is_state verdict classify decided membership from.
     """
 
     kind: str
@@ -103,6 +104,7 @@ class MdsClass:
     axis: int | None = None
     case: str | None = None
     edge_parameter: float | None = None
+    verdict: StateVerdict | None = None
 
 
 @dataclass(frozen=True)
@@ -182,8 +184,7 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     w = weights_from_t(t)
     min_w = float(w.min())
     arg = int(w.argmin())
-    eigs, _ = eigh(build_T(t))
-    min_eig = float(eigs[-1])
+    min_eig = float(eigvalsh(build_T(t))[-1])
     if abs(min_w - min_eig) > 1e-12 * max(1.0, float(np.abs(w).sum())):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
@@ -197,18 +198,22 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
 _CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
 
 
-def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
+def classify(
+    t: np.ndarray, tol: float = DEFAULT_TOL, verdict: StateVerdict | None = None
+) -> MdsClass:
     """Classify a t-vector as vertex, edge, interior, or non-state.
 
-    The stratum is the number of vanishing Bell weights, which rank_split
-    decides on |w| of all but the smallest weight at cut tol. Three mean the
-    Bell vertex of the surviving index; two a binary edge, case B when w0
-    survives, on the axis k in 1..3 that vanishes or survives with w0; fewer
-    a generic point.
+    Membership is `verdict`, which is is_state(t, tol) when the caller already
+    has it; with None it is computed here. The stratum is the number of
+    vanishing Bell weights, which rank_split decides on |w| of all but the
+    smallest weight at cut tol. Three mean the Bell vertex of the surviving
+    index; two a binary edge, case B when w0 survives, on the axis k in 1..3
+    that vanishes or survives with w0; fewer a generic point.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
     w = weights_from_t(t)
-    verdict = is_state(t, tol)
+    if verdict is None:
+        verdict = is_state(t, tol)
     if not verdict.ok:
         return MdsClass(
             kind=NON_STATE,
@@ -216,6 +221,7 @@ def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
             detail=(
                 f"weight w{verdict.offending_index} = {verdict.min_weight:.12g} < -{tol:g}"
             ),
+            verdict=verdict,
         )
     rest = np.argsort(w)[1:]
     zero, gap = rank_split(np.abs(w[rest]), tol)
@@ -227,6 +233,7 @@ def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
             weights=w,
             vertex=alive[0],
             detail=f"only w{alive[0]} survives the {cut}: Bell projector {alive[0]}",
+            verdict=verdict,
         )
     if len(alive) == 2:
         case = "B" if 0 in alive else "A"
@@ -240,12 +247,14 @@ def classify(t: np.ndarray, tol: float = DEFAULT_TOL) -> MdsClass:
             edge_parameter=float(t[j - 1]),
             detail=f"w{alive[0]} and w{alive[1]} survive the {cut}: axis {i} "
             f"case {case}, free coordinate t{j} = {t[j - 1]:.12g}",
+            verdict=verdict,
         )
     return MdsClass(
         kind=GENERIC_INTERIOR,
         weights=w,
         detail=f"at most one weight vanishes: the second smallest, w{rest[0]} = "
         f"{w[rest[0]]:.12g}, clears the cut {tol:g}",
+        verdict=verdict,
     )
 
 
@@ -278,9 +287,9 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
     tr = np.trace(rho).real
     if abs(tr - 1) > tol:
         raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-    eigs, _ = eigh(rho, tol)
-    if eigs[-1] < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {eigs[-1]:.3e}")
+    min_eig = eigvalsh(rho, tol)[-1]
+    if min_eig < -tol:
+        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
 
 

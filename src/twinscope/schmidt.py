@@ -25,6 +25,7 @@ from .linalg import (
     from_pauli,
     hermitian_check,
     hs_norm,
+    leading_phases,
     partial_trace,
     rank_split,
     svd,
@@ -202,20 +203,15 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
     coeff = np.einsum("ijab,ba->ij", PAULI2, rho).real / 2 / norm
     u, s, vh = np.linalg.svd(coeff)
     # sign convention: first significant entry of each left column positive
-    for k in range(4):
-        col = u[:, k]
-        idx = np.flatnonzero(np.abs(col) > 1e-12)
-        if idx.size and col[idx[0]] < 0:
-            u[:, k] = -col
-            vh[k, :] = -vh[k, :]
+    sign = leading_phases(u)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
-    left_ops = tuple(from_pauli(u[:, k]) / np.sqrt(2) for k in range(rank))
-    right_ops = tuple(from_pauli(vh[k]) / np.sqrt(2) for k in range(rank))
+    left = from_pauli(u[:, :rank].T * sign[:rank, None]) / np.sqrt(2)
+    right = from_pauli(vh[:rank] * sign[:rank, None]) / np.sqrt(2)
     coeffs = s[:rank].copy()
     return OperatorSchmidt(
         coefficients=coeffs,
-        left_ops=left_ops,
-        right_ops=right_ops,
+        left_ops=tuple(left),
+        right_ops=tuple(right),
         schmidt_rank=rank,
         degeneracy=_degeneracy_profile(coeffs, tol * s[0]),
     )

@@ -28,9 +28,11 @@ from .linalg import (
     PAULI2,
     NullspaceResult,
     eigh,
+    eigvalsh,
     from_pauli,
     hermitian_check,
     hs_norm,
+    leading_phases,
     pauli,
     real_nullspace,
     tensor,
@@ -202,20 +204,16 @@ def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
         raise InternalConsistencyError(
             "the trivial pair (I, I) is missing from the computed twin space"
         )
-    rest = basis - np.outer(basis @ e, e)
-    rows = [e]
+    rows = e[None, :]
     if dim > 1:
-        _, s, vt = np.linalg.svd(rest)
-        for k in range(dim - 1):
-            row = vt[k]
-            idx = np.flatnonzero(np.abs(row) > 1e-12)
-            if idx.size and row[idx[0]] < 0:
-                row = -row
-            rows.append(row)
+        _, _, vt = np.linalg.svd(basis - np.outer(basis @ e, e))
+        rest = vt[: dim - 1]
+        # sign convention: first significant entry of each row positive
+        rows = np.concatenate([rows, rest * leading_phases(rest.T)[:, None]])
     # scale so each pair has unit combined Hilbert-Schmidt norm
-    pairs = tuple(pair_from_parameters(r / np.sqrt(2)) for r in rows)
+    ops = from_pauli(rows.reshape(dim, 2, 4) / np.sqrt(2))
     return TwinSpace(
-        basis=pairs,
+        basis=tuple(ObservablePair(a1=a1, a2=a2) for a1, a2 in ops),
         dimension=dim,
         has_nontrivial=dim > 1,
         singular_value_gap=ns.gap,
@@ -297,8 +295,7 @@ def ppt_separable(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, floa
     """
     rho = validate_density_matrix(rho)
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    eigs, _ = eigh(pt)
-    min_eig = float(eigs[-1])
+    min_eig = float(eigvalsh(pt)[-1])
     return min_eig >= -tol, min_eig
 
 

@@ -12,12 +12,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_verify_scrambled_benchmark_runs():
+def assert_benchmark_runs(workload):
     result = subprocess.run(
         [
             sys.executable,
             "benchmarks/run.py",
-            "--workload", "verify-scrambled",
+            "--workload", workload,
             "--seed", "1",
             "--seconds", "1",
             "--trace", "0",
@@ -34,3 +34,11 @@ def test_verify_scrambled_benchmark_runs():
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     for metric in bench["end_to_end"]:
         assert metric["name"] in report["metrics"]
+
+
+def test_verify_scrambled_benchmark_runs():
+    assert_benchmark_runs("verify-scrambled")
+
+
+def test_stratum_sweep_benchmark_runs():
+    assert_benchmark_runs("stratum-sweep")

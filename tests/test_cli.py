@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from twinscope import cli, mds
 from twinscope.cli import run
 from twinscope.linalg import random_unitary, tensor
-from twinscope.mds import build_T
+from twinscope.mds import build_T, is_state
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
 
@@ -144,10 +145,28 @@ def test_verify_three_strata_exit_zero(capsys):
         ("--t", "0.4,-0.4,1"),
         ("--t", "0.2,0.1,-0.05"),
         ("--weights", "2e-7,0.3,0.6999996,2e-7"),
+        ("--weights", "1e-11,0.3,0.69999999998,1e-11"),
     ):
         code, out, _ = invoke(capsys, "verify", *state_args)
         assert code == 0
         assert "failed: 0" in out
+
+
+def test_is_state_runs_once_per_call(capsys, monkeypatch, scrambled_edge_file):
+    calls = []
+
+    def counted(t, tol=mds.DEFAULT_TOL):
+        calls.append(t)
+        return is_state(t, tol)
+
+    monkeypatch.setattr(mds, "is_state", counted)
+    monkeypatch.setattr(cli, "is_state", counted)
+    for command in ("classify", "twins", "verify"):
+        for state_args in (("--t", "0.4,-0.4,1"), ("--input", scrambled_edge_file)):
+            calls.clear()
+            code, _, _ = invoke(capsys, command, *state_args)
+            assert code == 0
+            assert len(calls) == 1
 
 
 def test_verify_covers_all_named_checks(capsys):

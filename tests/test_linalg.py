@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 from twinscope.linalg import (
     RankDecisionError,
     eigh,
+    eigvalsh,
+    from_pauli,
     hermitian_check,
     hs_inner,
+    leading_phases,
     partial_trace,
     pauli,
     random_hermitian,
@@ -181,6 +184,73 @@ def test_eigh_reconstruction_random():
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
         assert np.all(np.diff(w) <= 1e-12)
+
+
+def test_eigvalsh_matches_eigh_spectrum():
+    rng = np.random.default_rng(29)
+    for dim in (2, 4, 8, 32):
+        for _ in range(20):
+            m = random_hermitian(rng, dim)
+            w = eigvalsh(m)
+            assert np.abs(w - eigh(m)[0]).max() <= 1e-14 * np.linalg.norm(m)
+            assert np.all(np.diff(w) <= 0)
+
+
+def test_eigvalsh_rejects_non_hermitian_like_eigh():
+    m = np.array([[0, 1], [0, 0]], dtype=complex)
+    with pytest.raises(ValueError) as full:
+        eigh(m)
+    with pytest.raises(ValueError) as values_only:
+        eigvalsh(m)
+    assert str(values_only.value) == str(full.value)
+
+
+def _phases_by_loop(a):
+    """The per-column loop leading_phases replaced, kept as its reference."""
+    phases = np.ones(a.shape[1], dtype=a.dtype)
+    for k in range(a.shape[1]):
+        idx = np.flatnonzero(np.abs(a[:, k]) > 1e-12)
+        if idx.size:
+            z = a[idx[0], k]
+            phases[k] = z / abs(z)
+    return phases
+
+
+def test_leading_phases_reproduce_column_loop():
+    rng = np.random.default_rng(31)
+    eps = np.finfo(float).eps
+    for trial in range(50):
+        real = rng.standard_normal((4, 5))
+        cplx = real + 1j * rng.standard_normal((4, 5))
+        for a in (real, cplx):
+            a[:, 1] = 0.0  # no significant entry: phase 1
+            a[0, 2] = 1e-13 * (-1) ** trial  # leading entry below 1e-12 is skipped
+            a[:2, 3] = [5e-13, -9e-13]
+            want = _phases_by_loop(a)
+            got = leading_phases(a)
+            assert got.dtype == a.dtype
+            if a.dtype == float:
+                assert np.array_equal(got, want)
+            else:
+                # the loop divides numpy scalars, whose abs rounds differently
+                assert np.abs(got - want).max() <= 4 * eps
+            assert got[1] == 1
+            lead = (a * got.conj())[[0, 1, 2, 0], [0, 2, 3, 4]]
+            assert np.all(np.abs(lead.imag) <= 4 * eps * np.abs(lead))
+            assert np.all(lead.real > 0)
+
+
+def test_from_pauli_stack_matches_rows():
+    rng = np.random.default_rng(37)
+    c = rng.standard_normal((3, 2, 4))
+    stacked = from_pauli(c)
+    assert stacked.shape == (3, 2, 2, 2)
+    for i in range(3):
+        for j in range(2):
+            row = from_pauli(c[i, j])
+            assert np.array_equal(stacked[i, j], row)
+            direct = sum(c[i, j, k] * pauli(k) for k in range(4))
+            assert np.abs(row - direct).max() <= 1e-15
 
 
 def test_svd_identity_and_zero():

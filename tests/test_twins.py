@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from twinscope import linalg, mds, schmidt, twins
 from twinscope.linalg import (
     partial_trace,
     pauli,
@@ -18,7 +19,7 @@ from twinscope.mds import (
     random_interior_t,
     t_from_weights,
 )
-from twinscope.schmidt import pure_twin_partner
+from twinscope.schmidt import operator_schmidt, pure_twin_partner
 from twinscope.twins import (
     ObservablePair,
     analytic_edge_twins,
@@ -163,6 +164,33 @@ def test_analytic_twins_dispatch():
         cls = classify(np.array(t))
         assert cls.kind == NON_STATE
         assert analytic_twins(cls) is None
+
+
+def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    # every twinscope binding of eigh, and the numpy routine beneath it
+    for module in (linalg, mds, twins, schmidt):
+        if hasattr(module, "eigh"):
+            monkeypatch.setattr(module, "eigh", counted(module.eigh))
+    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
+        classify(t)
+        rho = build_T(t)
+        twin_space(rho)
+        ppt_separable(rho)
+        operator_schmidt(rho)
+    assert calls == []
+    # the counter does see a caller that reads eigenvectors
+    distant_correlation(ObservablePair(a1=pauli(3), a2=pauli(3)), rho)
+    assert calls
 
 
 def test_bell_twin_partner_sign_table():
