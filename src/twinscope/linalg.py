@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Relative threshold for all rank decisions (nullspaces, Schmidt spectra).
-RANK_TOL = 1e-9
+# Default relative cut for every rank decision, weight-negativity and residual bound.
+DEFAULT_TOL = 1e-9
 # No value may lie within this factor of a rank cut, on either side.
 RANK_GUARD = 10.0
 # Absolute tolerance for Hermiticity guards.
@@ -73,6 +73,21 @@ def from_pauli(c: np.ndarray) -> np.ndarray:
     """The operator sum_k c_k sigma_k; a stack (..., 4) gives (..., 2, 2)."""
     c = np.asarray(c)
     return (c @ _PAULI_ROWS).reshape(*c.shape[:-1], 2, 2)
+
+
+def pauli_adjoint(u: np.ndarray) -> np.ndarray:
+    """Real 4x4 matrix of a -> u a u^dag on Pauli components, for a 2x2 unitary u.
+
+    Column l holds the components of u sigma_l u^dag, so to_pauli(u a u^dag)
+    is pauli_adjoint(u) @ to_pauli(a) for Hermitian a.
+    """
+    return to_pauli(u @ PAULI @ u.conj().T).T
+
+
+def local_conj(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
+    """(u1 x u2) rho (u1 x u2)^dag, contracted on the (2, 2, 2, 2) view of rho."""
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    return np.einsum("ia,jb,abcd,kc,ld->ijkl", u1, u2, r, u1.conj(), u2.conj()).reshape(4, 4)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -221,7 +236,7 @@ def rank_split(values: np.ndarray, threshold: float) -> tuple[np.ndarray, float]
     return zero, float(gap)
 
 
-def real_nullspace(m: np.ndarray, tol: float = RANK_TOL) -> NullspaceResult:
+def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     """Orthonormal basis of the nullspace of a real matrix.
 
     The singular values (padded with zeros to the column count) are split

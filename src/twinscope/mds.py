@@ -25,19 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    PAULI,
+    DEFAULT_TOL,
     PAULI2,
     eigvalsh,
     from_pauli,
     hermitian_check,
     hs_norm,
+    local_conj,
     partial_trace,
+    pauli_adjoint,
     rank_split,
-    tensor,
 )
 
-# Default rank cut on the Bell weights, weight-negativity and residual bound.
-DEFAULT_TOL = 1e-9
 # Looser validation gate for externally supplied density matrices.
 STATE_VALIDATION_TOL = 1e-8
 
@@ -287,7 +286,8 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
     tr = np.trace(rho).real
     if abs(tr - 1) > tol:
         raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-    min_eig = eigvalsh(rho, tol)[-1]
+    # the guard above is the one Hermiticity check; linalg.eigvalsh would repeat it
+    min_eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
     if min_eig < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
@@ -319,8 +319,7 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     if np.trace(u).real < 0:
         u = -u
     # guard against a convention mismatch: conjugation must reproduce r
-    rec = np.einsum("iab,bc,jcd,da->ij", PAULI[1:], u, PAULI[1:], u.conj().T).real / 2
-    if np.abs(rec - r).max() > 1e-9:
+    if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > 1e-9:
         raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
     return u
 
@@ -374,8 +373,7 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     t = t[order]
     u1 = _su2_from_rotation(r1)
     u2 = _su2_from_rotation(r2)
-    transported = tensor(u1, u2) @ rho @ tensor(u1, u2).conj().T
-    residual = hs_norm(transported - build_T(t))
+    residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
     if residual > DEFAULT_TOL:
         raise InternalConsistencyError(
             f"canonicalization residual {residual:.3e} exceeds {DEFAULT_TOL:g}"

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DEFAULT_TOL,
     PAULI2,
-    RANK_TOL,
     from_pauli,
     hermitian_check,
     hs_norm,
@@ -29,7 +29,6 @@ from .linalg import (
     partial_trace,
     rank_split,
     svd,
-    tensor,
 )
 
 
@@ -109,7 +108,7 @@ class OperatorSchmidt:
     degeneracy: tuple[int, ...]
 
 
-def pure_schmidt(phi: np.ndarray, tol: float = RANK_TOL) -> PureSchmidt:
+def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
     """Schmidt expansion of a normalized 4-vector.
 
     Coefficients are the singular values of the 2x2 coefficient matrix;
@@ -179,7 +178,7 @@ def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.
     return ua.conjugate(a1)
 
 
-def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
+def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmidt:
     """Operator Schmidt expansion of a Hermitian 4x4 operator.
 
     The operator is normalized to a unit supervector; coefficients are the
@@ -219,7 +218,5 @@ def operator_schmidt(rho: np.ndarray, tol: float = RANK_TOL) -> OperatorSchmidt:
 
 def reconstruct(os_: OperatorSchmidt, norm: float) -> np.ndarray:
     """Rebuild norm * sum_i c_i (left_i x right_i) as a 4x4 matrix."""
-    out = np.zeros((4, 4), dtype=complex)
-    for c, l, r in zip(os_.coefficients, os_.left_ops, os_.right_ops):
-        out += c * tensor(l, r)
-    return norm * out
+    terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
+    return norm * terms.reshape(4, 4)

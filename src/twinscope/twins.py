@@ -6,6 +6,10 @@ one distantly fixes the outcome of the other. The trivial pair (I, I)
 always qualifies; everything of interest is the dimension and structure of
 the full real solution space.
 
+A twin space is held as rows R of real Pauli components (pair_parameters)
+of an orthonormal basis of pairs, each row at squared norm 1/2, so 2 R^T R
+projects onto the space; its pairs and dimension are read off the rows.
+
 Two independent routes are kept side by side throughout:
 
   * a brute-force oracle: parametrize both observables over the Pauli
@@ -33,7 +37,7 @@ from .linalg import (
     hermitian_check,
     hs_norm,
     leading_phases,
-    pauli,
+    pauli_adjoint,
     real_nullspace,
     tensor,
     to_pauli,
@@ -69,19 +73,32 @@ class ObservablePair:
 
 @dataclass(frozen=True)
 class TwinSpace:
-    """Orthonormal basis of the real solution space of the twin condition.
+    """Real solution space of the twin condition, held as its Pauli rows.
 
-    Orthonormality is in the combined inner product
-    Re Tr(a1^dag b1) + Re Tr(a2^dag b2); when the trivial pair is present
-    it is pinned as the first basis element, so has_nontrivial is simply
-    dimension > 1. singular_value_gap carries the rank-decision diagnostic
-    of the underlying nullspace computation (inf for analytic bases).
+    `rows` (dimension x 8) is the one stored form: row n is pair_parameters
+    of basis[n], the pairs orthonormal in the combined inner product
+    Re Tr(a1^dag b1) + Re Tr(a2^dag b2), so the rows are orthogonal with
+    squared norm 1/2. dimension, has_nontrivial and basis are read off the
+    rows. When the trivial pair is present it is pinned as the first row, so
+    has_nontrivial is simply dimension > 1. singular_value_gap carries the
+    rank-decision diagnostic of the underlying nullspace computation (inf
+    for analytic bases).
     """
 
-    basis: tuple[ObservablePair, ...]
-    dimension: int
-    has_nontrivial: bool
+    rows: np.ndarray
     singular_value_gap: float
+
+    @property
+    def dimension(self) -> int:
+        return self.rows.shape[0]
+
+    @property
+    def has_nontrivial(self) -> bool:
+        return self.dimension > 1
+
+    @property
+    def basis(self) -> tuple[ObservablePair, ...]:
+        return tuple(ObservablePair(*ops) for ops in from_pauli(self.rows.reshape(-1, 2, 4)))
 
 
 @dataclass(frozen=True)
@@ -106,23 +123,19 @@ def pair_from_parameters(x: np.ndarray) -> ObservablePair:
 
 
 def pull_back(space: TwinSpace, u1: np.ndarray, u2: np.ndarray) -> TwinSpace:
-    """Carry a twin space of (u1 x u2) rho (u1 x u2)^dag back onto rho."""
-    return TwinSpace(
-        basis=tuple(
-            ObservablePair(a1=u1.conj().T @ p.a1 @ u1, a2=u2.conj().T @ p.a2 @ u2)
-            for p in space.basis
-        ),
-        dimension=space.dimension,
-        has_nontrivial=space.has_nontrivial,
-        singular_value_gap=space.singular_value_gap,
-    )
+    """Carry a twin space of (u1 x u2) rho (u1 x u2)^dag back onto rho.
+
+    Each pair goes to (u1^dag a1 u1, u2^dag a2 u2): one adjoint matrix per row block.
+    """
+    blocks = space.rows.reshape(-1, 2, 4)
+    rows = np.hstack([blocks[:, 0] @ pauli_adjoint(u1), blocks[:, 1] @ pauli_adjoint(u2)])
+    return TwinSpace(rows=rows, singular_value_gap=space.singular_value_gap)
 
 
-def _space_parameters(space: TwinSpace) -> np.ndarray:
-    """Basis as unit rows in the real 8-parameter space."""
-    rows = np.array([pair_parameters(p) for p in space.basis])
-    norms = np.linalg.norm(rows, axis=1)
-    return rows / norms[:, None]
+def _off_span(x: np.ndarray, space: TwinSpace) -> np.ndarray:
+    """Distance of each 8-vector in x (rows), normalized, from the span of a twin space."""
+    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
+    return np.linalg.norm(x - 2 * (x @ space.rows.T) @ space.rows, axis=-1)
 
 
 def subspace_residual(a: TwinSpace, b: TwinSpace) -> float:
@@ -132,25 +145,13 @@ def subspace_residual(a: TwinSpace, b: TwinSpace) -> float:
     is the largest distance of a unit basis vector of either space from the
     span of the other.
     """
-    ra = _space_parameters(a)
-    rb = _space_parameters(b)
-    qa, _ = np.linalg.qr(ra.T)
-    qb, _ = np.linalg.qr(rb.T)
-    res_ab = np.linalg.norm(ra.T - qb @ (qb.T @ ra.T), axis=0).max()
-    res_ba = np.linalg.norm(rb.T - qa @ (qa.T @ rb.T), axis=0).max()
-    return float(max(res_ab, res_ba))
+    return float(max(_off_span(a.rows, b).max(), _off_span(b.rows, a).max()))
 
 
 def contains_pair(space: TwinSpace, pair: ObservablePair) -> float:
     """Distance of a pair (normalized) from the span of a twin space."""
     x = pair_parameters(pair)
-    n = np.linalg.norm(x)
-    if n == 0:
-        return 0.0
-    x = x / n
-    rows = _space_parameters(space)
-    q, _ = np.linalg.qr(rows.T)
-    return float(np.linalg.norm(x - q @ (q.T @ x)))
+    return float(_off_span(x, space)) if x.any() else 0.0
 
 
 def is_twin_pair(
@@ -168,7 +169,9 @@ def is_twin_pair(
                 f"is_twin_pair: {name} is not Hermitian "
                 f"(max deviation {chk.max_deviation:.3e})"
             )
-    residual = hs_norm(tensor(pair.a1, np.eye(2)) @ rho - tensor(np.eye(2), pair.a2) @ rho)
+    r = rho.reshape(2, 2, 2, 2)
+    diff = np.einsum("ia,abcd->ibcd", pair.a1, r) - np.einsum("jb,abcd->ajcd", pair.a2, r)
+    residual = hs_norm(diff)
     return residual <= tol, float(residual)
 
 
@@ -211,13 +214,7 @@ def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
         # sign convention: first significant entry of each row positive
         rows = np.concatenate([rows, rest * leading_phases(rest.T)[:, None]])
     # scale so each pair has unit combined Hilbert-Schmidt norm
-    ops = from_pauli(rows.reshape(dim, 2, 4) / np.sqrt(2))
-    return TwinSpace(
-        basis=tuple(ObservablePair(a1=a1, a2=a2) for a1, a2 in ops),
-        dimension=dim,
-        has_nontrivial=dim > 1,
-        singular_value_gap=ns.gap,
-    )
+    return TwinSpace(rows=rows / np.sqrt(2), singular_value_gap=ns.gap)
 
 
 def twin_space(rho: np.ndarray, tol: float = DEFAULT_TOL) -> TwinSpace:
@@ -243,14 +240,10 @@ def analytic_edge_twins(cls: MdsClass) -> TwinSpace:
     if cls.kind != BINARY_EDGE:
         raise ValueError(f"analytic_edge_twins expects a binary edge, got {cls.kind}")
     sign = 1.0 if cls.case == "A" else -1.0
-    s = pauli(cls.axis)
-    basis = (
-        ObservablePair(a1=pauli(0) / 2, a2=pauli(0) / 2),
-        ObservablePair(a1=s / 2, a2=sign * s / 2),
-    )
-    return TwinSpace(
-        basis=basis, dimension=2, has_nontrivial=True, singular_value_gap=float("inf")
-    )
+    rows = np.zeros((2, 8))
+    rows[0, [0, 4]] = 0.5
+    rows[1, [cls.axis, 4 + cls.axis]] = 0.5, sign / 2
+    return TwinSpace(rows=rows, singular_value_gap=float("inf"))
 
 
 def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
@@ -267,15 +260,11 @@ def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
 
 
 def analytic_vertex_twins(k: int) -> TwinSpace:
-    """Closed-form four-dimensional twin space of a Bell projector."""
-    basis = [ObservablePair(a1=pauli(0) / 2, a2=pauli(0) / 2)]
-    for i in (1, 2, 3):
-        basis.append(
-            ObservablePair(a1=pauli(i) / 2, a2=bell_twin_partner(k, pauli(i)) / 2)
-        )
-    return TwinSpace(
-        basis=tuple(basis), dimension=4, has_nontrivial=True, singular_value_gap=float("inf")
-    )
+    """Closed-form four-dimensional twin space of a Bell projector (the sign table)."""
+    if k not in BELL_TWIN_SIGNS:
+        raise ValueError(f"Bell index must be in 0..3, got {k}")
+    rows = np.hstack([np.eye(4), np.diag((1, *BELL_TWIN_SIGNS[k]))]) / 2
+    return TwinSpace(rows=rows, singular_value_gap=float("inf"))
 
 
 def analytic_twins(cls: MdsClass) -> TwinSpace | None:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import hs_norm, partial_trace, random_hermitian, random_unitary, tensor
+from .linalg import hs_norm, local_conj, partial_trace, random_hermitian, random_unitary
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -77,8 +77,7 @@ class VerifyContext:
         return np.random.default_rng(self.seed)
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
-        u = tensor(self.u1, self.u2)
-        return u.conj().T @ sigma @ u
+        return local_conj(sigma, self.u1.conj().T, self.u2.conj().T)
 
 
 def make_context(
@@ -167,9 +166,7 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng()
-    u = tensor(random_unitary(rng), random_unitary(rng))
-    scrambled = u @ ctx.rho @ u.conj().T
-    cf = canonicalize(scrambled)
+    cf = canonicalize(local_conj(ctx.rho, random_unitary(rng), random_unitary(rng)))
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
     ok = cf.residual <= 1e-9 and mag_err <= 1e-9
     return CheckResult(
@@ -223,7 +220,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng()
     v1 = random_unitary(rng)
     v2 = random_unitary(rng)
-    moved_state = tensor(v1, v2) @ ctx.rho @ tensor(v1, v2).conj().T
+    moved_state = local_conj(ctx.rho, v1, v2)
     space = ctx.space
     moved_space = twin_space(moved_state, ctx.tol)
     if moved_space.dimension != space.dimension:
@@ -234,10 +231,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
         )
     worst_res = 0.0
     worst_member = 0.0
-    for pair in space.basis:
-        moved = ObservablePair(
-            a1=v1 @ pair.a1 @ v1.conj().T, a2=v2 @ pair.a2 @ v2.conj().T
-        )
+    for moved in pull_back(space, v1.conj().T, v2.conj().T).basis:
         _, res = is_twin_pair(moved, moved_state, ctx.tol)
         worst_res = max(worst_res, res)
         worst_member = max(worst_member, contains_pair(moved_space, moved))
@@ -250,12 +244,11 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
-    eigs = np.linalg.eigvalsh(ctx.rho)
+    eigs, v = np.linalg.eigh(ctx.rho)
     if eigs[:3].max() > 1e-9:
         return CheckResult(
             "pure-state-commutant", False, "input is not a rank-one projector"
         )
-    w, v = np.linalg.eigh(ctx.rho)
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
     rng = ctx.rng()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twinscope import mds, schmidt, verify
 from twinscope.linalg import (
     RankDecisionError,
     eigh,
@@ -11,14 +12,17 @@ from twinscope.linalg import (
     hermitian_check,
     hs_inner,
     leading_phases,
+    local_conj,
     partial_trace,
     pauli,
+    pauli_adjoint,
     random_hermitian,
     random_unitary,
     rank_split,
     real_nullspace,
     svd,
     tensor,
+    to_pauli,
 )
 
 I2 = np.eye(2, dtype=complex)
@@ -251,6 +255,26 @@ def test_from_pauli_stack_matches_rows():
             assert np.array_equal(stacked[i, j], row)
             direct = sum(c[i, j, k] * pauli(k) for k in range(4))
             assert np.abs(row - direct).max() <= 1e-15
+
+
+def test_local_actions_match_kronecker_conjugation():
+    # the Kronecker form is the reference for both local actions
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        rho = random_hermitian(rng, 4)
+        u = tensor(u1, u2)
+        assert np.abs(local_conj(rho, u1, u2) - u @ rho @ u.conj().T).max() <= 1e-14
+        adj = pauli_adjoint(u1)
+        assert np.abs(adj @ adj.T - np.eye(4)).max() <= 1e-14
+        a = random_hermitian(rng)
+        assert np.abs(adj @ to_pauli(a) - to_pauli(u1 @ a @ u1.conj().T)).max() <= 1e-14
+
+
+def test_library_modules_bind_no_tensor():
+    # local unitaries act through local_conj and pauli_adjoint there, not Kronecker products
+    for module in (mds, verify, schmidt):
+        assert not hasattr(module, "tensor"), module.__name__
 
 
 def test_svd_identity_and_zero():

@@ -3,6 +3,7 @@ import pytest
 
 from twinscope import linalg, mds, schmidt, twins
 from twinscope.linalg import (
+    local_conj,
     partial_trace,
     pauli,
     random_hermitian,
@@ -33,6 +34,7 @@ from twinscope.twins import (
     pair_from_parameters,
     pair_parameters,
     ppt_separable,
+    pull_back,
     simultaneous_twins,
     subspace_residual,
     twin_space,
@@ -191,6 +193,30 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     # the counter does see a caller that reads eigenvectors
     distant_correlation(ObservablePair(a1=pauli(3), a2=pauli(3)), rho)
     assert calls
+
+
+def test_sweep_path_checks_hermiticity_five_times(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (linalg, mds, twins, schmidt):
+        if hasattr(module, "hermitian_check"):
+            monkeypatch.setattr(module, "hermitian_check", counted(module.hermitian_check))
+    for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
+        calls.clear()
+        classify(t)
+        rho = build_T(t)
+        twin_space(rho)
+        ppt_separable(rho)
+        operator_schmidt(rho)
+        # is_state's eigvalsh, two validations, the PPT eigvalsh, operator_schmidt
+        assert len(calls) == 5
 
 
 def test_bell_twin_partner_sign_table():
@@ -416,3 +442,93 @@ def test_trivial_pair_kept_near_edge():
     space = twin_space(build_T(t))
     assert space.dimension == 1
     assert not space.has_nontrivial
+
+
+# The former QR route, kept as the reference for the row projections.
+def reference_rows(space):
+    rows = np.array([pair_parameters(p) for p in space.basis])
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+def reference_subspace_residual(a, b):
+    ra, rb = reference_rows(a), reference_rows(b)
+    qa, _ = np.linalg.qr(ra.T)
+    qb, _ = np.linalg.qr(rb.T)
+    res_ab = np.linalg.norm(ra.T - qb @ (qb.T @ ra.T), axis=0).max()
+    res_ba = np.linalg.norm(rb.T - qa @ (qa.T @ rb.T), axis=0).max()
+    return float(max(res_ab, res_ba))
+
+
+def reference_contains_pair(space, pair):
+    x = pair_parameters(pair)
+    n = np.linalg.norm(x)
+    if n == 0:
+        return 0.0
+    x = x / n
+    q, _ = np.linalg.qr(reference_rows(space).T)
+    return float(np.linalg.norm(x - q @ (q.T @ x)))
+
+
+def assert_rows_at_pair_scale(space):
+    rows = space.rows
+    assert np.abs(rows @ rows.T - np.eye(space.dimension) / 2).max() <= 1e-14
+    for row, pair in zip(rows, space.basis):
+        assert np.abs(pair_parameters(pair) - row).max() <= 1e-15
+
+
+def test_projections_match_qr_reference():
+    rng = np.random.default_rng(29)
+    worst = 0.0
+    for n in range(300):
+        if n % 3 == 0:
+            t = bell_t_vector(int(rng.integers(4)))
+        elif n % 3 == 1:
+            t = random_edge_t(rng, int(rng.integers(1, 4)), rng.choice(["A", "B"]))
+        else:
+            t = random_interior_t(rng)
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        cls = classify(t)
+        oracle = twin_space(local_conj(build_T(t), u1, u2))
+        support = [k for k in range(4) if cls.weights[k] > 1e-9]
+        components = [local_conj(bell_state(k)[1], u1, u2) for k in support]
+        compared = [simultaneous_twins(components)]
+        analytic = analytic_twins(cls)
+        if analytic is not None:
+            assert_rows_at_pair_scale(analytic)
+            compared.append(pull_back(analytic, u1.conj().T, u2.conj().T))
+        stray = pair_from_parameters(rng.standard_normal(8))
+        assert_rows_at_pair_scale(oracle)
+        for other in compared:
+            assert_rows_at_pair_scale(other)
+            res = subspace_residual(oracle, other)
+            worst = max(worst, abs(res - reference_subspace_residual(oracle, other)))
+            for pair in (*other.basis, stray):
+                res = contains_pair(oracle, pair)
+                worst = max(worst, abs(res - reference_contains_pair(oracle, pair)))
+    assert worst <= 1e-14
+
+
+def test_analytic_bases_are_exact():
+    for k in range(4):
+        for i, pair in enumerate(analytic_vertex_twins(k).basis):
+            assert np.array_equal(pair.a1, pauli(i) / 2)
+            assert np.array_equal(pair.a2, bell_twin_partner(k, pauli(i)) / 2)
+    rng = np.random.default_rng(31)
+    for axis in (1, 2, 3):
+        for case, sign in (("A", 1.0), ("B", -1.0)):
+            trivial, pair = analytic_edge_twins(classify(random_edge_t(rng, axis, case))).basis
+            assert np.array_equal(trivial.a1, pauli(0) / 2)
+            assert np.array_equal(trivial.a2, pauli(0) / 2)
+            assert np.array_equal(pair.a1, pauli(axis) / 2)
+            assert np.array_equal(pair.a2, sign * pauli(axis) / 2)
+
+
+def test_membership_and_span_tests_run_no_qr(monkeypatch):
+    calls = []
+    qr = np.linalg.qr
+    monkeypatch.setattr(np.linalg, "qr", lambda *args: calls.append(args) or qr(*args))
+    space = twin_space(EDGE_A)
+    analytic = analytic_edge_twins(classify(np.array([0.4, -0.4, 1.0])))
+    assert subspace_residual(space, analytic) <= 1e-9
+    assert contains_pair(space, herm_pair(pauli(3) / 2, -pauli(3) / 2)) > 0.5
+    assert calls == []
