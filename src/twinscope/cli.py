@@ -40,9 +40,9 @@ from .report import matrix_tree, parse_state_file, render
 from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
 from .twins import (
     ObservablePair,
+    TwinSpace,
     analytic_twins,
     distant_correlation,
-    pair_parameters,
     ppt_separable,
     pull_back,
     subspace_residual,
@@ -277,9 +277,10 @@ def cmd_schmidt(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     return {"result": result}, 0
 
 
-def _pair_tree(pair: ObservablePair) -> dict:
-    x = pair_parameters(pair)
-    return {"a1_pauli": list(x[:4]), "a2_pauli": list(x[4:])}
+def _basis_tree(space: TwinSpace) -> list[dict]:
+    """The stored rows of a twin space, one a1/a2 pair of Pauli components each."""
+    rows = space.rows + 0.0  # a sign flip of an exact zero prints as 0, not -0
+    return [{"a1_pauli": list(row[:4]), "a2_pauli": list(row[4:])} for row in rows]
 
 
 def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
@@ -296,7 +297,7 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         "dimension": space.dimension,
         "has_nontrivial": space.has_nontrivial,
         "singular_value_gap": space.singular_value_gap,
-        "basis": [_pair_tree(p) for p in space.basis],
+        "basis": _basis_tree(space),
     }
     if cf is not None:
         cls = classify(cf.t, args.tol, verdict)
@@ -306,7 +307,7 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
                 pulled = pull_back(analytic, cf.u1, cf.u2)
                 result["analytic"] = {
                     "stratum": cls.kind,
-                    "basis": [_pair_tree(p) for p in pulled.basis],
+                    "basis": _basis_tree(pulled),
                     "agreement_residual": subspace_residual(space, pulled),
                 }
             else:

@@ -146,6 +146,18 @@ def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck
     return HermitianCheck(max_deviation=dev, tolerance=tol)
 
 
+def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
+    """Return m as complex, after rejecting it when it is not Hermitian within tol.
+
+    The ValueError reads "{what} is not Hermitian (max deviation ...)".
+    """
+    m = np.asarray(m, dtype=complex)
+    chk = hermitian_check(m, tol)
+    if not chk.passes:
+        raise ValueError(f"{what} is not Hermitian (max deviation {chk.max_deviation:.3e})")
+    return m
+
+
 def leading_phases(a: np.ndarray) -> np.ndarray:
     """Unit phase of the first entry above 1e-12 in magnitude of each column.
 
@@ -160,13 +172,7 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
 
 def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
     """(m + m^dagger)/2, after rejecting m when it is not Hermitian within tol."""
-    m = np.asarray(m, dtype=complex)
-    chk = hermitian_check(m, tol)
-    if not chk.passes:
-        raise ValueError(
-            f"eigh: matrix is not Hermitian within {tol:g} "
-            f"(max deviation {chk.max_deviation:.3e})"
-        )
+    m = require_hermitian(m, "eigh: matrix", tol)
     return (m + m.conj().T) / 2
 
 

@@ -29,12 +29,12 @@ from .linalg import (
     PAULI2,
     eigvalsh,
     from_pauli,
-    hermitian_check,
     hs_norm,
     local_conj,
     partial_trace,
     pauli_adjoint,
     rank_split,
+    require_hermitian,
 )
 
 # Looser validation gate for externally supplied density matrices.
@@ -171,20 +171,29 @@ def build_T(t: np.ndarray) -> np.ndarray:
     return np.einsum("i,iiab->ab", np.concatenate(([1.0], t)), PAULI2) / 4
 
 
+def state_test_rounding(w: np.ndarray) -> float:
+    """Rounding bound 1e-12 * max(1, sum_k |w_k|) between the two state tests.
+
+    The smallest weight and the smallest eigenvalue of build_T are the same
+    number computed two ways, so they may differ by this much and no more.
+    """
+    return 1e-12 * max(1.0, float(np.abs(w).sum()))
+
+
 def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     """Tetrahedron membership: all Bell weights >= -tol.
 
     The smallest eigenvalue of the built operator is the smallest weight
     computed another way, and is kept as a cross-check. The two may differ
     only by rounding, so InternalConsistencyError is raised when
-    |min weight - min eigenvalue| exceeds 1e-12 * max(1, sum_k |w_k|);
+    |min weight - min eigenvalue| exceeds state_test_rounding(w);
     the two landing on opposite sides of -tol is not an error.
     """
     w = weights_from_t(t)
     min_w = float(w.min())
     arg = int(w.argmin())
     min_eig = float(eigvalsh(build_T(t))[-1])
-    if abs(min_w - min_eig) > 1e-12 * max(1.0, float(np.abs(w).sum())):
+    if abs(min_w - min_eig) > state_test_rounding(w):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
             f"disagree beyond rounding"
@@ -278,11 +287,7 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    chk = hermitian_check(rho, tol)
-    if not chk.passes:
-        raise ValueError(
-            f"density matrix is not Hermitian (max deviation {chk.max_deviation:.3e})"
-        )
+    require_hermitian(rho, "density matrix", tol)
     tr = np.trace(rho).real
     if abs(tr - 1) > tol:
         raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")

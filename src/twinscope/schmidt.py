@@ -23,11 +23,11 @@ from .linalg import (
     DEFAULT_TOL,
     PAULI2,
     from_pauli,
-    hermitian_check,
     hs_norm,
     leading_phases,
     partial_trace,
     rank_split,
+    require_hermitian,
     svd,
 )
 
@@ -62,10 +62,8 @@ class PureSchmidt:
     degeneracy: tuple[int, ...]
 
     def reconstruct(self) -> np.ndarray:
-        out = np.zeros(4, dtype=complex)
-        for c, l, r in zip(self.coefficients, self.left_vectors, self.right_vectors):
-            out += c * np.kron(l, r)
-        return out
+        terms = np.einsum("i,ia,ib->ab", self.coefficients, self.left_vectors, self.right_vectors)
+        return terms.reshape(4)
 
 
 @dataclass(frozen=True)
@@ -145,10 +143,7 @@ def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
     the transposed coefficient matrix when the rank is full. A rank-1 input
     yields a partial isometry, flagged through the `rank` field.
     """
-    w = np.zeros((2, 2), dtype=complex)
-    for l, r in zip(ps.left_vectors, ps.right_vectors):
-        w += np.outer(r, l)
-    return AntiunitaryMap(unitary_part=w, rank=ps.schmidt_rank)
+    return AntiunitaryMap(unitary_part=ps.right_vectors.T @ ps.left_vectors, rank=ps.schmidt_rank)
 
 
 def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
@@ -159,12 +154,7 @@ def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.
     is the transport of a1 through the correlation operator, compressed
     onto the range of rho_2.
     """
-    a1 = np.asarray(a1, dtype=complex)
-    chk = hermitian_check(a1, 1e-10)
-    if not chk.passes:
-        raise ValueError(
-            f"pure_twin_partner: a1 is not Hermitian (max deviation {chk.max_deviation:.3e})"
-        )
+    a1 = require_hermitian(a1, "pure_twin_partner: a1", 1e-10)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1
@@ -190,11 +180,7 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {rho.shape}")
-    chk = hermitian_check(rho, 1e-9)
-    if not chk.passes:
-        raise ValueError(
-            f"operator_schmidt: input is not Hermitian (max deviation {chk.max_deviation:.3e})"
-        )
+    require_hermitian(rho, "operator_schmidt: input", 1e-9)
     norm = hs_norm(rho)
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")

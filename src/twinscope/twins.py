@@ -34,11 +34,12 @@ from .linalg import (
     eigh,
     eigvalsh,
     from_pauli,
-    hermitian_check,
     hs_norm,
     leading_phases,
+    partial_trace,
     pauli_adjoint,
     real_nullspace,
+    require_hermitian,
     tensor,
     to_pauli,
 )
@@ -163,12 +164,7 @@ def is_twin_pair(
     """
     rho = validate_density_matrix(rho)
     for name, a in (("a1", pair.a1), ("a2", pair.a2)):
-        chk = hermitian_check(np.asarray(a, dtype=complex), 1e-10)
-        if not chk.passes:
-            raise ValueError(
-                f"is_twin_pair: {name} is not Hermitian "
-                f"(max deviation {chk.max_deviation:.3e})"
-            )
+        require_hermitian(a, f"is_twin_pair: {name}", 1e-10)
     r = rho.reshape(2, 2, 2, 2)
     diff = np.einsum("ia,abcd->ibcd", pair.a1, r) - np.einsum("jb,abcd->ajcd", pair.a2, r)
     residual = hs_norm(diff)
@@ -250,12 +246,7 @@ def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
     """Second-subsystem twin of a1 on the k-th Bell projector (sign table)."""
     if k not in BELL_TWIN_SIGNS:
         raise ValueError(f"Bell index must be in 0..3, got {k}")
-    a1 = np.asarray(a1, dtype=complex)
-    chk = hermitian_check(a1, 1e-10)
-    if not chk.passes:
-        raise ValueError(
-            f"bell_twin_partner: a1 is not Hermitian (max deviation {chk.max_deviation:.3e})"
-        )
+    a1 = require_hermitian(a1, "bell_twin_partner: a1", 1e-10)
     return from_pauli(np.array((1, *BELL_TWIN_SIGNS[k])) * to_pauli(a1))
 
 
@@ -331,14 +322,17 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
     """Joint outcome distribution of a1 on side 1 and a2 on side 2.
 
     Outcomes are matched by sorted eigenvalue; mismatch_probability is the
-    total weight off the matched pairing. Degenerate observables admit no
+    total weight off the matched pairing. The table entry (a, b) is
+    Tr[(P_a x Q_b) rho], the eigenprojectors of a1 and a2 contracted with
+    the (2, 2, 2, 2) view of rho; the expectations are Tr(a1 rho_1) and
+    Tr(a2 rho_2) on the reduced states. Degenerate observables admit no
     outcome pairing and yield a flagged trivial report.
     """
     rho = validate_density_matrix(rho)
     w1, v1 = eigh(np.asarray(pair.a1, dtype=complex), 1e-10)
     w2, v2 = eigh(np.asarray(pair.a2, dtype=complex), 1e-10)
-    exp1 = np.trace(tensor(pair.a1, np.eye(2)) @ rho).real
-    exp2 = np.trace(tensor(np.eye(2), pair.a2) @ rho).real
+    exp1 = np.trace(pair.a1 @ partial_trace(rho, 1)).real
+    exp2 = np.trace(pair.a2 @ partial_trace(rho, 2)).real
     gap = abs(exp1 - exp2)
     if abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9:
         dist = np.zeros((2, 2))
@@ -349,12 +343,9 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
             expectation_gap=float(gap),
             degenerate=True,
         )
-    dist = np.empty((2, 2))
-    for a in range(2):
-        pa = np.outer(v1[:, a], v1[:, a].conj())
-        for b in range(2):
-            qb = np.outer(v2[:, b], v2[:, b].conj())
-            dist[a, b] = np.trace(tensor(pa, qb) @ rho).real
+    p = np.einsum("ia,ka->aik", v1, v1.conj())
+    q = np.einsum("jb,lb->bjl", v2, v2.conj())
+    dist = np.einsum("aik,bjl,klij->ab", p, q, rho.reshape(2, 2, 2, 2)).real
     total = dist.sum()
     if dist.min() < -1e-12 or abs(total - 1) > 1e-10:
         raise InternalConsistencyError(

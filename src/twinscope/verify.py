@@ -27,6 +27,7 @@ from .mds import (
     canonicalize,
     classify,
     edge_mixture,
+    state_test_rounding,
     t_from_weights,
     weights_from_t,
 )
@@ -131,7 +132,7 @@ def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
 def _check_state_test_agreement(ctx: VerifyContext) -> CheckResult:
     verdict = ctx.cls.verdict
     # the two tests compute the same number, so they must agree to rounding
-    rounding = 1e-12 * max(1.0, float(np.abs(ctx.cls.weights).sum()))
+    rounding = state_test_rounding(ctx.cls.weights)
     ok = verdict.ok and abs(verdict.min_weight - verdict.min_eigenvalue) <= rounding
     return CheckResult(
         "state-test-agreement",

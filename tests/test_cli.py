@@ -9,7 +9,7 @@ import pytest
 
 from twinscope import cli, mds
 from twinscope.cli import run
-from twinscope.linalg import random_unitary, tensor
+from twinscope.linalg import local_conj, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
@@ -122,6 +122,39 @@ def test_correlate_mismatch(capsys):
     )
     assert code == 0
     assert "degenerate: false" in out
+
+
+def report_value(out, key):
+    return float(next(line for line in out.splitlines() if f"{key}:" in line).split(":")[1])
+
+
+def pauli_flag(name, c):
+    return f"--{name}=" + ",".join(f"{x:.17g}" for x in c)
+
+
+def test_correlate_is_local_unitary_invariant(capsys, tmp_path):
+    # the scrambled frame gives the observables complex eigenvectors
+    rng = np.random.default_rng(43)
+    u1, u2 = random_unitary(rng), random_unitary(rng)
+    path = tmp_path / "scrambled_edge.txt"
+    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), u1, u2)
+    rows = [" ".join(format_complex(z) for z in row) for row in rho]
+    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    pairs = [([0, 1, 0, 0], [0, 1, 0, 0]), ([0, 0, 0, 1], [0, 0, 0, 1])]
+    pairs.append((rng.standard_normal(4), rng.standard_normal(4)))
+    for c1, c2 in pairs:
+        plain = (pauli_flag("a1", c1), pauli_flag("a2", c2))
+        moved = (
+            pauli_flag("a1", pauli_adjoint(u1) @ c1),
+            pauli_flag("a2", pauli_adjoint(u2) @ c2),
+        )
+        code, expected, _ = invoke(capsys, "correlate", "--t", "0.4,-0.4,1", *plain)
+        assert code == 0
+        code, out, _ = invoke(capsys, "correlate", "--input", str(path), *moved)
+        assert code == 0
+        assert "degenerate: false" in out
+        for key in ("mismatch_probability", "expectation_gap"):
+            assert abs(report_value(out, key) - report_value(expected, key)) <= 1e-12
 
 
 def test_canonicalize_from_file(capsys, mixed_file):

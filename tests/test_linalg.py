@@ -1,9 +1,12 @@
+import inspect
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinscope import mds, schmidt, verify
+from twinscope import cli, linalg, mds, schmidt, verify
 from twinscope.linalg import (
     RankDecisionError,
     eigh,
@@ -20,6 +23,7 @@ from twinscope.linalg import (
     random_unitary,
     rank_split,
     real_nullspace,
+    require_hermitian,
     svd,
     tensor,
     to_pauli,
@@ -273,8 +277,18 @@ def test_local_actions_match_kronecker_conjugation():
 
 def test_library_modules_bind_no_tensor():
     # local unitaries act through local_conj and pauli_adjoint there, not Kronecker products
-    for module in (mds, verify, schmidt):
+    for module in (mds, verify, schmidt, cli):
         assert not hasattr(module, "tensor"), module.__name__
+
+
+def test_kron_lives_only_in_tensor():
+    # local operators contract with the (2, 2, 2, 2) view of rho instead; twins still
+    # binds tensor, because biorthogonal_separable_forms builds its product states as
+    # the independent construction the Bell forms are checked against
+    source = Path(linalg.__file__).parent
+    counts = {path.name: path.read_text().count("np.kron") for path in source.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
+    assert "np.kron" in inspect.getsource(linalg.tensor)
 
 
 def test_svd_identity_and_zero():
@@ -360,6 +374,15 @@ def test_hermitian_check():
     assert chk.passes and chk.max_deviation == 0.0
     chk = hermitian_check(np.array([[0, 1e-6], [0, 0]]), tol=1e-9)
     assert not chk.passes
+
+
+def test_require_hermitian_names_the_operand():
+    m = require_hermitian([[1, 1j], [-1j, 0]], "probe")
+    assert m.dtype == complex
+    with pytest.raises(ValueError, match=r"^probe is not Hermitian \(max deviation 1\.000e-06\)$"):
+        require_hermitian(np.array([[0, 1e-6], [0, 0]]), "probe", tol=1e-9)
+    with pytest.raises(ValueError, match=r"^eigh: matrix is not Hermitian"):
+        eigh(np.array([[0, 1e-6], [0, 0]]), 1e-9)
 
 
 def test_random_unitary_is_unitary():

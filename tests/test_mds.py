@@ -23,6 +23,7 @@ from twinscope.mds import (
     random_edge_t,
     random_interior_t,
     sample_tetrahedron,
+    state_test_rounding,
     t_from_weights,
     validate_density_matrix,
     weights_from_t,
@@ -144,6 +145,11 @@ def test_is_state_agreement_on_grid():
                 v = is_state(np.array([t1, t2, t3]))
                 assert v.ok == (v.min_weight >= -1e-9)
                 assert v.ok == (v.min_eigenvalue >= -1e-9)
+
+
+def test_state_test_rounding_scales_with_weight_mass():
+    assert state_test_rounding(np.array([0.25, 0.25, 0.25, 0.25])) == 1e-12
+    assert state_test_rounding(np.array([-1.0, 1.0, 1.0, 1.0])) == 4e-12
 
 
 def test_classify_vertices_sign_table():

@@ -532,3 +532,73 @@ def test_membership_and_span_tests_run_no_qr(monkeypatch):
     assert subspace_residual(space, analytic) <= 1e-9
     assert contains_pair(space, herm_pair(pauli(3) / 2, -pauli(3) / 2)) > 0.5
     assert calls == []
+
+
+# The former Kronecker-and-trace body, kept as the reference for the contraction.
+def reference_distant_correlation(pair, rho):
+    w1, v1 = linalg.eigh(pair.a1, 1e-10)
+    w2, v2 = linalg.eigh(pair.a2, 1e-10)
+    exp1 = np.trace(tensor(pair.a1, np.eye(2)) @ rho).real
+    exp2 = np.trace(tensor(np.eye(2), pair.a2) @ rho).real
+    degenerate = abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9
+    dist = np.zeros((2, 2))
+    if degenerate:
+        dist[0, 0] = 1.0
+        return dist, abs(exp1 - exp2), True
+    for a in range(2):
+        pa = np.outer(v1[:, a], v1[:, a].conj())
+        for b in range(2):
+            qb = np.outer(v2[:, b], v2[:, b].conj())
+            dist[a, b] = np.trace(tensor(pa, qb) @ rho).real
+    return dist, abs(exp1 - exp2), False
+
+
+def test_distant_correlation_matches_kronecker_reference():
+    rng = np.random.default_rng(37)
+    worst = 0.0
+    for n in range(300):
+        if n % 3 == 0:
+            t = bell_t_vector(int(rng.integers(4)))
+        elif n % 3 == 1:
+            t = random_edge_t(rng, int(rng.integers(1, 4)), rng.choice(["A", "B"]))
+        else:
+            t = random_interior_t(rng)
+        rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+        stray = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
+        # a state with unequal marginals tells the two reduced states apart
+        g = random_hermitian(rng, 4)
+        lopsided = g @ g / np.trace(g @ g).real
+        cases = [(pair, rho) for pair in (*twin_space(rho).basis, stray)]
+        for pair, state in (*cases, (stray, lopsided)):
+            report = distant_correlation(pair, state)
+            dist, gap, degenerate = reference_distant_correlation(pair, state)
+            assert report.degenerate == degenerate
+            worst = max(
+                worst,
+                np.abs(report.joint_distribution - dist).max(),
+                abs(report.expectation_gap - gap),
+                abs(report.mismatch_probability - (dist[0, 1] + dist[1, 0])),
+            )
+    assert worst <= 1e-14
+
+
+def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (linalg, twins):
+        for name in ("tensor", "eigh"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    monkeypatch.setattr(np, "kron", counted(np.kron))
+    rng = np.random.default_rng(41)
+    rho = local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))
+    pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
+    assert not distant_correlation(pair, rho).degenerate
+    assert calls == ["eigh", "eigh"]
