@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .linalg import RankDecisionError, from_pauli, hs_norm
+from .linalg import RANK_GUARD, RankDecisionError, from_pauli, hs_norm
 from .mds import (
     NON_STATE,
     DEFAULT_TOL,
@@ -111,6 +111,34 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
     return StateSpec(kind="pure", pure=data, source=args.input)
 
 
+def _tol_flag(text: str) -> float:
+    """Parse --tol: a finite relative cut in (0, 1/RANK_GUARD); argparse names the flag.
+
+    At or above 1/RANK_GUARD no kept value can clear the guard band (every
+    value is at most 1 relative to the largest), so such a cut decides nothing.
+    """
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+    if not (np.isfinite(tol) and 0 < tol < 1 / RANK_GUARD):
+        raise argparse.ArgumentTypeError(
+            f"must be finite and in (0, {1 / RANK_GUARD:g}), got {text}"
+        )
+    return tol
+
+
+def _seed_flag(text: str) -> int:
+    """Parse --seed: a non-negative integer, as numpy's generators require."""
+    try:
+        seed = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects an integer, got {text!r}") from None
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
+    return seed
+
+
 def _check_tetrahedron(t: np.ndarray, tol: float) -> StateVerdict:
     """Reject a t-vector outside the tetrahedron (a Bell weight below -tol).
 
@@ -178,12 +206,15 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--input", help="path to a 'matrix 4 4' or 'pure 4' state file")
         p.add_argument(
             "--tol",
-            type=float,
+            type=_tol_flag,
             default=DEFAULT_TOL,
-            help=f"rank-decision tolerance (default {DEFAULT_TOL:g})",
+            help=f"rank-decision tolerance in (0, {1 / RANK_GUARD:g}) (default {DEFAULT_TOL:g})",
         )
         p.add_argument(
-            "--seed", type=int, default=0, help="seed for sampled checks (default 0)"
+            "--seed",
+            type=_seed_flag,
+            default=0,
+            help="non-negative seed for sampled checks (default 0)",
         )
         if name == "correlate":
             p.add_argument(

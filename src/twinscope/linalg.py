@@ -138,11 +138,17 @@ class HermitianCheck:
         return self.max_deviation <= self.tolerance
 
 
+def _dagger(m: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return m.conj().swapaxes(-2, -1)
+
+
 def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck:
+    """Guard a square matrix, or a stack (..., n, n) of them, in one pass."""
     m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"hermitian_check expects a square matrix, got {m.shape}")
-    dev = float(np.abs(m - m.conj().T).max()) if m.size else 0.0
+    dev = float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
     return HermitianCheck(max_deviation=dev, tolerance=tol)
 
 
@@ -163,29 +169,33 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
 
     Dividing a column by its phase makes that entry real positive. A real
     array gives signs +-1.0, a complex one unit complex numbers; a column
-    with no such entry gets 1.
+    with no such entry gets 1. A stack (..., m, n) gives phases (..., n).
     """
-    big = np.abs(a) > 1e-12
-    z = np.where(big.any(axis=0), a[big.argmax(axis=0), np.arange(a.shape[1])], 1)
+    cols = np.swapaxes(a, -2, -1)  # one row per column, over the whole stack
+    big = np.abs(cols) > 1e-12
+    flat = cols.reshape(-1, cols.shape[-1])
+    first = flat[np.arange(flat.shape[0]), big.reshape(flat.shape).argmax(axis=-1)]
+    z = np.where(big.any(axis=-1), first.reshape(cols.shape[:-1]), 1)
     return z / np.abs(z)
 
 
 def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
     """(m + m^dagger)/2, after rejecting m when it is not Hermitian within tol."""
     m = require_hermitian(m, "eigh: matrix", tol)
-    return (m + m.conj().T) / 2
+    return (m + _dagger(m)) / 2
 
 
 def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix.
+    """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) in one call.
 
     Returns (eigenvalues descending, eigenvector columns), with each
     eigenvector phase-normalized so its first significant entry is real
-    positive. Rejects input that is not Hermitian within `tol`.
+    positive. Rejects input that is not Hermitian within `tol`; a stack
+    is guarded once, by its largest deviation.
     """
     w, v = np.linalg.eigh(_hermitian_part(m, tol))
-    v = v[:, ::-1]
-    return w[::-1].copy(), v * leading_phases(v).conj()
+    v = v[..., ::-1]
+    return w[..., ::-1].copy(), v * leading_phases(v).conj()[..., None, :]
 
 
 def eigvalsh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -253,7 +263,8 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     if m.ndim != 2:
         raise ValueError(f"real_nullspace expects a 2-d array, got ndim={m.ndim}")
     n = m.shape[1]
-    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    # vt must be n x n; a tall m gets it from the thin SVD, without the unread full u
+    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < n)
     s_full = np.zeros(n)
     s_full[: s.size] = s
     smax = s_full[0] if s_full.size else 0.0

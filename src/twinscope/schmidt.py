@@ -86,7 +86,7 @@ class AntiunitaryMap:
         return self.unitary_part @ np.conj(np.asarray(vec, dtype=complex))
 
     def conjugate(self, op: np.ndarray) -> np.ndarray:
-        """Transport an operator through the map: U A U^{-1}.
+        """Transport an operator, or a stack (..., 2, 2) of them, through the map: U A U^{-1}.
 
         For a partial map the result is additionally compressed onto the
         target range on both sides.
@@ -146,26 +146,31 @@ def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
     return AntiunitaryMap(unitary_part=ps.right_vectors.T @ ps.left_vectors, rank=ps.schmidt_rank)
 
 
-def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    """Second-subsystem twin of a1 on the pure state phi.
+def pure_twin_partners(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Second-subsystem twins of a stack (n, 2, 2) of a1 on the pure state phi.
 
-    Requires [a1, rho_1] = 0; the component acting in the null space of
-    rho_2 (arbitrary for the twin property) is fixed to zero, so the result
-    is the transport of a1 through the correlation operator, compressed
-    onto the range of rho_2.
+    Requires [a1, rho_1] = 0 for every a1; the component acting in the null
+    space of rho_2 (arbitrary for the twin property) is fixed to zero, so
+    each result is the transport of a1 through the correlation operator,
+    compressed onto the range of rho_2. phi is decomposed once for the
+    whole stack, and the stack is guarded for Hermiticity once.
     """
     a1 = require_hermitian(a1, "pure_twin_partner: a1", 1e-10)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1
-    comm_norm = hs_norm(comm)
-    if comm_norm > tol:
+    comm_norm = np.linalg.norm(comm.reshape(comm.shape[0], -1), axis=1)
+    if (comm_norm > tol).any():
         raise ValueError(
             f"pure_twin_partner: a1 does not commute with the reduced state "
-            f"(commutator norm {comm_norm:.3e} > {tol:g})"
+            f"(commutator norm {comm_norm.max():.3e} > {tol:g})"
         )
-    ua = correlation_operator(pure_schmidt(phi))
-    return ua.conjugate(a1)
+    return correlation_operator(pure_schmidt(phi)).conjugate(a1)
+
+
+def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+    """Second-subsystem twin of a1 on the pure state phi (see pure_twin_partners)."""
+    return pure_twin_partners(np.asarray(a1)[None], phi, tol)[0]
 
 
 def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmidt:

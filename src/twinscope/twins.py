@@ -34,7 +34,6 @@ from .linalg import (
     eigh,
     eigvalsh,
     from_pauli,
-    hs_norm,
     leading_phases,
     partial_trace,
     pauli_adjoint,
@@ -98,8 +97,13 @@ class TwinSpace:
         return self.dimension > 1
 
     @property
+    def ops(self) -> np.ndarray:
+        """The basis as one (dimension, 2, 2, 2) stack: ops[:, 0] is a1, ops[:, 1] is a2."""
+        return from_pauli(self.rows.reshape(-1, 2, 4))
+
+    @property
     def basis(self) -> tuple[ObservablePair, ...]:
-        return tuple(ObservablePair(*ops) for ops in from_pauli(self.rows.reshape(-1, 2, 4)))
+        return tuple(ObservablePair(*ops) for ops in self.ops)
 
 
 @dataclass(frozen=True)
@@ -149,10 +153,34 @@ def subspace_residual(a: TwinSpace, b: TwinSpace) -> float:
     return float(max(_off_span(a.rows, b).max(), _off_span(b.rows, a).max()))
 
 
+def span_distances(space: TwinSpace, rows: np.ndarray) -> np.ndarray:
+    """Distance of each pair_parameters row (normalized) from the span of a twin space.
+
+    rows is an (n, 8) stack; a zero row lies in every span and gives 0.
+    """
+    rows = np.asarray(rows, dtype=float).reshape(-1, 8)
+    nonzero = rows.any(axis=1)
+    out = np.zeros(rows.shape[0])
+    out[nonzero] = _off_span(rows[nonzero], space)
+    return out
+
+
 def contains_pair(space: TwinSpace, pair: ObservablePair) -> float:
     """Distance of a pair (normalized) from the span of a twin space."""
-    x = pair_parameters(pair)
-    return float(_off_span(x, space)) if x.any() else 0.0
+    return float(span_distances(space, pair_parameters(pair))[0])
+
+
+def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Hilbert-Schmidt norms of (a1 x I) rho - (I x a2) rho over stacks (n, 2, 2) of a1, a2.
+
+    rho must already be a validated density matrix (validate_density_matrix);
+    each stack is guarded for Hermiticity once.
+    """
+    a1 = require_hermitian(a1, "is_twin_pair: a1", 1e-10)
+    a2 = require_hermitian(a2, "is_twin_pair: a2", 1e-10)
+    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    diff = np.einsum("nia,abcd->nibcd", a1, r) - np.einsum("njb,abcd->najcd", a2, r)
+    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
 
 
 def is_twin_pair(
@@ -163,12 +191,8 @@ def is_twin_pair(
     The residual is the Hilbert-Schmidt norm of (a1 x I) rho - (I x a2) rho.
     """
     rho = validate_density_matrix(rho)
-    for name, a in (("a1", pair.a1), ("a2", pair.a2)):
-        require_hermitian(a, f"is_twin_pair: {name}", 1e-10)
-    r = rho.reshape(2, 2, 2, 2)
-    diff = np.einsum("ia,abcd->ibcd", pair.a1, r) - np.einsum("jb,abcd->ajcd", pair.a2, r)
-    residual = hs_norm(diff)
-    return residual <= tol, float(residual)
+    residual = float(twin_residuals(np.asarray(pair.a1)[None], np.asarray(pair.a2)[None], rho)[0])
+    return residual <= tol, residual
 
 
 def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
@@ -318,44 +342,56 @@ def biorthogonal_separable_forms() -> list[dict]:
     ]
 
 
-def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
-    """Joint outcome distribution of a1 on side 1 and a2 on side 2.
+def correlation_tables(
+    a1: np.ndarray, a2: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint outcome tables (n, 2, 2), expectation gaps (n,) and degeneracy flags (n,).
 
-    Outcomes are matched by sorted eigenvalue; mismatch_probability is the
-    total weight off the matched pairing. The table entry (a, b) is
-    Tr[(P_a x Q_b) rho], the eigenprojectors of a1 and a2 contracted with
-    the (2, 2, 2, 2) view of rho; the expectations are Tr(a1 rho_1) and
-    Tr(a2 rho_2) on the reduced states. Degenerate observables admit no
-    outcome pairing and yield a flagged trivial report.
+    a1 and a2 are stacks (n, 2, 2); rho must already be a validated density
+    matrix (validate_density_matrix). Each side takes one eigh over its
+    stack. Outcomes are matched by sorted eigenvalue: table entry (a, b) is
+    Tr[(P_a x Q_b) rho], the eigenprojectors contracted with the (2, 2, 2, 2)
+    view of rho, and the gap is |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced
+    states. A pair with a degenerate observable admits no outcome pairing;
+    it is flagged and gets the trivial table (all weight on (0, 0)).
     """
-    rho = validate_density_matrix(rho)
-    w1, v1 = eigh(np.asarray(pair.a1, dtype=complex), 1e-10)
-    w2, v2 = eigh(np.asarray(pair.a2, dtype=complex), 1e-10)
-    exp1 = np.trace(pair.a1 @ partial_trace(rho, 1)).real
-    exp2 = np.trace(pair.a2 @ partial_trace(rho, 2)).real
-    gap = abs(exp1 - exp2)
-    if abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9:
-        dist = np.zeros((2, 2))
-        dist[0, 0] = 1.0
-        return CorrelationReport(
-            joint_distribution=dist,
-            mismatch_probability=0.0,
-            expectation_gap=float(gap),
-            degenerate=True,
-        )
-    p = np.einsum("ia,ka->aik", v1, v1.conj())
-    q = np.einsum("jb,lb->bjl", v2, v2.conj())
-    dist = np.einsum("aik,bjl,klij->ab", p, q, rho.reshape(2, 2, 2, 2)).real
-    total = dist.sum()
-    if dist.min() < -1e-12 or abs(total - 1) > 1e-10:
+    rho = np.asarray(rho, dtype=complex)
+    a1 = np.asarray(a1, dtype=complex)
+    a2 = np.asarray(a2, dtype=complex)
+    w1, v1 = eigh(a1, 1e-10)
+    w2, v2 = eigh(a2, 1e-10)
+    exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
+    exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
+    degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= 1e-9) | (np.abs(w2[:, 0] - w2[:, 1]) <= 1e-9)
+    p = np.einsum("nia,nka->naik", v1, v1.conj())
+    q = np.einsum("njb,nlb->nbjl", v2, v2.conj())
+    dist = np.einsum("naik,nbjl,klij->nab", p, q, rho.reshape(2, 2, 2, 2)).real
+    dist[degenerate] = ((1.0, 0.0), (0.0, 0.0))
+    mins = dist.min(axis=(1, 2))
+    totals = dist.sum(axis=(1, 2))
+    bad = np.flatnonzero((mins < -1e-12) | (np.abs(totals - 1) > 1e-10))
+    if bad.size:
+        n = bad[0]
         raise InternalConsistencyError(
             f"joint distribution is not a probability table "
-            f"(min {dist.min():.3e}, sum {total:.12g})"
+            f"(min {mins[n]:.3e}, sum {totals[n]:.12g})"
         )
-    mismatch = float(dist[0, 1] + dist[1, 0])
+    return dist, np.abs(exp1 - exp2), degenerate
+
+
+def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
+    """Joint outcome statistics of a1 on side 1 and a2 on side 2 (see correlation_tables).
+
+    mismatch_probability is the total weight off the matched pairing.
+    """
+    rho = validate_density_matrix(rho)
+    dist, gap, degenerate = correlation_tables(
+        np.asarray(pair.a1)[None], np.asarray(pair.a2)[None], rho
+    )
+    table = dist[0]
     return CorrelationReport(
-        joint_distribution=dist,
-        mismatch_probability=mismatch,
-        expectation_gap=float(gap),
-        degenerate=False,
+        joint_distribution=table,
+        mismatch_probability=float(table[0, 1] + table[1, 0]),
+        expectation_gap=float(gap[0]),
+        degenerate=bool(degenerate[0]),
     )

@@ -10,10 +10,11 @@ full invariant catalogue of the classification and twin modules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .linalg import hs_norm, local_conj, partial_trace, random_hermitian, random_unitary
+from .linalg import local_conj, partial_trace, random_hermitian, random_unitary, to_pauli
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -31,17 +32,16 @@ from .mds import (
     t_from_weights,
     weights_from_t,
 )
-from .schmidt import pure_twin_partner
+from .schmidt import pure_twin_partners
 from .twins import (
-    ObservablePair,
     TwinSpace,
     analytic_twins,
-    contains_pair,
-    distant_correlation,
-    is_twin_pair,
+    correlation_tables,
     pull_back,
     simultaneous_twins,
+    span_distances,
     subspace_residual,
+    twin_residuals,
     twin_space,
 )
 
@@ -63,6 +63,8 @@ class VerifyContext:
 
     `cls` is the classification of t and `space` the oracle twin space of
     rho; both are computed once, in make_context, and shared by the checks.
+    rho is validated there too, so checks hand it to the stacked kernels of
+    twins and schmidt without validating it again.
     """
 
     rho: np.ndarray
@@ -76,6 +78,18 @@ class VerifyContext:
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
+
+    @cached_property
+    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
+
+        Drawn once from rng() and shared by canonical-form-roundtrip and
+        local-unitary-covariance.
+        """
+        rng = self.rng()
+        v1 = random_unitary(rng)
+        v2 = random_unitary(rng)
+        return v1, v2, local_conj(self.rho, v1, v2)
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
         return local_conj(sigma, self.u1.conj().T, self.u2.conj().T)
@@ -166,8 +180,7 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
-    rng = ctx.rng()
-    cf = canonicalize(local_conj(ctx.rho, random_unitary(rng), random_unitary(rng)))
+    cf = canonicalize(ctx.frame[2])
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
     ok = cf.residual <= 1e-9 and mag_err <= 1e-9
     return CheckResult(
@@ -191,7 +204,7 @@ def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
 def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
     oracle = ctx.space
     pulled = pull_back(analytic_twins(ctx.cls), ctx.u1, ctx.u2)
-    worst = max(contains_pair(oracle, p) for p in pulled.basis)
+    worst = float(span_distances(oracle, pulled.rows).max())
     mutual = subspace_residual(oracle, pulled)
     ok = worst <= 1e-9 and mutual <= 1e-9
     return CheckResult(
@@ -218,10 +231,7 @@ def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
-    rng = ctx.rng()
-    v1 = random_unitary(rng)
-    v2 = random_unitary(rng)
-    moved_state = local_conj(ctx.rho, v1, v2)
+    v1, v2, moved_state = ctx.frame
     space = ctx.space
     moved_space = twin_space(moved_state, ctx.tol)
     if moved_space.dimension != space.dimension:
@@ -230,12 +240,10 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
             False,
             f"dimension changed {space.dimension} -> {moved_space.dimension}",
         )
-    worst_res = 0.0
-    worst_member = 0.0
-    for moved in pull_back(space, v1.conj().T, v2.conj().T).basis:
-        _, res = is_twin_pair(moved, moved_state, ctx.tol)
-        worst_res = max(worst_res, res)
-        worst_member = max(worst_member, contains_pair(moved_space, moved))
+    moved = pull_back(space, v1.conj().T, v2.conj().T)
+    ops = moved.ops
+    worst_res = float(twin_residuals(ops[:, 0], ops[:, 1], moved_state).max())
+    worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= 1e-9 and worst_member <= 1e-9
     return CheckResult(
         "local-unitary-covariance",
@@ -253,24 +261,19 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
     rng = ctx.rng()
-    space = ctx.space
-    worst_member = 0.0
-    for _ in range(5):
-        a1 = random_hermitian(rng)
-        comm = hs_norm(a1 @ rho1 - rho1 @ a1)
-        if comm > 1e-9:
-            return CheckResult(
-                "pure-state-commutant",
-                False,
-                f"random observable fails to commute with I/2 ({comm:.3e})",
-            )
-        a2 = pure_twin_partner(a1, phi)
-        worst_member = max(
-            worst_member, contains_pair(space, ObservablePair(a1=a1, a2=a2))
+    a1 = np.array([random_hermitian(rng) for _ in range(5)])
+    comm = np.linalg.norm((a1 @ rho1 - rho1 @ a1).reshape(len(a1), -1), axis=1)
+    failing = np.flatnonzero(comm > 1e-9)
+    if failing.size:
+        return CheckResult(
+            "pure-state-commutant",
+            False,
+            f"random observable fails to commute with I/2 ({comm[failing[0]]:.3e})",
         )
-    worst_comm = 0.0
-    for pair in space.basis:
-        worst_comm = max(worst_comm, float(np.abs(pair.a1 @ rho1 - rho1 @ pair.a1).max()))
+    a2 = pure_twin_partners(a1, phi)
+    worst_member = float(span_distances(ctx.space, np.hstack([to_pauli(a1), to_pauli(a2)])).max())
+    oracle_a1 = ctx.space.ops[:, 0]
+    worst_comm = float(np.abs(oracle_a1 @ rho1 - rho1 @ oracle_a1).max())
     ok = worst_member <= 1e-9 and worst_comm <= 1e-9
     return CheckResult(
         "pure-state-commutant",
@@ -281,31 +284,26 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
-    counted = 0
-    worst_mismatch = 0.0
-    worst_gap = 0.0
-    for pair in ctx.space.basis:
-        report = distant_correlation(pair, ctx.rho)
-        if report.degenerate:
-            continue
-        counted += 1
-        worst_mismatch = max(worst_mismatch, report.mismatch_probability)
-        worst_gap = max(worst_gap, report.expectation_gap)
+    ops = ctx.space.ops
+    dist, gap, degenerate = correlation_tables(ops[:, 0], ops[:, 1], ctx.rho)
+    paired = ~degenerate
+    mismatch = dist[paired, 0, 1] + dist[paired, 1, 0]
+    worst_mismatch = float(mismatch.max(initial=0.0))
+    worst_gap = float(gap[paired].max(initial=0.0))
     ok = worst_mismatch <= 1e-10 and worst_gap <= 1e-10
     return CheckResult(
         "perfect-correlation",
         bool(ok),
-        f"{counted} nondegenerate pairs, worst mismatch {worst_mismatch:.3e}, "
+        f"{int(paired.sum())} nondegenerate pairs, worst mismatch {worst_mismatch:.3e}, "
         f"worst expectation gap {worst_gap:.3e}",
     )
 
 
 def _check_twin_spectra_match(ctx: VerifyContext) -> CheckResult:
-    worst = 0.0
-    for pair in ctx.space.basis[1:]:
-        s1 = np.sort(np.linalg.eigvalsh(pair.a1))
-        s2 = np.sort(np.linalg.eigvalsh(pair.a2))
-        worst = max(worst, float(np.abs(s1 - s2).max()))
+    ops = ctx.space.ops[1:]
+    s1 = np.sort(np.linalg.eigvalsh(ops[:, 0]))
+    s2 = np.sort(np.linalg.eigvalsh(ops[:, 1]))
+    worst = float(np.abs(s1 - s2).max(initial=0.0))
     return CheckResult(
         "twin-spectra-match",
         bool(worst <= 1e-9),

@@ -260,6 +260,38 @@ def test_exit_code_one_on_bad_input(capsys, tmp_path):
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classify", "--t=0.1,0.2,0.3", "--tol=nan"),
+        ("classify", "--t=0.1,0.2,0.3", "--tol=-1"),
+        ("twins", "--t=0.1,0.2,0.3", "--tol=nan"),
+        ("twins", "--t=0.1,0.2,0.3", "--tol=inf"),
+        ("twins", "--t=0.1,0.2,0.3", "--tol=0"),
+        # at 1/RANK_GUARD no kept value can clear the guard band
+        ("classify", "--weights=1,0,0,0", "--tol=0.1"),
+    ],
+)
+def test_bad_tol_rejected_where_parsed(capsys, argv):
+    code, out, err = invoke(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "argument --tol: must be finite and in (0, 0.1), got " in err
+
+
+def test_tol_just_below_guard_bound_is_accepted(capsys):
+    code, out, _ = invoke(capsys, "classify", "--weights=1,0,0,0", "--tol=0.09")
+    assert code == 0
+    assert "class: bell_vertex" in out
+
+
+def test_negative_seed_rejected_where_parsed(capsys):
+    code, out, err = invoke(capsys, "verify", "--t=0.1,0.2,0.3", "--seed=-1")
+    assert code == 1
+    assert out == ""
+    assert "argument --seed: must be a non-negative integer, got -1" in err
+
+
 def test_ambiguous_rank_exits_two(capsys):
     code, out, err = invoke(
         capsys, "twins", "--t=0.29999999910000003,-0.29999999910000003,0.999999997"

@@ -20,8 +20,16 @@ from twinscope.mds import (
     random_interior_t,
     t_from_weights,
 )
-from twinscope.schmidt import operator_schmidt, pure_twin_partner
+from twinscope.schmidt import (
+    correlation_operator,
+    operator_schmidt,
+    pure_schmidt,
+    pure_twin_partner,
+    pure_twin_partners,
+)
 from twinscope.twins import (
+    CorrelationReport,
+    InternalConsistencyError,
     ObservablePair,
     analytic_edge_twins,
     analytic_twins,
@@ -29,6 +37,7 @@ from twinscope.twins import (
     bell_twin_partner,
     biorthogonal_separable_forms,
     contains_pair,
+    correlation_tables,
     distant_correlation,
     is_twin_pair,
     pair_from_parameters,
@@ -36,7 +45,9 @@ from twinscope.twins import (
     ppt_separable,
     pull_back,
     simultaneous_twins,
+    span_distances,
     subspace_residual,
+    twin_residuals,
     twin_space,
 )
 
@@ -602,3 +613,126 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
     assert calls == ["eigh", "eigh"]
+
+
+# The former per-pair bodies, kept as the references for the stacked kernels.
+def per_pair_contains_pair(space, pair):
+    x = pair_parameters(pair)
+    return float(twins._off_span(x, space)) if x.any() else 0.0
+
+
+def per_pair_is_twin_pair(pair, rho, tol=mds.DEFAULT_TOL):
+    rho = mds.validate_density_matrix(rho)
+    for name, a in (("a1", pair.a1), ("a2", pair.a2)):
+        linalg.require_hermitian(a, f"is_twin_pair: {name}", 1e-10)
+    r = rho.reshape(2, 2, 2, 2)
+    diff = np.einsum("ia,abcd->ibcd", pair.a1, r) - np.einsum("jb,abcd->ajcd", pair.a2, r)
+    residual = linalg.hs_norm(diff)
+    return residual <= tol, float(residual)
+
+
+def per_pair_distant_correlation(pair, rho):
+    rho = mds.validate_density_matrix(rho)
+    w1, v1 = linalg.eigh(np.asarray(pair.a1, dtype=complex), 1e-10)
+    w2, v2 = linalg.eigh(np.asarray(pair.a2, dtype=complex), 1e-10)
+    exp1 = np.trace(pair.a1 @ partial_trace(rho, 1)).real
+    exp2 = np.trace(pair.a2 @ partial_trace(rho, 2)).real
+    gap = abs(exp1 - exp2)
+    if abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9:
+        dist = np.zeros((2, 2))
+        dist[0, 0] = 1.0
+        return CorrelationReport(
+            joint_distribution=dist,
+            mismatch_probability=0.0,
+            expectation_gap=float(gap),
+            degenerate=True,
+        )
+    p = np.einsum("ia,ka->aik", v1, v1.conj())
+    q = np.einsum("jb,lb->bjl", v2, v2.conj())
+    dist = np.einsum("aik,bjl,klij->ab", p, q, rho.reshape(2, 2, 2, 2)).real
+    total = dist.sum()
+    if dist.min() < -1e-12 or abs(total - 1) > 1e-10:
+        raise InternalConsistencyError(
+            f"joint distribution is not a probability table "
+            f"(min {dist.min():.3e}, sum {total:.12g})"
+        )
+    mismatch = float(dist[0, 1] + dist[1, 0])
+    return CorrelationReport(
+        joint_distribution=dist,
+        mismatch_probability=mismatch,
+        expectation_gap=float(gap),
+        degenerate=False,
+    )
+
+
+def per_pair_pure_twin_partner(a1, phi, tol=1e-9):
+    a1 = linalg.require_hermitian(a1, "pure_twin_partner: a1", 1e-10)
+    phi = np.asarray(phi, dtype=complex).reshape(-1)
+    rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
+    comm = a1 @ rho1 - rho1 @ a1
+    comm_norm = linalg.hs_norm(comm)
+    if comm_norm > tol:
+        raise ValueError(
+            f"pure_twin_partner: a1 does not commute with the reduced state "
+            f"(commutator norm {comm_norm:.3e} > {tol:g})"
+        )
+    ua = correlation_operator(pure_schmidt(phi))
+    return ua.conjugate(a1)
+
+
+def test_stacked_kernels_match_per_pair_bodies():
+    rng = np.random.default_rng(43)
+    worst = 0.0
+    for n in range(300):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        if n % 3 == 0:
+            k = int(rng.integers(4))
+            t = bell_t_vector(k)
+        elif n % 3 == 1:
+            t = random_edge_t(rng, int(rng.integers(1, 4)), rng.choice(["A", "B"]))
+        else:
+            t = random_interior_t(rng)
+        rho = local_conj(build_T(t), u1, u2)
+        space = twin_space(rho)
+        strays = [ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng)) for _ in range(3)]
+        zero = ObservablePair(a1=np.zeros((2, 2), dtype=complex), a2=np.zeros((2, 2), dtype=complex))
+        pairs = (*space.basis, *strays, zero)
+        a1 = np.array([p.a1 for p in pairs])
+        a2 = np.array([p.a2 for p in pairs])
+        residuals = twin_residuals(a1, a2, rho)
+        distances = span_distances(space, np.array([pair_parameters(p) for p in pairs]))
+        dist, gap, degenerate = correlation_tables(a1, a2, rho)
+        for i, pair in enumerate(pairs):
+            ref = per_pair_distant_correlation(pair, rho)
+            assert degenerate[i] == ref.degenerate
+            worst = max(
+                worst,
+                abs(residuals[i] - per_pair_is_twin_pair(pair, rho)[1]),
+                abs(distances[i] - per_pair_contains_pair(space, pair)),
+                np.abs(dist[i] - ref.joint_distribution).max(),
+                abs(gap[i] - ref.expectation_gap),
+            )
+        if n % 3 == 0:
+            # the pure vertex state; its reduced state is I/2, so every a1 commutes
+            phi = (u1 @ bell_state(k)[0].reshape(2, 2) @ u2.T).reshape(4)
+            assert np.abs(np.outer(phi, phi.conj()) - rho).max() <= 1e-14
+            stack = np.array([random_hermitian(rng) for _ in range(5)])
+            partners = pure_twin_partners(stack, phi)
+            for a, partner in zip(stack, partners):
+                worst = max(worst, np.abs(partner - per_pair_pure_twin_partner(a, phi)).max())
+    assert worst <= 1e-14
+
+
+def test_stacked_guards_name_the_operand():
+    rho = EDGE_A
+    bad = np.array([[0, 1], [0, 0]], dtype=complex)
+    good = pauli(3)[None]
+    stack = np.array([pauli(3), bad])
+    with pytest.raises(ValueError, match="^is_twin_pair: a2 is not Hermitian"):
+        twin_residuals(good, stack[1:], rho)
+    with pytest.raises(ValueError, match="^eigh: matrix is not Hermitian"):
+        correlation_tables(stack, stack, rho)
+    with pytest.raises(ValueError, match="^pure_twin_partner: a1 is not Hermitian"):
+        pure_twin_partners(stack, bell_state(0)[0])
+    with pytest.raises(ValueError, match="commute"):
+        pure_twin_partners(np.array([pauli(3), pauli(1)]), np.array([0.9, 0, 0, np.sqrt(0.19)]))

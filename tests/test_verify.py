@@ -1,8 +1,9 @@
 import numpy as np
+import pytest
 
-from twinscope import verify
-from twinscope.linalg import random_unitary, tensor
-from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state
+from twinscope import mds, schmidt, twins, verify
+from twinscope.linalg import local_conj, random_unitary, tensor
+from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
 
 
 def test_oracle_twin_space_computed_once(monkeypatch):
@@ -25,3 +26,48 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     # local-unitary-covariance check
     assert len(calls) == 2
     assert np.array_equal(calls[0], rho)
+
+
+@pytest.mark.parametrize(
+    "t, validations",
+    [
+        # rho and the moved state twice each (canonicalize, twin_space), plus
+        # one per Bell component of the mixture-intersection check
+        (bell_t_vector(1), 5),
+        (np.array([0.4, -0.4, 1.0]), 6),
+        (np.array([0.2, 0.1, -0.05]), 8),
+    ],
+)
+def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
+    calls = []
+    validate = mds.validate_density_matrix
+
+    def counted(rho, *args, **kwargs):
+        calls.append(rho)
+        return validate(rho, *args, **kwargs)
+
+    for module in (mds, twins, schmidt, verify):
+        if hasattr(module, "validate_density_matrix"):
+            monkeypatch.setattr(module, "validate_density_matrix", counted)
+    rng = np.random.default_rng(7)
+    rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+    ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
+    results = verify.run_verification(ctx)
+    assert all(r.passed for r in results)
+    assert len(calls) == validations
+
+
+def test_shared_frame_drawn_once(monkeypatch):
+    calls = []
+    draw = verify.random_unitary
+    monkeypatch.setattr(verify, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
+    rng = np.random.default_rng(11)
+    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    ctx = verify.make_context(rho, None, DEFAULT_TOL, 5)
+    assert all(r.passed for r in verify.run_verification(ctx))
+    # canonical-form-roundtrip and local-unitary-covariance share (v1, v2)
+    assert len(calls) == 2
+    v1, v2, moved = ctx.frame
+    fresh = ctx.rng()
+    assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
+    assert np.array_equal(moved, local_conj(rho, v1, v2))
