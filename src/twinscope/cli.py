@@ -103,8 +103,9 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
         return StateSpec(kind="weights", weights=w)
     variant, data = parse_state_file(args.input)
     if variant == "matrix":
-        validate_density_matrix(data, STATE_VALIDATION_TOL)
-        return StateSpec(kind="matrix", matrix=data, source=args.input)
+        # the exact Hermitian part: what passed the guard, and what every command reads
+        matrix = validate_density_matrix(data, STATE_VALIDATION_TOL)
+        return StateSpec(kind="matrix", matrix=matrix, source=args.input)
     norm = np.linalg.norm(data)
     if abs(norm - 1) > STATE_VALIDATION_TOL:
         raise ValueError(f"pure state vector has norm {norm:.12g}, expected 1")

@@ -7,7 +7,13 @@ ordering and phase conventions so repeated runs produce identical output.
 
 eigh returns eigenvalues and phase-normalized eigenvectors; eigvalsh returns
 the eigenvalues alone, for callers that read no eigenvector. Both reject
-input that is not Hermitian within the same tolerance. The phase convention
+input that is not Hermitian within the same tolerance.
+
+A matrix is guarded for Hermiticity once. A matrix that has passed a guard
+(mds.validate_density_matrix returns its exact Hermitian part), or that is
+Hermitian by construction (build_T, a partial transpose of such a matrix),
+goes to np.linalg.eigvalsh or to a private kernel with no second guard;
+public entry points guard what they receive from outside. The phase convention
 of eigh and svd, and the sign convention of real factors elsewhere, is one
 rule, leading_phases: the first entry above 1e-12 in magnitude of each
 column is made real positive.
@@ -171,11 +177,16 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
     array gives signs +-1.0, a complex one unit complex numbers; a column
     with no such entry gets 1. A stack (..., m, n) gives phases (..., n).
     """
-    cols = np.swapaxes(a, -2, -1)  # one row per column, over the whole stack
-    big = np.abs(cols) > 1e-12
-    flat = cols.reshape(-1, cols.shape[-1])
-    first = flat[np.arange(flat.shape[0]), big.reshape(flat.shape).argmax(axis=-1)]
-    z = np.where(big.any(axis=-1), first.reshape(cols.shape[:-1]), 1)
+    big = np.abs(a) > 1e-12
+    if a.ndim == 2:
+        first = a[big.argmax(axis=0), np.arange(a.shape[1])]
+    else:
+        cols = np.swapaxes(a, -2, -1)  # one row per column, over the whole stack
+        flat = cols.reshape(-1, cols.shape[-1])
+        lead = np.swapaxes(big, -2, -1).reshape(flat.shape).argmax(axis=-1)
+        first = flat[np.arange(flat.shape[0]), lead].reshape(cols.shape[:-1])
+    # argmax gives row 0 for a column with no entry above 1e-12; that column gets 1
+    z = np.where(np.abs(first) > 1e-12, first, 1)
     return z / np.abs(z)
 
 
@@ -238,8 +249,9 @@ def rank_split(values: np.ndarray, threshold: float) -> tuple[np.ndarray, float]
     within a factor RANK_GUARD of the cut raises RankDecisionError.
     """
     values = np.asarray(values, dtype=float)
+    threshold = float(threshold)
     zero = values <= threshold
-    listed = values.tolist()  # python min/max beat numpy on a few values
+    listed = values.tolist()  # python min/max and comparisons beat numpy on a few values
     smallest_kept = min((v for v in listed if v > threshold), default=np.inf)
     largest_dropped = max((v for v in listed if v <= threshold), default=0.0)
     if smallest_kept < RANK_GUARD * threshold or largest_dropped > threshold / RANK_GUARD:

@@ -27,7 +27,6 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     PAULI2,
-    eigvalsh,
     from_pauli,
     hs_norm,
     local_conj,
@@ -68,6 +67,10 @@ _BELL_T_VECTORS = np.array(
     ]
 )
 _BELL_T_VECTORS.setflags(write=False)
+
+# build_T(t) is _T_MAP[0] + t @ _T_MAP[1:], flattened: row i is sigma_i x sigma_i / 4
+_T_MAP = np.einsum("iiab->iab", PAULI2).reshape(4, 16) / 4
+_T_MAP.setflags(write=False)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -151,7 +154,7 @@ def weights_from_t(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (3,):
         raise ValueError(f"expected a 3-component t-vector, got shape {t.shape}")
-    t1, t2, t3 = t
+    t1, t2, t3 = t.tolist()  # python floats: the same IEEE arithmetic, without numpy scalars
     return np.array(
         [
             (1 - t1 - t2 - t3) / 4,
@@ -167,8 +170,7 @@ def build_T(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (3,):
         raise ValueError(f"expected a 3-component t-vector, got shape {t.shape}")
-    # the repeated index picks the diagonal products sigma_i x sigma_i
-    return np.einsum("i,iiab->ab", np.concatenate(([1.0], t)), PAULI2) / 4
+    return (_T_MAP[0] + t @ _T_MAP[1:]).reshape(4, 4)
 
 
 def state_test_rounding(w: np.ndarray) -> float:
@@ -192,7 +194,8 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     w = weights_from_t(t)
     min_w = float(w.min())
     arg = int(w.argmin())
-    min_eig = float(eigvalsh(build_T(t))[-1])
+    # build_T is Hermitian by construction: no guard before the eigenvalues
+    min_eig = float(np.linalg.eigvalsh(build_T(t))[0])
     if abs(min_w - min_eig) > state_test_rounding(w):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
@@ -283,16 +286,21 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
 
 
 def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> np.ndarray:
-    """Check Hermiticity, unit trace, and positivity; return the input as complex."""
+    """Check Hermiticity, unit trace, and positivity; return the exact Hermitian part.
+
+    The result is (rho + rho^dagger)/2, which equals the input entry for
+    entry when the input is exactly Hermitian. Callers hand it on to code
+    that guards no further (see the linalg module notes).
+    """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
     require_hermitian(rho, "density matrix", tol)
-    tr = np.trace(rho).real
+    rho = (rho + rho.conj().T) / 2
+    tr = rho.trace().real
     if abs(tr - 1) > tol:
         raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-    # the guard above is the one Hermiticity check; linalg.eigvalsh would repeat it
-    min_eig = np.linalg.eigvalsh((rho + rho.conj().T) / 2)[0]
+    min_eig = np.linalg.eigvalsh(rho)[0]
     if min_eig < -tol:
         raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
@@ -313,16 +321,23 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
 
     Shepperd's quaternion (J. Guidance & Control 1(3), 1978): k[a, b] = 4 q_a q_b
     for q = (w, x, y, z), so q is the row of k with the largest diagonal, normalised.
+    The lift's trace is 2 w / |q|.
     """
-    tr = np.trace(r)
-    k = np.empty((4, 4))
-    k[0, 0] = 1 + tr
-    k[0, 1:] = k[1:, 0] = (r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1])
-    k[1:, 1:] = r + r.T + (1 - tr) * np.eye(3)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
+    tr = r00 + r11 + r22
+    x, y, z = r21 - r12, r02 - r20, r10 - r01
+    k = np.array(
+        [
+            [1 + tr, x, y, z],
+            [x, 2 * r00 + (1 - tr), r01 + r10, r02 + r20],
+            [y, r10 + r01, 2 * r11 + (1 - tr), r12 + r21],
+            [z, r20 + r02, r21 + r12, 2 * r22 + (1 - tr)],
+        ]
+    )
     q = k[int(np.argmax(np.diagonal(k)))]
+    if q[0] < 0:
+        q = -q
     u = from_pauli(q / np.linalg.norm(q) * np.array([1, -1j, -1j, -1j]))
-    if np.trace(u).real < 0:
-        u = -u
     # guard against a convention mismatch: conjugation must reproduce r
     if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > 1e-9:
         raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
@@ -342,13 +357,22 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     forced into SO(3) (flipping the sign of the last singular value when
     needed); the rotations transpose onto the state's two sides and lift to
     SU(2). Axes are then permuted so |t| is descending, ties broken by
-    signed value descending. A transport residual above DEFAULT_TOL raises
-    InternalConsistencyError.
+    signed value descending. The local part
+    L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried along by every
+    local unitary and never removed, so only a transport residual above
+    DEFAULT_TOL + ||L||_HS raises InternalConsistencyError; for exactly
+    disordered subsystems L = 0.
     """
-    rho = validate_density_matrix(rho)
+    return _canonicalize(validate_density_matrix(rho))
+
+
+def _canonicalize(rho: np.ndarray) -> CanonicalForm:
+    """canonicalize on a density matrix that validate_density_matrix returned."""
     half = np.eye(2) / 2
-    dev1 = np.abs(partial_trace(rho, 1) - half).max()
-    dev2 = np.abs(partial_trace(rho, 2) - half).max()
+    d1 = partial_trace(rho, 1) - half
+    d2 = partial_trace(rho, 2) - half
+    dev1 = np.abs(d1).max()
+    dev2 = np.abs(d2).max()
     if max(dev1, dev2) > STATE_VALIDATION_TOL:
         raise ValueError(
             f"canonicalize expects maximally disordered subsystems; partial traces "
@@ -379,9 +403,12 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     u1 = _su2_from_rotation(r1)
     u2 = _su2_from_rotation(r2)
     residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
-    if residual > DEFAULT_TOL:
+    # ||L||^2 = (||d1||^2 + ||d2||^2 + (Tr d1)^2) / 2, as Tr d1 = Tr d2 = Tr rho - 1
+    local = np.sqrt((np.vdot(d1, d1).real + np.vdot(d2, d2).real + np.trace(d1).real ** 2) / 2)
+    if residual > DEFAULT_TOL + local:
         raise InternalConsistencyError(
-            f"canonicalization residual {residual:.3e} exceeds {DEFAULT_TOL:g}"
+            f"canonicalization residual {residual:.3e} exceeds {DEFAULT_TOL:g} "
+            f"plus the local part {local:.3e}"
         )
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual))
 

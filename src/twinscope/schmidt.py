@@ -36,7 +36,8 @@ def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]
     """Multiplicities of coefficient groups that tie within tol."""
     groups: list[int] = []
     last = np.inf
-    for c in coefficients:
+    tol = float(tol)
+    for c in coefficients.tolist():
         if groups and abs(c - last) <= tol:
             groups[-1] += 1
         else:
@@ -195,8 +196,8 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     # sign convention: first significant entry of each left column positive
     sign = leading_phases(u)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
-    left = from_pauli(u[:, :rank].T * sign[:rank, None]) / np.sqrt(2)
-    right = from_pauli(vh[:rank] * sign[:rank, None]) / np.sqrt(2)
+    # the left (columns of u) and right (rows of vh) components lifted in one product
+    left, right = from_pauli(np.array((u.T, vh))[:, :rank] * sign[:rank, None]) / np.sqrt(2)
     coeffs = s[:rank].copy()
     return OperatorSchmidt(
         coefficients=coeffs,

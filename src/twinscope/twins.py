@@ -32,7 +32,6 @@ from .linalg import (
     PAULI2,
     NullspaceResult,
     eigh,
-    eigvalsh,
     from_pauli,
     leading_phases,
     partial_trace,
@@ -195,12 +194,32 @@ def is_twin_pair(
     return residual <= tol, residual
 
 
+def _twin_condition_map() -> np.ndarray:
+    """Real (256, 32) map from the (re, im) entries of rho to twin_condition_matrix(rho).
+
+    Column k of the system is the flattened real, then imaginary, part of
+    s_k rho, where s_k is sigma_k x I for k < 4 and -(I x sigma_(k-4)) after.
+    """
+    s = np.concatenate([PAULI2[:, 0], -PAULI2[0, :]])
+    # g[a, b, k, c, d]: the coefficient of rho[c, d] in (s_k rho)[a, b]
+    g = np.einsum("kac,bd->abkcd", s, np.eye(4))
+    # (re, im) of (s_k rho)[a, b] from (re, im) of rho[c, d]
+    real = np.stack([np.stack([g.real, -g.imag], -1), np.stack([g.imag, g.real], -1)])
+    return real.reshape(256, 32)
+
+
+_TWIN_CONDITION_MAP = _twin_condition_map()
+_TWIN_CONDITION_MAP.setflags(write=False)
+
+
 def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
-    """Real 32x8 system whose nullspace is the twin solution space."""
-    rho = np.asarray(rho, dtype=complex)
-    # column k < 4 is (sigma_k x I) rho, column 4 + k is -(I x sigma_k) rho
-    g = np.concatenate([PAULI2[:, 0] @ rho, -(PAULI2[0, :] @ rho)]).reshape(8, 16)
-    return np.concatenate([g.real, g.imag], axis=1).T
+    """Real 32x8 system whose nullspace is the twin solution space.
+
+    Column k < 4 holds (sigma_k x I) rho and column 4 + k holds
+    -(I x sigma_k) rho, real parts of the 16 entries above imaginary parts.
+    """
+    x = np.ascontiguousarray(rho, dtype=complex).view(float).reshape(32)
+    return (_TWIN_CONDITION_MAP @ x).reshape(32, 8)
 
 
 _TRIVIAL_DIRECTION = np.zeros(8)
@@ -239,7 +258,11 @@ def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
 
 def twin_space(rho: np.ndarray, tol: float = DEFAULT_TOL) -> TwinSpace:
     """Brute-force solution space of the twin condition for one state."""
-    rho = validate_density_matrix(rho)
+    return _twin_space(validate_density_matrix(rho), tol)
+
+
+def _twin_space(rho: np.ndarray, tol: float) -> TwinSpace:
+    """twin_space on a density matrix that validate_density_matrix returned."""
     return _space_from_nullspace(real_nullspace(twin_condition_matrix(rho), tol))
 
 
@@ -298,8 +321,9 @@ def ppt_separable(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, floa
     subsystem 2).
     """
     rho = validate_density_matrix(rho)
+    # the partial transpose of the exactly Hermitian rho is exactly Hermitian: no second guard
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    min_eig = float(eigvalsh(pt)[-1])
+    min_eig = float(np.linalg.eigvalsh(pt)[0])
     return min_eig >= -tol, min_eig
 
 

@@ -22,19 +22,21 @@ from .mds import (
     CanonicalForm,
     MdsClass,
     StateVerdict,
+    _canonicalize,
     bell_state,
     bell_t_vector,
     build_T,
-    canonicalize,
     classify,
     edge_mixture,
     state_test_rounding,
     t_from_weights,
+    validate_density_matrix,
     weights_from_t,
 )
 from .schmidt import pure_twin_partners
 from .twins import (
     TwinSpace,
+    _twin_space,
     analytic_twins,
     correlation_tables,
     pull_back,
@@ -42,7 +44,6 @@ from .twins import (
     span_distances,
     subspace_residual,
     twin_residuals,
-    twin_space,
 )
 
 ALL_STRATA = frozenset({BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR})
@@ -63,8 +64,9 @@ class VerifyContext:
 
     `cls` is the classification of t and `space` the oracle twin space of
     rho; both are computed once, in make_context, and shared by the checks.
-    rho is validated there too, so checks hand it to the stacked kernels of
-    twins and schmidt without validating it again.
+    rho is the Hermitian part validate_density_matrix returned there, so
+    checks hand it to the kernels of mds, twins and schmidt without
+    validating it again.
     """
 
     rho: np.ndarray
@@ -84,12 +86,12 @@ class VerifyContext:
         """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
 
         Drawn once from rng() and shared by canonical-form-roundtrip and
-        local-unitary-covariance.
+        local-unitary-covariance; the moved state is validated once, here.
         """
         rng = self.rng()
         v1 = random_unitary(rng)
         v2 = random_unitary(rng)
-        return v1, v2, local_conj(self.rho, v1, v2)
+        return v1, v2, validate_density_matrix(local_conj(self.rho, v1, v2))
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
         return local_conj(sigma, self.u1.conj().T, self.u2.conj().T)
@@ -107,17 +109,18 @@ def make_context(
     `cf` is the canonical form of rho when the caller already has one (for a
     t/weights input, the identity frame); with None, rho is canonicalized here.
     `verdict` is is_state(cf.t, tol) when the caller already has it; classify
-    computes it otherwise.
+    computes it otherwise. rho is validated once, here.
     """
+    rho = validate_density_matrix(rho)
     if cf is None:
-        cf = canonicalize(rho)
+        cf = _canonicalize(rho)
     return VerifyContext(
-        rho=np.asarray(rho, dtype=complex),
+        rho=rho,
         t=cf.t,
         u1=cf.u1,
         u2=cf.u2,
         cls=classify(cf.t, tol, verdict),
-        space=twin_space(rho, tol),
+        space=_twin_space(rho, tol),
         tol=tol,
         seed=seed,
     )
@@ -180,7 +183,7 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
-    cf = canonicalize(ctx.frame[2])
+    cf = _canonicalize(ctx.frame[2])
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
     ok = cf.residual <= 1e-9 and mag_err <= 1e-9
     return CheckResult(
@@ -233,7 +236,7 @@ def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
 def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
     v1, v2, moved_state = ctx.frame
     space = ctx.space
-    moved_space = twin_space(moved_state, ctx.tol)
+    moved_space = _twin_space(moved_state, ctx.tol)
     if moved_space.dimension != space.dimension:
         return CheckResult(
             "local-unitary-covariance",

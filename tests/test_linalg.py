@@ -228,12 +228,14 @@ def test_leading_phases_reproduce_column_loop():
     rng = np.random.default_rng(31)
     eps = np.finfo(float).eps
     for trial in range(50):
-        real = rng.standard_normal((4, 5))
-        cplx = real + 1j * rng.standard_normal((4, 5))
+        real = rng.standard_normal((4, 6))
+        cplx = real + 1j * rng.standard_normal((4, 6))
         for a in (real, cplx):
             a[:, 1] = 0.0  # no significant entry: phase 1
             a[0, 2] = 1e-13 * (-1) ** trial  # leading entry below 1e-12 is skipped
             a[:2, 3] = [5e-13, -9e-13]
+            # only negative real entries, all below 1e-12: still phase 1, not -1
+            a[:, 5] = [-5e-13, -1e-13, -9e-13, -1e-12]
             want = _phases_by_loop(a)
             got = leading_phases(a)
             assert got.dtype == a.dtype
@@ -242,7 +244,11 @@ def test_leading_phases_reproduce_column_loop():
             else:
                 # the loop divides numpy scalars, whose abs rounds differently
                 assert np.abs(got - want).max() <= 4 * eps
-            assert got[1] == 1
+            assert got[1] == 1 and got[5] == 1
+            # a stack takes the same phases slice by slice
+            stacked = leading_phases(np.stack([a, a[::-1]]))
+            assert np.array_equal(stacked[0], got)
+            assert np.array_equal(stacked[1], leading_phases(a[::-1]))
             lead = (a * got.conj())[[0, 1, 2, 0], [0, 2, 3, 4]]
             assert np.all(np.abs(lead.imag) <= 4 * eps * np.abs(lead))
             assert np.all(lead.real > 0)

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinscope.linalg import hs_norm, partial_trace, pauli, random_unitary, tensor
+from twinscope import mds
+from twinscope.linalg import PAULI, hs_norm, partial_trace, pauli, random_unitary, tensor
 from twinscope.mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -229,6 +230,27 @@ def test_is_mds():
     up = np.array([1, 0], dtype=complex)
     not_mds = tensor(np.outer(up, up), np.eye(2) / 2)
     assert not is_mds(not_mds)
+
+
+def test_build_T_map_matches_einsum_definition():
+    # build_T(t) = (1/4)(I x I + sum_i t_i sigma_i x sigma_i), as one einsum over the products
+    products = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
+    rng = np.random.default_rng(41)
+    for t in [*rng.uniform(-1, 1, (200, 3)), *(bell_t_vector(k) for k in range(4))]:
+        direct = np.einsum("i,iiab->ab", np.concatenate(([1.0], t)), products) / 4
+        assert np.array_equal(build_T(t), direct)
+    assert not mds._T_MAP.flags.writeable
+
+
+def test_validate_density_matrix_returns_exact_hermitian_part():
+    rho = build_T(np.array([0.2, 0.1, -0.05]))
+    # exactly Hermitian input comes back entry for entry
+    assert np.array_equal(validate_density_matrix(rho), rho)
+    near = rho.copy()
+    near[0, 1] += 5e-9  # inside the 1e-8 gate
+    h = validate_density_matrix(near)
+    assert np.array_equal(h, (near + near.conj().T) / 2)
+    assert np.array_equal(h, h.conj().T)
 
 
 def test_validate_density_matrix_rejects_bad_input():

@@ -83,6 +83,23 @@ def test_trivial_pair_is_always_a_twin():
         assert ok and res <= 1e-12
 
 
+def test_twin_condition_map_matches_einsum_definition():
+    eye = np.eye(2)
+    # column k < 4 is (sigma_k x I) rho, column 4 + k is -(I x sigma_k) rho
+    ops = [tensor(pauli(k), eye) for k in range(4)] + [-tensor(eye, pauli(k)) for k in range(4)]
+    rng = np.random.default_rng(43)
+    states = [EDGE_A, EDGE_B, bell_state(0)[1]]
+    for _ in range(100):
+        u = tensor(random_unitary(rng), random_unitary(rng))
+        states.append(u @ build_T(random_interior_t(rng)) @ u.conj().T)
+        states.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    for rho in states:
+        g = np.einsum("kac,cb->kab", np.array(ops), rho).reshape(8, 16)
+        direct = np.concatenate([g.real, g.imag], axis=1).T
+        assert np.array_equal(twins.twin_condition_matrix(rho), direct)
+    assert not twins._TWIN_CONDITION_MAP.flags.writeable
+
+
 def test_twin_space_dimensions_by_stratum():
     for k in range(4):
         assert twin_space(bell_state(k)[1]).dimension == 4
@@ -206,7 +223,7 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     assert calls
 
 
-def test_sweep_path_checks_hermiticity_five_times(monkeypatch):
+def test_sweep_path_checks_hermiticity_three_times(monkeypatch):
     calls = []
 
     def counted(fn):
@@ -226,8 +243,9 @@ def test_sweep_path_checks_hermiticity_five_times(monkeypatch):
         twin_space(rho)
         ppt_separable(rho)
         operator_schmidt(rho)
-        # is_state's eigvalsh, two validations, the PPT eigvalsh, operator_schmidt
-        assert len(calls) == 5
+        # the validations in twin_space and ppt_separable, and operator_schmidt's guard;
+        # build_T and the partial transpose of a validated state are Hermitian as built
+        assert len(calls) == 3
 
 
 def test_bell_twin_partner_sign_table():

@@ -10,32 +10,33 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     rng = np.random.default_rng(3)
     u = tensor(random_unitary(rng), random_unitary(rng))
     rho = u @ bell_state(2)[1] @ u.conj().T
-    oracle = verify.twin_space
+    oracle = verify._twin_space
     calls = []
 
     def counted(state, tol):
         calls.append(state)
         return oracle(state, tol)
 
-    monkeypatch.setattr(verify, "twin_space", counted)
+    monkeypatch.setattr(verify, "_twin_space", counted)
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
     results = verify.run_verification(ctx)
     assert ctx.cls.kind == BELL_VERTEX
     assert all(r.passed for r in results)
     # rho once in make_context, and the locally moved state once in the
-    # local-unitary-covariance check
+    # local-unitary-covariance check; both as validated
     assert len(calls) == 2
-    assert np.array_equal(calls[0], rho)
+    assert np.array_equal(calls[0], mds.validate_density_matrix(rho))
+    assert calls[1] is ctx.frame[2]
 
 
 @pytest.mark.parametrize(
     "t, validations",
     [
-        # rho and the moved state twice each (canonicalize, twin_space), plus
+        # rho (make_context) and the moved state (frame) once each, plus
         # one per Bell component of the mixture-intersection check
-        (bell_t_vector(1), 5),
-        (np.array([0.4, -0.4, 1.0]), 6),
-        (np.array([0.2, 0.1, -0.05]), 8),
+        (bell_t_vector(1), 3),
+        (np.array([0.4, -0.4, 1.0]), 4),
+        (np.array([0.2, 0.1, -0.05]), 6),
     ],
 )
 def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
@@ -70,4 +71,4 @@ def test_shared_frame_drawn_once(monkeypatch):
     v1, v2, moved = ctx.frame
     fresh = ctx.rng()
     assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
-    assert np.array_equal(moved, local_conj(rho, v1, v2))
+    assert np.array_equal(moved, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
