@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +28,11 @@ from .mds import (
     InternalConsistencyError,
     MdsClass,
     StateVerdict,
+    _canonicalize,
+    _is_mds,
     build_T,
-    canonicalize,
     classify,
     edge_mixture,
-    is_mds,
     is_state,
     t_from_weights,
     validate_density_matrix,
@@ -41,12 +42,12 @@ from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
 from .twins import (
     ObservablePair,
     TwinSpace,
+    _distant_correlation,
+    _ppt_separable,
+    _twin_space,
     analytic_twins,
-    distant_correlation,
-    ppt_separable,
     pull_back,
     subspace_residual,
-    twin_space,
 )
 from .verify import make_context, run_verification
 
@@ -140,31 +141,6 @@ def _seed_flag(text: str) -> int:
     return seed
 
 
-def _check_tetrahedron(t: np.ndarray, tol: float) -> StateVerdict:
-    """Reject a t-vector outside the tetrahedron (a Bell weight below -tol).
-
-    Returns the is_state verdict, for classify to reuse.
-    """
-    verdict = is_state(t, tol)
-    if not verdict.ok:
-        raise ValueError(
-            f"t-vector {t.tolist()} is outside the tetrahedron "
-            f"(weight w{verdict.offending_index} = {verdict.min_weight:.12g})"
-        )
-    return verdict
-
-
-def state_matrix(spec: StateSpec, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """Density matrix of a state spec; t/weights variants must lie in the tetrahedron."""
-    if spec.kind == "matrix":
-        return spec.matrix
-    if spec.kind == "pure":
-        return np.outer(spec.pure, spec.pure.conj())
-    t = spec.t if spec.kind == "t" else t_from_weights(spec.weights)
-    _check_tetrahedron(t, tol)
-    return build_T(t)
-
-
 def _spec_tree(spec: StateSpec) -> dict:
     tree: dict = {"kind": spec.kind}
     if spec.t is not None:
@@ -231,20 +207,45 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve(spec: StateSpec) -> tuple[np.ndarray, CanonicalForm | None]:
-    """Density matrix and canonical form of the input.
+class Resolution:
+    """One CLI input, resolved once: each part is computed on first read and kept.
 
-    A t/weights input is its own canonical form (identity frame, residual 0)
-    and is not tested for tetrahedron membership here. A matrix or pure
-    input is canonicalized when its subsystems are maximally disordered;
-    otherwise the form is None.
+    rho is the density matrix every subcommand reads, validated once: a
+    matrix file's Hermitian part, the projector of a pure vector, or T(t) of
+    a --t/--weights input inside the tetrahedron. frame is the canonical
+    form: the identity frame for --t/--weights, else the canonicalized rho,
+    or None when the subsystems are not maximally disordered. verdict is
+    is_state(t, --tol) of a --t/--weights input, None for a file.
     """
-    if spec.kind in ("t", "weights"):
-        t = spec.t if spec.kind == "t" else t_from_weights(spec.weights)
-        eye = np.eye(2, dtype=complex)
-        return build_T(t), CanonicalForm(u1=eye, u2=eye, t=t, residual=0.0)
-    rho = state_matrix(spec)
-    return rho, canonicalize(rho) if is_mds(rho) else None
+
+    def __init__(self, spec: StateSpec, tol: float) -> None:
+        self.spec = spec
+        self.tol = tol
+        self.t = spec.t if spec.weights is None else t_from_weights(spec.weights)
+
+    @cached_property
+    def verdict(self) -> StateVerdict | None:
+        return None if self.t is None else is_state(self.t, self.tol)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        if self.spec.matrix is not None:
+            return self.spec.matrix
+        if self.spec.pure is not None:
+            return validate_density_matrix(np.outer(self.spec.pure, self.spec.pure.conj()))
+        if not self.verdict.ok:
+            raise ValueError(
+                f"t-vector {self.t.tolist()} is outside the tetrahedron "
+                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
+            )
+        return validate_density_matrix(build_T(self.t))
+
+    @cached_property
+    def frame(self) -> CanonicalForm | None:
+        if self.t is not None:
+            eye = np.eye(2, dtype=complex)
+            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
+        return _canonicalize(self.rho) if _is_mds(self.rho, STATE_VALIDATION_TOL) else None
 
 
 def _class_tree(cls: MdsClass) -> dict:
@@ -261,25 +262,25 @@ def _class_tree(cls: MdsClass) -> dict:
     return tree
 
 
-def cmd_classify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
+def cmd_classify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
     diagnostics: dict = {}
-    _, cf = _resolve(spec)
+    cf = state.frame
     if cf is None:
         raise ValueError(
             "input state does not have maximally disordered subsystems; "
             "classification on the tetrahedron does not apply"
         )
-    if spec.kind in ("matrix", "pure"):
+    if state.t is None:
         diagnostics["canonicalization_residual"] = cf.residual
         diagnostics["canonical_t"] = list(cf.t)
-    cls = classify(cf.t, args.tol)
+    cls = classify(cf.t, args.tol, state.verdict)
     diagnostics["min_weight"] = cls.verdict.min_weight
     diagnostics["min_eigenvalue"] = cls.verdict.min_eigenvalue
     return {"result": _class_tree(cls), "diagnostics": diagnostics}, 0
 
 
-def cmd_schmidt(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
-    rho = state_matrix(spec)
+def cmd_schmidt(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+    rho = state.rho
     norm = hs_norm(rho)
     os_ = operator_schmidt(rho, args.tol)
     result: dict = {
@@ -290,8 +291,8 @@ def cmd_schmidt(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         "left_ops": [matrix_tree(m) for m in os_.left_ops],
         "right_ops": [matrix_tree(m) for m in os_.right_ops],
     }
-    if spec.kind == "pure":
-        ps = pure_schmidt(spec.pure, args.tol)
+    if state.spec.pure is not None:
+        ps = pure_schmidt(state.spec.pure, args.tol)
         pure_tree: dict = {
             "coefficients": list(ps.coefficients),
             "schmidt_rank": ps.schmidt_rank,
@@ -315,16 +316,13 @@ def _basis_tree(space: TwinSpace) -> list[dict]:
     return [{"a1_pauli": list(row[:4]), "a2_pauli": list(row[4:])} for row in rows]
 
 
-def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
+def cmd_twins(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
     diagnostics: dict = {}
-    rho, cf = _resolve(spec)
-    verdict = None
-    if spec.kind in ("t", "weights"):
-        verdict = _check_tetrahedron(cf.t, args.tol)
-    elif cf is not None:
+    cf = state.frame
+    if cf is not None and state.t is None:
         diagnostics["canonical_t"] = list(cf.t)
         diagnostics["canonicalization_residual"] = cf.residual
-    space = twin_space(rho, args.tol)
+    space = _twin_space(state.rho, args.tol)
     result: dict = {
         "dimension": space.dimension,
         "has_nontrivial": space.has_nontrivial,
@@ -332,7 +330,7 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
         "basis": _basis_tree(space),
     }
     if cf is not None:
-        cls = classify(cf.t, args.tol, verdict)
+        cls = classify(cf.t, args.tol, state.verdict)
         if cls.kind != NON_STATE:
             analytic = analytic_twins(cls)
             if analytic is not None:
@@ -350,14 +348,11 @@ def cmd_twins(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     return {"result": result, "diagnostics": diagnostics}, 0
 
 
-def cmd_verify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
-    rho, cf = _resolve(spec)
+def cmd_verify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+    cf = state.frame
     if cf is None:
         raise ValueError("verify expects a state with maximally disordered subsystems")
-    verdict = None
-    if spec.kind in ("t", "weights"):
-        verdict = _check_tetrahedron(cf.t, args.tol)
-    ctx = make_context(rho, cf, args.tol, args.seed, verdict)
+    ctx = make_context(state.rho, cf, args.tol, args.seed, state.verdict)
     results = run_verification(ctx)
     passed = sum(1 for r in results if r.passed)
     tree = {
@@ -375,9 +370,8 @@ def cmd_verify(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
     return tree, 0 if passed == len(results) else 2
 
 
-def cmd_separability(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
-    rho = state_matrix(spec)
-    separable, min_eig = ppt_separable(rho, args.tol)
+def cmd_separability(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+    separable, min_eig = _ppt_separable(state.rho, args.tol)
     return {
         "result": {
             "separable": separable,
@@ -386,11 +380,11 @@ def cmd_separability(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, i
     }, 0
 
 
-def cmd_correlate(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
-    rho = state_matrix(spec)
+def cmd_correlate(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+    rho = state.rho
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
-    report = distant_correlation(ObservablePair(a1=from_pauli(c1), a2=from_pauli(c2)), rho)
+    report = _distant_correlation(ObservablePair(a1=from_pauli(c1), a2=from_pauli(c2)), rho)
     return {
         "result": {
             "a1_pauli": list(c1),
@@ -403,9 +397,8 @@ def cmd_correlate(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]
     }, 0
 
 
-def cmd_canonicalize(args: argparse.Namespace, spec: StateSpec) -> tuple[dict, int]:
-    rho = state_matrix(spec)
-    cf = canonicalize(rho)
+def cmd_canonicalize(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+    cf = _canonicalize(state.rho)
     return {
         "result": {
             "t": list(cf.t),
@@ -443,7 +436,7 @@ def run(argv: list[str]) -> int:
     # RankDecisionError is a ValueError, so the exit-2 branch comes first
     try:
         spec = load_state_spec(args)
-        tree, code = _HANDLERS[args.command](args, spec)
+        tree, code = _HANDLERS[args.command](args, Resolution(spec, args.tol))
     except (InternalConsistencyError, RankDecisionError) as exc:
         print(f"twinscope {args.command}: internal consistency failure: {exc}", file=sys.stderr)
         return 2

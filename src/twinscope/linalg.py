@@ -5,18 +5,17 @@ largest system assembled anywhere is the stacked 32x8 twin condition).
 Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
 
-eigh returns eigenvalues and phase-normalized eigenvectors; eigvalsh returns
-the eigenvalues alone, for callers that read no eigenvector. Both reject
-input that is not Hermitian within the same tolerance.
+eigh returns eigenvalues and phase-normalized eigenvectors, after rejecting
+input that is not Hermitian.
 
 A matrix is guarded for Hermiticity once. A matrix that has passed a guard
 (mds.validate_density_matrix returns its exact Hermitian part), or that is
 Hermitian by construction (build_T, a partial transpose of such a matrix),
-goes to np.linalg.eigvalsh or to a private kernel with no second guard;
-public entry points guard what they receive from outside. The phase convention
-of eigh and svd, and the sign convention of real factors elsewhere, is one
-rule, leading_phases: the first entry above 1e-12 in magnitude of each
-column is made real positive.
+goes to np.linalg.eigvalsh, for callers that read no eigenvector, or to a
+private kernel with no second guard; public entry points guard what they
+receive from outside. The phase convention of eigh and svd, and the sign
+convention of real factors elsewhere, is one rule, leading_phases: the
+first entry above 1e-12 in magnitude of each column is made real positive.
 
 Every rank decision goes through rank_split: a value at or below the cut
 vanishes, and one within a factor RANK_GUARD of it makes the decision
@@ -190,12 +189,6 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
     return z / np.abs(z)
 
 
-def _hermitian_part(m: np.ndarray, tol: float) -> np.ndarray:
-    """(m + m^dagger)/2, after rejecting m when it is not Hermitian within tol."""
-    m = require_hermitian(m, "eigh: matrix", tol)
-    return (m + _dagger(m)) / 2
-
-
 def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) in one call.
 
@@ -204,17 +197,10 @@ def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndar
     positive. Rejects input that is not Hermitian within `tol`; a stack
     is guarded once, by its largest deviation.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, tol))
+    m = require_hermitian(m, "eigh: matrix", tol)
+    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
     v = v[..., ::-1]
     return w[..., ::-1].copy(), v * leading_phases(v).conj()[..., None, :]
-
-
-def eigvalsh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, descending, without eigenvectors.
-
-    The same guard as eigh: rejects input that is not Hermitian within `tol`.
-    """
-    return np.linalg.eigvalsh(_hermitian_part(m, tol))[::-1].copy()
 
 
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

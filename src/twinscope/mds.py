@@ -79,12 +79,13 @@ class InternalConsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class StateVerdict:
-    """Joint verdict of the weight test and the eigenvalue test."""
+    """Joint verdict of the weight test and the eigenvalue test, and the Bell weights tested."""
 
     ok: bool
     min_weight: float
     offending_index: int
     min_eigenvalue: float
+    weights: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -202,7 +203,7 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
             f"disagree beyond rounding"
         )
     return StateVerdict(
-        ok=min_w >= -tol, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig
+        ok=min_w >= -tol, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
     )
 
 
@@ -215,16 +216,17 @@ def classify(
     """Classify a t-vector as vertex, edge, interior, or non-state.
 
     Membership is `verdict`, which is is_state(t, tol) when the caller already
-    has it; with None it is computed here. The stratum is the number of
-    vanishing Bell weights, which rank_split decides on |w| of all but the
-    smallest weight at cut tol. Three mean the Bell vertex of the surviving
-    index; two a binary edge, case B when w0 survives, on the axis k in 1..3
-    that vanishes or survives with w0; fewer a generic point.
+    has it; with None it is computed here. The Bell weights w are the
+    verdict's. The stratum is the number of vanishing Bell weights, which
+    rank_split decides on |w| of all but the smallest weight at cut tol.
+    Three mean the Bell vertex of the surviving index; two a binary edge,
+    case B when w0 survives, on the axis k in 1..3 that vanishes or survives
+    with w0; fewer a generic point.
     """
     t = np.asarray(t, dtype=float).reshape(-1)
-    w = weights_from_t(t)
     if verdict is None:
         verdict = is_state(t, tol)
+    w = verdict.weights
     if not verdict.ok:
         return MdsClass(
             kind=NON_STATE,
@@ -308,7 +310,11 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
 
 def is_mds(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> bool:
     """True when both reduced states equal I/2 within tol."""
-    rho = validate_density_matrix(rho, tol)
+    return _is_mds(validate_density_matrix(rho, tol), tol)
+
+
+def _is_mds(rho: np.ndarray, tol: float) -> bool:
+    """is_mds on a density matrix that validate_density_matrix returned."""
     half = np.eye(2) / 2
     return (
         np.abs(partial_trace(rho, 1) - half).max() <= tol
@@ -360,19 +366,29 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     signed value descending. The local part
     L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried along by every
     local unitary and never removed, so only a transport residual above
-    DEFAULT_TOL + ||L||_HS raises InternalConsistencyError; for exactly
-    disordered subsystems L = 0.
+    DEFAULT_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
     """
     return _canonicalize(validate_density_matrix(rho))
+
+
+def _residual_bound(rho: np.ndarray) -> float:
+    """DEFAULT_TOL + ||L||_HS: the canonicalization residual bound of rho and its local moves.
+
+    With d_k = rho_k - I/2, ||L||^2 = (||d1||^2 + ||d2||^2 + (Tr d1)^2) / 2, as
+    Tr d1 = Tr d2 = Tr rho - 1; for exactly disordered subsystems L = 0.
+    """
+    half = np.eye(2) / 2
+    d1 = partial_trace(rho, 1) - half
+    d2 = partial_trace(rho, 2) - half
+    local = np.sqrt((np.vdot(d1, d1).real + np.vdot(d2, d2).real + np.trace(d1).real ** 2) / 2)
+    return DEFAULT_TOL + float(local)
 
 
 def _canonicalize(rho: np.ndarray) -> CanonicalForm:
     """canonicalize on a density matrix that validate_density_matrix returned."""
     half = np.eye(2) / 2
-    d1 = partial_trace(rho, 1) - half
-    d2 = partial_trace(rho, 2) - half
-    dev1 = np.abs(d1).max()
-    dev2 = np.abs(d2).max()
+    dev1 = np.abs(partial_trace(rho, 1) - half).max()
+    dev2 = np.abs(partial_trace(rho, 2) - half).max()
     if max(dev1, dev2) > STATE_VALIDATION_TOL:
         raise ValueError(
             f"canonicalize expects maximally disordered subsystems; partial traces "
@@ -382,8 +398,6 @@ def _canonicalize(rho: np.ndarray) -> CanonicalForm:
     a, s, bt = np.linalg.svd(c)
     b = bt.T
     da, db = np.linalg.det(a), np.linalg.det(b)
-    a = a.copy()
-    b = b.copy()
     if da < 0:
         a[:, 2] = -a[:, 2]
     if db < 0:
@@ -392,9 +406,7 @@ def _canonicalize(rho: np.ndarray) -> CanonicalForm:
     t[2] *= np.sign(da) * np.sign(db)
     # canonical axis order: |t| descending, ties by signed value descending
     order = sorted(range(3), key=lambda i: (-abs(t[i]), -t[i]))
-    perm = np.zeros((3, 3))
-    for new, old in enumerate(order):
-        perm[new, old] = 1.0
+    perm = np.eye(3)[order]
     if np.linalg.det(perm) < 0:
         perm[0, :] = -perm[0, :]
     r1 = perm @ a.T
@@ -403,12 +415,11 @@ def _canonicalize(rho: np.ndarray) -> CanonicalForm:
     u1 = _su2_from_rotation(r1)
     u2 = _su2_from_rotation(r2)
     residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
-    # ||L||^2 = (||d1||^2 + ||d2||^2 + (Tr d1)^2) / 2, as Tr d1 = Tr d2 = Tr rho - 1
-    local = np.sqrt((np.vdot(d1, d1).real + np.vdot(d2, d2).real + np.trace(d1).real ** 2) / 2)
-    if residual > DEFAULT_TOL + local:
+    bound = _residual_bound(rho)
+    if residual > bound:
         raise InternalConsistencyError(
-            f"canonicalization residual {residual:.3e} exceeds {DEFAULT_TOL:g} "
-            f"plus the local part {local:.3e}"
+            f"canonicalization residual {residual:.3e} exceeds {bound:.3e}, "
+            f"{DEFAULT_TOL:g} plus the local part"
         )
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual))
 

@@ -320,7 +320,11 @@ def ppt_separable(rho: np.ndarray, tol: float = DEFAULT_TOL) -> tuple[bool, floa
     Returns (separable, minimum eigenvalue of the partial transpose over
     subsystem 2).
     """
-    rho = validate_density_matrix(rho)
+    return _ppt_separable(validate_density_matrix(rho), tol)
+
+
+def _ppt_separable(rho: np.ndarray, tol: float) -> tuple[bool, float]:
+    """ppt_separable on a density matrix that validate_density_matrix returned."""
     # the partial transpose of the exactly Hermitian rho is exactly Hermitian: no second guard
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
     min_eig = float(np.linalg.eigvalsh(pt)[0])
@@ -408,7 +412,11 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
 
     mismatch_probability is the total weight off the matched pairing.
     """
-    rho = validate_density_matrix(rho)
+    return _distant_correlation(pair, validate_density_matrix(rho))
+
+
+def _distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
+    """distant_correlation on a density matrix that validate_density_matrix returned."""
     dist, gap, degenerate = correlation_tables(
         np.asarray(pair.a1)[None], np.asarray(pair.a2)[None], rho
     )

@@ -23,6 +23,7 @@ from .mds import (
     MdsClass,
     StateVerdict,
     _canonicalize,
+    _residual_bound,
     bell_state,
     bell_t_vector,
     build_T,
@@ -64,7 +65,7 @@ class VerifyContext:
 
     `cls` is the classification of t and `space` the oracle twin space of
     rho; both are computed once, in make_context, and shared by the checks.
-    rho is the Hermitian part validate_density_matrix returned there, so
+    rho is the Hermitian part validate_density_matrix returned, so
     checks hand it to the kernels of mds, twins and schmidt without
     validating it again.
     """
@@ -106,13 +107,13 @@ def make_context(
 ) -> VerifyContext:
     """Resolve the generating form, the class and the oracle twin space of rho.
 
-    `cf` is the canonical form of rho when the caller already has one (for a
-    t/weights input, the identity frame); with None, rho is canonicalized here.
-    `verdict` is is_state(cf.t, tol) when the caller already has it; classify
-    computes it otherwise. rho is validated once, here.
+    With `cf` None, rho is validated and canonicalized here; otherwise `cf` is
+    its canonical form (the identity frame for a t/weights input) and rho is
+    what validate_density_matrix returned. `verdict` is is_state(cf.t, tol)
+    when the caller already has it; classify computes it otherwise.
     """
-    rho = validate_density_matrix(rho)
     if cf is None:
+        rho = validate_density_matrix(rho)
         cf = _canonicalize(rho)
     return VerifyContext(
         rho=rho,
@@ -171,9 +172,7 @@ def _check_vertex_sign_table(ctx: VerifyContext) -> CheckResult:
 def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
     mixture = edge_mixture(ctx.cls)
     w = ctx.cls.weights
-    err = 0.0
-    for k in range(4):
-        err = max(err, abs(w[k] - mixture.get(k, 0.0)))
+    err = max(abs(w[k] - mixture.get(k, 0.0)) for k in range(4))
     return CheckResult(
         "edge-weight-consistency",
         # classify calls a state an edge while its vanishing weights are below the cut
@@ -185,7 +184,7 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
     cf = _canonicalize(ctx.frame[2])
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
-    ok = cf.residual <= 1e-9 and mag_err <= 1e-9
+    ok = cf.residual <= _residual_bound(ctx.frame[2]) and mag_err <= 1e-9
     return CheckResult(
         "canonical-form-roundtrip",
         bool(ok),

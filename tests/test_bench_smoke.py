@@ -1,7 +1,8 @@
 """The benchmark harness runs end to end on the current sources.
 
 Timings are not checked; they are too noisy to gate on. The run exercises the harness's own calls into twinscope, such as
-the positional make_context(rho, None, tol, seed) of verify-scrambled.
+the positional make_context(rho, None, tol, seed) of verify-scrambled, and
+the cli-oneshot workload's check that a repeated call gives a byte-identical report.
 """
 
 import json
@@ -42,3 +43,7 @@ def test_verify_scrambled_benchmark_runs():
 
 def test_stratum_sweep_benchmark_runs():
     assert_benchmark_runs("stratum-sweep")
+
+
+def test_cli_oneshot_benchmark_runs():
+    assert_benchmark_runs("cli-oneshot")

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinscope import cli, mds
+from twinscope import cli, mds, twins, verify
 from twinscope.cli import run
 from twinscope.linalg import local_conj, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state
@@ -200,6 +200,105 @@ def test_is_state_runs_once_per_call(capsys, monkeypatch, scrambled_edge_file):
             code, _, _ = invoke(capsys, command, *state_args)
             assert code == 0
             assert len(calls) == 1
+
+
+# validate_density_matrix calls per command: (scrambled matrix file, --t of the same edge)
+VALIDATIONS = {
+    "classify": (1, 0),
+    "schmidt": (1, 1),
+    "twins": (1, 1),
+    # the input once, then verify's moved frame state and the edge's two Bell components
+    "verify": (4, 4),
+    "separability": (1, 1),
+    "correlate": (1, 1),
+    "canonicalize": (1, 1),
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, command):
+    validations, verdicts = [], []
+    validate = mds.validate_density_matrix
+
+    def counted(rho, *args, **kwargs):
+        validations.append(rho)
+        return validate(rho, *args, **kwargs)
+
+    def counted_is_state(t, tol=mds.DEFAULT_TOL):
+        verdicts.append(t)
+        return is_state(t, tol)
+
+    for module in (cli, mds, twins, verify):
+        monkeypatch.setattr(module, "validate_density_matrix", counted)
+    monkeypatch.setattr(mds, "is_state", counted_is_state)
+    monkeypatch.setattr(cli, "is_state", counted_is_state)
+    extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+    counts = []
+    for state_args in (("--input", scrambled_edge_file), ("--t", "0.4,-0.4,1")):
+        validations.clear()
+        verdicts.clear()
+        code, _, err = invoke(capsys, command, *state_args, *extra)
+        assert code == 0, err
+        counts.append(len(validations))
+        assert len(verdicts) <= 1
+    assert tuple(counts) == VALIDATIONS[command]
+
+
+@pytest.mark.parametrize(
+    "state_args, message",
+    [
+        # inside the tetrahedron at --tol, but T(t) fails the 1e-8 positivity gate
+        (
+            ("--weights=-0.0005,0.3305,0.335,0.335", "--tol=0.001"),
+            "density matrix has negative eigenvalue -5.000e-04",
+        ),
+        # within the 1e-8 gate, but outside the tetrahedron at --tol
+        (
+            ("--weights=-5e-10,0.3,0.3500000005,0.35", "--tol=1e-12"),
+            "t-vector [0.400000001, 0.29999999999999993, 0.30000000099999996] is outside "
+            "the tetrahedron (weight w0 = -4.99999971981e-10)",
+        ),
+        (("--t=1,1,1",), "t-vector [1.0, 1.0, 1.0] is outside the tetrahedron (weight w0 = -0.5)"),
+    ],
+)
+def test_one_input_gets_one_answer(capsys, state_args, message):
+    for command in cli.COMMANDS:
+        extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+        code, out, err = invoke(capsys, command, *state_args, *extra)
+        if command == "classify":
+            # classify reports a non-state instead of rejecting it
+            assert code == 0, err
+            continue
+        assert (code, out) == (1, "")
+        assert err == f"twinscope {command}: error: {message}\n"
+
+
+def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_path):
+    rng = np.random.default_rng(23)
+    phi = tensor(random_unitary(rng), random_unitary(rng)) @ mds.bell_state(2)[0]
+    path = tmp_path / "pure.txt"
+    path.write_text("pure 4\n" + " ".join(format_complex(z) for z in phi) + "\n")
+    seen = {}
+
+    def recording(command, fn):
+        def wrapped(rho, *args):
+            seen[command] = rho
+            return fn(rho, *args)
+
+        return wrapped
+
+    for command, name in (
+        ("schmidt", "operator_schmidt"),
+        ("separability", "_ppt_separable"),
+        ("twins", "_twin_space"),
+    ):
+        monkeypatch.setattr(cli, name, recording(command, getattr(cli, name)))
+        code, _, err = invoke(capsys, command, "--input", str(path))
+        assert code == 0, err
+    # the validated Hermitian part of the projector, not the raw outer product
+    expected = mds.validate_density_matrix(np.outer(phi, phi.conj()))
+    for rho in seen.values():
+        assert np.array_equal(rho, expected)
 
 
 def test_verify_covers_all_named_checks(capsys):
@@ -402,8 +501,8 @@ def test_near_disordered_matrix_has_no_internal_failure(capsys, tmp_path):
         code, out, err = invoke(capsys, command, "--input", path, *extra)
         assert "internal consistency failure" not in err
         assert "result:" in out
-        # verify's own checks judge the round trip; every other command succeeds
-        assert code == 0 or command == "verify", err
+        # verify's round-trip check reads canonicalize's residual bound
+        assert code == 0, err
     code, out, _ = invoke(capsys, "canonicalize", "--input", path)
     assert abs(float(report_value(out, "residual")) - 2.5e-9) <= 1e-15
 

@@ -10,7 +10,6 @@ from twinscope import cli, linalg, mds, schmidt, verify
 from twinscope.linalg import (
     RankDecisionError,
     eigh,
-    eigvalsh,
     from_pauli,
     hermitian_check,
     hs_inner,
@@ -192,25 +191,6 @@ def test_eigh_reconstruction_random():
         assert np.abs(v @ np.diag(w) @ v.conj().T - m).max() < 1e-10
         assert np.abs(v.conj().T @ v - np.eye(dim)).max() < 1e-10
         assert np.all(np.diff(w) <= 1e-12)
-
-
-def test_eigvalsh_matches_eigh_spectrum():
-    rng = np.random.default_rng(29)
-    for dim in (2, 4, 8, 32):
-        for _ in range(20):
-            m = random_hermitian(rng, dim)
-            w = eigvalsh(m)
-            assert np.abs(w - eigh(m)[0]).max() <= 1e-14 * np.linalg.norm(m)
-            assert np.all(np.diff(w) <= 0)
-
-
-def test_eigvalsh_rejects_non_hermitian_like_eigh():
-    m = np.array([[0, 1], [0, 0]], dtype=complex)
-    with pytest.raises(ValueError) as full:
-        eigh(m)
-    with pytest.raises(ValueError) as values_only:
-        eigvalsh(m)
-    assert str(values_only.value) == str(full.value)
 
 
 def _phases_by_loop(a):
