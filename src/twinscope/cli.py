@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .linalg import RANK_GUARD, RankDecisionError, from_pauli, hs_norm
+from .linalg import RANK_GUARD, RankDecisionError, from_pauli, hs_norm, pauli_coordinates
 from .mds import (
     NON_STATE,
     DEFAULT_TOL,
@@ -212,10 +212,10 @@ class Resolution:
 
     rho is the density matrix every subcommand reads, validated once: a
     matrix file's Hermitian part, the projector of a pure vector, or T(t) of
-    a --t/--weights input inside the tetrahedron. frame is the canonical
-    form: the identity frame for --t/--weights, else the canonicalized rho,
-    or None when the subsystems are not maximally disordered. verdict is
-    is_state(t, --tol) of a --t/--weights input, None for a file.
+    a --t/--weights input inside the tetrahedron, and coords its Pauli coordinates.
+    frame is the canonical form: the identity frame for --t/--weights, else the
+    canonicalized rho, or None when the subsystems are not maximally disordered.
+    verdict is is_state(t, --tol) of a --t/--weights input, None for a file.
     """
 
     def __init__(self, spec: StateSpec, tol: float) -> None:
@@ -241,11 +241,15 @@ class Resolution:
         return validate_density_matrix(build_T(self.t))
 
     @cached_property
+    def coords(self) -> np.ndarray:
+        return pauli_coordinates(self.rho)
+
+    @cached_property
     def frame(self) -> CanonicalForm | None:
         if self.t is not None:
             eye = np.eye(2, dtype=complex)
             return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
-        return _canonicalize(self.rho) if _is_mds(self.rho, STATE_VALIDATION_TOL) else None
+        return _canonicalize(self.rho, self.coords) if _is_mds(self.coords) else None
 
 
 def _class_tree(cls: MdsClass) -> dict:
@@ -398,7 +402,7 @@ def cmd_correlate(args: argparse.Namespace, state: Resolution) -> tuple[dict, in
 
 
 def cmd_canonicalize(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
-    cf = _canonicalize(state.rho)
+    cf = _canonicalize(state.rho, state.coords)
     return {
         "result": {
             "t": list(cf.t),

@@ -25,7 +25,10 @@ The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
 read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
 Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k
-for a whole stack of coefficient rows in one product.
+for a whole stack of coefficient rows in one product. pauli_coordinates(rho) is
+the 4x4 conversion beside them: the real R with rho = sum_ij R_ij sigma_i x sigma_j.
+The reduced states are from_pauli(2 R[:, 0]) and from_pauli(2 R[0, :]), and
+4 R[1:, 1:] is the correlation matrix of a two-qubit state.
 """
 
 from __future__ import annotations
@@ -78,6 +81,11 @@ def from_pauli(c: np.ndarray) -> np.ndarray:
     """The operator sum_k c_k sigma_k; a stack (..., 4) gives (..., 2, 2)."""
     c = np.asarray(c)
     return (c @ _PAULI_ROWS).reshape(*c.shape[:-1], 2, 2)
+
+
+def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
+    """Real R_ij = Tr[(sigma_i x sigma_j) rho]/4, so a Hermitian rho = sum R_ij sigma_i x sigma_j."""
+    return np.einsum("ijab,ba->ij", PAULI2, np.asarray(rho, dtype=complex)).real / 4
 
 
 def pauli_adjoint(u: np.ndarray) -> np.ndarray:

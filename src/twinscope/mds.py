@@ -30,8 +30,8 @@ from .linalg import (
     from_pauli,
     hs_norm,
     local_conj,
-    partial_trace,
     pauli_adjoint,
+    pauli_coordinates,
     rank_split,
     require_hermitian,
 )
@@ -309,17 +309,22 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
 
 
 def is_mds(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> bool:
-    """True when both reduced states equal I/2 within tol."""
-    return _is_mds(validate_density_matrix(rho, tol), tol)
+    """True when both reduced states equal I/2 within tol, in operator norm."""
+    return _is_mds(pauli_coordinates(validate_density_matrix(rho, tol)), tol)
 
 
-def _is_mds(rho: np.ndarray, tol: float) -> bool:
-    """is_mds on a density matrix that validate_density_matrix returned."""
-    half = np.eye(2) / 2
-    return (
-        np.abs(partial_trace(rho, 1) - half).max() <= tol
-        and np.abs(partial_trace(rho, 2) - half).max() <= tol
-    )
+def _disorder(R: np.ndarray) -> tuple[float, float]:
+    """Operator norms of rho_1 - I/2 = (2 R_00 - 1/2) I + 2 R[1:, 0].sigma and of rho_2 - I/2.
+
+    ||a I + b.sigma|| = |a| + |b|: no local unitary changes it, and it bounds every entry.
+    """
+    a = abs(2 * R[0, 0] - 0.5)
+    return float(a + 2 * np.linalg.norm(R[1:, 0])), float(a + 2 * np.linalg.norm(R[0, 1:]))
+
+
+def _is_mds(R: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> bool:
+    """is_mds on the Pauli coordinates R of a density matrix validate_density_matrix returned."""
+    return max(_disorder(R)) <= tol
 
 
 def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -350,52 +355,51 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     return u
 
 
-def correlation_matrix(rho: np.ndarray) -> np.ndarray:
-    """3x3 matrix of expectations of sigma_i x sigma_j."""
-    rho = np.asarray(rho, dtype=complex)
-    return np.einsum("ijab,ba->ij", PAULI2[1:, 1:], rho).real
-
-
 def canonicalize(rho: np.ndarray) -> CanonicalForm:
     """Local unitaries (u1, u2) and t with (u1 x u2) rho (u1 x u2)^dagger = T(t).
 
-    The correlation matrix is decomposed as A diag(t) B^T with both factors
-    forced into SO(3) (flipping the sign of the last singular value when
-    needed); the rotations transpose onto the state's two sides and lift to
-    SU(2). Axes are then permuted so |t| is descending, ties broken by
-    signed value descending. The local part
-    L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried along by every
-    local unitary and never removed, so only a transport residual above
+    The correlation matrix 4 R[1:, 1:] (R = pauli_coordinates(rho)) is decomposed
+    as A diag(t) B^T with both factors forced into SO(3) (flipping the sign of
+    the last singular value when needed); the rotations transpose onto the
+    state's two sides and lift to SU(2). Axes are then permuted so |t| is
+    descending, ties broken by signed value descending. The local part
+    L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried along by every local
+    unitary and never removed, so only a transport residual above
     DEFAULT_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
     """
-    return _canonicalize(validate_density_matrix(rho))
+    rho = validate_density_matrix(rho)
+    return _canonicalize(rho, pauli_coordinates(rho))
 
 
-def _residual_bound(rho: np.ndarray) -> float:
-    """DEFAULT_TOL + ||L||_HS: the canonicalization residual bound of rho and its local moves.
+def _residual_bound(R: np.ndarray) -> float:
+    """DEFAULT_TOL + ||L||_HS: the canonicalization residual bound of a state with coordinates R.
 
-    With d_k = rho_k - I/2, ||L||^2 = (||d1||^2 + ||d2||^2 + (Tr d1)^2) / 2, as
-    Tr d1 = Tr d2 = Tr rho - 1; for exactly disordered subsystems L = 0.
+    L = (2 R_00 - 1/2) I x I + sum_k (R_k0 sigma_k x I + R_0k I x sigma_k), and
+    each sigma_i x sigma_j has norm 2; for exactly disordered subsystems L = 0.
     """
-    half = np.eye(2) / 2
-    d1 = partial_trace(rho, 1) - half
-    d2 = partial_trace(rho, 2) - half
-    local = np.sqrt((np.vdot(d1, d1).real + np.vdot(d2, d2).real + np.trace(d1).real ** 2) / 2)
-    return DEFAULT_TOL + float(local)
+    local = np.concatenate(([2 * R[0, 0] - 0.5], R[1:, 0], R[0, 1:]))
+    return DEFAULT_TOL + 2 * float(np.linalg.norm(local))
 
 
-def _canonicalize(rho: np.ndarray) -> CanonicalForm:
-    """canonicalize on a density matrix that validate_density_matrix returned."""
-    half = np.eye(2) / 2
-    dev1 = np.abs(partial_trace(rho, 1) - half).max()
-    dev2 = np.abs(partial_trace(rho, 2) - half).max()
-    if max(dev1, dev2) > STATE_VALIDATION_TOL:
-        raise ValueError(
-            f"canonicalize expects maximally disordered subsystems; partial traces "
-            f"deviate from I/2 by {dev1:.3e} and {dev2:.3e}"
+def _canonicalize(rho: np.ndarray, R: np.ndarray) -> CanonicalForm:
+    """canonicalize on a validated density matrix rho, with R = pauli_coordinates(rho)."""
+    cf, bound = _canonical_form(rho, R)
+    if cf.residual > bound:
+        raise InternalConsistencyError(
+            f"canonicalization residual {cf.residual:.3e} exceeds {bound:.3e}, "
+            f"{DEFAULT_TOL:g} plus the local part"
         )
-    c = correlation_matrix(rho)
-    a, s, bt = np.linalg.svd(c)
+    return cf
+
+
+def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, float]:
+    """_canonicalize's form and residual bound, without testing one against the other."""
+    if not _is_mds(R):
+        raise ValueError(
+            "canonicalize expects maximally disordered subsystems; reduced states deviate "
+            "from I/2 by {:.3e} and {:.3e} in operator norm".format(*_disorder(R))
+        )
+    a, s, bt = np.linalg.svd(4 * R[1:, 1:])
     b = bt.T
     da, db = np.linalg.det(a), np.linalg.det(b)
     if da < 0:
@@ -415,13 +419,7 @@ def _canonicalize(rho: np.ndarray) -> CanonicalForm:
     u1 = _su2_from_rotation(r1)
     u2 = _su2_from_rotation(r2)
     residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
-    bound = _residual_bound(rho)
-    if residual > bound:
-        raise InternalConsistencyError(
-            f"canonicalization residual {residual:.3e} exceeds {bound:.3e}, "
-            f"{DEFAULT_TOL:g} plus the local part"
-        )
-    return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual))
+    return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
 
 
 def sample_tetrahedron(seed: int, region: str) -> np.ndarray:

@@ -9,8 +9,8 @@ full-rank vectors it is unique even when the coefficients are degenerate.
 
 Operator level: a Hermitian 4x4 operator is a supervector in the
 Hilbert-Schmidt space, expanded over the orthonormal product basis
-{sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of the resulting real 4x4
-coefficient matrix yields the operator Schmidt data.
+{sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of its real 4x4 coefficient
+matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data.
 """
 
 from __future__ import annotations
@@ -21,11 +21,11 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
-    PAULI2,
     from_pauli,
     hs_norm,
     leading_phases,
     partial_trace,
+    pauli_coordinates,
     rank_split,
     require_hermitian,
     svd,
@@ -178,21 +178,18 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     """Operator Schmidt expansion of a Hermitian 4x4 operator.
 
     The operator is normalized to a unit supervector; coefficients are the
-    singular values of its real coefficient matrix in the normalized Pauli
-    product basis. Coefficients that rank_split finds vanishing at
-    tol * (largest coefficient) are truncated (reduced Schmidt rank) rather
-    than padded with an arbitrary basis completion.
+    singular values of its real coefficient matrix 2R/||rho||_HS in the normalized
+    Pauli product basis. Coefficients that rank_split finds vanishing at tol *
+    (largest coefficient) are truncated (reduced Schmidt rank) rather than
+    padded with an arbitrary basis completion.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {rho.shape}")
-    require_hermitian(rho, "operator_schmidt: input", 1e-9)
+    if np.shape(rho) != (4, 4):
+        raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {np.shape(rho)}")
+    rho = require_hermitian(rho, "operator_schmidt: input")
     norm = hs_norm(rho)
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
-    # Tr[(sigma_i x sigma_j) rho] / 2 is real for Hermitian input.
-    coeff = np.einsum("ijab,ba->ij", PAULI2, rho).real / 2 / norm
-    u, s, vh = np.linalg.svd(coeff)
+    u, s, vh = np.linalg.svd(2 * pauli_coordinates(rho) / norm)
     # sign convention: first significant entry of each left column positive
     sign = leading_phases(u)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))

@@ -14,7 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import local_conj, partial_trace, random_hermitian, random_unitary, to_pauli
+from .linalg import local_conj, partial_trace, pauli_coordinates, random_hermitian, to_pauli
+from .linalg import random_unitary
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -22,8 +23,8 @@ from .mds import (
     CanonicalForm,
     MdsClass,
     StateVerdict,
+    _canonical_form,
     _canonicalize,
-    _residual_bound,
     bell_state,
     bell_t_vector,
     build_T,
@@ -114,7 +115,7 @@ def make_context(
     """
     if cf is None:
         rho = validate_density_matrix(rho)
-        cf = _canonicalize(rho)
+        cf = _canonicalize(rho, pauli_coordinates(rho))
     return VerifyContext(
         rho=rho,
         t=cf.t,
@@ -182,9 +183,9 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
-    cf = _canonicalize(ctx.frame[2])
+    cf, bound = _canonical_form(ctx.frame[2], pauli_coordinates(ctx.frame[2]))
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
-    ok = cf.residual <= _residual_bound(ctx.frame[2]) and mag_err <= 1e-9
+    ok = cf.residual <= bound and mag_err <= 1e-9
     return CheckResult(
         "canonical-form-roundtrip",
         bool(ok),

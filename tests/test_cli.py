@@ -7,9 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinscope import cli, mds, twins, verify
+from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.cli import run
-from twinscope.linalg import local_conj, pauli_adjoint, random_unitary, tensor
+from twinscope.linalg import local_conj, pauli, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
@@ -505,6 +505,54 @@ def test_near_disordered_matrix_has_no_internal_failure(capsys, tmp_path):
         assert code == 0, err
     code, out, _ = invoke(capsys, "canonicalize", "--input", path)
     assert abs(float(report_value(out, "residual")) - 2.5e-9) <= 1e-15
+
+
+def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):
+    # rho_2 - I/2 = 1.3e-8 (sigma_1 + sigma_3)/sqrt(2): every entry is 9.2e-9, inside
+    # 1e-8, but the gate reads the operator norm 1.3e-8, which no seeded local move changes
+    kick = tensor(np.eye(2) / 2, 1.3e-8 * (pauli(1) + pauli(3)) / np.sqrt(2))
+    path = _matrix_file(tmp_path / "kick.txt", build_T(np.array([0.3, -0.2, 0.1])) + kick)
+    for command in cli.COMMANDS:
+        extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+        seeds = (f"--seed={s}" for s in range(20))
+        answers = {invoke(capsys, command, "--input", path, seed, *extra) for seed in seeds}
+        assert len(answers) == 1, command
+        ((code, out, err),) = answers
+        if command in ("classify", "verify", "canonicalize"):
+            assert code == 1 and "maximally disordered" in err
+        else:
+            assert code == 0 and "analytic" not in out, err
+    assert "by 0.000e+00 and 1.300e-08 in operator norm" in err
+
+
+# pauli_coordinates calls per command on a scrambled matrix file: once for the input
+# wherever mds or schmidt read it, and once more for verify's moved frame state
+COORDINATES = {
+    "classify": 1,
+    "schmidt": 1,
+    "twins": 1,
+    "verify": 2,
+    "separability": 0,
+    "correlate": 0,
+    "canonicalize": 1,
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_pauli_coordinates_once_per_state(capsys, monkeypatch, scrambled_edge_file, command):
+    calls = []
+    coordinates = linalg.pauli_coordinates
+
+    def counted(rho):
+        calls.append(rho)
+        return coordinates(rho)
+
+    for module in (cli, mds, schmidt, verify):
+        monkeypatch.setattr(module, "pauli_coordinates", counted)
+    extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+    code, _, err = invoke(capsys, command, "--input", scrambled_edge_file, *extra)
+    assert code == 0, err
+    assert len(calls) == COORDINATES[command]
 
 
 def test_verify_matrix_and_pure_input(capsys, scrambled_edge_file, singlet_file):

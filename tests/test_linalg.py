@@ -1,4 +1,5 @@
 import inspect
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from twinscope.linalg import (
     partial_trace,
     pauli,
     pauli_adjoint,
+    pauli_coordinates,
     random_hermitian,
     random_unitary,
     rank_split,
@@ -259,6 +261,55 @@ def test_local_actions_match_kronecker_conjugation():
         assert np.abs(adj @ adj.T - np.eye(4)).max() <= 1e-14
         a = random_hermitian(rng)
         assert np.abs(adj @ to_pauli(a) - to_pauli(u1 @ a @ u1.conj().T)).max() <= 1e-14
+
+
+def _random_state(rng):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return rho / np.trace(rho).real
+
+
+def test_pauli_coordinates_of_generating_states():
+    # T(t) = (I x I + sum_i t_i sigma_i x sigma_i)/4 has R = diag(1/4, t/4): exactly on
+    # a dyadic grid, where every partial sum is exact, and to rounding elsewhere
+    grid = [np.array(t) / 8 for t in itertools.product(range(-8, 9, 2), repeat=3)]
+    for t in [*grid, *(mds.bell_t_vector(k) for k in range(4))]:
+        assert np.array_equal(pauli_coordinates(mds.build_T(t)), np.diag([0.25, *t / 4]))
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        t = mds.random_interior_t(rng)
+        assert np.abs(pauli_coordinates(mds.build_T(t)) - np.diag([0.25, *t / 4])).max() <= 1e-16
+
+
+def test_pauli_coordinates_rebuild_and_reduce():
+    # partial_trace stays the reference for the reduced states
+    rng = np.random.default_rng(47)
+    for _ in range(50):
+        rho = _random_state(rng)
+        r = pauli_coordinates(rho)
+        assert r.dtype == float and r.shape == (4, 4)
+        assert np.abs(np.einsum("ij,ijab->ab", r, linalg.PAULI2) - rho).max() <= 1e-15
+        assert np.abs(from_pauli(2 * r[:, 0]) - partial_trace(rho, 1)).max() <= 1e-15
+        assert np.abs(from_pauli(2 * r[0, :]) - partial_trace(rho, 2)).max() <= 1e-15
+
+
+def test_pauli_coordinates_of_a_local_move():
+    rng = np.random.default_rng(53)
+    for _ in range(50):
+        rho = _random_state(rng)
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        moved = pauli_coordinates(local_conj(rho, u1, u2))
+        expected = pauli_adjoint(u1) @ pauli_coordinates(rho) @ pauli_adjoint(u2).T
+        assert np.abs(moved - expected).max() <= 1e-15
+
+
+def test_pauli_coordinates_are_computed_in_one_place():
+    # mds and schmidt read R; the twin oracle and the pair-level kernels keep reading rho
+    source = Path(linalg.__file__).parent
+    counts = {path.name: path.read_text().count('"ijab,ba->ij"') for path in source.glob("*.py")}
+    assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
+    assert "einsum" not in inspect.getsource(schmidt.operator_schmidt)
+    assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
 
 
 def test_library_modules_bind_no_tensor():

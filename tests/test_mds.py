@@ -5,8 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twinscope import mds
-from twinscope.linalg import PAULI, hs_norm, partial_trace, pauli, random_unitary, tensor
+from twinscope import linalg, mds, schmidt, twins, verify
+from twinscope.linalg import (
+    PAULI,
+    hs_norm,
+    local_conj,
+    partial_trace,
+    pauli,
+    pauli_coordinates,
+    random_unitary,
+    tensor,
+)
 from twinscope.mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -17,7 +26,6 @@ from twinscope.mds import (
     build_T,
     canonicalize,
     classify,
-    correlation_matrix,
     edge_mixture,
     is_mds,
     is_state,
@@ -267,9 +275,56 @@ def test_validate_density_matrix_rejects_bad_input():
 
 
 def test_correlation_matrix_diagonal_for_generating_states():
+    # the correlation matrix canonicalize decomposes is 4 R[1:, 1:]
     t = np.array([0.3, -0.2, 0.55])
-    c = correlation_matrix(build_T(t))
+    c = 4 * pauli_coordinates(build_T(t))[1:, 1:]
     assert np.abs(c - np.diag(t)).max() < 1e-12
+
+
+def test_mds_reads_no_partial_trace(monkeypatch):
+    calls = []
+    trace = partial_trace
+
+    def counted(rho, keep):
+        calls.append(keep)
+        return trace(rho, keep)
+
+    assert not hasattr(mds, "partial_trace")
+    for module in (linalg, schmidt, twins, verify):
+        monkeypatch.setattr(module, "partial_trace", counted)
+    rng = np.random.default_rng(23)
+    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    assert is_mds(rho)
+    canonicalize(rho)
+    assert calls == []
+
+
+def test_disordered_gate_is_local_unitary_invariant():
+    # rho_2 - I/2 = 1.3e-8 (sigma_1 + sigma_3)/sqrt(2): every entry is 9.2e-9, inside the
+    # 1e-8 gate, but its operator norm 1.3e-8 is not, and no local unitary changes that
+    kick = 1.3e-8 * (pauli(1) + pauli(3)) / np.sqrt(2)
+    rho = build_T(np.array([0.3, -0.2, 0.1])) + tensor(HALF_I2, kick)
+    assert np.abs(partial_trace(rho, 2) - HALF_I2).max() <= 1e-8
+    rng = np.random.default_rng(0)
+    moves = [local_conj(rho, random_unitary(rng), random_unitary(rng)) for _ in range(20)]
+    for state in [rho, *moves]:
+        assert max(mds._disorder(pauli_coordinates(state))) == pytest.approx(1.3e-8, rel=1e-6)
+        assert not is_mds(state)
+        with pytest.raises(ValueError, match="1.300e-08 in operator norm"):
+            canonicalize(state)
+
+
+def test_residual_bound_is_the_local_part_norm():
+    # ||L||_HS of L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2), built with partial_trace
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = psi @ psi.conj().T
+        rho /= np.trace(rho).real
+        d1, d2 = partial_trace(rho, 1) - HALF_I2, partial_trace(rho, 2) - HALF_I2
+        local = hs_norm(tensor(d1, HALF_I2) + tensor(HALF_I2, d2))
+        bound = mds._residual_bound(pauli_coordinates(rho))
+        assert abs(bound - mds.DEFAULT_TOL - local) <= 1e-15
 
 
 def test_canonicalize_fixed_point():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from twinscope import mds, schmidt, twins, verify
+from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.linalg import local_conj, random_unitary, tensor
 from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
 
@@ -72,3 +72,38 @@ def test_shared_frame_drawn_once(monkeypatch):
     fresh = ctx.rng()
     assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
     assert np.array_equal(moved, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
+
+
+def _scrambled_edge(seed):
+    rng = np.random.default_rng(seed)
+    return local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+
+
+def test_pauli_coordinates_twice_per_verification(monkeypatch):
+    calls = []
+    coordinates = linalg.pauli_coordinates
+
+    def counted(rho):
+        calls.append(rho)
+        return coordinates(rho)
+
+    for module in (mds, schmidt, verify):
+        monkeypatch.setattr(module, "pauli_coordinates", counted)
+    ctx = verify.make_context(_scrambled_edge(13), None, DEFAULT_TOL, 0)
+    assert all(r.passed for r in verify.run_verification(ctx))
+    # the input once in make_context, the moved frame state once in canonical-form-roundtrip
+    assert len(calls) == 2
+    assert calls[0] is ctx.rho and calls[1] is ctx.frame[2]
+
+
+def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
+    ctx = verify.make_context(_scrambled_edge(19), None, DEFAULT_TOL, 0)
+    monkeypatch.setattr(mds, "_residual_bound", lambda R: 0.0)
+    result = verify._check_canonical_form_roundtrip(ctx)
+    assert result.name == "canonical-form-roundtrip" and not result.passed
+    # a --t input keeps the identity frame, so only the round trip canonicalizes
+    assert cli.run(["verify", "--t", "0.4,-0.4,1"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert "- name: canonical-form-roundtrip\n      passed: false" in out
+    assert "failed: 1" in out
