@@ -75,7 +75,10 @@ class StateSpec:
 
 
 def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    for n, part in enumerate(parts, 1):
+        if not part.strip():
+            raise ValueError(f"{label}: field {n} of {text!r} is empty")
     if len(parts) != count:
         raise ValueError(f"{label} expects {count} comma-separated values, got {len(parts)}")
     try:

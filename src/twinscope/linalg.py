@@ -16,6 +16,9 @@ private kernel with no second guard; public entry points guard what they
 receive from outside. The phase convention of eigh and svd, and the sign
 convention of real factors elsewhere, is one rule, leading_phases: the
 first entry above 1e-12 in magnitude of each column is made real positive.
+It covers vectors that are reported; a kernel that reads an eigenvector only
+through its projector v v^dag (twins.correlation_tables) takes np.linalg.eigh
+unphased, since the projector does not depend on the phase.
 
 Every rank decision goes through rank_split: a value at or below the cut
 vanishes, and one within a factor RANK_GUARD of it makes the decision
@@ -25,7 +28,9 @@ The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
 read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
 Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k
-for a whole stack of coefficient rows in one product. pauli_coordinates(rho) is
+for a whole stack of coefficient rows in one product. pauli_adjoint(u) is the
+4x4 action of a 2x2 unitary on those components, one product with a read-only
+map derived from PAULI. pauli_coordinates(rho) is
 the 4x4 conversion beside them: the real R with rho = sum_ij R_ij sigma_i x sigma_j.
 The reduced states are from_pauli(2 R[:, 0]) and from_pauli(2 R[0, :]), and
 4 R[1:, 1:] is the correlation matrix of a two-qubit state.
@@ -52,6 +57,11 @@ PAULI.setflags(write=False)
 _PAULI_ROWS = PAULI.reshape(4, 4)
 PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
 PAULI2.setflags(write=False)
+# pauli_adjoint(u) is (_ADJOINT_MAP @ (u outer u*)).real: row (k, l), column (b, c, a, d)
+# holds (sigma_k)_ab (sigma_l)_cd / 2, the coefficient of u_bc u*_ad in
+# Tr(sigma_k u sigma_l u^dag) / 2
+_ADJOINT_MAP = np.einsum("kab,lcd->klbcad", PAULI, PAULI).reshape(16, 16) / 2
+_ADJOINT_MAP.setflags(write=False)
 
 
 class RankDecisionError(ValueError):
@@ -94,13 +104,18 @@ def pauli_adjoint(u: np.ndarray) -> np.ndarray:
     Column l holds the components of u sigma_l u^dag, so to_pauli(u a u^dag)
     is pauli_adjoint(u) @ to_pauli(a) for Hermitian a.
     """
-    return to_pauli(u @ PAULI @ u.conj().T).T
+    return (_ADJOINT_MAP @ np.multiply.outer(u, u.conj()).reshape(16)).real.reshape(4, 4)
 
 
 def local_conj(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """(u1 x u2) rho (u1 x u2)^dag, contracted on the (2, 2, 2, 2) view of rho."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    return np.einsum("ia,jb,abcd,kc,ld->ijkl", u1, u2, r, u1.conj(), u2.conj()).reshape(4, 4)
+    """(u1 x u2) rho (u1 x u2)^dag, contracted on the (2, 2, 2, 2) view of rho.
+
+    rho may be a stack (..., 4, 4); every member is moved by the same u1, u2.
+    """
+    rho = np.asarray(rho, dtype=complex)
+    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    moved = np.einsum("ia,jb,...abcd,kc,ld->...ijkl", u1, u2, r, u1.conj(), u2.conj())
+    return moved.reshape(rho.shape)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

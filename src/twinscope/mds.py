@@ -57,6 +57,8 @@ _BELL_VECTORS = np.array(
     dtype=complex,
 ) / np.sqrt(2)
 _BELL_VECTORS.setflags(write=False)
+_BELL_PROJECTORS = np.einsum("ka,kb->kab", _BELL_VECTORS, _BELL_VECTORS.conj())
+_BELL_PROJECTORS.setflags(write=False)
 
 _BELL_T_VECTORS = np.array(
     [
@@ -71,6 +73,10 @@ _BELL_T_VECTORS.setflags(write=False)
 # build_T(t) is _T_MAP[0] + t @ _T_MAP[1:], flattened: row i is sigma_i x sigma_i / 4
 _T_MAP = np.einsum("iiab->iab", PAULI2).reshape(4, 16) / 4
 _T_MAP.setflags(write=False)
+
+# a unit quaternion (w, x, y, z) lifts to w I - i (x sigma_1 + y sigma_2 + z sigma_3)
+_QUATERNION_TO_PAULI = np.array([1, -1j, -1j, -1j])
+_QUATERNION_TO_PAULI.setflags(write=False)
 
 
 class InternalConsistencyError(RuntimeError):
@@ -124,8 +130,7 @@ def bell_state(k: int) -> tuple[np.ndarray, np.ndarray]:
     """Bell state vector and projector for index k (0 is the singlet)."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Bell index must be in 0..3, got {k}")
-    vec = _BELL_VECTORS[k].copy()
-    return vec, np.outer(vec, vec.conj())
+    return _BELL_VECTORS[k].copy(), _BELL_PROJECTORS[k].copy()
 
 
 def bell_t_vector(k: int) -> np.ndarray:
@@ -290,21 +295,27 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
 def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the exact Hermitian part.
 
-    The result is (rho + rho^dagger)/2, which equals the input entry for
-    entry when the input is exactly Hermitian. Callers hand it on to code
-    that guards no further (see the linalg module notes).
+    rho is a 4x4 matrix or a stack (..., 4, 4), checked in one pass per test:
+    one Hermitian guard, one trace test and one batched eigvalsh. A failing
+    member raises the message a single matrix would (a failed Hermitian
+    guard names the largest deviation in the stack, a failed trace or
+    eigenvalue test the first failing member). The result is
+    (rho + rho^dagger)/2, which equals the input entry for entry when the
+    input is exactly Hermitian. Callers hand it on to code that guards no
+    further (see the linalg module notes).
     """
     rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
     require_hermitian(rho, "density matrix", tol)
-    rho = (rho + rho.conj().T) / 2
-    tr = rho.trace().real
-    if abs(tr - 1) > tol:
-        raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-    min_eig = np.linalg.eigvalsh(rho)[0]
-    if min_eig < -tol:
-        raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+    rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
+    # python comparisons beat numpy reductions on one value per member
+    for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
+        if abs(tr - 1) > tol:
+            raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
+    for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
+        if min_eig < -tol:
+            raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
 
 
@@ -332,23 +343,22 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
 
     Shepperd's quaternion (J. Guidance & Control 1(3), 1978): k[a, b] = 4 q_a q_b
     for q = (w, x, y, z), so q is the row of k with the largest diagonal, normalised.
-    The lift's trace is 2 w / |q|.
+    The lift's trace is 2 w / |q|. k is built and its pivot picked on Python floats.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     tr = r00 + r11 + r22
     x, y, z = r21 - r12, r02 - r20, r10 - r01
-    k = np.array(
-        [
-            [1 + tr, x, y, z],
-            [x, 2 * r00 + (1 - tr), r01 + r10, r02 + r20],
-            [y, r10 + r01, 2 * r11 + (1 - tr), r12 + r21],
-            [z, r20 + r02, r21 + r12, 2 * r22 + (1 - tr)],
-        ]
+    k = (
+        (1 + tr, x, y, z),
+        (x, 2 * r00 + (1 - tr), r01 + r10, r02 + r20),
+        (y, r10 + r01, 2 * r11 + (1 - tr), r12 + r21),
+        (z, r20 + r02, r21 + r12, 2 * r22 + (1 - tr)),
     )
-    q = k[int(np.argmax(np.diagonal(k)))]
+    # the first largest diagonal entry, as np.argmax picks it
+    q = np.array(k[max(range(4), key=lambda a: k[a][a])])
     if q[0] < 0:
         q = -q
-    u = from_pauli(q / np.linalg.norm(q) * np.array([1, -1j, -1j, -1j]))
+    u = from_pauli(q / np.linalg.norm(q) * _QUATERNION_TO_PAULI)
     # guard against a convention mismatch: conjugation must reproduce r
     if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > 1e-9:
         raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
@@ -401,7 +411,7 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
         )
     a, s, bt = np.linalg.svd(4 * R[1:, 1:])
     b = bt.T
-    da, db = np.linalg.det(a), np.linalg.det(b)
+    da, db = np.linalg.det(np.stack([a, b])).tolist()
     if da < 0:
         a[:, 2] = -a[:, 2]
     if db < 0:
@@ -411,7 +421,8 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
     # canonical axis order: |t| descending, ties by signed value descending
     order = sorted(range(3), key=lambda i: (-abs(t[i]), -t[i]))
     perm = np.eye(3)[order]
-    if np.linalg.det(perm) < 0:
+    # an odd permutation of three axes steps back by one from its first entry to its second
+    if (order[1] - order[0]) % 3 == 2:
         perm[0, :] = -perm[0, :]
     r1 = perm @ a.T
     r2 = perm @ b.T

@@ -21,9 +21,13 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(token: str) -> complex:
-    """Parse the re+imi plain-text form (also accepts bare reals)."""
+    """Parse the re+imi plain-text form (also accepts bare reals).
+
+    Only a trailing i marks the imaginary part, so inf and nan parse as the
+    values they name.
+    """
     try:
-        return complex(token.replace("i", "j"))
+        return complex(token[:-1] + "j" if token.endswith("i") else token)
     except ValueError as exc:
         raise ValueError(f"cannot parse complex number {token!r}") from exc
 
@@ -109,12 +113,21 @@ def matrix_tree(m: np.ndarray) -> list[list[complex]]:
     return [[complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
 
 
+def _parse_entries(path: str, tokens: list[str]) -> np.ndarray:
+    """The tokens as one complex array, after rejecting a non-finite entry by name."""
+    values = np.array([parse_complex(tok) for tok in tokens], dtype=complex)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise ValueError(f"{path}: entry {bad[0] + 1} is not finite: {tokens[bad[0]]!r}")
+    return values
+
+
 def parse_state_file(path: str) -> tuple[str, np.ndarray]:
     """Read a plain-text state file.
 
     The first line is `matrix 4 4` or `pure 4`; the remaining tokens are
     whitespace-separated complex entries in re+imi form, row-major for
-    matrices. Returns ("matrix", 4x4 array) or ("pure", 4-vector).
+    matrices, each finite. Returns ("matrix", 4x4 array) or ("pure", 4-vector).
     """
     with open(path, encoding="utf-8") as fh:
         content = fh.read()
@@ -130,13 +143,11 @@ def parse_state_file(path: str) -> tuple[str, np.ndarray]:
             raise ValueError(f"{path}: expected header 'matrix 4 4', got {lines[0]!r}")
         if len(tokens) != 16:
             raise ValueError(f"{path}: expected 16 matrix entries, got {len(tokens)}")
-        values = [parse_complex(tok) for tok in tokens]
-        return "matrix", np.array(values, dtype=complex).reshape(4, 4)
+        return "matrix", _parse_entries(path, tokens).reshape(4, 4)
     if header[:1] == ["pure"]:
         if header != ["pure", "4"]:
             raise ValueError(f"{path}: expected header 'pure 4', got {lines[0]!r}")
         if len(tokens) != 4:
             raise ValueError(f"{path}: expected 4 amplitudes, got {len(tokens)}")
-        values = [parse_complex(tok) for tok in tokens]
-        return "pure", np.array(values, dtype=complex)
+        return "pure", _parse_entries(path, tokens)
     raise ValueError(f"{path}: unknown header {lines[0]!r}")

@@ -25,13 +25,13 @@ the other.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     PAULI2,
     NullspaceResult,
-    eigh,
     from_pauli,
     leading_phases,
     partial_trace,
@@ -81,7 +81,7 @@ class TwinSpace:
     rows. When the trivial pair is present it is pinned as the first row, so
     has_nontrivial is simply dimension > 1. singular_value_gap carries the
     rank-decision diagnostic of the underlying nullspace computation (inf
-    for analytic bases).
+    for analytic bases). ops is computed on first read and kept, read-only.
     """
 
     rows: np.ndarray
@@ -95,10 +95,12 @@ class TwinSpace:
     def has_nontrivial(self) -> bool:
         return self.dimension > 1
 
-    @property
+    @cached_property
     def ops(self) -> np.ndarray:
         """The basis as one (dimension, 2, 2, 2) stack: ops[:, 0] is a1, ops[:, 1] is a2."""
-        return from_pauli(self.rows.reshape(-1, 2, 4))
+        ops = from_pauli(self.rows.reshape(-1, 2, 4))
+        ops.setflags(write=False)
+        return ops
 
     @property
     def basis(self) -> tuple[ObservablePair, ...]:
@@ -217,9 +219,12 @@ def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
 
     Column k < 4 holds (sigma_k x I) rho and column 4 + k holds
     -(I x sigma_k) rho, real parts of the 16 entries above imaginary parts.
+    A stack (..., 4, 4) gives one system per member, (..., 32, 8).
     """
-    x = np.ascontiguousarray(rho, dtype=complex).view(float).reshape(32)
-    return (_TWIN_CONDITION_MAP @ x).reshape(32, 8)
+    x = np.ascontiguousarray(rho, dtype=complex).view(float)
+    lead = x.shape[:-2]
+    # a column per member: matmul applies the map to each as the matrix-vector product
+    return (_TWIN_CONDITION_MAP @ x.reshape(*lead, 32, 1)).reshape(*lead, 32, 8)
 
 
 _TRIVIAL_DIRECTION = np.zeros(8)
@@ -266,12 +271,19 @@ def _twin_space(rho: np.ndarray, tol: float) -> TwinSpace:
     return _space_from_nullspace(real_nullspace(twin_condition_matrix(rho), tol))
 
 
-def simultaneous_twins(states: list[np.ndarray], tol: float = DEFAULT_TOL) -> TwinSpace:
-    """Pairs that are twins for every listed state, via one stacked nullspace."""
-    if not states:
+def simultaneous_twins(
+    states: list[np.ndarray] | np.ndarray, tol: float = DEFAULT_TOL
+) -> TwinSpace:
+    """Pairs that are twins for every listed state, via one stacked nullspace.
+
+    states is a list of density matrices or an (n, 4, 4) stack; either is
+    validated as one stack, mapped to its n twin systems in one product, and
+    solved with one SVD of the stacked (32 n) x 8 system.
+    """
+    if len(states) == 0:
         raise ValueError("simultaneous_twins needs at least one state")
-    blocks = [twin_condition_matrix(validate_density_matrix(rho)) for rho in states]
-    return _space_from_nullspace(real_nullspace(np.vstack(blocks), tol))
+    blocks = twin_condition_matrix(validate_density_matrix(states))
+    return _space_from_nullspace(real_nullspace(blocks.reshape(-1, 8), tol))
 
 
 def analytic_edge_twins(cls: MdsClass) -> TwinSpace:
@@ -376,18 +388,22 @@ def correlation_tables(
     """Joint outcome tables (n, 2, 2), expectation gaps (n,) and degeneracy flags (n,).
 
     a1 and a2 are stacks (n, 2, 2); rho must already be a validated density
-    matrix (validate_density_matrix). Each side takes one eigh over its
-    stack. Outcomes are matched by sorted eigenvalue: table entry (a, b) is
-    Tr[(P_a x Q_b) rho], the eigenprojectors contracted with the (2, 2, 2, 2)
-    view of rho, and the gap is |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced
-    states. A pair with a degenerate observable admits no outcome pairing;
-    it is flagged and gets the trivial table (all weight on (0, 0)).
+    matrix (validate_density_matrix). Each side is guarded for Hermiticity
+    once and takes one np.linalg.eigh over its stack, in descending order.
+    Outcomes are matched by sorted eigenvalue: table entry (a, b) is
+    Tr[(P_a x Q_b) rho], the eigenprojectors P_a = v_a v_a^dag contracted with
+    the (2, 2, 2, 2) view of rho. A projector does not depend on the phase
+    of v_a, so the eigenvectors are read unphased. The gap is
+    |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced states. A pair with a
+    degenerate observable admits no outcome pairing; it is flagged and gets
+    the trivial table (all weight on (0, 0)).
     """
     rho = np.asarray(rho, dtype=complex)
-    a1 = np.asarray(a1, dtype=complex)
-    a2 = np.asarray(a2, dtype=complex)
-    w1, v1 = eigh(a1, 1e-10)
-    w2, v2 = eigh(a2, 1e-10)
+    a1 = require_hermitian(a1, "eigh: matrix", 1e-10)
+    a2 = require_hermitian(a2, "eigh: matrix", 1e-10)
+    w1, v1 = np.linalg.eigh(a1)
+    w2, v2 = np.linalg.eigh(a2)
+    w1, v1, w2, v2 = w1[..., ::-1], v1[..., ::-1], w2[..., ::-1], v2[..., ::-1]
     exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
     exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
     degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= 1e-9) | (np.abs(w2[:, 0] - w2[:, 1]) <= 1e-9)

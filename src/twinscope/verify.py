@@ -20,12 +20,12 @@ from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
     GENERIC_INTERIOR,
+    _BELL_PROJECTORS,
     CanonicalForm,
     MdsClass,
     StateVerdict,
     _canonical_form,
     _canonicalize,
-    bell_state,
     bell_t_vector,
     build_T,
     classify,
@@ -96,6 +96,7 @@ class VerifyContext:
         return v1, v2, validate_density_matrix(local_conj(self.rho, v1, v2))
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
+        """(u1 x u2)^dag sigma (u1 x u2), for a 4x4 sigma or a stack (..., 4, 4)."""
         return local_conj(sigma, self.u1.conj().T, self.u2.conj().T)
 
 
@@ -140,8 +141,7 @@ def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
-    w = ctx.cls.weights
-    direct = sum(w[k] * bell_state(k)[1] for k in range(4))
+    direct = (ctx.cls.weights @ _BELL_PROJECTORS.reshape(4, 16)).reshape(4, 4)
     err = np.abs(build_T(ctx.t) - direct).max()
     return CheckResult(
         "bell-mixture-identity", bool(err <= 1e-12), f"entrywise residual {err:.3e}"
@@ -220,7 +220,7 @@ def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
 def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
     w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > ctx.tol]
-    components = [ctx.pull_back_state(bell_state(k)[1]) for k in support]
+    components = ctx.pull_back_state(_BELL_PROJECTORS[support])
     via_mixture = ctx.space
     via_intersection = simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)

@@ -207,8 +207,8 @@ VALIDATIONS = {
     "classify": (1, 0),
     "schmidt": (1, 1),
     "twins": (1, 1),
-    # the input once, then verify's moved frame state and the edge's two Bell components
-    "verify": (4, 4),
+    # the input once, then verify's moved frame state and the stack of the edge's Bell components
+    "verify": (3, 3),
     "separability": (1, 1),
     "correlate": (1, 1),
     "canonicalize": (1, 1),
@@ -357,6 +357,26 @@ def test_exit_code_one_on_bad_input(capsys, tmp_path):
         assert code == 1
         assert f"{flag} values must be finite" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "command, flag, text, field",
+    [
+        ("classify", "--t", "0.1,,0.2,0.3", 2),
+        ("classify", "--t", "0.1,0.2,0.3,", 4),
+        ("classify", "--t", ",0.1,0.2,0.3", 1),
+        ("classify", "--t", "0.1, ,0.3", 2),
+        ("twins", "--weights", "0.25,0.25,,0.25,0.25", 3),
+        ("correlate", "--a1", "0,0,0,1,", 5),
+        ("correlate", "--a2", ",0,0,0,1", 1),
+    ],
+)
+def test_empty_float_field_rejected(capsys, command, flag, text, field):
+    argv = {"--t": "0,0,1", "--a1": "0,0,0,1", "--a2": "0,0,0,1"} if command == "correlate" else {}
+    argv[flag] = text
+    code, out, err = invoke(capsys, command, *(f"{k}={v}" for k, v in argv.items()))
+    assert (code, out) == (1, "")
+    assert err == f"twinscope {command}: error: {flag}: field {field} of {text!r} is empty\n"
 
 
 @pytest.mark.parametrize(
@@ -628,6 +648,29 @@ def test_parse_state_file_errors(tmp_path):
     wrong.write_text("pure 3\n1+0i 0+0i 0+0i\n")
     with pytest.raises(ValueError, match="pure 4"):
         parse_state_file(str(wrong))
+
+
+@pytest.mark.parametrize(
+    "header, entries, token",
+    [
+        ("matrix 4 4", ["0.25+0i"] * 5 + ["nan"] + ["0+0i"] * 10, "nan"),
+        ("matrix 4 4", ["0.25+0i"] * 15 + ["inf"], "inf"),
+        ("matrix 4 4", ["0+0i"] * 3 + ["0-infi"] + ["0+0i"] * 12, "0-infi"),
+        ("pure 4", ["nan", "0+0i", "0+0i", "1+0i"], "nan"),
+        ("pure 4", ["0.6+0i", "-inf+0i", "0+0i", "0.8+0i"], "-inf+0i"),
+    ],
+)
+def test_non_finite_state_file_entry_rejected_where_parsed(
+    capsys, tmp_path, header, entries, token
+):
+    path = tmp_path / "non_finite.txt"
+    path.write_text(header + "\n" + " ".join(entries) + "\n")
+    message = f"{path}: entry {entries.index(token) + 1} is not finite: {token!r}"
+    with pytest.raises(ValueError) as info:
+        parse_state_file(str(path))
+    assert str(info.value) == message
+    code, out, err = invoke(capsys, "twins", "--input", str(path))
+    assert (code, out, err) == (1, "", f"twinscope twins: error: {message}\n")
 
 
 def test_render_nested_tree():

@@ -263,6 +263,26 @@ def test_local_actions_match_kronecker_conjugation():
         assert np.abs(adj @ to_pauli(a) - to_pauli(u1 @ a @ u1.conj().T)).max() <= 1e-14
 
 
+def test_pauli_adjoint_matches_conjugated_components():
+    # column l is to_pauli(u sigma_l u^dag), for every unitary, not only SU(2)
+    rng = np.random.default_rng(43)
+    assert not linalg._ADJOINT_MAP.flags.writeable
+    for _ in range(200):
+        u = random_unitary(rng)
+        expected = np.array([to_pauli(u @ pauli(k) @ u.conj().T) for k in range(4)]).T
+        assert np.abs(pauli_adjoint(u) - expected).max() <= 1e-15
+
+
+def test_local_conj_moves_a_stack_member_by_member():
+    rng = np.random.default_rng(47)
+    u1, u2 = random_unitary(rng), random_unitary(rng)
+    stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
+    moved = local_conj(stack, u1, u2)
+    assert moved.shape == (3, 4, 4)
+    for rho, m in zip(stack, moved):
+        assert np.array_equal(m, local_conj(rho, u1, u2))
+
+
 def _random_state(rng):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T

@@ -274,6 +274,31 @@ def test_validate_density_matrix_rejects_bad_input():
         validate_density_matrix(bad)
 
 
+def test_validate_density_matrix_stack_is_a_batch_of_scalars():
+    rng = np.random.default_rng(53)
+    good = [local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+            for t in ([0.2, 0.1, -0.05], [0.4, -0.4, 1.0], [-1.0, -1.0, -1.0])]
+    stack = validate_density_matrix(np.array(good))
+    for rho, h in zip(good, stack):
+        assert np.array_equal(h, validate_density_matrix(rho))
+    one = validate_density_matrix(np.array(good[:1]))
+    assert one.shape == (1, 4, 4)
+    assert np.array_equal(one[0], validate_density_matrix(good[0]))
+    non_hermitian = good[1].copy()
+    non_hermitian[0, 1] += 1e-3
+    bad_trace = 1.5 * good[1]
+    negative = np.diag([1.5, -0.5, 0, 0]).astype(complex)
+    for bad in (non_hermitian, bad_trace, negative):
+        with pytest.raises(ValueError) as scalar:
+            validate_density_matrix(bad)
+        for members in ([bad, good[0]], [good[0], good[2], bad]):
+            with pytest.raises(ValueError) as stacked:
+                validate_density_matrix(np.array(members))
+            assert str(stacked.value) == str(scalar.value)
+    with pytest.raises(ValueError, match=r"^expected a 4x4 density matrix, got \(2, 2, 2\)$"):
+        validate_density_matrix(np.zeros((2, 2, 2)))
+
+
 def test_correlation_matrix_diagonal_for_generating_states():
     # the correlation matrix canonicalize decomposes is 4 R[1:, 1:]
     t = np.array([0.3, -0.2, 0.55])

@@ -582,6 +582,57 @@ def reference_distant_correlation(pair, rho):
     return dist, abs(exp1 - exp2), False
 
 
+def test_simultaneous_twins_takes_a_list_or_a_stack():
+    rng = np.random.default_rng(17)
+    for support in ([2], [0, 3], [1, 2, 3], [0, 1, 2, 3]):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        components = [local_conj(bell_state(k)[1], u1, u2) for k in support]
+        from_list = simultaneous_twins(components)
+        from_stack = simultaneous_twins(np.array(components))
+        assert np.array_equal(from_list.rows, from_stack.rows)
+        assert from_list.singular_value_gap == from_stack.singular_value_gap
+    with pytest.raises(ValueError, match="at least one state"):
+        simultaneous_twins(np.zeros((0, 4, 4)))
+
+
+def phased_correlation_tables(a1, a2, rho):
+    """correlation_tables on phase-normalised eigenvectors (linalg.eigh), the reference."""
+    w1, v1 = linalg.eigh(a1, 1e-10)
+    w2, v2 = linalg.eigh(a2, 1e-10)
+    exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
+    exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
+    degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= 1e-9) | (np.abs(w2[:, 0] - w2[:, 1]) <= 1e-9)
+    p = np.einsum("nia,nka->naik", v1, v1.conj())
+    q = np.einsum("njb,nlb->nbjl", v2, v2.conj())
+    dist = np.einsum("naik,nbjl,klij->nab", p, q, rho.reshape(2, 2, 2, 2)).real
+    dist[degenerate] = ((1.0, 0.0), (0.0, 0.0))
+    return dist, np.abs(exp1 - exp2), degenerate
+
+
+def test_correlation_tables_read_unphased_eigenvectors():
+    # a projector v v^dag does not depend on the phase of v
+    rng = np.random.default_rng(19)
+    worst = 0.0
+    for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
+        for _ in range(20):
+            rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+            ops = twin_space(rho).ops
+            a1 = np.concatenate([ops[:, 0], [random_hermitian(rng) for _ in range(3)]])
+            a2 = np.concatenate([ops[:, 1], [random_hermitian(rng) for _ in range(3)]])
+            dist, gap, degenerate = correlation_tables(a1, a2, rho)
+            ref_dist, ref_gap, ref_degenerate = phased_correlation_tables(a1, a2, rho)
+            assert np.array_equal(degenerate, ref_degenerate)
+            worst = max(worst, np.abs(dist - ref_dist).max(), np.abs(gap - ref_gap).max())
+    assert worst <= 1e-15
+
+
+def test_twin_space_ops_computed_once_and_read_only():
+    space = twin_space(EDGE_A)
+    assert space.ops is space.ops
+    assert not space.ops.flags.writeable
+    assert np.array_equal(space.ops, linalg.from_pauli(space.rows.reshape(-1, 2, 4)))
+
+
 def test_distant_correlation_matches_kronecker_reference():
     rng = np.random.default_rng(37)
     worst = 0.0
@@ -614,9 +665,9 @@ def test_distant_correlation_matches_kronecker_reference():
 def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
     calls = []
 
-    def counted(fn):
+    def counted(label, fn):
         def wrapper(*args, **kwargs):
-            calls.append(fn.__name__)
+            calls.append(label)
             return fn(*args, **kwargs)
 
         return wrapper
@@ -624,13 +675,16 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
     for module in (linalg, twins):
         for name in ("tensor", "eigh"):
             if hasattr(module, name):
-                monkeypatch.setattr(module, name, counted(getattr(module, name)))
-    monkeypatch.setattr(np, "kron", counted(np.kron))
+                label = f"{module.__name__}.{name}"
+                monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
+    monkeypatch.setattr(np, "kron", counted("np.kron", np.kron))
+    monkeypatch.setattr(np.linalg, "eigh", counted("np.linalg.eigh", np.linalg.eigh))
     rng = np.random.default_rng(41)
     rho = local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
-    assert calls == ["eigh", "eigh"]
+    # one unphased eigendecomposition per side, no phase-normalising linalg.eigh
+    assert calls == ["np.linalg.eigh", "np.linalg.eigh"]
 
 
 # The former per-pair bodies, kept as the references for the stacked kernels.

@@ -33,10 +33,10 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     "t, validations",
     [
         # rho (make_context) and the moved state (frame) once each, plus
-        # one per Bell component of the mixture-intersection check
+        # one stack of the Bell components in the mixture-intersection check
         (bell_t_vector(1), 3),
-        (np.array([0.4, -0.4, 1.0]), 4),
-        (np.array([0.2, 0.1, -0.05]), 6),
+        (np.array([0.4, -0.4, 1.0]), 3),
+        (np.array([0.2, 0.1, -0.05]), 3),
     ],
 )
 def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
