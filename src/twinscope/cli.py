@@ -19,11 +19,10 @@ from functools import cached_property
 import numpy as np
 
 from . import __version__
-from .linalg import RANK_GUARD, RankDecisionError, from_pauli, hs_norm, pauli_coordinates
+from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, from_pauli
+from .linalg import hs_norm, pauli_coordinates
 from .mds import (
     NON_STATE,
-    DEFAULT_TOL,
-    STATE_VALIDATION_TOL,
     CanonicalForm,
     InternalConsistencyError,
     MdsClass,
@@ -108,11 +107,11 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
     variant, data = parse_state_file(args.input)
     if variant == "matrix":
         # the exact Hermitian part: what passed the guard, and what every command reads
-        matrix = validate_density_matrix(data, STATE_VALIDATION_TOL)
+        matrix = validate_density_matrix(data)
         return StateSpec(kind="matrix", matrix=matrix, source=args.input)
-    norm = np.linalg.norm(data)
-    if abs(norm - 1) > STATE_VALIDATION_TOL:
-        raise ValueError(f"pure state vector has norm {norm:.12g}, expected 1")
+    norm2 = float(np.vdot(data, data).real)
+    if abs(norm2 - 1) > STATE_VALIDATION_TOL:
+        raise ValueError(f"pure state vector has squared norm {norm2:.12g}, expected 1")
     return StateSpec(kind="pure", pure=data, source=args.input)
 
 

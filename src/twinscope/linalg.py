@@ -6,7 +6,9 @@ Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
 
 eigh returns eigenvalues and phase-normalized eigenvectors, after rejecting
-input that is not Hermitian.
+input that is not Hermitian. No kernel of the package calls it: they read
+spectra, or projectors, which do not depend on phase. It stays as public API
+and as the phase-normalized reference the tests hold those kernels to.
 
 A matrix is guarded for Hermiticity once. A matrix that has passed a guard
 (mds.validate_density_matrix returns its exact Hermitian part), or that is
@@ -15,7 +17,7 @@ goes to np.linalg.eigvalsh, for callers that read no eigenvector, or to a
 private kernel with no second guard; public entry points guard what they
 receive from outside. The phase convention of eigh and svd, and the sign
 convention of real factors elsewhere, is one rule, leading_phases: the
-first entry above 1e-12 in magnitude of each column is made real positive.
+first entry above PHASE_CUT in magnitude of each column is made real positive.
 It covers vectors that are reported; a kernel that reads an eigenvector only
 through its projector v v^dag (twins.correlation_tables) takes np.linalg.eigh
 unphased, since the projector does not depend on the phase.
@@ -34,6 +36,21 @@ map derived from PAULI. pauli_coordinates(rho) is
 the 4x4 conversion beside them: the real R with rho = sum_ij R_ij sigma_i x sigma_j.
 The reduced states are from_pauli(2 R[:, 0]) and from_pauli(2 R[0, :]), and
 4 R[1:, 1:] is the correlation matrix of a two-qubit state.
+
+The tolerance policy is the commented table of module constants below; no
+other module holds a tolerance literal:
+  DEFAULT_TOL              1e-9   relative rank cut (--tol); membership and PPT cut
+  RANK_GUARD               10     guard band around a rank cut, as a factor
+  STATE_VALIDATION_TOL     1e-8   absolute gate that admits a state
+  HERMITIAN_TOL            1e-9   absolute Hermitian guard of a matrix
+  OBSERVABLE_HERMITIAN_TOL 1e-10  absolute Hermitian guard of 2x2 observables
+  PHASE_CUT                1e-12  absolute magnitude below which an entry sets no phase
+  ROUNDING_TOL             1e-12  absolute rounding of an exact identity
+  PROBABILITY_TOL          1e-10  absolute rounding of a probability or expectation
+  DEGENERACY_TOL           1e-9   absolute eigenvalue tie of a 2x2 observable
+  RESIDUAL_TOL             1e-9   absolute residual of a derived identity
+The gate bounds every later check on a state it admitted (mds.is_state,
+twins.correlation_tables).
 """
 
 from __future__ import annotations
@@ -42,12 +59,46 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Default relative cut for every rank decision, weight-negativity and residual bound.
+# The tolerance policy: every threshold in the package, named once. Absolute
+# entries bound a number of unit scale (an entry of a unit-trace state or of
+# the observables handed in, a probability, a residual); relative ones bound a
+# ratio to the largest value of its kind. Three bounds are derived, with their
+# formulas where they are defined: twins._SVD_ERROR (32 * 8 * eps, the twin
+# system's SVD backward error over its largest singular value),
+# mds._residual_bound (DEFAULT_TOL + ||L||_HS, the canonicalization residual)
+# and mds.state_test_rounding (ROUNDING_TOL * max(1, sum_k |w_k|), weight test
+# against eigenvalue test).
+#
+# Relative: the default cut of every rank decision (--tol): singular values and
+# Schmidt coefficients over the largest, Bell weights (which sum to 1). The same
+# number is the membership cut (is_state, never looser than STATE_VALIDATION_TOL)
+# and the absolute PPT eigenvalue cut.
 DEFAULT_TOL = 1e-9
-# No value may lie within this factor of a rank cut, on either side.
+# Relative: no value may lie within this factor of a rank cut, on either side.
 RANK_GUARD = 10.0
-# Absolute tolerance for Hermiticity guards.
+# Absolute: the gate that admits a state. A density matrix's Hermitian deviation,
+# |Tr rho - 1| and most negative eigenvalue; |phi|^2 - 1 of a pure vector (the
+# trace of its projector); the sum of --weights; the reduced-state disorder
+# ||rho_k - I/2|| (is_mds). A check on an admitted state allows what it admitted.
+STATE_VALIDATION_TOL = 1e-8
+# Absolute: the default Hermitian guard of a matrix (require_hermitian, eigh).
 HERMITIAN_TOL = 1e-9
+# Absolute: the Hermitian guard of 2x2 observables handed to the pair kernels.
+OBSERVABLE_HERMITIAN_TOL = 1e-10
+# Absolute: an entry at or below this magnitude sets no phase (leading_phases).
+PHASE_CUT = 1e-12
+# Absolute: rounding of an exact identity between unit-scale numbers (weights and
+# t, T(t) and its Bell mixture, a joint-table entry below 0 beyond the gate).
+ROUNDING_TOL = 1e-12
+# Absolute: rounding of a probability or expectation read through eigenprojectors
+# (a joint table's sum beyond the gate, a twin pair's mismatch and expectation gap).
+PROBABILITY_TOL = 1e-10
+# Absolute: two eigenvalues of a 2x2 observable this close admit no outcome pairing.
+DEGENERACY_TOL = 1e-9
+# Absolute: the residual of a derived identity (an SU(2) lift against its
+# rotation, a commutator with a reduced state, verify's span, twin, spectrum and
+# |t| residuals, the vanishing eigenvalues of a projector).
+RESIDUAL_TOL = 1e-9
 
 PAULI = np.array(
     [[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]],
@@ -193,13 +244,13 @@ def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> n
 
 
 def leading_phases(a: np.ndarray) -> np.ndarray:
-    """Unit phase of the first entry above 1e-12 in magnitude of each column.
+    """Unit phase of the first entry above PHASE_CUT in magnitude of each column.
 
     Dividing a column by its phase makes that entry real positive. A real
     array gives signs +-1.0, a complex one unit complex numbers; a column
     with no such entry gets 1. A stack (..., m, n) gives phases (..., n).
     """
-    big = np.abs(a) > 1e-12
+    big = np.abs(a) > PHASE_CUT
     if a.ndim == 2:
         first = a[big.argmax(axis=0), np.arange(a.shape[1])]
     else:
@@ -207,8 +258,8 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
         flat = cols.reshape(-1, cols.shape[-1])
         lead = np.swapaxes(big, -2, -1).reshape(flat.shape).argmax(axis=-1)
         first = flat[np.arange(flat.shape[0]), lead].reshape(cols.shape[:-1])
-    # argmax gives row 0 for a column with no entry above 1e-12; that column gets 1
-    z = np.where(np.abs(first) > 1e-12, first, 1)
+    # argmax gives row 0 for a column with no entry above PHASE_CUT; that column gets 1
+    z = np.where(np.abs(first) > PHASE_CUT, first, 1)
     return z / np.abs(z)
 
 

@@ -27,6 +27,9 @@ import numpy as np
 from .linalg import (
     DEFAULT_TOL,
     PAULI2,
+    RESIDUAL_TOL,
+    ROUNDING_TOL,
+    STATE_VALIDATION_TOL,
     from_pauli,
     hs_norm,
     local_conj,
@@ -35,9 +38,6 @@ from .linalg import (
     rank_split,
     require_hermitian,
 )
-
-# Looser validation gate for externally supplied density matrices.
-STATE_VALIDATION_TOL = 1e-8
 
 BELL_VERTEX = "bell_vertex"
 BINARY_EDGE = "binary_edge"
@@ -180,22 +180,23 @@ def build_T(t: np.ndarray) -> np.ndarray:
 
 
 def state_test_rounding(w: np.ndarray) -> float:
-    """Rounding bound 1e-12 * max(1, sum_k |w_k|) between the two state tests.
+    """Rounding bound ROUNDING_TOL * max(1, sum_k |w_k|) between the two state tests.
 
     The smallest weight and the smallest eigenvalue of build_T are the same
     number computed two ways, so they may differ by this much and no more.
     """
-    return 1e-12 * max(1.0, float(np.abs(w).sum()))
+    return ROUNDING_TOL * max(1.0, float(np.abs(w).sum()))
 
 
 def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
-    """Tetrahedron membership: all Bell weights >= -tol.
+    """Tetrahedron membership: all Bell weights >= -min(tol, STATE_VALIDATION_TOL).
 
+    So no tol admits a t whose T(t) validate_density_matrix rejects as not positive.
     The smallest eigenvalue of the built operator is the smallest weight
     computed another way, and is kept as a cross-check. The two may differ
     only by rounding, so InternalConsistencyError is raised when
     |min weight - min eigenvalue| exceeds state_test_rounding(w);
-    the two landing on opposite sides of -tol is not an error.
+    the two landing on opposite sides of the cut is not an error.
     """
     w = weights_from_t(t)
     min_w = float(w.min())
@@ -207,8 +208,9 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
             f"disagree beyond rounding"
         )
+    ok = min_w >= -min(tol, STATE_VALIDATION_TOL)
     return StateVerdict(
-        ok=min_w >= -tol, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
+        ok=ok, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
     )
 
 
@@ -237,7 +239,8 @@ def classify(
             kind=NON_STATE,
             weights=w,
             detail=(
-                f"weight w{verdict.offending_index} = {verdict.min_weight:.12g} < -{tol:g}"
+                f"weight w{verdict.offending_index} = {verdict.min_weight:.12g} "
+                f"< -{min(tol, STATE_VALIDATION_TOL):g}"
             ),
             verdict=verdict,
         )
@@ -292,9 +295,10 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
     return {i: (1 + u) / 2, 0: (1 - u) / 2}
 
 
-def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> np.ndarray:
+def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the exact Hermitian part.
 
+    Each test is within STATE_VALIDATION_TOL, the gate that admits a state.
     rho is a 4x4 matrix or a stack (..., 4, 4), checked in one pass per test:
     one Hermitian guard, one trace test and one batched eigvalsh. A failing
     member raises the message a single matrix would (a failed Hermitian
@@ -307,21 +311,21 @@ def validate_density_matrix(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) 
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    require_hermitian(rho, "density matrix", tol)
+    require_hermitian(rho, "density matrix", STATE_VALIDATION_TOL)
     rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
     # python comparisons beat numpy reductions on one value per member
     for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
-        if abs(tr - 1) > tol:
+        if abs(tr - 1) > STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
     for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
-        if min_eig < -tol:
+        if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
 
 
-def is_mds(rho: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> bool:
-    """True when both reduced states equal I/2 within tol, in operator norm."""
-    return _is_mds(pauli_coordinates(validate_density_matrix(rho, tol)), tol)
+def is_mds(rho: np.ndarray) -> bool:
+    """True when both reduced states equal I/2 within STATE_VALIDATION_TOL, in operator norm."""
+    return _is_mds(pauli_coordinates(validate_density_matrix(rho)))
 
 
 def _disorder(R: np.ndarray) -> tuple[float, float]:
@@ -333,9 +337,9 @@ def _disorder(R: np.ndarray) -> tuple[float, float]:
     return float(a + 2 * np.linalg.norm(R[1:, 0])), float(a + 2 * np.linalg.norm(R[0, 1:]))
 
 
-def _is_mds(R: np.ndarray, tol: float = STATE_VALIDATION_TOL) -> bool:
+def _is_mds(R: np.ndarray) -> bool:
     """is_mds on the Pauli coordinates R of a density matrix validate_density_matrix returned."""
-    return max(_disorder(R)) <= tol
+    return max(_disorder(R)) <= STATE_VALIDATION_TOL
 
 
 def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -360,7 +364,7 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
         q = -q
     u = from_pauli(q / np.linalg.norm(q) * _QUATERNION_TO_PAULI)
     # guard against a convention mismatch: conjugation must reproduce r
-    if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > 1e-9:
+    if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > RESIDUAL_TOL:
         raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
     return u
 

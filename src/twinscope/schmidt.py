@@ -21,6 +21,9 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_TOL,
+    OBSERVABLE_HERMITIAN_TOL,
+    RESIDUAL_TOL,
+    STATE_VALIDATION_TOL,
     from_pauli,
     hs_norm,
     leading_phases,
@@ -110,6 +113,7 @@ class OperatorSchmidt:
 def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
     """Schmidt expansion of a normalized 4-vector.
 
+    |phi|^2, the projector's trace, must be 1 within STATE_VALIDATION_TOL.
     Coefficients are the singular values of the 2x2 coefficient matrix;
     their squares equal the common spectrum of both reduced operators.
     The Schmidt rank is decided by rank_split at tol * (largest coefficient).
@@ -119,9 +123,9 @@ def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if phi.shape != (4,):
         raise ValueError(f"pure_schmidt expects a 4-vector, got shape {phi.shape}")
-    norm = np.linalg.norm(phi)
-    if abs(norm - 1.0) > 1e-10:
-        raise ValueError(f"pure_schmidt expects a normalized vector, |phi| = {norm:.12g}")
+    norm2 = float(np.vdot(phi, phi).real)
+    if abs(norm2 - 1.0) > STATE_VALIDATION_TOL:
+        raise ValueError(f"pure_schmidt expects a normalized vector, |phi|^2 = {norm2:.12g}")
     m = phi.reshape(2, 2)
     u, s, vh = svd(m)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
@@ -147,31 +151,32 @@ def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
     return AntiunitaryMap(unitary_part=ps.right_vectors.T @ ps.left_vectors, rank=ps.schmidt_rank)
 
 
-def pure_twin_partners(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Second-subsystem twins of a stack (n, 2, 2) of a1 on the pure state phi.
 
-    Requires [a1, rho_1] = 0 for every a1; the component acting in the null
-    space of rho_2 (arbitrary for the twin property) is fixed to zero, so
-    each result is the transport of a1 through the correlation operator,
-    compressed onto the range of rho_2. phi is decomposed once for the
-    whole stack, and the stack is guarded for Hermiticity once.
+    Requires [a1, rho_1] = 0 within RESIDUAL_TOL for every a1; the component
+    acting in the null space of rho_2 (arbitrary for the twin property) is
+    fixed to zero, so each result is the transport of a1 through the
+    correlation operator, compressed onto the range of rho_2. phi is
+    decomposed once for the whole stack, and the stack is guarded for
+    Hermiticity once.
     """
-    a1 = require_hermitian(a1, "pure_twin_partner: a1", 1e-10)
+    a1 = require_hermitian(a1, "pure_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1
     comm_norm = np.linalg.norm(comm.reshape(comm.shape[0], -1), axis=1)
-    if (comm_norm > tol).any():
+    if (comm_norm > RESIDUAL_TOL).any():
         raise ValueError(
             f"pure_twin_partner: a1 does not commute with the reduced state "
-            f"(commutator norm {comm_norm.max():.3e} > {tol:g})"
+            f"(commutator norm {comm_norm.max():.3e} > {RESIDUAL_TOL:g})"
         )
     return correlation_operator(pure_schmidt(phi)).conjugate(a1)
 
 
-def pure_twin_partner(a1: np.ndarray, phi: np.ndarray, tol: float = 1e-9) -> np.ndarray:
+def pure_twin_partner(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Second-subsystem twin of a1 on the pure state phi (see pure_twin_partners)."""
-    return pure_twin_partners(np.asarray(a1)[None], phi, tol)[0]
+    return pure_twin_partners(np.asarray(a1)[None], phi)[0]
 
 
 def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmidt:

@@ -30,7 +30,12 @@ from functools import cached_property
 import numpy as np
 
 from .linalg import (
+    DEGENERACY_TOL,
+    OBSERVABLE_HERMITIAN_TOL,
     PAULI2,
+    PROBABILITY_TOL,
+    ROUNDING_TOL,
+    STATE_VALIDATION_TOL,
     NullspaceResult,
     from_pauli,
     leading_phases,
@@ -177,8 +182,8 @@ def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarra
     rho must already be a validated density matrix (validate_density_matrix);
     each stack is guarded for Hermiticity once.
     """
-    a1 = require_hermitian(a1, "is_twin_pair: a1", 1e-10)
-    a2 = require_hermitian(a2, "is_twin_pair: a2", 1e-10)
+    a1 = require_hermitian(a1, "is_twin_pair: a1", OBSERVABLE_HERMITIAN_TOL)
+    a2 = require_hermitian(a2, "is_twin_pair: a2", OBSERVABLE_HERMITIAN_TOL)
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     diff = np.einsum("nia,abcd->nibcd", a1, r) - np.einsum("njb,abcd->najcd", a2, r)
     return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
@@ -305,7 +310,7 @@ def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
     """Second-subsystem twin of a1 on the k-th Bell projector (sign table)."""
     if k not in BELL_TWIN_SIGNS:
         raise ValueError(f"Bell index must be in 0..3, got {k}")
-    a1 = require_hermitian(a1, "bell_twin_partner: a1", 1e-10)
+    a1 = require_hermitian(a1, "bell_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL)
     return from_pauli(np.array((1, *BELL_TWIN_SIGNS[k])) * to_pauli(a1))
 
 
@@ -396,24 +401,30 @@ def correlation_tables(
     of v_a, so the eigenvectors are read unphased. The gap is
     |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced states. A pair with a
     degenerate observable admits no outcome pairing; it is flagged and gets
-    the trivial table (all weight on (0, 0)).
+    the trivial table (all weight on (0, 0)). An entry is at least the least
+    eigenvalue of rho and the sum is Tr rho, so an entry below -(STATE_VALIDATION_TOL
+    + ROUNDING_TOL), or a sum off 1 by more than STATE_VALIDATION_TOL + PROBABILITY_TOL,
+    is an InternalConsistencyError.
     """
     rho = np.asarray(rho, dtype=complex)
-    a1 = require_hermitian(a1, "eigh: matrix", 1e-10)
-    a2 = require_hermitian(a2, "eigh: matrix", 1e-10)
+    a1 = require_hermitian(a1, "eigh: matrix", OBSERVABLE_HERMITIAN_TOL)
+    a2 = require_hermitian(a2, "eigh: matrix", OBSERVABLE_HERMITIAN_TOL)
     w1, v1 = np.linalg.eigh(a1)
     w2, v2 = np.linalg.eigh(a2)
     w1, v1, w2, v2 = w1[..., ::-1], v1[..., ::-1], w2[..., ::-1], v2[..., ::-1]
     exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
     exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
-    degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= 1e-9) | (np.abs(w2[:, 0] - w2[:, 1]) <= 1e-9)
+    degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= DEGENERACY_TOL) | (
+        np.abs(w2[:, 0] - w2[:, 1]) <= DEGENERACY_TOL
+    )
     p = np.einsum("nia,nka->naik", v1, v1.conj())
     q = np.einsum("njb,nlb->nbjl", v2, v2.conj())
     dist = np.einsum("naik,nbjl,klij->nab", p, q, rho.reshape(2, 2, 2, 2)).real
     dist[degenerate] = ((1.0, 0.0), (0.0, 0.0))
     mins = dist.min(axis=(1, 2))
     totals = dist.sum(axis=(1, 2))
-    bad = np.flatnonzero((mins < -1e-12) | (np.abs(totals - 1) > 1e-10))
+    low = mins < -(STATE_VALIDATION_TOL + ROUNDING_TOL)
+    bad = np.flatnonzero(low | (np.abs(totals - 1) > STATE_VALIDATION_TOL + PROBABILITY_TOL))
     if bad.size:
         n = bad[0]
         raise InternalConsistencyError(

@@ -14,8 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import local_conj, partial_trace, pauli_coordinates, random_hermitian, to_pauli
-from .linalg import random_unitary
+from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, local_conj, partial_trace
+from .linalg import pauli_coordinates, random_hermitian, random_unitary, to_pauli
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -135,7 +135,7 @@ def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
     err_w = np.abs(weights_from_t(t_from_weights(w)) - w).max()
     return CheckResult(
         "weights-roundtrip",
-        bool(err <= 1e-12 and err_w <= 1e-12),
+        bool(err <= ROUNDING_TOL and err_w <= ROUNDING_TOL),
         f"t residual {err:.3e}, weight residual {err_w:.3e}",
     )
 
@@ -144,7 +144,7 @@ def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
     direct = (ctx.cls.weights @ _BELL_PROJECTORS.reshape(4, 16)).reshape(4, 4)
     err = np.abs(build_T(ctx.t) - direct).max()
     return CheckResult(
-        "bell-mixture-identity", bool(err <= 1e-12), f"entrywise residual {err:.3e}"
+        "bell-mixture-identity", bool(err <= ROUNDING_TOL), f"entrywise residual {err:.3e}"
     )
 
 
@@ -185,7 +185,7 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
     cf, bound = _canonical_form(ctx.frame[2], pauli_coordinates(ctx.frame[2]))
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
-    ok = cf.residual <= bound and mag_err <= 1e-9
+    ok = cf.residual <= bound and mag_err <= RESIDUAL_TOL
     return CheckResult(
         "canonical-form-roundtrip",
         bool(ok),
@@ -209,7 +209,7 @@ def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
     pulled = pull_back(analytic_twins(ctx.cls), ctx.u1, ctx.u2)
     worst = float(span_distances(oracle, pulled.rows).max())
     mutual = subspace_residual(oracle, pulled)
-    ok = worst <= 1e-9 and mutual <= 1e-9
+    ok = worst <= RESIDUAL_TOL and mutual <= RESIDUAL_TOL
     return CheckResult(
         "analytic-twins-in-oracle",
         bool(ok),
@@ -224,7 +224,7 @@ def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
     via_mixture = ctx.space
     via_intersection = simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
-    ok = via_mixture.dimension == via_intersection.dimension and res <= 1e-9
+    ok = via_mixture.dimension == via_intersection.dimension and res <= RESIDUAL_TOL
     return CheckResult(
         "mixture-intersection-twins",
         bool(ok),
@@ -247,7 +247,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
     ops = moved.ops
     worst_res = float(twin_residuals(ops[:, 0], ops[:, 1], moved_state).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
-    ok = worst_res <= 1e-9 and worst_member <= 1e-9
+    ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL
     return CheckResult(
         "local-unitary-covariance",
         bool(ok),
@@ -257,7 +257,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
 
 def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     eigs, v = np.linalg.eigh(ctx.rho)
-    if eigs[:3].max() > 1e-9:
+    if eigs[:3].max() > RESIDUAL_TOL:
         return CheckResult(
             "pure-state-commutant", False, "input is not a rank-one projector"
         )
@@ -266,7 +266,7 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     rng = ctx.rng()
     a1 = np.array([random_hermitian(rng) for _ in range(5)])
     comm = np.linalg.norm((a1 @ rho1 - rho1 @ a1).reshape(len(a1), -1), axis=1)
-    failing = np.flatnonzero(comm > 1e-9)
+    failing = np.flatnonzero(comm > RESIDUAL_TOL)
     if failing.size:
         return CheckResult(
             "pure-state-commutant",
@@ -277,7 +277,7 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     worst_member = float(span_distances(ctx.space, np.hstack([to_pauli(a1), to_pauli(a2)])).max())
     oracle_a1 = ctx.space.ops[:, 0]
     worst_comm = float(np.abs(oracle_a1 @ rho1 - rho1 @ oracle_a1).max())
-    ok = worst_member <= 1e-9 and worst_comm <= 1e-9
+    ok = worst_member <= RESIDUAL_TOL and worst_comm <= RESIDUAL_TOL
     return CheckResult(
         "pure-state-commutant",
         bool(ok),
@@ -293,7 +293,7 @@ def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
     mismatch = dist[paired, 0, 1] + dist[paired, 1, 0]
     worst_mismatch = float(mismatch.max(initial=0.0))
     worst_gap = float(gap[paired].max(initial=0.0))
-    ok = worst_mismatch <= 1e-10 and worst_gap <= 1e-10
+    ok = worst_mismatch <= PROBABILITY_TOL and worst_gap <= PROBABILITY_TOL
     return CheckResult(
         "perfect-correlation",
         bool(ok),
@@ -309,7 +309,7 @@ def _check_twin_spectra_match(ctx: VerifyContext) -> CheckResult:
     worst = float(np.abs(s1 - s2).max(initial=0.0))
     return CheckResult(
         "twin-spectra-match",
-        bool(worst <= 1e-9),
+        bool(worst <= RESIDUAL_TOL),
         f"largest sorted-spectrum deviation {worst:.3e}",
     )
 

@@ -247,10 +247,12 @@ def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, 
 @pytest.mark.parametrize(
     "state_args, message",
     [
-        # inside the tetrahedron at --tol, but T(t) fails the 1e-8 positivity gate
+        # inside the tetrahedron at --tol alone: the membership cut is never looser than
+        # the 1e-8 gate T(t) has to pass
         (
             ("--weights=-0.0005,0.3305,0.335,0.335", "--tol=0.001"),
-            "density matrix has negative eigenvalue -5.000e-04",
+            "t-vector [0.34, 0.331, 0.33099999999999996] is outside the tetrahedron "
+            "(weight w0 = -0.0005)",
         ),
         # within the 1e-8 gate, but outside the tetrahedron at --tol
         (
@@ -268,6 +270,7 @@ def test_one_input_gets_one_answer(capsys, state_args, message):
         if command == "classify":
             # classify reports a non-state instead of rejecting it
             assert code == 0, err
+            assert "  class: non_state\n" in out
             continue
         assert (code, out) == (1, "")
         assert err == f"twinscope {command}: error: {message}\n"
@@ -525,6 +528,69 @@ def test_near_disordered_matrix_has_no_internal_failure(capsys, tmp_path):
         assert code == 0, err
     code, out, _ = invoke(capsys, "canonicalize", "--input", path)
     assert abs(float(report_value(out, "residual")) - 2.5e-9) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "diagonal",
+    [
+        # trace 1 + 5e-9 and smallest eigenvalue -5e-9: both inside the 1e-8 gate
+        np.array([0.1, 0.4, 0.4, 0.1]) * (1 + 5e-9),
+        np.array([-5e-9, 0.5, 0.5, 5e-9]),
+    ],
+)
+def test_correlate_reads_tables_within_the_gate(capsys, tmp_path, diagonal):
+    path = _matrix_file(tmp_path / "diagonal.txt", np.diag(diagonal).astype(complex))
+    code, out, err = invoke(capsys, "correlate", "--input", path, "--a1=0,0,0,1", "--a2=0,0,0,1")
+    assert code == 0, err
+    # sigma_3 x sigma_3 is diagonal: the table is the diagonal itself
+    assert abs(report_value(out, "mismatch_probability") - diagonal[1:3].sum()) <= 1e-15
+
+
+def test_correlate_exits_two_on_a_broken_table(capsys, monkeypatch, mixed_file):
+    einsum = np.einsum
+
+    def broken(subscripts, *operands, **kwargs):
+        out = einsum(subscripts, *operands, **kwargs)
+        if subscripts.endswith("->nab"):
+            # off by 2e-8 in the sum: beyond the gate plus rounding
+            out = out + np.array([[2e-8, 0.0], [0.0, 0.0]])
+        return out
+
+    monkeypatch.setattr(np, "einsum", broken)
+    code, out, err = invoke(
+        capsys, "correlate", "--input", mixed_file, "--a1=0,0,0,1", "--a2=0,0,0,1"
+    )
+    assert (code, out) == (2, "")
+    assert "joint distribution is not a probability table" in err
+
+
+def _scaled_singlet_file(path, scale):
+    amp = scale / np.sqrt(2)
+    path.write_text(f"pure 4\n0+0i {amp:.17g}+0i {-amp:.17g}+0i 0+0i\n")
+    return str(path)
+
+
+def test_pure_vector_is_gated_once(capsys, tmp_path):
+    # |phi|^2 - 1, the projector's trace less 1, meets the 1e-8 gate once. At 1 + 2e-9
+    # the old 1e-10 bounds of pure_schmidt and of correlate's table failed. (There the
+    # canonical t's Bell weights, -1e-9, sit on the default rank cut, so classify, twins
+    # and verify exit 2 with an ambiguous rank decision; at 1 + 4e-9 they are non-states.)
+    cases = ((1 + 2e-9, ("schmidt", "correlate")), (1 + 4e-9, cli.COMMANDS))
+    for scale, commands in cases:
+        path = _scaled_singlet_file(tmp_path / "singlet.txt", scale)
+        for command in commands:
+            extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+            code, out, err = invoke(capsys, command, "--input", path, *extra)
+            assert code == 0, (scale, command, err)
+    path = _scaled_singlet_file(tmp_path / "singlet.txt", 1 + 7e-9)
+    for command in cli.COMMANDS:
+        extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
+        code, out, err = invoke(capsys, command, "--input", path, *extra)
+        assert (code, out) == (1, "")
+        assert err == (
+            f"twinscope {command}: error: pure state vector has squared norm 1.000000014, "
+            "expected 1\n"
+        )
 
 
 def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):

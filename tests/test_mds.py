@@ -145,6 +145,21 @@ def test_is_state_examples():
     assert not is_state(np.array([0.9, 0.9, 0.9])).ok
 
 
+def test_membership_cut_is_never_looser_than_the_gate():
+    # w0 = -5e-9 lies inside the 1e-8 gate, w0 = -2e-8 outside it
+    inside = t_from_weights(np.array([-5e-9, 0.3, 0.35, 0.35 + 5e-9]))
+    outside = t_from_weights(np.array([-2e-8, 0.3, 0.35, 0.35 + 2e-8]))
+    for tol in (1e-8, 1e-4, 0.09):
+        assert is_state(inside, tol).ok
+        assert not is_state(outside, tol).ok
+        cls = classify(outside, tol)
+        assert cls.kind == NON_STATE
+        assert cls.detail.endswith("< -1e-08")
+    # below the gate the cut is --tol itself: the default does not move
+    assert not is_state(inside).ok
+    assert is_state(inside, 1e-8).ok and not is_state(inside, 4e-9).ok
+
+
 def test_is_state_agreement_on_grid():
     # weight test and eigenvalue test agree over a coarse cube grid
     axis = np.linspace(-1, 1, 21)

@@ -1,0 +1,53 @@
+"""The tolerance policy lives in one table: linalg's module constants."""
+
+import ast
+import inspect
+import re
+import tokenize
+from pathlib import Path
+
+import pytest
+
+from twinscope import linalg, mds, schmidt
+
+PACKAGE = Path(linalg.__file__).resolve().parent
+EXPONENT_LITERAL = re.compile(r"\d+(\.\d*)?e-\d+")
+
+
+def _table_lines() -> set[int]:
+    """Lines of linalg's module-level assignments of a literal: the tolerance table."""
+    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
+    return {
+        node.lineno
+        for node in tree.body
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+    }
+
+
+def test_no_tolerance_literal_outside_the_table():
+    table = _table_lines()
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        with path.open(encoding="utf-8") as fh:
+            for tok in tokenize.generate_tokens(fh.readline):
+                if tok.type != tokenize.NUMBER or not EXPONENT_LITERAL.fullmatch(tok.string):
+                    continue
+                if path.name == "linalg.py" and tok.start[0] in table:
+                    continue
+                strays.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert strays == []
+
+
+@pytest.mark.parametrize(
+    "fn",
+    [
+        mds.validate_density_matrix,
+        mds.is_mds,
+        mds._is_mds,
+        schmidt.pure_twin_partners,
+        schmidt.pure_twin_partner,
+    ],
+    ids=lambda fn: fn.__name__,
+)
+def test_single_value_tolerances_are_constants(fn):
+    assert "tol" not in inspect.signature(fn).parameters

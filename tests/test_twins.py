@@ -696,7 +696,7 @@ def per_pair_contains_pair(space, pair):
 def per_pair_is_twin_pair(pair, rho, tol=mds.DEFAULT_TOL):
     rho = mds.validate_density_matrix(rho)
     for name, a in (("a1", pair.a1), ("a2", pair.a2)):
-        linalg.require_hermitian(a, f"is_twin_pair: {name}", 1e-10)
+        linalg.require_hermitian(a, f"is_twin_pair: {name}", linalg.OBSERVABLE_HERMITIAN_TOL)
     r = rho.reshape(2, 2, 2, 2)
     diff = np.einsum("ia,abcd->ibcd", pair.a1, r) - np.einsum("jb,abcd->ajcd", pair.a2, r)
     residual = linalg.hs_norm(diff)
@@ -705,12 +705,13 @@ def per_pair_is_twin_pair(pair, rho, tol=mds.DEFAULT_TOL):
 
 def per_pair_distant_correlation(pair, rho):
     rho = mds.validate_density_matrix(rho)
-    w1, v1 = linalg.eigh(np.asarray(pair.a1, dtype=complex), 1e-10)
-    w2, v2 = linalg.eigh(np.asarray(pair.a2, dtype=complex), 1e-10)
+    w1, v1 = linalg.eigh(np.asarray(pair.a1, dtype=complex), linalg.OBSERVABLE_HERMITIAN_TOL)
+    w2, v2 = linalg.eigh(np.asarray(pair.a2, dtype=complex), linalg.OBSERVABLE_HERMITIAN_TOL)
     exp1 = np.trace(pair.a1 @ partial_trace(rho, 1)).real
     exp2 = np.trace(pair.a2 @ partial_trace(rho, 2)).real
     gap = abs(exp1 - exp2)
-    if abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9:
+    tie = linalg.DEGENERACY_TOL
+    if abs(w1[0] - w1[1]) <= tie or abs(w2[0] - w2[1]) <= tie:
         dist = np.zeros((2, 2))
         dist[0, 0] = 1.0
         return CorrelationReport(
@@ -723,7 +724,9 @@ def per_pair_distant_correlation(pair, rho):
     q = np.einsum("jb,lb->bjl", v2, v2.conj())
     dist = np.einsum("aik,bjl,klij->ab", p, q, rho.reshape(2, 2, 2, 2)).real
     total = dist.sum()
-    if dist.min() < -1e-12 or abs(total - 1) > 1e-10:
+    # the bounds of the gate that admitted rho, plus rounding
+    gate = linalg.STATE_VALIDATION_TOL
+    if dist.min() < -(gate + linalg.ROUNDING_TOL) or abs(total - 1) > gate + linalg.PROBABILITY_TOL:
         raise InternalConsistencyError(
             f"joint distribution is not a probability table "
             f"(min {dist.min():.3e}, sum {total:.12g})"
@@ -737,16 +740,16 @@ def per_pair_distant_correlation(pair, rho):
     )
 
 
-def per_pair_pure_twin_partner(a1, phi, tol=1e-9):
-    a1 = linalg.require_hermitian(a1, "pure_twin_partner: a1", 1e-10)
+def per_pair_pure_twin_partner(a1, phi):
+    a1 = linalg.require_hermitian(a1, "pure_twin_partner: a1", linalg.OBSERVABLE_HERMITIAN_TOL)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1
     comm_norm = linalg.hs_norm(comm)
-    if comm_norm > tol:
+    if comm_norm > linalg.RESIDUAL_TOL:
         raise ValueError(
             f"pure_twin_partner: a1 does not commute with the reduced state "
-            f"(commutator norm {comm_norm:.3e} > {tol:g})"
+            f"(commutator norm {comm_norm:.3e} > {linalg.RESIDUAL_TOL:g})"
         )
     ua = correlation_operator(pure_schmidt(phi))
     return ua.conjugate(a1)
