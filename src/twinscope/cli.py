@@ -14,25 +14,18 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from . import __version__
 from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, from_pauli
-from .linalg import hs_norm, pauli_coordinates
+from .linalg import hs_norm
 from .mds import (
     NON_STATE,
-    CanonicalForm,
     InternalConsistencyError,
     MdsClass,
-    StateVerdict,
     _canonicalize,
-    _is_mds,
-    build_T,
-    classify,
     edge_mixture,
-    is_state,
     t_from_weights,
     validate_density_matrix,
 )
@@ -43,12 +36,9 @@ from .twins import (
     TwinSpace,
     _distant_correlation,
     _ppt_separable,
-    _twin_space,
-    analytic_twins,
-    pull_back,
     subspace_residual,
 )
-from .verify import make_context, run_verification
+from .verify import VerifyContext, run_verification
 
 COMMANDS = (
     "classify",
@@ -209,51 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class Resolution:
-    """One CLI input, resolved once: each part is computed on first read and kept.
-
-    rho is the density matrix every subcommand reads, validated once: a
-    matrix file's Hermitian part, the projector of a pure vector, or T(t) of
-    a --t/--weights input inside the tetrahedron, and coords its Pauli coordinates.
-    frame is the canonical form: the identity frame for --t/--weights, else the
-    canonicalized rho, or None when the subsystems are not maximally disordered.
-    verdict is is_state(t, --tol) of a --t/--weights input, None for a file.
-    """
-
-    def __init__(self, spec: StateSpec, tol: float) -> None:
-        self.spec = spec
-        self.tol = tol
-        self.t = spec.t if spec.weights is None else t_from_weights(spec.weights)
-
-    @cached_property
-    def verdict(self) -> StateVerdict | None:
-        return None if self.t is None else is_state(self.t, self.tol)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        if self.spec.matrix is not None:
-            return self.spec.matrix
-        if self.spec.pure is not None:
-            return validate_density_matrix(np.outer(self.spec.pure, self.spec.pure.conj()))
-        if not self.verdict.ok:
-            raise ValueError(
-                f"t-vector {self.t.tolist()} is outside the tetrahedron "
-                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
-            )
-        return validate_density_matrix(build_T(self.t))
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        return pauli_coordinates(self.rho)
-
-    @cached_property
-    def frame(self) -> CanonicalForm | None:
-        if self.t is not None:
-            eye = np.eye(2, dtype=complex)
-            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
-        return _canonicalize(self.rho, self.coords) if _is_mds(self.coords) else None
-
-
 def _class_tree(cls: MdsClass) -> dict:
     tree: dict = {"class": cls.kind, "weights": list(cls.weights)}
     if cls.vertex is not None:
@@ -268,7 +213,7 @@ def _class_tree(cls: MdsClass) -> dict:
     return tree
 
 
-def cmd_classify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_classify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     diagnostics: dict = {}
     cf = state.frame
     if cf is None:
@@ -279,13 +224,13 @@ def cmd_classify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int
     if state.t is None:
         diagnostics["canonicalization_residual"] = cf.residual
         diagnostics["canonical_t"] = list(cf.t)
-    cls = classify(cf.t, args.tol, state.verdict)
+    cls = state.cls
     diagnostics["min_weight"] = cls.verdict.min_weight
     diagnostics["min_eigenvalue"] = cls.verdict.min_eigenvalue
     return {"result": _class_tree(cls), "diagnostics": diagnostics}, 0
 
 
-def cmd_schmidt(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_schmidt(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     rho = state.rho
     norm = hs_norm(rho)
     os_ = operator_schmidt(rho, args.tol)
@@ -297,8 +242,8 @@ def cmd_schmidt(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]
         "left_ops": [matrix_tree(m) for m in os_.left_ops],
         "right_ops": [matrix_tree(m) for m in os_.right_ops],
     }
-    if state.spec.pure is not None:
-        ps = pure_schmidt(state.spec.pure, args.tol)
+    if state.pure is not None:
+        ps = pure_schmidt(state.pure, args.tol)
         pure_tree: dict = {
             "coefficients": list(ps.coefficients),
             "schmidt_rank": ps.schmidt_rank,
@@ -322,48 +267,43 @@ def _basis_tree(space: TwinSpace) -> list[dict]:
     return [{"a1_pauli": list(row[:4]), "a2_pauli": list(row[4:])} for row in rows]
 
 
-def cmd_twins(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_twins(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     diagnostics: dict = {}
     cf = state.frame
     if cf is not None and state.t is None:
         diagnostics["canonical_t"] = list(cf.t)
         diagnostics["canonicalization_residual"] = cf.residual
-    space = _twin_space(state.rho, args.tol)
+    space = state.space
     result: dict = {
         "dimension": space.dimension,
         "has_nontrivial": space.has_nontrivial,
         "singular_value_gap": space.singular_value_gap,
         "basis": _basis_tree(space),
     }
-    if cf is not None:
-        cls = classify(cf.t, args.tol, state.verdict)
-        if cls.kind != NON_STATE:
-            analytic = analytic_twins(cls)
-            if analytic is not None:
-                pulled = pull_back(analytic, cf.u1, cf.u2)
-                result["analytic"] = {
-                    "stratum": cls.kind,
-                    "basis": _basis_tree(pulled),
-                    "agreement_residual": subspace_residual(space, pulled),
-                }
-            else:
-                result["analytic"] = {
-                    "stratum": cls.kind,
-                    "note": "no nontrivial closed-form twins on this stratum",
-                }
+    cls = state.cls
+    if cls is not None and cls.kind != NON_STATE:
+        pulled = state.analytic
+        if pulled is not None:
+            result["analytic"] = {
+                "stratum": cls.kind,
+                "basis": _basis_tree(pulled),
+                "agreement_residual": subspace_residual(space, pulled),
+            }
+        else:
+            result["analytic"] = {
+                "stratum": cls.kind,
+                "note": "no nontrivial closed-form twins on this stratum",
+            }
     return {"result": result, "diagnostics": diagnostics}, 0
 
 
-def cmd_verify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
-    cf = state.frame
-    if cf is None:
-        raise ValueError("verify expects a state with maximally disordered subsystems")
-    ctx = make_context(state.rho, cf, args.tol, args.seed, state.verdict)
-    results = run_verification(ctx)
+def cmd_verify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+    state.rho  # a --t outside the tetrahedron fails here, before any check
+    results = run_verification(state)
     passed = sum(1 for r in results if r.passed)
     tree = {
         "result": {
-            "stratum": ctx.cls.kind,
+            "stratum": state.cls.kind,
             "checks": [
                 {"name": r.name, "passed": r.passed, "detail": r.detail}
                 for r in results
@@ -371,12 +311,12 @@ def cmd_verify(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
             "passed": passed,
             "failed": len(results) - passed,
         },
-        "diagnostics": {"canonical_t": list(ctx.t), "seed": args.seed},
+        "diagnostics": {"canonical_t": list(state.frame.t), "seed": args.seed},
     }
     return tree, 0 if passed == len(results) else 2
 
 
-def cmd_separability(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_separability(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     separable, min_eig = _ppt_separable(state.rho, args.tol)
     return {
         "result": {
@@ -386,7 +326,7 @@ def cmd_separability(args: argparse.Namespace, state: Resolution) -> tuple[dict,
     }, 0
 
 
-def cmd_correlate(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_correlate(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     rho = state.rho
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
@@ -403,7 +343,7 @@ def cmd_correlate(args: argparse.Namespace, state: Resolution) -> tuple[dict, in
     }, 0
 
 
-def cmd_canonicalize(args: argparse.Namespace, state: Resolution) -> tuple[dict, int]:
+def cmd_canonicalize(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
     cf = _canonicalize(state.rho, state.coords)
     return {
         "result": {
@@ -442,7 +382,9 @@ def run(argv: list[str]) -> int:
     # RankDecisionError is a ValueError, so the exit-2 branch comes first
     try:
         spec = load_state_spec(args)
-        tree, code = _HANDLERS[args.command](args, Resolution(spec, args.tol))
+        t = spec.t if spec.weights is None else t_from_weights(spec.weights)
+        state = VerifyContext(args.tol, args.seed, spec.matrix, spec.pure, t)
+        tree, code = _HANDLERS[args.command](args, state)
     except (InternalConsistencyError, RankDecisionError) as exc:
         print(f"twinscope {args.command}: internal consistency failure: {exc}", file=sys.stderr)
         return 2

@@ -26,10 +26,12 @@ from .mds import (
     StateVerdict,
     _canonical_form,
     _canonicalize,
+    _is_mds,
     bell_t_vector,
     build_T,
     classify,
     edge_mixture,
+    is_state,
     state_test_rounding,
     t_from_weights,
     validate_density_matrix,
@@ -60,31 +62,74 @@ class CheckResult:
     detail: str
 
 
-@dataclass(frozen=True)
+@dataclass(eq=False)
 class VerifyContext:
-    """Input state plus its generating form: (u1 x u2) rho (u1 x u2)^dag = T(t).
+    """One input state, resolved once: each part is computed on first read and kept.
 
-    `cls` is the classification of t and `space` the oracle twin space of
-    rho; both are computed once, in make_context, and shared by the checks.
-    rho is the Hermitian part validate_density_matrix returned, so
-    checks hand it to the kernels of mds, twins and schmidt without
-    validating it again.
+    The state is exactly one of `matrix`, a density matrix that
+    validate_density_matrix returned, `pure`, a normalized vector, and `t`, a
+    t-vector with `verdict` is_state(t, tol). `rho` is the density matrix
+    every kernel reads, validated once (T(t) only inside the tetrahedron), and
+    `coords` its Pauli coordinates. `frame` is the canonical form
+    (u1 x u2) rho (u1 x u2)^dag = T(frame.t): the identity frame for a t,
+    else the canonicalized rho, or None when the subsystems are not maximally
+    disordered. `cls` classifies frame.t, `space` is the oracle twin space of
+    rho and `analytic` the closed-form one, pulled back onto rho.
     """
 
-    rho: np.ndarray
-    t: np.ndarray
-    u1: np.ndarray
-    u2: np.ndarray
-    cls: MdsClass
-    space: TwinSpace
     tol: float
     seed: int
+    matrix: np.ndarray | None = None
+    pure: np.ndarray | None = None
+    t: np.ndarray | None = None
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)
 
     @cached_property
-    def frame(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def verdict(self) -> StateVerdict | None:
+        return None if self.t is None else is_state(self.t, self.tol)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix
+        if self.pure is not None:
+            return validate_density_matrix(np.outer(self.pure, self.pure.conj()))
+        if not self.verdict.ok:
+            raise ValueError(
+                f"t-vector {self.t.tolist()} is outside the tetrahedron "
+                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
+            )
+        return validate_density_matrix(build_T(self.t))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return pauli_coordinates(self.rho)
+
+    @cached_property
+    def frame(self) -> CanonicalForm | None:
+        if self.t is not None:
+            eye = np.eye(2, dtype=complex)
+            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
+        return _canonicalize(self.rho, self.coords) if _is_mds(self.coords) else None
+
+    @cached_property
+    def cls(self) -> MdsClass | None:
+        return None if self.frame is None else classify(self.frame.t, self.tol, self.verdict)
+
+    @cached_property
+    def space(self) -> TwinSpace:
+        return _twin_space(self.rho, self.tol)
+
+    @cached_property
+    def analytic(self) -> TwinSpace | None:
+        """analytic_twins(cls) pulled back onto rho; None off the vertex and edge strata."""
+        closed = None if self.cls is None else analytic_twins(self.cls)
+        return None if closed is None else pull_back(closed, self.frame.u1, self.frame.u2)
+
+    @cached_property
+    def moved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
 
         Drawn once from rng() and shared by canonical-form-roundtrip and
@@ -97,41 +142,24 @@ class VerifyContext:
 
     def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
         """(u1 x u2)^dag sigma (u1 x u2), for a 4x4 sigma or a stack (..., 4, 4)."""
-        return local_conj(sigma, self.u1.conj().T, self.u2.conj().T)
+        return local_conj(sigma, self.frame.u1.conj().T, self.frame.u2.conj().T)
 
 
 def make_context(
-    rho: np.ndarray,
-    cf: CanonicalForm | None,
-    tol: float,
-    seed: int,
-    verdict: StateVerdict | None = None,
+    rho: np.ndarray, cf: CanonicalForm | None, tol: float, seed: int
 ) -> VerifyContext:
-    """Resolve the generating form, the class and the oracle twin space of rho.
+    """The context of a density matrix rho, validated and framed here.
 
-    With `cf` None, rho is validated and canonicalized here; otherwise `cf` is
-    its canonical form (the identity frame for a t/weights input) and rho is
-    what validate_density_matrix returned. `verdict` is is_state(cf.t, tol)
-    when the caller already has it; classify computes it otherwise.
+    With `cf` None, rho is canonicalized here; otherwise `cf` is its canonical form.
     """
-    if cf is None:
-        rho = validate_density_matrix(rho)
-        cf = _canonicalize(rho, pauli_coordinates(rho))
-    return VerifyContext(
-        rho=rho,
-        t=cf.t,
-        u1=cf.u1,
-        u2=cf.u2,
-        cls=classify(cf.t, tol, verdict),
-        space=_twin_space(rho, tol),
-        tol=tol,
-        seed=seed,
-    )
+    ctx = VerifyContext(tol, seed, matrix=validate_density_matrix(rho))
+    ctx.frame = _canonicalize(ctx.rho, ctx.coords) if cf is None else cf
+    return ctx
 
 
 def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
-    w = weights_from_t(ctx.t)
-    err = np.abs(t_from_weights(w) - ctx.t).max()
+    w = weights_from_t(ctx.frame.t)
+    err = np.abs(t_from_weights(w) - ctx.frame.t).max()
     err_w = np.abs(weights_from_t(t_from_weights(w)) - w).max()
     return CheckResult(
         "weights-roundtrip",
@@ -142,7 +170,7 @@ def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
 
 def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
     direct = (ctx.cls.weights @ _BELL_PROJECTORS.reshape(4, 16)).reshape(4, 4)
-    err = np.abs(build_T(ctx.t) - direct).max()
+    err = np.abs(build_T(ctx.frame.t) - direct).max()
     return CheckResult(
         "bell-mixture-identity", bool(err <= ROUNDING_TOL), f"entrywise residual {err:.3e}"
     )
@@ -162,7 +190,7 @@ def _check_state_test_agreement(ctx: VerifyContext) -> CheckResult:
 
 def _check_vertex_sign_table(ctx: VerifyContext) -> CheckResult:
     k = ctx.cls.vertex
-    err = np.abs(ctx.t - bell_t_vector(k)).max()
+    err = np.abs(ctx.frame.t - bell_t_vector(k)).max()
     return CheckResult(
         "vertex-sign-table",
         bool(err <= ctx.tol),
@@ -183,8 +211,8 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
-    cf, bound = _canonical_form(ctx.frame[2], pauli_coordinates(ctx.frame[2]))
-    mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.t))).max()
+    cf, bound = _canonical_form(ctx.moved[2], pauli_coordinates(ctx.moved[2]))
+    mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.frame.t))).max()
     ok = cf.residual <= bound and mag_err <= RESIDUAL_TOL
     return CheckResult(
         "canonical-form-roundtrip",
@@ -206,7 +234,7 @@ def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
 
 def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
     oracle = ctx.space
-    pulled = pull_back(analytic_twins(ctx.cls), ctx.u1, ctx.u2)
+    pulled = ctx.analytic
     worst = float(span_distances(oracle, pulled.rows).max())
     mutual = subspace_residual(oracle, pulled)
     ok = worst <= RESIDUAL_TOL and mutual <= RESIDUAL_TOL
@@ -234,7 +262,7 @@ def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
 
 
 def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
-    v1, v2, moved_state = ctx.frame
+    v1, v2, moved_state = ctx.moved
     space = ctx.space
     moved_space = _twin_space(moved_state, ctx.tol)
     if moved_space.dimension != space.dimension:
@@ -332,7 +360,12 @@ _CHECKS = (
 
 
 def run_verification(ctx: VerifyContext) -> list[CheckResult]:
-    """Run every invariant check applicable to the input's stratum."""
+    """Run every invariant check applicable to the input's stratum.
+
+    A state whose subsystems are not maximally disordered raises ValueError.
+    """
+    if ctx.cls is None:
+        raise ValueError("verify expects a state with maximally disordered subsystems")
     results = []
     for fn, strata in _CHECKS:
         if ctx.cls.kind in strata:

@@ -193,7 +193,7 @@ def test_is_state_runs_once_per_call(capsys, monkeypatch, scrambled_edge_file):
         return is_state(t, tol)
 
     monkeypatch.setattr(mds, "is_state", counted)
-    monkeypatch.setattr(cli, "is_state", counted)
+    monkeypatch.setattr(verify, "is_state", counted)
     for command in ("classify", "twins", "verify"):
         for state_args in (("--t", "0.4,-0.4,1"), ("--input", scrambled_edge_file)):
             calls.clear()
@@ -231,7 +231,7 @@ def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, 
     for module in (cli, mds, twins, verify):
         monkeypatch.setattr(module, "validate_density_matrix", counted)
     monkeypatch.setattr(mds, "is_state", counted_is_state)
-    monkeypatch.setattr(cli, "is_state", counted_is_state)
+    monkeypatch.setattr(verify, "is_state", counted_is_state)
     extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
     counts = []
     for state_args in (("--input", scrambled_edge_file), ("--t", "0.4,-0.4,1")):
@@ -290,12 +290,12 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
 
         return wrapped
 
-    for command, name in (
-        ("schmidt", "operator_schmidt"),
-        ("separability", "_ppt_separable"),
-        ("twins", "_twin_space"),
+    for command, module, name in (
+        ("schmidt", cli, "operator_schmidt"),
+        ("separability", cli, "_ppt_separable"),
+        ("twins", verify, "_twin_space"),
     ):
-        monkeypatch.setattr(cli, name, recording(command, getattr(cli, name)))
+        monkeypatch.setattr(module, name, recording(command, getattr(module, name)))
         code, _, err = invoke(capsys, command, "--input", str(path))
         assert code == 0, err
     # the validated Hermitian part of the projector, not the raw outer product
@@ -633,7 +633,7 @@ def test_pauli_coordinates_once_per_state(capsys, monkeypatch, scrambled_edge_fi
         calls.append(rho)
         return coordinates(rho)
 
-    for module in (cli, mds, schmidt, verify):
+    for module in (mds, schmidt, verify):
         monkeypatch.setattr(module, "pauli_coordinates", counted)
     extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
     code, _, err = invoke(capsys, command, "--input", scrambled_edge_file, *extra)

@@ -26,7 +26,7 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     # local-unitary-covariance check; both as validated
     assert len(calls) == 2
     assert np.array_equal(calls[0], mds.validate_density_matrix(rho))
-    assert calls[1] is ctx.frame[2]
+    assert calls[1] is ctx.moved[2]
 
 
 @pytest.mark.parametrize(
@@ -68,7 +68,7 @@ def test_shared_frame_drawn_once(monkeypatch):
     assert all(r.passed for r in verify.run_verification(ctx))
     # canonical-form-roundtrip and local-unitary-covariance share (v1, v2)
     assert len(calls) == 2
-    v1, v2, moved = ctx.frame
+    v1, v2, moved = ctx.moved
     fresh = ctx.rng()
     assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
     assert np.array_equal(moved, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
@@ -93,7 +93,7 @@ def test_pauli_coordinates_twice_per_verification(monkeypatch):
     assert all(r.passed for r in verify.run_verification(ctx))
     # the input once in make_context, the moved frame state once in canonical-form-roundtrip
     assert len(calls) == 2
-    assert calls[0] is ctx.rho and calls[1] is ctx.frame[2]
+    assert calls[0] is ctx.rho and calls[1] is ctx.moved[2]
 
 
 def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
