@@ -372,7 +372,7 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
 def canonicalize(rho: np.ndarray) -> CanonicalForm:
     """Local unitaries (u1, u2) and t with (u1 x u2) rho (u1 x u2)^dagger = T(t).
 
-    The correlation matrix 4 R[1:, 1:] (R = pauli_coordinates(rho)) is decomposed
+    The correlation matrix R[1:, 1:] / R_00 (R = pauli_coordinates(rho)) is decomposed
     as A diag(t) B^T with both factors forced into SO(3) (flipping the sign of
     the last singular value when needed); the rotations transpose onto the
     state's two sides and lift to SU(2). Axes are then permuted so |t| is
@@ -413,7 +413,8 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
             "canonicalize expects maximally disordered subsystems; reduced states deviate "
             "from I/2 by {:.3e} and {:.3e} in operator norm".format(*_disorder(R))
         )
-    a, s, bt = np.linalg.svd(4 * R[1:, 1:])
+    # R_00 = Tr(rho)/4: t is read from rho / Tr(rho), so a trace off 1 cannot push a |t_i| past 1
+    a, s, bt = np.linalg.svd(R[1:, 1:] / R[0, 0])
     b = bt.T
     da, db = np.linalg.det(np.stack([a, b])).tolist()
     if da < 0:

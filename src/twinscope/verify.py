@@ -20,6 +20,7 @@ from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
     GENERIC_INTERIOR,
+    NON_STATE,
     _BELL_PROJECTORS,
     CanonicalForm,
     MdsClass,
@@ -362,10 +363,16 @@ _CHECKS = (
 def run_verification(ctx: VerifyContext) -> list[CheckResult]:
     """Run every invariant check applicable to the input's stratum.
 
-    A state whose subsystems are not maximally disordered raises ValueError.
+    A state no check applies to raises ValueError: one whose subsystems are
+    not maximally disordered, or whose canonical t is outside the tetrahedron.
     """
     if ctx.cls is None:
         raise ValueError("verify expects a state with maximally disordered subsystems")
+    if ctx.cls.kind == NON_STATE:
+        raise ValueError(
+            f"canonical t-vector {ctx.frame.t.tolist()} is outside the tetrahedron "
+            f"({ctx.cls.detail})"
+        )
     results = []
     for fn, strata in _CHECKS:
         if ctx.cls.kind in strata:

@@ -572,13 +572,11 @@ def _scaled_singlet_file(path, scale):
 
 def test_pure_vector_is_gated_once(capsys, tmp_path):
     # |phi|^2 - 1, the projector's trace less 1, meets the 1e-8 gate once. At 1 + 2e-9
-    # the old 1e-10 bounds of pure_schmidt and of correlate's table failed. (There the
-    # canonical t's Bell weights, -1e-9, sit on the default rank cut, so classify, twins
-    # and verify exit 2 with an ambiguous rank decision; at 1 + 4e-9 they are non-states.)
-    cases = ((1 + 2e-9, ("schmidt", "correlate")), (1 + 4e-9, cli.COMMANDS))
-    for scale, commands in cases:
+    # the old 1e-10 bounds of pure_schmidt and of correlate's table failed, and a canonical
+    # t read without dividing by the trace put three Bell weights on the default rank cut.
+    for scale in (1 + 2e-9, 1 + 4e-9):
         path = _scaled_singlet_file(tmp_path / "singlet.txt", scale)
-        for command in commands:
+        for command in cli.COMMANDS:
             extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
             code, out, err = invoke(capsys, command, "--input", path, *extra)
             assert code == 0, (scale, command, err)
@@ -591,6 +589,34 @@ def test_pure_vector_is_gated_once(capsys, tmp_path):
             f"twinscope {command}: error: pure state vector has squared norm 1.000000014, "
             "expected 1\n"
         )
+
+
+def test_canonical_t_is_read_per_unit_trace(capsys, tmp_path):
+    # trace 1 + 8e-9 passes the 1e-8 gate; read from 4 R[1:, 1:] alone, the canonical
+    # |t_i| were 1 + 8e-9 and the singlet a non-state that verify passed with no check run
+    path = _scaled_singlet_file(tmp_path / "singlet.txt", 1 + 4e-9)
+    code, out, err = invoke(capsys, "classify", "--input", path)
+    assert code == 0, err
+    assert "  class: bell_vertex\n" in out and "canonical_t: [1, 1, -1]" in out
+    code, out, err = invoke(capsys, "verify", "--input", path)
+    assert code == 0, err
+    assert "  stratum: bell_vertex\n" in out
+    assert "  passed: 11\n  failed: 0\n" in out
+
+
+def test_verify_rejects_a_file_whose_canonical_form_is_a_non_state(capsys, tmp_path):
+    # sum_k w_k P_k with w0 = -5e-9: the 1e-8 gate admits it, the tetrahedron does not
+    w = np.array([-5e-9, 0.3, 0.3, 0.4 + 5e-9])
+    projectors = np.array([mds.bell_state(k)[1] for k in range(4)])
+    path = _matrix_file(tmp_path / "mixture.txt", np.einsum("k,kab->ab", w, projectors))
+    code, out, _ = invoke(capsys, "classify", "--input", path)
+    assert code == 0 and "  class: non_state\n" in out
+    code, out, err = invoke(capsys, "verify", "--input", path)
+    assert (code, out) == (1, "")
+    assert err.startswith("twinscope verify: error: canonical t-vector ")
+    assert err.endswith(
+        " is outside the tetrahedron (weight w0 = -5.000000039e-09 < -1e-09)\n"
+    )
 
 
 def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):
