@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -207,41 +208,76 @@ VALIDATIONS = {
     "classify": (1, 0),
     "schmidt": (1, 1),
     "twins": (1, 1),
-    # the input once, then verify's moved frame state and the stack of the edge's Bell components
+    # the input once, then verify's moved state and the stack of the edge's Bell components
     "verify": (3, 3),
     "separability": (1, 1),
     "correlate": (1, 1),
     "canonicalize": (1, 1),
 }
 
+# (classify, twin oracle) calls per command, for either input: the oracle reads the
+# validated input, and verify's local-unitary-covariance check the moved state after it
+RESOLUTIONS = {"classify": (1, 0), "twins": (1, 1), "verify": (1, 2)}
+
 
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, command):
-    validations, verdicts = [], []
-    validate = mds.validate_density_matrix
+    validations, validated, verdicts, classes, oracles = [], [], [], [], []
+    validate, classify, twin_space = mds.validate_density_matrix, mds.classify, verify._twin_space
 
     def counted(rho, *args, **kwargs):
         validations.append(rho)
-        return validate(rho, *args, **kwargs)
+        validated.append(validate(rho, *args, **kwargs))
+        return validated[-1]
 
     def counted_is_state(t, tol=mds.DEFAULT_TOL):
         verdicts.append(t)
         return is_state(t, tol)
 
+    def counted_classify(t, *args):
+        classes.append(t)
+        return classify(t, *args)
+
+    def counted_twin_space(rho, tol):
+        oracles.append(rho)
+        return twin_space(rho, tol)
+
     for module in (cli, mds, twins, verify):
         monkeypatch.setattr(module, "validate_density_matrix", counted)
     monkeypatch.setattr(mds, "is_state", counted_is_state)
     monkeypatch.setattr(verify, "is_state", counted_is_state)
+    monkeypatch.setattr(mds, "classify", counted_classify)
+    monkeypatch.setattr(verify, "classify", counted_classify)
+    monkeypatch.setattr(verify, "_twin_space", counted_twin_space)
     extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
     counts = []
     for state_args in (("--input", scrambled_edge_file), ("--t", "0.4,-0.4,1")):
-        validations.clear()
-        verdicts.clear()
+        for calls in (validations, validated, verdicts, classes, oracles):
+            calls.clear()
         code, _, err = invoke(capsys, command, *state_args, *extra)
         assert code == 0, err
         counts.append(len(validations))
         assert len(verdicts) <= 1
+        assert (len(classes), len(oracles)) == RESOLUTIONS.get(command, (0, 0))
+        assert all(rho is state for rho, state in zip(oracles, validated))
     assert tuple(counts) == VALIDATIONS[command]
+
+
+# what the one resolution in verify computes; a command reaching one of these could
+# classify or solve an input a second time
+RESOLVED_IN_VERIFY = {"classify", "is_state", "_is_mds", "_twin_space", "build_T", "pauli_coordinates"}
+
+
+def test_cli_imports_nothing_the_resolution_computes():
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert (imported | attributes) & RESOLVED_IN_VERIFY == set()
 
 
 @pytest.mark.parametrize(
