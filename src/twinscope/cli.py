@@ -80,20 +80,23 @@ def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
 
 
 def load_state_spec(args: argparse.Namespace) -> StateSpec:
-    given = [name for name in ("t", "weights", "input") if getattr(args, name, None)]
+    # an empty value is given too: `--t=` is a field error, not a missing flag
+    given = [name for name in ("t", "weights", "input") if getattr(args, name, None) is not None]
     if len(given) != 1:
         raise ValueError(
             "exactly one of --t, --weights, --input must be given "
             f"(got {', '.join(given) if given else 'none'})"
         )
-    if args.t:
+    if args.t is not None:
         t = _parse_floats(args.t, 3, "--t")
         return StateSpec(kind="t", t=t)
-    if args.weights:
+    if args.weights is not None:
         w = _parse_floats(args.weights, 4, "--weights")
         if abs(w.sum() - 1) > STATE_VALIDATION_TOL:
             raise ValueError(f"--weights must sum to 1, got {w.sum():.12g}")
         return StateSpec(kind="weights", weights=w)
+    if not args.input:
+        raise ValueError("--input: the path is empty")
     variant, data = parse_state_file(args.input)
     if variant == "matrix":
         # the exact Hermitian part: what passed the guard, and what every command reads

@@ -3,9 +3,10 @@ subsystem) two-qubit states.
 
 The family is parametrized two ways: by the diagonal correlation vector t
 (components of sigma_i x sigma_i), and by the mixing weights w over the
-four Bell projectors. Both are linearly related; a t-vector describes a
-state exactly when all four weights are nonnegative, which carves the
-tetrahedron out of the cube [-1,1]^3.
+four Bell projectors, related by one sign table, BELL_SIGNS, which also gives
+an edge its axis and case and the twins module every closed-form twin basis.
+A t-vector describes a state exactly when all four weights are nonnegative,
+which carves the tetrahedron out of the cube [-1,1]^3.
 
 Strata of the tetrahedron, read off the vanishing Bell weights:
   * vertices   - the four Bell projectors (three weights vanish),
@@ -60,15 +61,18 @@ _BELL_VECTORS.setflags(write=False)
 _BELL_PROJECTORS = np.einsum("ka,kb->kab", _BELL_VECTORS, _BELL_VECTORS.conj())
 _BELL_PROJECTORS.setflags(write=False)
 
-_BELL_T_VECTORS = np.array(
+# The Bell sign table: row k is (1, t-vector of psi_k), and on psi_k sigma_i x I acts as
+# BELL_SIGNS[k, i] (I x sigma_i). The rows are orthogonal, BELL_SIGNS @ BELL_SIGNS.T = 4 I,
+# so w = BELL_SIGNS @ (1, t) / 4 and (1, t) = w @ BELL_SIGNS.
+BELL_SIGNS = np.array(
     [
-        [-1.0, -1.0, -1.0],
-        [-1.0, 1.0, 1.0],
-        [1.0, -1.0, 1.0],
-        [1.0, 1.0, -1.0],
+        [1.0, -1.0, -1.0, -1.0],
+        [1.0, -1.0, 1.0, 1.0],
+        [1.0, 1.0, -1.0, 1.0],
+        [1.0, 1.0, 1.0, -1.0],
     ]
 )
-_BELL_T_VECTORS.setflags(write=False)
+BELL_SIGNS.setflags(write=False)
 
 # build_T(t) is _T_MAP[0] + t @ _T_MAP[1:], flattened: row i is sigma_i x sigma_i / 4
 _T_MAP = np.einsum("iiab->iab", PAULI2).reshape(4, 16) / 4
@@ -126,49 +130,50 @@ class CanonicalForm:
     residual: float
 
 
-def bell_state(k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bell state vector and projector for index k (0 is the singlet)."""
+def _bell_index(k: int) -> int:
+    """k as a Bell index, 0..3 (0 is the singlet); anything else is a ValueError."""
     if k not in (0, 1, 2, 3):
         raise ValueError(f"Bell index must be in 0..3, got {k}")
+    return int(k)
+
+
+def bell_state(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bell state vector and projector for index k (0 is the singlet)."""
+    k = _bell_index(k)
     return _BELL_VECTORS[k].copy(), _BELL_PROJECTORS[k].copy()
 
 
 def bell_t_vector(k: int) -> np.ndarray:
-    """t-vector of the k-th Bell projector."""
-    if k not in (0, 1, 2, 3):
-        raise ValueError(f"Bell index must be in 0..3, got {k}")
-    return _BELL_T_VECTORS[k].copy()
+    """t-vector of the k-th Bell projector: row k of BELL_SIGNS without its leading 1."""
+    return BELL_SIGNS[_bell_index(k), 1:].copy()
+
+
+def _shared_signs(support: list[int]) -> list[tuple[int, float]]:
+    """(i, s) for each column i of BELL_SIGNS (0 always, s = 1) where all support rows hold s."""
+    signs = BELL_SIGNS.tolist()
+    rows = [signs[k] for k in support]
+    return [(i, rows[0][i]) for i in range(4) if all(row[i] == rows[0][i] for row in rows)]
 
 
 def t_from_weights(w: np.ndarray) -> np.ndarray:
-    """Correlation vector of the Bell mixture with weights (w0, w1, w2, w3)."""
+    """Correlation vector of the Bell mixture with weights w: (1, t) = w @ BELL_SIGNS."""
     w = np.asarray(w, dtype=float).reshape(-1)
     if w.shape != (4,):
         raise ValueError(f"expected 4 weights, got shape {w.shape}")
-    w0, w1, w2, w3 = w
-    return np.array(
-        [
-            -w1 + w2 + w3 - w0,
-            w1 - w2 + w3 - w0,
-            w1 + w2 - w3 - w0,
-        ]
-    )
+    w0, w1, w2, w3 = w.tolist()
+    # w1, w2, w3 and then w0, on Python floats: this order fixes the rounding of every sampled t
+    cols = BELL_SIGNS.T.tolist()[1:]
+    return np.array([s1 * w1 + s2 * w2 + s3 * w3 + s0 * w0 for s0, s1, s2, s3 in cols])
 
 
 def weights_from_t(t: np.ndarray) -> np.ndarray:
-    """Bell mixing weights of a t-vector (negative entries mean non-state)."""
+    """Bell mixing weights w = BELL_SIGNS @ (1, t) / 4 (negative entries mean non-state)."""
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (3,):
         raise ValueError(f"expected a 3-component t-vector, got shape {t.shape}")
     t1, t2, t3 = t.tolist()  # python floats: the same IEEE arithmetic, without numpy scalars
-    return np.array(
-        [
-            (1 - t1 - t2 - t3) / 4,
-            (1 - t1 + t2 + t3) / 4,
-            (1 + t1 - t2 + t3) / 4,
-            (1 + t1 + t2 - t3) / 4,
-        ]
-    )
+    signs = BELL_SIGNS.tolist()
+    return np.array([(s0 + s1 * t1 + s2 * t2 + s3 * t3) / 4 for s0, s1, s2, s3 in signs])
 
 
 def build_T(t: np.ndarray) -> np.ndarray:
@@ -257,8 +262,8 @@ def classify(
             verdict=verdict,
         )
     if len(alive) == 2:
-        case = "B" if 0 in alive else "A"
-        i = next(k for k in (1, 2, 3) if (k in alive) == (0 in alive))
+        _, (i, sign) = _shared_signs(alive)  # column 0, then the axis, where t_axis = sign
+        case = "A" if sign > 0 else "B"
         j, _ = _CYCLIC[i]
         return MdsClass(
             kind=BINARY_EDGE,
@@ -282,17 +287,17 @@ def classify(
 def edge_mixture(cls: MdsClass) -> dict[int, float]:
     """Bell indices and weights of a binary-edge mixture.
 
-    Case A on axis i mixes the two non-singlet states other than i; case B
-    mixes state i with the singlet.
+    The support is the two rows of BELL_SIGNS holding t_axis (+1 in case A, -1 in case B)
+    on the axis: case A mixes the two non-singlet states other than the axis, case B the
+    axis state and the singlet. With t_j = u, row k weighs (1 + BELL_SIGNS[k, j] u) / 2.
     """
     if cls.kind != BINARY_EDGE:
         raise ValueError(f"edge_mixture expects a binary edge, got {cls.kind}")
     i = cls.axis
-    j, m = _CYCLIC[i]
+    j, _ = _CYCLIC[i]
+    sign = 1.0 if cls.case == "A" else -1.0
     u = cls.edge_parameter
-    if cls.case == "A":
-        return {j: (1 - u) / 2, m: (1 + u) / 2}
-    return {i: (1 + u) / 2, 0: (1 - u) / 2}
+    return {k: (1 + row[j] * u) / 2 for k, row in enumerate(BELL_SIGNS.tolist()) if row[i] == sign}
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -375,10 +380,11 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     The correlation matrix R[1:, 1:] / R_00 (R = pauli_coordinates(rho)) is decomposed
     as A diag(t) B^T with both factors forced into SO(3) (flipping the sign of
     the last singular value when needed); the rotations transpose onto the
-    state's two sides and lift to SU(2). Axes are then permuted so |t| is
-    descending, ties broken by signed value descending. The local part
-    L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried along by every local
-    unitary and never removed, so only a transport residual above
+    state's two sides and lift to SU(2). The SVD's axis order is the canonical
+    one: LAPACK returns the singular values descending and only t[2] can turn
+    negative, so |t| is descending, ties broken by signed value descending.
+    The local part L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried
+    along by every local unitary and never removed, so only a transport residual above
     DEFAULT_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
     """
     rho = validate_density_matrix(rho)
@@ -415,25 +421,15 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
         )
     # R_00 = Tr(rho)/4: t is read from rho / Tr(rho), so a trace off 1 cannot push a |t_i| past 1
     a, s, bt = np.linalg.svd(R[1:, 1:] / R[0, 0])
-    b = bt.T
-    da, db = np.linalg.det(np.stack([a, b])).tolist()
+    da, db = np.linalg.det(np.stack([a, bt])).tolist()
     if da < 0:
         a[:, 2] = -a[:, 2]
     if db < 0:
-        b[:, 2] = -b[:, 2]
+        bt[2] = -bt[2]
     t = s.copy()
     t[2] *= np.sign(da) * np.sign(db)
-    # canonical axis order: |t| descending, ties by signed value descending
-    order = sorted(range(3), key=lambda i: (-abs(t[i]), -t[i]))
-    perm = np.eye(3)[order]
-    # an odd permutation of three axes steps back by one from its first entry to its second
-    if (order[1] - order[0]) % 3 == 2:
-        perm[0, :] = -perm[0, :]
-    r1 = perm @ a.T
-    r2 = perm @ b.T
-    t = t[order]
-    u1 = _su2_from_rotation(r1)
-    u2 = _su2_from_rotation(r2)
+    u1 = _su2_from_rotation(a.T)
+    u2 = _su2_from_rotation(bt)
     residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
 

@@ -15,8 +15,8 @@ Two independent routes are kept side by side throughout:
   * a brute-force oracle: parametrize both observables over the Pauli
     basis with 8 real unknowns, write the twin condition as 32 real linear
     equations, and take the nullspace;
-  * closed-form constructions: the sign-table partner at a Bell vertex and
-    the single-axis pairs (sigma_i, +/- sigma_i) on binary-mixture edges.
+  * closed-form constructions: Bell states share the pairs (sigma_i, s sigma_i)
+    for each column i of the sign table mds.BELL_SIGNS where all their rows hold s.
 
 Tests require the two routes to agree; neither is allowed to stand in for
 the other.
@@ -47,24 +47,18 @@ from .linalg import (
     to_pauli,
 )
 from .mds import (
+    BELL_SIGNS,
     BELL_VERTEX,
     BINARY_EDGE,
     DEFAULT_TOL,
     InternalConsistencyError,
     MdsClass,
+    _bell_index,
+    _shared_signs,
     bell_state,
+    edge_mixture,
     validate_density_matrix,
 )
-
-# Sign patterns applied to the Pauli components (beta_1, beta_2, beta_3) of a
-# first-subsystem observable to obtain its twin on each Bell projector:
-# the singlet flips all three, each other Bell state flips its own index.
-BELL_TWIN_SIGNS = {
-    0: (-1, -1, -1),
-    1: (-1, 1, 1),
-    2: (1, -1, 1),
-    3: (1, 1, -1),
-}
 
 
 @dataclass(frozen=True)
@@ -291,35 +285,41 @@ def simultaneous_twins(
     return _space_from_nullspace(real_nullspace(blocks.reshape(-1, 8), tol))
 
 
+def _sign_twins(support: list[int]) -> TwinSpace:
+    """Closed-form twin space shared by the Bell projectors in support.
+
+    One pair (sigma_i, s sigma_i)/2 per column i of BELL_SIGNS on which all
+    supported rows hold the sign s; column 0 gives the trivial pair, first.
+    """
+    shared = _shared_signs(support)
+    rows = np.zeros((len(shared), 8))
+    for n, (i, sign) in enumerate(shared):
+        rows[n, i] = 0.5
+        rows[n, 4 + i] = sign / 2
+    return TwinSpace(rows=rows, singular_value_gap=float("inf"))
+
+
 def analytic_edge_twins(cls: MdsClass) -> TwinSpace:
-    """Closed-form twin space of a binary Bell mixture.
+    """Closed-form twin space of a binary Bell mixture (the two states of edge_mixture).
 
     Spanned by the trivial pair and (sigma_i, +sigma_i) on a case-A edge or
     (sigma_i, -sigma_i) on a case-B edge, where i is the edge axis.
     """
     if cls.kind != BINARY_EDGE:
         raise ValueError(f"analytic_edge_twins expects a binary edge, got {cls.kind}")
-    sign = 1.0 if cls.case == "A" else -1.0
-    rows = np.zeros((2, 8))
-    rows[0, [0, 4]] = 0.5
-    rows[1, [cls.axis, 4 + cls.axis]] = 0.5, sign / 2
-    return TwinSpace(rows=rows, singular_value_gap=float("inf"))
+    return _sign_twins(list(edge_mixture(cls)))
 
 
 def bell_twin_partner(k: int, a1: np.ndarray) -> np.ndarray:
-    """Second-subsystem twin of a1 on the k-th Bell projector (sign table)."""
-    if k not in BELL_TWIN_SIGNS:
-        raise ValueError(f"Bell index must be in 0..3, got {k}")
+    """Second-subsystem twin of a1 on the k-th Bell projector (row k of BELL_SIGNS)."""
+    k = _bell_index(k)
     a1 = require_hermitian(a1, "bell_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL)
-    return from_pauli(np.array((1, *BELL_TWIN_SIGNS[k])) * to_pauli(a1))
+    return from_pauli(BELL_SIGNS[k] * to_pauli(a1))
 
 
 def analytic_vertex_twins(k: int) -> TwinSpace:
-    """Closed-form four-dimensional twin space of a Bell projector (the sign table)."""
-    if k not in BELL_TWIN_SIGNS:
-        raise ValueError(f"Bell index must be in 0..3, got {k}")
-    rows = np.hstack([np.eye(4), np.diag((1, *BELL_TWIN_SIGNS[k]))]) / 2
-    return TwinSpace(rows=rows, singular_value_gap=float("inf"))
+    """Closed-form four-dimensional twin space of a Bell projector (row k of BELL_SIGNS)."""
+    return _sign_twins([_bell_index(k)])
 
 
 def analytic_twins(cls: MdsClass) -> TwinSpace | None:

@@ -419,6 +419,23 @@ def test_empty_float_field_rejected(capsys, command, flag, text, field):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("--t=",), "--t: field 1 of '' is empty"),
+        (("--input=",), "--input: the path is empty"),
+        (
+            ("--t=", "--weights=1,0,0,0"),
+            "exactly one of --t, --weights, --input must be given (got t, weights)",
+        ),
+    ],
+)
+def test_empty_flag_value_is_given(capsys, argv, message):
+    code, out, err = invoke(capsys, "classify", *argv)
+    assert (code, out) == (1, "")
+    assert err == f"twinscope classify: error: {message}\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ("classify", "--t=0.1,0.2,0.3", "--tol=nan"),

@@ -376,6 +376,30 @@ def test_canonicalize_fixed_point():
     assert sorted(np.abs(cf.t)) == pytest.approx(sorted(np.abs(t)), abs=1e-10)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(["vertex", "edge-midpoint", "a,a,-a"]),
+    index=st.integers(0, 5),
+    a=st.floats(0.05, 1 / 3),
+)
+def test_canonical_axis_order_on_tied_states(seed, family, index, a):
+    if family == "vertex":
+        t = bell_t_vector(index % 4)
+    elif family == "edge-midpoint":
+        t = random_edge_t(None, index // 2 + 1, "AB"[index % 2], parameter=0.0)
+    else:
+        t = np.array([a, a, -a])
+    rng = np.random.default_rng(seed)
+    cf = canonicalize(local_conj(build_T(t), random_unitary(rng), random_unitary(rng)))
+    assert cf.residual <= 1e-9
+    # |t| descending; where two |t_i| tie (to rounding), the signed values descend
+    eps = 1e-12
+    for x, y in itertools.pairwise(cf.t.tolist()):
+        assert abs(x) >= abs(y) - eps
+        assert abs(abs(x) - abs(y)) > eps or x >= y - eps
+
+
 def test_canonicalize_maximally_mixed():
     cf = canonicalize(np.eye(4, dtype=complex) / 4)
     assert np.abs(cf.t).max() < 1e-12

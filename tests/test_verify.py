@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -107,3 +109,82 @@ def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
     assert err == ""
     assert "- name: canonical-form-roundtrip\n      passed: false" in out
     assert "failed: 1" in out
+
+
+def _failed_checks(out):
+    """Names of the checks a verify report marks passed: false."""
+    lines = out.splitlines()
+    return [
+        line.split(": ", 1)[1]
+        for line, after in zip(lines, lines[1:])
+        if line.lstrip().startswith("- name: ") and after.strip() == "passed: false"
+    ]
+
+
+def _moved_off_stratum(ctx):
+    """Fault: the seeded move lands on an edge instead of a local image of the input."""
+    eye = np.eye(2, dtype=complex)
+    return eye, eye, mds.validate_density_matrix(build_T(np.array([0.4, -0.4, 1.0])))
+
+
+def _vertex_for_every_state(t, tol, verdict):
+    """Fault: classify calls every state Bell vertex 2."""
+    cls = mds.classify(t, tol, verdict)
+    return dataclasses.replace(
+        cls, kind=BELL_VERTEX, vertex=2, axis=None, case=None, edge_parameter=None
+    )
+
+
+def _first_block(rho, keep):
+    """Fault: the reduced state is read as twice the first diagonal block of rho."""
+    return 2 * np.asarray(rho)[:2, :2]
+
+
+@pytest.mark.parametrize(
+    "attribute, fault, t, check, detail, failed",
+    [
+        (
+            "moved",
+            property(_moved_off_stratum),
+            "1,-1,1",
+            verify._check_local_unitary_covariance,
+            "dimension changed 4 -> 2",
+            ["canonical-form-roundtrip", "local-unitary-covariance"],
+        ),
+        (
+            "classify",
+            _vertex_for_every_state,
+            "0.4,-0.4,1",
+            verify._check_pure_state_commutant,
+            "input is not a rank-one projector",
+            [
+                "vertex-sign-table",
+                "twin-dimension-law",
+                "analytic-twins-in-oracle",
+                "pure-state-commutant",
+            ],
+        ),
+        (
+            "partial_trace",
+            _first_block,
+            "-1,-1,-1",
+            verify._check_pure_state_commutant,
+            "random observable fails to commute with I/2",
+            ["pure-state-commutant"],
+        ),
+    ],
+    ids=["covariance-dimension", "commutant-not-rank-one", "commutant-not-commuting"],
+)
+def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, check, detail, failed):
+    target = verify.VerifyContext if attribute == "moved" else verify
+    monkeypatch.setattr(target, attribute, fault)
+    ctx = verify.VerifyContext(DEFAULT_TOL, 0, t=np.array([float(v) for v in t.split(",")]))
+    result = check(ctx)
+    assert not result.passed
+    assert result.detail.startswith(detail)
+    # verify reports the failed check and exits 2, with no internal error
+    assert cli.run(["verify", f"--t={t}"]) == 2
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert _failed_checks(out) == failed
+    assert f"failed: {len(failed)}\n" in out
