@@ -2,8 +2,10 @@
 
 Subcommands: classify | schmidt | twins | verify | separability |
 correlate | canonicalize. A state arrives as exactly one of --t, --weights,
-or --input (a matrix/pure-state file). Reports are deterministic key/value
-trees on standard output; error messages go to standard error.
+or --input (a matrix/pure-state file), and becomes one `state.State`,
+which validates what it is given; the subcommands only read it. Reports
+are deterministic key/value trees on standard output; error messages go
+to standard error.
 
 Exit codes: 0 success, 1 input or validation failure, 2 internal
 consistency failure.
@@ -13,24 +15,16 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
 from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, from_pauli
 from .linalg import hs_norm
-from .mds import (
-    NON_STATE,
-    InternalConsistencyError,
-    MdsClass,
-    _canonicalize,
-    edge_mixture,
-    t_from_weights,
-    validate_density_matrix,
-)
+from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import matrix_tree, parse_state_file, render
 from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
+from .state import State
 from .twins import (
     ObservablePair,
     TwinSpace,
@@ -38,7 +32,7 @@ from .twins import (
     _ppt_separable,
     subspace_residual,
 )
-from .verify import VerifyContext, run_verification
+from .verify import run_verification
 
 COMMANDS = (
     "classify",
@@ -49,18 +43,6 @@ COMMANDS = (
     "correlate",
     "canonicalize",
 )
-
-
-@dataclass
-class StateSpec:
-    """Parsed state input: exactly one variant is populated."""
-
-    kind: str  # "t" | "weights" | "matrix" | "pure"
-    t: np.ndarray | None = None
-    weights: np.ndarray | None = None
-    matrix: np.ndarray | None = None
-    pure: np.ndarray | None = None
-    source: str | None = None
 
 
 def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
@@ -79,7 +61,8 @@ def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
     return values
 
 
-def load_state_spec(args: argparse.Namespace) -> StateSpec:
+def load_state_spec(args: argparse.Namespace) -> tuple[State, dict]:
+    """The one State of the parsed flags, and the input tree the report echoes."""
     # an empty value is given too: `--t=` is a field error, not a missing flag
     given = [name for name in ("t", "weights", "input") if getattr(args, name, None) is not None]
     if len(given) != 1:
@@ -89,23 +72,21 @@ def load_state_spec(args: argparse.Namespace) -> StateSpec:
         )
     if args.t is not None:
         t = _parse_floats(args.t, 3, "--t")
-        return StateSpec(kind="t", t=t)
+        return State(args.tol, args.seed, t=t), {"kind": "t", "t": list(t)}
     if args.weights is not None:
         w = _parse_floats(args.weights, 4, "--weights")
         if abs(w.sum() - 1) > STATE_VALIDATION_TOL:
             raise ValueError(f"--weights must sum to 1, got {w.sum():.12g}")
-        return StateSpec(kind="weights", weights=w)
+        state = State(args.tol, args.seed, t=t_from_weights(w))
+        return state, {"kind": "weights", "weights": list(w)}
     if not args.input:
         raise ValueError("--input: the path is empty")
     variant, data = parse_state_file(args.input)
-    if variant == "matrix":
-        # the exact Hermitian part: what passed the guard, and what every command reads
-        matrix = validate_density_matrix(data)
-        return StateSpec(kind="matrix", matrix=matrix, source=args.input)
-    norm2 = float(np.vdot(data, data).real)
-    if abs(norm2 - 1) > STATE_VALIDATION_TOL:
-        raise ValueError(f"pure state vector has squared norm {norm2:.12g}, expected 1")
-    return StateSpec(kind="pure", pure=data, source=args.input)
+    state = State(args.tol, args.seed, **{variant: data})
+    state.rho  # a file is gated where it is read
+    # a matrix echoes its exact Hermitian part: what passed the gate, and what every command reads
+    echo = matrix_tree(state.rho) if variant == "matrix" else [complex(v) for v in data]
+    return state, {"kind": variant, variant: echo, "source": args.input}
 
 
 def _tol_flag(text: str) -> float:
@@ -134,21 +115,6 @@ def _seed_flag(text: str) -> int:
     if seed < 0:
         raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {seed}")
     return seed
-
-
-def _spec_tree(spec: StateSpec) -> dict:
-    tree: dict = {"kind": spec.kind}
-    if spec.t is not None:
-        tree["t"] = list(spec.t)
-    if spec.weights is not None:
-        tree["weights"] = list(spec.weights)
-    if spec.matrix is not None:
-        tree["matrix"] = matrix_tree(spec.matrix)
-    if spec.pure is not None:
-        tree["pure"] = [complex(v) for v in spec.pure]
-    if spec.source is not None:
-        tree["source"] = spec.source
-    return tree
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,7 +182,7 @@ def _class_tree(cls: MdsClass) -> dict:
     return tree
 
 
-def cmd_classify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_classify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     diagnostics: dict = {}
     cf = state.frame
     if cf is None:
@@ -233,7 +199,7 @@ def cmd_classify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, 
     return {"result": _class_tree(cls), "diagnostics": diagnostics}, 0
 
 
-def cmd_schmidt(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     rho = state.rho
     norm = hs_norm(rho)
     os_ = operator_schmidt(rho, args.tol)
@@ -270,7 +236,7 @@ def _basis_tree(space: TwinSpace) -> list[dict]:
     return [{"a1_pauli": list(row[:4]), "a2_pauli": list(row[4:])} for row in rows]
 
 
-def cmd_twins(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     diagnostics: dict = {}
     cf = state.frame
     if cf is not None and state.t is None:
@@ -300,7 +266,7 @@ def cmd_twins(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int
     return {"result": result, "diagnostics": diagnostics}, 0
 
 
-def cmd_verify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     state.rho  # a --t outside the tetrahedron fails here, before any check
     results = run_verification(state)
     passed = sum(1 for r in results if r.passed)
@@ -319,7 +285,7 @@ def cmd_verify(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, in
     return tree, 0 if passed == len(results) else 2
 
 
-def cmd_separability(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_separability(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     separable, min_eig = _ppt_separable(state.rho, args.tol)
     return {
         "result": {
@@ -329,7 +295,7 @@ def cmd_separability(args: argparse.Namespace, state: VerifyContext) -> tuple[di
     }, 0
 
 
-def cmd_correlate(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
+def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     rho = state.rho
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
@@ -346,8 +312,8 @@ def cmd_correlate(args: argparse.Namespace, state: VerifyContext) -> tuple[dict,
     }, 0
 
 
-def cmd_canonicalize(args: argparse.Namespace, state: VerifyContext) -> tuple[dict, int]:
-    cf = _canonicalize(state.rho, state.coords)
+def cmd_canonicalize(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    cf = state.canonical
     return {
         "result": {
             "t": list(cf.t),
@@ -384,9 +350,7 @@ def run(argv: list[str]) -> int:
         return 1
     # RankDecisionError is a ValueError, so the exit-2 branch comes first
     try:
-        spec = load_state_spec(args)
-        t = spec.t if spec.weights is None else t_from_weights(spec.weights)
-        state = VerifyContext(args.tol, args.seed, spec.matrix, spec.pure, t)
+        state, input_tree = load_state_spec(args)
         tree, code = _HANDLERS[args.command](args, state)
     except (InternalConsistencyError, RankDecisionError) as exc:
         print(f"twinscope {args.command}: internal consistency failure: {exc}", file=sys.stderr)
@@ -401,7 +365,7 @@ def run(argv: list[str]) -> int:
             "rank": args.tol,
             "state_validation": STATE_VALIDATION_TOL,
         },
-        "input": _spec_tree(spec),
+        "input": input_tree,
     }
     report.update({k: v for k, v in tree.items() if v != {}})
     sys.stdout.write(render(report))

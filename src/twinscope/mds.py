@@ -434,23 +434,6 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
 
 
-def sample_tetrahedron(seed: int, region: str) -> np.ndarray:
-    """Deterministic pseudorandom t-vector in a requested stratum.
-
-    region is "interior", "vertex:K" (K in 0..3), or "edge:I:A" / "edge:I:B"
-    (axis I in 1..3). Every returned point satisfies the state test.
-    """
-    rng = np.random.default_rng(seed)
-    parts = region.split(":")
-    if parts[0] == "interior":
-        return random_interior_t(rng)
-    if parts[0] == "vertex" and len(parts) == 2:
-        return bell_t_vector(int(parts[1]))
-    if parts[0] == "edge" and len(parts) == 3:
-        return random_edge_t(rng, int(parts[1]), parts[2])
-    raise ValueError(f"unknown region {region!r}")
-
-
 def random_interior_t(
     rng: np.random.Generator, min_weight: float = 0.01
 ) -> np.ndarray:

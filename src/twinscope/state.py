@@ -1,0 +1,119 @@
+"""One input state, resolved on first read.
+
+A `State` is given exactly one of a density matrix, a pure vector or a
+t-vector, and validates what it is given: no caller has to validate it
+first. Every part the commands and the verify checks read (the validated
+matrix, its Pauli coordinates, its canonical form, the stratum, the oracle
+and closed-form twin spaces, and the seeded local move) is a property
+computed on first read and kept, so each is computed at most once per
+input and its first read is the time that stage costs.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
+
+from .linalg import STATE_VALIDATION_TOL, local_conj, pauli_coordinates, random_unitary
+from .mds import (
+    CanonicalForm,
+    MdsClass,
+    StateVerdict,
+    _canonicalize,
+    _is_mds,
+    build_T,
+    classify,
+    is_state,
+    validate_density_matrix,
+)
+from .twins import TwinSpace, _twin_space, analytic_twins, pull_back
+
+
+@dataclass(eq=False)
+class State:
+    """One input state, resolved once: each part is computed on first read and kept.
+
+    The state is exactly one of `matrix`, a 4x4 matrix, `pure`, a vector, and
+    `t`, a t-vector with `verdict` is_state(t, tol). `rho` is the density
+    matrix every kernel reads, validated once: the matrix through the 1e-8
+    gate, the vector through the gate on its squared norm and then its
+    projector, and the t-vector through the tetrahedron and then T(t).
+    `coords` are its Pauli coordinates and `canonical` its canonical form.
+    `frame` is the canonical form (u1 x u2) rho (u1 x u2)^dag = T(frame.t):
+    the identity frame for a t, else `canonical`, or None when the
+    subsystems are not maximally disordered. `cls` classifies frame.t,
+    `space` is the oracle twin space of rho and `analytic` the closed-form
+    one, pulled back onto rho.
+    """
+
+    tol: float
+    seed: int
+    matrix: np.ndarray | None = None
+    pure: np.ndarray | None = None
+    t: np.ndarray | None = None
+
+    def rng(self) -> np.random.Generator:
+        return np.random.default_rng(self.seed)
+
+    @cached_property
+    def verdict(self) -> StateVerdict | None:
+        return None if self.t is None else is_state(self.t, self.tol)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        if self.matrix is not None:
+            return validate_density_matrix(self.matrix)
+        if self.pure is not None:
+            norm2 = float(np.vdot(self.pure, self.pure).real)
+            if abs(norm2 - 1) > STATE_VALIDATION_TOL:
+                raise ValueError(f"pure state vector has squared norm {norm2:.12g}, expected 1")
+            return validate_density_matrix(np.outer(self.pure, self.pure.conj()))
+        if not self.verdict.ok:
+            raise ValueError(
+                f"t-vector {self.t.tolist()} is outside the tetrahedron "
+                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
+            )
+        return validate_density_matrix(build_T(self.t))
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        return pauli_coordinates(self.rho)
+
+    @cached_property
+    def canonical(self) -> CanonicalForm:
+        return _canonicalize(self.rho, self.coords)
+
+    @cached_property
+    def frame(self) -> CanonicalForm | None:
+        if self.t is not None:
+            eye = np.eye(2, dtype=complex)
+            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
+        return self.canonical if _is_mds(self.coords) else None
+
+    @cached_property
+    def cls(self) -> MdsClass | None:
+        return None if self.frame is None else classify(self.frame.t, self.tol, self.verdict)
+
+    @cached_property
+    def space(self) -> TwinSpace:
+        return _twin_space(self.rho, self.tol)
+
+    @cached_property
+    def analytic(self) -> TwinSpace | None:
+        """analytic_twins(cls) pulled back onto rho; None off the vertex and edge strata."""
+        closed = None if self.cls is None else analytic_twins(self.cls)
+        return None if closed is None else pull_back(closed, self.frame.u1, self.frame.u2)
+
+    @cached_property
+    def moved(self) -> tuple[np.ndarray, np.ndarray, State]:
+        """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
+
+        Drawn once from rng() and shared by canonical-form-roundtrip and
+        local-unitary-covariance; the moved state resolves its own parts.
+        """
+        rng = self.rng()
+        v1 = random_unitary(rng)
+        v2 = random_unitary(rng)
+        return v1, v2, State(self.tol, self.seed, matrix=local_conj(self.rho, v1, v2))

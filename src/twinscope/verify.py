@@ -5,17 +5,19 @@ single input state. Checks are stratum-aware: some only make sense at a
 Bell vertex (pure-state machinery) or on a binary edge (closed-form twin
 bases); across the three strata the union of executed checks covers the
 full invariant catalogue of the classification and twin modules.
+
+A check reads one `state.State`, which resolves and validates the input:
+this module computes no part of the state itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, local_conj, partial_trace
-from .linalg import pauli_coordinates, random_hermitian, random_unitary, to_pauli
+from .linalg import random_hermitian, to_pauli
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -23,26 +25,17 @@ from .mds import (
     NON_STATE,
     _BELL_PROJECTORS,
     CanonicalForm,
-    MdsClass,
-    StateVerdict,
     _canonical_form,
-    _canonicalize,
-    _is_mds,
     bell_t_vector,
     build_T,
-    classify,
     edge_mixture,
-    is_state,
     state_test_rounding,
     t_from_weights,
-    validate_density_matrix,
     weights_from_t,
 )
 from .schmidt import pure_twin_partners
+from .state import State
 from .twins import (
-    TwinSpace,
-    _twin_space,
-    analytic_twins,
     correlation_tables,
     pull_back,
     simultaneous_twins,
@@ -63,102 +56,14 @@ class CheckResult:
     detail: str
 
 
-@dataclass(eq=False)
-class VerifyContext:
-    """One input state, resolved once: each part is computed on first read and kept.
-
-    The state is exactly one of `matrix`, a density matrix that
-    validate_density_matrix returned, `pure`, a normalized vector, and `t`, a
-    t-vector with `verdict` is_state(t, tol). `rho` is the density matrix
-    every kernel reads, validated once (T(t) only inside the tetrahedron), and
-    `coords` its Pauli coordinates. `frame` is the canonical form
-    (u1 x u2) rho (u1 x u2)^dag = T(frame.t): the identity frame for a t,
-    else the canonicalized rho, or None when the subsystems are not maximally
-    disordered. `cls` classifies frame.t, `space` is the oracle twin space of
-    rho and `analytic` the closed-form one, pulled back onto rho.
-    """
-
-    tol: float
-    seed: int
-    matrix: np.ndarray | None = None
-    pure: np.ndarray | None = None
-    t: np.ndarray | None = None
-
-    def rng(self) -> np.random.Generator:
-        return np.random.default_rng(self.seed)
-
-    @cached_property
-    def verdict(self) -> StateVerdict | None:
-        return None if self.t is None else is_state(self.t, self.tol)
-
-    @cached_property
-    def rho(self) -> np.ndarray:
-        if self.matrix is not None:
-            return self.matrix
-        if self.pure is not None:
-            return validate_density_matrix(np.outer(self.pure, self.pure.conj()))
-        if not self.verdict.ok:
-            raise ValueError(
-                f"t-vector {self.t.tolist()} is outside the tetrahedron "
-                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
-            )
-        return validate_density_matrix(build_T(self.t))
-
-    @cached_property
-    def coords(self) -> np.ndarray:
-        return pauli_coordinates(self.rho)
-
-    @cached_property
-    def frame(self) -> CanonicalForm | None:
-        if self.t is not None:
-            eye = np.eye(2, dtype=complex)
-            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
-        return _canonicalize(self.rho, self.coords) if _is_mds(self.coords) else None
-
-    @cached_property
-    def cls(self) -> MdsClass | None:
-        return None if self.frame is None else classify(self.frame.t, self.tol, self.verdict)
-
-    @cached_property
-    def space(self) -> TwinSpace:
-        return _twin_space(self.rho, self.tol)
-
-    @cached_property
-    def analytic(self) -> TwinSpace | None:
-        """analytic_twins(cls) pulled back onto rho; None off the vertex and edge strata."""
-        closed = None if self.cls is None else analytic_twins(self.cls)
-        return None if closed is None else pull_back(closed, self.frame.u1, self.frame.u2)
-
-    @cached_property
-    def moved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
-
-        Drawn once from rng() and shared by canonical-form-roundtrip and
-        local-unitary-covariance; the moved state is validated once, here.
-        """
-        rng = self.rng()
-        v1 = random_unitary(rng)
-        v2 = random_unitary(rng)
-        return v1, v2, validate_density_matrix(local_conj(self.rho, v1, v2))
-
-    def pull_back_state(self, sigma: np.ndarray) -> np.ndarray:
-        """(u1 x u2)^dag sigma (u1 x u2), for a 4x4 sigma or a stack (..., 4, 4)."""
-        return local_conj(sigma, self.frame.u1.conj().T, self.frame.u2.conj().T)
+def make_context(rho: np.ndarray, cf: CanonicalForm | None, tol: float, seed: int) -> State:
+    """The state of a density matrix rho, framed here: `cf` when given, else its canonical form."""
+    state = State(tol, seed, matrix=rho)
+    state.frame = state.canonical if cf is None else cf
+    return state
 
 
-def make_context(
-    rho: np.ndarray, cf: CanonicalForm | None, tol: float, seed: int
-) -> VerifyContext:
-    """The context of a density matrix rho, validated and framed here.
-
-    With `cf` None, rho is canonicalized here; otherwise `cf` is its canonical form.
-    """
-    ctx = VerifyContext(tol, seed, matrix=validate_density_matrix(rho))
-    ctx.frame = _canonicalize(ctx.rho, ctx.coords) if cf is None else cf
-    return ctx
-
-
-def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
+def _check_weights_roundtrip(ctx: State) -> CheckResult:
     w = weights_from_t(ctx.frame.t)
     err = np.abs(t_from_weights(w) - ctx.frame.t).max()
     err_w = np.abs(weights_from_t(t_from_weights(w)) - w).max()
@@ -169,7 +74,7 @@ def _check_weights_roundtrip(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
+def _check_bell_mixture_identity(ctx: State) -> CheckResult:
     direct = (ctx.cls.weights @ _BELL_PROJECTORS.reshape(4, 16)).reshape(4, 4)
     err = np.abs(build_T(ctx.frame.t) - direct).max()
     return CheckResult(
@@ -177,7 +82,7 @@ def _check_bell_mixture_identity(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_state_test_agreement(ctx: VerifyContext) -> CheckResult:
+def _check_state_test_agreement(ctx: State) -> CheckResult:
     verdict = ctx.cls.verdict
     # the two tests compute the same number, so they must agree to rounding
     rounding = state_test_rounding(ctx.cls.weights)
@@ -189,7 +94,7 @@ def _check_state_test_agreement(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_vertex_sign_table(ctx: VerifyContext) -> CheckResult:
+def _check_vertex_sign_table(ctx: State) -> CheckResult:
     k = ctx.cls.vertex
     err = np.abs(ctx.frame.t - bell_t_vector(k)).max()
     return CheckResult(
@@ -199,7 +104,7 @@ def _check_vertex_sign_table(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
+def _check_edge_weight_consistency(ctx: State) -> CheckResult:
     mixture = edge_mixture(ctx.cls)
     w = ctx.cls.weights
     err = max(abs(w[k] - mixture.get(k, 0.0)) for k in range(4))
@@ -211,8 +116,9 @@ def _check_edge_weight_consistency(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
-    cf, bound = _canonical_form(ctx.moved[2], pauli_coordinates(ctx.moved[2]))
+def _check_canonical_form_roundtrip(ctx: State) -> CheckResult:
+    moved = ctx.moved[2]
+    cf, bound = _canonical_form(moved.rho, moved.coords)
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.frame.t))).max()
     ok = cf.residual <= bound and mag_err <= RESIDUAL_TOL
     return CheckResult(
@@ -222,7 +128,7 @@ def _check_canonical_form_roundtrip(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
+def _check_twin_dimension_law(ctx: State) -> CheckResult:
     space = ctx.space
     expected = EXPECTED_TWIN_DIMENSION[ctx.cls.kind]
     return CheckResult(
@@ -233,7 +139,7 @@ def _check_twin_dimension_law(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
+def _check_analytic_twins_in_oracle(ctx: State) -> CheckResult:
     oracle = ctx.space
     pulled = ctx.analytic
     worst = float(span_distances(oracle, pulled.rows).max())
@@ -246,10 +152,12 @@ def _check_analytic_twins_in_oracle(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
+def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
     w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > ctx.tol]
-    components = ctx.pull_back_state(_BELL_PROJECTORS[support])
+    # the Bell components of T(frame.t), pulled back onto rho
+    u1, u2 = ctx.frame.u1, ctx.frame.u2
+    components = local_conj(_BELL_PROJECTORS[support], u1.conj().T, u2.conj().T)
     via_mixture = ctx.space
     via_intersection = simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
@@ -262,10 +170,10 @@ def _check_mixture_intersection_twins(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
+def _check_local_unitary_covariance(ctx: State) -> CheckResult:
     v1, v2, moved_state = ctx.moved
     space = ctx.space
-    moved_space = _twin_space(moved_state, ctx.tol)
+    moved_space = moved_state.space
     if moved_space.dimension != space.dimension:
         return CheckResult(
             "local-unitary-covariance",
@@ -274,7 +182,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
         )
     moved = pull_back(space, v1.conj().T, v2.conj().T)
     ops = moved.ops
-    worst_res = float(twin_residuals(ops[:, 0], ops[:, 1], moved_state).max())
+    worst_res = float(twin_residuals(ops[:, 0], ops[:, 1], moved_state.rho).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL
     return CheckResult(
@@ -284,7 +192,7 @@ def _check_local_unitary_covariance(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
+def _check_pure_state_commutant(ctx: State) -> CheckResult:
     eigs, v = np.linalg.eigh(ctx.rho)
     if eigs[:3].max() > RESIDUAL_TOL:
         return CheckResult(
@@ -315,7 +223,7 @@ def _check_pure_state_commutant(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
+def _check_perfect_correlation(ctx: State) -> CheckResult:
     ops = ctx.space.ops
     dist, gap, degenerate = correlation_tables(ops[:, 0], ops[:, 1], ctx.rho)
     paired = ~degenerate
@@ -331,7 +239,7 @@ def _check_perfect_correlation(ctx: VerifyContext) -> CheckResult:
     )
 
 
-def _check_twin_spectra_match(ctx: VerifyContext) -> CheckResult:
+def _check_twin_spectra_match(ctx: State) -> CheckResult:
     ops = ctx.space.ops[1:]
     s1 = np.sort(np.linalg.eigvalsh(ops[:, 0]))
     s2 = np.sort(np.linalg.eigvalsh(ops[:, 1]))
@@ -360,7 +268,7 @@ _CHECKS = (
 )
 
 
-def run_verification(ctx: VerifyContext) -> list[CheckResult]:
+def run_verification(ctx: State) -> list[CheckResult]:
     """Run every invariant check applicable to the input's stratum.
 
     A state no check applies to raises ValueError: one whose subsystems are

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twinscope import cli, linalg, mds, schmidt, twins, verify
+from twinscope import cli, linalg, mds, schmidt, state, twins, verify
 from twinscope.cli import run
 from twinscope.linalg import local_conj, pauli, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state
@@ -194,7 +194,7 @@ def test_is_state_runs_once_per_call(capsys, monkeypatch, scrambled_edge_file):
         return is_state(t, tol)
 
     monkeypatch.setattr(mds, "is_state", counted)
-    monkeypatch.setattr(verify, "is_state", counted)
+    monkeypatch.setattr(state, "is_state", counted)
     for command in ("classify", "twins", "verify"):
         for state_args in (("--t", "0.4,-0.4,1"), ("--input", scrambled_edge_file)):
             calls.clear()
@@ -223,7 +223,7 @@ RESOLUTIONS = {"classify": (1, 0), "twins": (1, 1), "verify": (1, 2)}
 @pytest.mark.parametrize("command", cli.COMMANDS)
 def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, command):
     validations, validated, verdicts, classes, oracles = [], [], [], [], []
-    validate, classify, twin_space = mds.validate_density_matrix, mds.classify, verify._twin_space
+    validate, classify, twin_space = mds.validate_density_matrix, mds.classify, state._twin_space
 
     def counted(rho, *args, **kwargs):
         validations.append(rho)
@@ -242,13 +242,13 @@ def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, 
         oracles.append(rho)
         return twin_space(rho, tol)
 
-    for module in (cli, mds, twins, verify):
+    for module in (mds, twins, state):
         monkeypatch.setattr(module, "validate_density_matrix", counted)
     monkeypatch.setattr(mds, "is_state", counted_is_state)
-    monkeypatch.setattr(verify, "is_state", counted_is_state)
+    monkeypatch.setattr(state, "is_state", counted_is_state)
     monkeypatch.setattr(mds, "classify", counted_classify)
-    monkeypatch.setattr(verify, "classify", counted_classify)
-    monkeypatch.setattr(verify, "_twin_space", counted_twin_space)
+    monkeypatch.setattr(state, "classify", counted_classify)
+    monkeypatch.setattr(state, "_twin_space", counted_twin_space)
     extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
     counts = []
     for state_args in (("--input", scrambled_edge_file), ("--t", "0.4,-0.4,1")):
@@ -263,21 +263,36 @@ def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, 
     assert tuple(counts) == VALIDATIONS[command]
 
 
-# what the one resolution in verify computes; a command reaching one of these could
-# classify or solve an input a second time
-RESOLVED_IN_VERIFY = {"classify", "is_state", "_is_mds", "_twin_space", "build_T", "pauli_coordinates"}
+# what the one resolution in state computes; a command or a check reaching one of these
+# could validate, classify or solve an input a second time
+RESOLVED_IN_STATE = {
+    "classify",
+    "is_state",
+    "_is_mds",
+    "_twin_space",
+    "_canonicalize",
+    "pauli_coordinates",
+    "validate_density_matrix",
+    "random_unitary",
+}
 
 
-def test_cli_imports_nothing_the_resolution_computes():
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+def _names_used(module) -> set[str]:
+    """Names a module imports from others, and attributes it reads."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     imported = {
         alias.name
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         for alias in node.names
     }
-    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert (imported | attributes) & RESOLVED_IN_VERIFY == set()
+    return imported | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_cli_imports_nothing_the_resolution_computes():
+    assert _names_used(cli) & (RESOLVED_IN_STATE | {"build_T"}) == set()
+    # verify's own build_T and _canonical_form routes stay: they are its cross-checks
+    assert _names_used(verify) & RESOLVED_IN_STATE == set()
 
 
 @pytest.mark.parametrize(
@@ -329,7 +344,7 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
     for command, module, name in (
         ("schmidt", cli, "operator_schmidt"),
         ("separability", cli, "_ppt_separable"),
-        ("twins", verify, "_twin_space"),
+        ("twins", state, "_twin_space"),
     ):
         monkeypatch.setattr(module, name, recording(command, getattr(module, name)))
         code, _, err = invoke(capsys, command, "--input", str(path))
@@ -559,9 +574,9 @@ def test_near_hermitian_matrix_is_read_as_its_hermitian_part(capsys, tmp_path):
     rho = build_T(np.array([0.2, 0.1, -0.05]))
     rho[0, 1] += 5e-9
     path = _matrix_file(tmp_path / "near_hermitian.txt", rho)
-    spec = cli.load_state_spec(cli.build_parser().parse_args(["schmidt", "--input", path]))
-    assert np.array_equal(spec.matrix, spec.matrix.conj().T)
-    assert np.abs(spec.matrix - rho).max() <= 2.5e-9
+    spec, _ = cli.load_state_spec(cli.build_parser().parse_args(["schmidt", "--input", path]))
+    assert np.array_equal(spec.rho, spec.rho.conj().T)
+    assert np.abs(spec.rho - rho).max() <= 2.5e-9
     for command in ("separability", "schmidt"):
         code, out, err = invoke(capsys, command, "--input", path)
         assert code == 0, err
@@ -712,7 +727,7 @@ def test_pauli_coordinates_once_per_state(capsys, monkeypatch, scrambled_edge_fi
         calls.append(rho)
         return coordinates(rho)
 
-    for module in (mds, schmidt, verify):
+    for module in (mds, schmidt, state):
         monkeypatch.setattr(module, "pauli_coordinates", counted)
     extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
     code, _, err = invoke(capsys, command, "--input", scrambled_edge_file, *extra)

@@ -31,7 +31,6 @@ from twinscope.mds import (
     is_state,
     random_edge_t,
     random_interior_t,
-    sample_tetrahedron,
     state_test_rounding,
     t_from_weights,
     validate_density_matrix,
@@ -433,27 +432,6 @@ def test_canonical_t_is_still_a_state():
         t = random_interior_t(rng)
         cf = canonicalize(build_T(t))
         assert is_state(cf.t).ok
-
-
-def test_sample_tetrahedron_regions():
-    assert np.array_equal(sample_tetrahedron(0, "vertex:0"), [-1, -1, -1])
-    t = sample_tetrahedron(123, "interior")
-    assert is_state(t).ok
-    assert weights_from_t(t).min() > 0
-    for axis in (1, 2, 3):
-        for case in ("A", "B"):
-            t = sample_tetrahedron(7, f"edge:{axis}:{case}")
-            assert is_state(t).ok
-            expected = 1.0 if case == "A" else -1.0
-            assert t[axis - 1] == expected
-    with pytest.raises(ValueError):
-        sample_tetrahedron(0, "nowhere")
-
-
-def test_sample_tetrahedron_deterministic():
-    a = sample_tetrahedron(99, "interior")
-    b = sample_tetrahedron(99, "interior")
-    assert np.array_equal(a, b)
 
 
 def test_random_edge_t_explicit_parameter():

@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from twinscope import cli, linalg, mds, schmidt, twins, verify
+from twinscope import cli, linalg, mds, schmidt, state, twins, verify
 from twinscope.linalg import local_conj, random_unitary, tensor
 from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
 
@@ -12,14 +12,14 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     rng = np.random.default_rng(3)
     u = tensor(random_unitary(rng), random_unitary(rng))
     rho = u @ bell_state(2)[1] @ u.conj().T
-    oracle = verify._twin_space
+    oracle = state._twin_space
     calls = []
 
     def counted(state, tol):
         calls.append(state)
         return oracle(state, tol)
 
-    monkeypatch.setattr(verify, "_twin_space", counted)
+    monkeypatch.setattr(state, "_twin_space", counted)
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
     results = verify.run_verification(ctx)
     assert ctx.cls.kind == BELL_VERTEX
@@ -28,7 +28,7 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     # local-unitary-covariance check; both as validated
     assert len(calls) == 2
     assert np.array_equal(calls[0], mds.validate_density_matrix(rho))
-    assert calls[1] is ctx.moved[2]
+    assert calls[1] is ctx.moved[2].rho
 
 
 @pytest.mark.parametrize(
@@ -49,7 +49,7 @@ def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
         calls.append(rho)
         return validate(rho, *args, **kwargs)
 
-    for module in (mds, twins, schmidt, verify):
+    for module in (mds, twins, schmidt, state):
         if hasattr(module, "validate_density_matrix"):
             monkeypatch.setattr(module, "validate_density_matrix", counted)
     rng = np.random.default_rng(7)
@@ -62,8 +62,8 @@ def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
 
 def test_shared_frame_drawn_once(monkeypatch):
     calls = []
-    draw = verify.random_unitary
-    monkeypatch.setattr(verify, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
+    draw = state.random_unitary
+    monkeypatch.setattr(state, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
     rng = np.random.default_rng(11)
     rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 5)
@@ -73,7 +73,21 @@ def test_shared_frame_drawn_once(monkeypatch):
     v1, v2, moved = ctx.moved
     fresh = ctx.rng()
     assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
-    assert np.array_equal(moved, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
+    assert np.array_equal(moved.rho, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
+
+
+def test_a_raw_matrix_meets_the_gate():
+    # off-Hermitian by ~7e-3: the gate names that, rather than canonicalization's residual
+    rng = np.random.default_rng(1)
+    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    matrix = build_T(np.array([0.4, -0.4, 1.0])) + 1e-3 * (a - a.conj().T)
+    message = r"density matrix is not Hermitian \(max deviation 6.986e-03\)"
+    with pytest.raises(ValueError, match=message):
+        mds.validate_density_matrix(matrix)
+    with pytest.raises(ValueError, match=message):
+        state.State(DEFAULT_TOL, 0, matrix=matrix).rho
+    with pytest.raises(ValueError, match=message):
+        verify.run_verification(state.State(DEFAULT_TOL, 0, matrix=matrix))
 
 
 def _scrambled_edge(seed):
@@ -89,13 +103,13 @@ def test_pauli_coordinates_twice_per_verification(monkeypatch):
         calls.append(rho)
         return coordinates(rho)
 
-    for module in (mds, schmidt, verify):
+    for module in (mds, schmidt, state):
         monkeypatch.setattr(module, "pauli_coordinates", counted)
     ctx = verify.make_context(_scrambled_edge(13), None, DEFAULT_TOL, 0)
     assert all(r.passed for r in verify.run_verification(ctx))
     # the input once in make_context, the moved frame state once in canonical-form-roundtrip
     assert len(calls) == 2
-    assert calls[0] is ctx.rho and calls[1] is ctx.moved[2]
+    assert calls[0] is ctx.rho and calls[1] is ctx.moved[2].rho
 
 
 def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
@@ -124,7 +138,7 @@ def _failed_checks(out):
 def _moved_off_stratum(ctx):
     """Fault: the seeded move lands on an edge instead of a local image of the input."""
     eye = np.eye(2, dtype=complex)
-    return eye, eye, mds.validate_density_matrix(build_T(np.array([0.4, -0.4, 1.0])))
+    return eye, eye, state.State(ctx.tol, ctx.seed, matrix=build_T(np.array([0.4, -0.4, 1.0])))
 
 
 def _vertex_for_every_state(t, tol, verdict):
@@ -176,9 +190,9 @@ def _first_block(rho, keep):
     ids=["covariance-dimension", "commutant-not-rank-one", "commutant-not-commuting"],
 )
 def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, check, detail, failed):
-    target = verify.VerifyContext if attribute == "moved" else verify
+    target = {"moved": state.State, "classify": state}.get(attribute, verify)
     monkeypatch.setattr(target, attribute, fault)
-    ctx = verify.VerifyContext(DEFAULT_TOL, 0, t=np.array([float(v) for v in t.split(",")]))
+    ctx = state.State(DEFAULT_TOL, 0, t=np.array([float(v) for v in t.split(",")]))
     result = check(ctx)
     assert not result.passed
     assert result.detail.startswith(detail)
