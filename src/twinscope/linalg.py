@@ -15,8 +15,9 @@ A matrix is guarded for Hermiticity once. A matrix that has passed a guard
 Hermitian by construction (build_T, a partial transpose of such a matrix),
 goes to np.linalg.eigvalsh, for callers that read no eigenvector, or to a
 private kernel with no second guard; public entry points guard what they
-receive from outside. The phase convention of eigh and svd, and the sign
-convention of real factors elsewhere, is one rule, leading_phases: the
+receive from outside, and validate_density_matrix runs no test again on the
+last single matrix it accepted. The phase convention of eigh and svd, and
+the sign convention of real factors elsewhere, is one rule, leading_phases: the
 first entry above PHASE_CUT in magnitude of each column is made real positive.
 It covers vectors that are reported; a kernel that reads an eigenvector only
 through its projector v v^dag (twins.correlation_tables) takes np.linalg.eigh
@@ -55,6 +56,7 @@ twins.correlation_tables).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,11 +236,15 @@ def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck
 def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return m as complex, after rejecting it when it is not Hermitian within tol.
 
-    The ValueError reads "{what} is not Hermitian (max deviation ...)".
+    The ValueError reads "{what} is not Hermitian (max deviation ...)", or
+    "{what} has a non-finite entry": any nan or inf entry makes the deviation
+    nan or inf.
     """
     m = np.asarray(m, dtype=complex)
     chk = hermitian_check(m, tol)
     if not chk.passes:
+        if not math.isfinite(chk.max_deviation):
+            raise ValueError(f"{what} has a non-finite entry")
         raise ValueError(f"{what} is not Hermitian (max deviation {chk.max_deviation:.3e})")
     return m
 
@@ -249,7 +255,21 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
     Dividing a column by its phase makes that entry real positive. A real
     array gives signs +-1.0, a complex one unit complex numbers; a column
     with no such entry gets 1. A stack (..., m, n) gives phases (..., n).
+    A real matrix (the operator Schmidt and twin-row factors) is read as
+    Python floats, one column at a time, which beats the array path on a few
+    entries. Complex input stays on the array path: Python's complex
+    division rounds differently from numpy's.
     """
+    if a.ndim == 2 and a.dtype == np.float64:
+        signs = []
+        for col in a.T.tolist():
+            sign = 1.0
+            for x in col:
+                if abs(x) > PHASE_CUT:
+                    sign = x / abs(x)
+                    break
+            signs.append(sign)
+        return np.array(signs)
     big = np.abs(a) > PHASE_CUT
     if a.ndim == 2:
         first = a[big.argmax(axis=0), np.arange(a.shape[1])]
@@ -306,14 +326,22 @@ def rank_split(values: np.ndarray, threshold: float) -> tuple[np.ndarray, float]
 
     A value vanishes when it is <= threshold; gap is the smallest kept over
     the largest vanishing value (inf if there is none, or it is 0). Any value
-    within a factor RANK_GUARD of the cut raises RankDecisionError.
+    within a factor RANK_GUARD of the cut raises RankDecisionError. Both
+    extremes come from one pass over the values as Python floats, which
+    beats numpy reductions on a few values.
     """
     values = np.asarray(values, dtype=float)
     threshold = float(threshold)
     zero = values <= threshold
-    listed = values.tolist()  # python min/max and comparisons beat numpy on a few values
-    smallest_kept = min((v for v in listed if v > threshold), default=np.inf)
-    largest_dropped = max((v for v in listed if v <= threshold), default=0.0)
+    kept = dropped = None
+    for v in values.tolist():
+        if v > threshold:
+            if kept is None or v < kept:
+                kept = v
+        elif v <= threshold and (dropped is None or v > dropped):  # a nan is neither
+            dropped = v
+    smallest_kept = np.inf if kept is None else kept
+    largest_dropped = 0.0 if dropped is None else dropped
     if smallest_kept < RANK_GUARD * threshold or largest_dropped > threshold / RANK_GUARD:
         raise RankDecisionError(
             f"ambiguous rank decision: values cluster around the cut {threshold:.3e} "

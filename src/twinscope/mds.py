@@ -21,6 +21,7 @@ weights with the cut at tol; the weights sum to 1, so the cut is relative.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,11 +168,16 @@ def t_from_weights(w: np.ndarray) -> np.ndarray:
 
 
 def weights_from_t(t: np.ndarray) -> np.ndarray:
-    """Bell mixing weights w = BELL_SIGNS @ (1, t) / 4 (negative entries mean non-state)."""
+    """Bell mixing weights w = BELL_SIGNS @ (1, t) / 4 (negative entries mean non-state).
+
+    A t with a nan or inf component is a ValueError that names it.
+    """
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (3,):
         raise ValueError(f"expected a 3-component t-vector, got shape {t.shape}")
     t1, t2, t3 = t.tolist()  # python floats: the same IEEE arithmetic, without numpy scalars
+    if not (math.isfinite(t1) and math.isfinite(t2) and math.isfinite(t3)):
+        raise ValueError(f"t-vector {[t1, t2, t3]} has a non-finite component")
     signs = BELL_SIGNS.tolist()
     return np.array([(s0 + s1 * t1 + s2 * t2 + s3 * t3) / 4 for s0, s1, s2, s3 in signs])
 
@@ -300,6 +306,12 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
     return {k: (1 + row[j] * u) / 2 for k, row in enumerate(BELL_SIGNS.tolist()) if row[i] == sign}
 
 
+# The last single matrix validate_density_matrix accepted: (the bytes of its complex
+# form, its read-only Hermitian part). One tuple, rebound in one step and read once,
+# so no thread pairs a key with another matrix's result.
+_last_accepted: tuple[bytes, np.ndarray] | None = None
+
+
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the exact Hermitian part.
 
@@ -312,10 +324,20 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     (rho + rho^dagger)/2, which equals the input entry for entry when the
     input is exactly Hermitian. Callers hand it on to code that guards no
     further (see the linalg module notes).
+
+    The last single 4x4 matrix accepted is remembered by the bytes of its
+    complex form: a call with the same content runs no test again and
+    returns a copy of the Hermitian part kept then. Every call returns a new
+    writable array; a stack is checked on every call.
     """
+    global _last_accepted
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
+    key = rho.tobytes() if rho.ndim == 2 else None
+    last = _last_accepted
+    if key is not None and last is not None and last[0] == key:
+        return last[1].copy()
     require_hermitian(rho, "density matrix", STATE_VALIDATION_TOL)
     rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
     # python comparisons beat numpy reductions on one value per member
@@ -325,6 +347,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
+    if key is not None:
+        kept = rho.copy()
+        kept.setflags(write=False)
+        _last_accepted = (key, kept)
     return rho
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from twinscope import cli, linalg, mds, schmidt, verify
 from twinscope.linalg import (
+    RANK_GUARD,
     RankDecisionError,
     eigh,
     from_pauli,
@@ -426,6 +427,48 @@ def test_rank_split_mask_gap_and_guard_band():
     assert rank_split(np.array([1.0, 1e-10]), 1e-9)[0].tolist() == [False, True]
 
 
+def _rank_split_by_generators(values, threshold):
+    """The two generator scans rank_split replaced, kept as its reference."""
+    values = np.asarray(values, dtype=float)
+    threshold = float(threshold)
+    zero = values <= threshold
+    listed = values.tolist()
+    smallest_kept = min((v for v in listed if v > threshold), default=np.inf)
+    largest_dropped = max((v for v in listed if v <= threshold), default=0.0)
+    if smallest_kept < RANK_GUARD * threshold or largest_dropped > threshold / RANK_GUARD:
+        raise RankDecisionError(
+            f"ambiguous rank decision: values cluster around the cut {threshold:.3e} "
+            f"(smallest kept {smallest_kept:.3e}, largest dropped {largest_dropped:.3e}, "
+            f"guard factor {RANK_GUARD:g})"
+        )
+    gap = smallest_kept / largest_dropped if largest_dropped > 0 else np.inf
+    return zero, float(gap)
+
+
+@st.composite
+def _values_around_a_cut(draw):
+    cut = draw(st.sampled_from((1e-9, 1e-12, 0.0)))
+    near = st.sampled_from([0.0, cut / 100, cut / 10, cut, 10 * cut, 1.0, np.inf])
+    uniform = st.floats(min_value=0.0, max_value=1.0)
+    return draw(st.lists(near | uniform, min_size=1, max_size=8)), cut
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values_around_a_cut())
+def test_rank_split_matches_the_generator_scans(drawn):
+    values, cut = drawn
+    try:
+        want = _rank_split_by_generators(values, cut)
+    except RankDecisionError as exc:
+        with pytest.raises(RankDecisionError) as got:
+            rank_split(np.array(values), cut)
+        assert str(got.value) == str(exc)
+        return
+    zero, gap = rank_split(np.array(values), cut)
+    assert np.array_equal(zero, want[0])
+    assert gap == want[1]
+
+
 def test_hermitian_check():
     chk = hermitian_check(pauli(2))
     assert chk.passes and chk.max_deviation == 0.0
@@ -440,6 +483,16 @@ def test_require_hermitian_names_the_operand():
         require_hermitian(np.array([[0, 1e-6], [0, 0]]), "probe", tol=1e-9)
     with pytest.raises(ValueError, match=r"^eigh: matrix is not Hermitian"):
         eigh(np.array([[0, 1e-6], [0, 0]]), 1e-9)
+
+
+def test_require_hermitian_names_a_non_finite_entry():
+    for bad in (np.nan, np.inf, complex(0, np.inf)):
+        m = np.eye(2, dtype=complex)
+        m[0, 1] = bad
+        with pytest.raises(ValueError, match=r"^probe has a non-finite entry$"):
+            require_hermitian(m, "probe")
+    with pytest.raises(ValueError, match=r"^operator_schmidt: input has a non-finite entry$"):
+        schmidt.operator_schmidt(np.full((4, 4), np.nan))
 
 
 def test_random_unitary_is_unitary():

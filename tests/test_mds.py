@@ -1,4 +1,6 @@
 import itertools
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -311,6 +313,110 @@ def test_validate_density_matrix_stack_is_a_batch_of_scalars():
             assert str(stacked.value) == str(scalar.value)
     with pytest.raises(ValueError, match=r"^expected a 4x4 density matrix, got \(2, 2, 2\)$"):
         validate_density_matrix(np.zeros((2, 2, 2)))
+
+
+def test_non_finite_input_is_named():
+    for t in ([np.nan, 0, 0], [0, np.inf, 0], [0, 0, -np.inf]):
+        for fn in (weights_from_t, is_state, classify):
+            with pytest.raises(ValueError, match=r"^t-vector \[.*\] has a non-finite component$"):
+                fn(np.array(t))
+    with pytest.raises(ValueError, match=r"^density matrix has a non-finite entry$"):
+        validate_density_matrix(np.full((4, 4), np.nan))
+
+
+def _count_guards(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    calls = []
+    guard = linalg.hermitian_check
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return guard(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_check", counted)
+    return calls
+
+
+def test_validation_memo_rechecks_a_matrix_changed_in_place(monkeypatch):
+    calls = _count_guards(monkeypatch)
+    rho = build_T(np.array([0.2, 0.1, -0.05]))
+    validate_density_matrix(rho)
+    validate_density_matrix(rho)
+    assert len(calls) == 1
+    rho[0, 3] = rho[3, 0] = 2.0  # still Hermitian with unit trace, no longer positive
+    with pytest.raises(ValueError, match="negative eigenvalue"):
+        validate_density_matrix(rho)
+    rho[0, 3] = rho[3, 0] = 0.0
+    rho[0, 0] += 0.5
+    with pytest.raises(ValueError, match="trace"):
+        validate_density_matrix(rho)
+
+
+def test_validation_memo_hands_out_fresh_arrays(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    rho = build_T(np.array([0.4, -0.4, 1.0]))
+    first = validate_density_matrix(rho)
+    first[:] = 7.0
+    second = validate_density_matrix(rho)
+    assert second is not first and second.flags.writeable
+    assert np.array_equal(second, rho)
+    second[0, 0] = 3.0
+    assert np.array_equal(validate_density_matrix(rho), rho)
+
+
+def test_validation_memo_serves_alternating_matrices(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    a = build_T(np.array([0.2, 0.1, -0.05]))
+    b = a.copy()
+    b[0, 1] += 5e-9  # inside the gate: its Hermitian part differs from a
+    not_a_state = np.eye(4, dtype=complex)
+    for _ in range(3):
+        assert np.array_equal(validate_density_matrix(a), a)
+        assert np.array_equal(validate_density_matrix(b), (b + b.conj().T) / 2)
+        with pytest.raises(ValueError, match="trace"):
+            validate_density_matrix(not_a_state)
+
+
+def test_validation_memo_pairs_each_thread_with_its_own_matrix(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    rng = np.random.default_rng(59)
+    inputs = []
+    for _ in range(4):
+        rho = build_T(random_interior_t(rng)).astype(complex)
+        rho[0, 1] += 5e-9 * rng.uniform()  # inside the gate: a Hermitian part of its own
+        inputs.append(rho)
+    wrong = []
+
+    def work(rho):
+        want = (rho + rho.conj().T) / 2
+        for _ in range(300):
+            if not np.array_equal(validate_density_matrix(rho), want):
+                wrong.append(1)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(rho,)) for rho in inputs]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+
+
+def test_validation_memo_never_holds_a_stack(monkeypatch):
+    calls = _count_guards(monkeypatch)
+    rho = build_T(np.array([0.2, 0.1, -0.05]))
+    stack = np.array([rho, rho])
+    for n in range(1, 4):
+        assert np.array_equal(validate_density_matrix(stack), stack)
+        assert len(calls) == n
+    validate_density_matrix(rho)
+    validate_density_matrix(stack)
+    assert len(calls) == 5
 
 
 def test_correlation_matrix_diagonal_for_generating_states():

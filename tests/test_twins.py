@@ -223,7 +223,8 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     assert calls
 
 
-def test_sweep_path_checks_hermiticity_three_times(monkeypatch):
+def test_sweep_path_checks_hermiticity_twice(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
     calls = []
 
     def counted(fn):
@@ -243,9 +244,10 @@ def test_sweep_path_checks_hermiticity_three_times(monkeypatch):
         twin_space(rho)
         ppt_separable(rho)
         operator_schmidt(rho)
-        # the validations in twin_space and ppt_separable, and operator_schmidt's guard;
+        # the validation in twin_space and operator_schmidt's guard: ppt_separable validates
+        # the matrix twin_space just accepted, which validate_density_matrix remembers;
         # build_T and the partial transpose of a validated state are Hermitian as built
-        assert len(calls) == 3
+        assert len(calls) == 2
 
 
 def test_bell_twin_partner_sign_table():
