@@ -15,8 +15,12 @@ A matrix is guarded for Hermiticity once. A matrix that has passed a guard
 Hermitian by construction (build_T, a partial transpose of such a matrix),
 goes to np.linalg.eigvalsh, for callers that read no eigenvector, or to a
 private kernel with no second guard; public entry points guard what they
-receive from outside, and validate_density_matrix runs no test again on the
-last single matrix it accepted. The phase convention of eigh and svd, and
+receive from outside. Both state gates, mds.validate_density_matrix and
+mds.is_state, write one admission record (the last single matrix admitted,
+with its Hermitian part; is_state records T(t) for a t it admits):
+validate_density_matrix runs no test again on the recorded content, nor
+operator_schmidt its guard when that content is its own Hermitian part.
+The phase convention of eigh and svd, and
 the sign convention of real factors elsewhere, is one rule, leading_phases: the
 first entry above PHASE_CUT in magnitude of each column is made real positive.
 It covers vectors that are reported; a kernel that reads an eigenvector only
@@ -225,11 +229,16 @@ def _dagger(m: np.ndarray) -> np.ndarray:
 
 
 def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck:
-    """Guard a square matrix, or a stack (..., n, n) of them, in one pass."""
+    """Guard a square matrix, or a stack (..., n, n) of them, in one pass.
+
+    A nan or inf entry makes the deviation nan or inf, with no numpy warning.
+    """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"hermitian_check expects a square matrix, got {m.shape}")
-    dev = float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
+    # inf - inf is nan, which require_hermitian names as a non-finite entry: no warning
+    with np.errstate(invalid="ignore"):
+        dev = float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
     return HermitianCheck(max_deviation=dev, tolerance=tol)
 
 

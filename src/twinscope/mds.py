@@ -200,29 +200,49 @@ def state_test_rounding(w: np.ndarray) -> float:
 
 
 def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
-    """Tetrahedron membership: all Bell weights >= -min(tol, STATE_VALIDATION_TOL).
+    """Tetrahedron membership, at the density-matrix gate.
 
-    So no tol admits a t whose T(t) validate_density_matrix rejects as not positive.
-    The smallest eigenvalue of the built operator is the smallest weight
-    computed another way, and is kept as a cross-check. The two may differ
-    only by rounding, so InternalConsistencyError is raised when
-    |min weight - min eigenvalue| exceeds state_test_rounding(w);
-    the two landing on opposite sides of the cut is not an error.
+    ok needs two tests: all Bell weights >= -min(tol, STATE_VALIDATION_TOL),
+    and the smallest eigenvalue of T = build_T(t) >= -STATE_VALIDATION_TOL,
+    the eigenvalue test validate_density_matrix runs. T is exactly Hermitian
+    with unit trace as built (its maps are real symmetric, and the identity
+    row, added last, leaves no entry -0.0), so it is its own Hermitian part
+    and passes the gate's other two tests: whatever tol, validate_density_matrix
+    accepts T(t) for every t is_state admits. An admitted T becomes the
+    admission record, so validate_density_matrix(build_T(t)) right after runs
+    no test again and returns T's bytes. The two minima are the same number
+    computed two ways, so InternalConsistencyError is raised when |min weight
+    - min eigenvalue| exceeds state_test_rounding(w); the two landing on
+    opposite sides of a cut is not an error.
     """
     w = weights_from_t(t)
     min_w = float(w.min())
     arg = int(w.argmin())
+    T = build_T(t)
     # build_T is Hermitian by construction: no guard before the eigenvalues
-    min_eig = float(np.linalg.eigvalsh(build_T(t))[0])
+    min_eig = float(np.linalg.eigvalsh(T)[0])
     if abs(min_w - min_eig) > state_test_rounding(w):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
             f"disagree beyond rounding"
         )
-    ok = min_w >= -min(tol, STATE_VALIDATION_TOL)
+    ok = min_w >= -min(tol, STATE_VALIDATION_TOL) and min_eig >= -STATE_VALIDATION_TOL
+    if ok:
+        _admit(T.tobytes(), T)
     return StateVerdict(
         ok=ok, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
     )
+
+
+def _failed_test(verdict: StateVerdict, tol: float) -> tuple[str, float]:
+    """The test that rejected a non-state verdict at tol, as (its reading, its cut).
+
+    The weight test when it failed, else the eigenvalue test of T(t).
+    """
+    cut = min(tol, STATE_VALIDATION_TOL)
+    if verdict.min_weight < -cut:
+        return f"weight w{verdict.offending_index} = {verdict.min_weight:.12g}", cut
+    return f"min eigenvalue of T(t) = {verdict.min_eigenvalue:.12g}", STATE_VALIDATION_TOL
 
 
 _CYCLIC = {1: (2, 3), 2: (3, 1), 3: (1, 2)}
@@ -246,15 +266,8 @@ def classify(
         verdict = is_state(t, tol)
     w = verdict.weights
     if not verdict.ok:
-        return MdsClass(
-            kind=NON_STATE,
-            weights=w,
-            detail=(
-                f"weight w{verdict.offending_index} = {verdict.min_weight:.12g} "
-                f"< -{min(tol, STATE_VALIDATION_TOL):g}"
-            ),
-            verdict=verdict,
-        )
+        reading, cut = _failed_test(verdict, tol)
+        return MdsClass(kind=NON_STATE, weights=w, detail=f"{reading} < -{cut:g}", verdict=verdict)
     rest = np.argsort(w)[1:]
     zero, gap = rank_split(np.abs(w[rest]), tol)
     alive = sorted(rest[~zero].tolist())
@@ -306,10 +319,24 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
     return {k: (1 + row[j] * u) / 2 for k, row in enumerate(BELL_SIGNS.tolist()) if row[i] == sign}
 
 
-# The last single matrix validate_density_matrix accepted: (the bytes of its complex
-# form, its read-only Hermitian part). One tuple, rebound in one step and read once,
+# The admission record: (the bytes of a single 4x4 matrix's complex form, its read-only
+# Hermitian part) for the last matrix a state gate admitted, validate_density_matrix or
+# is_state. One tuple, rebound in one step by _admit alone and read once by _admitted,
 # so no thread pairs a key with another matrix's result.
 _last_accepted: tuple[bytes, np.ndarray] | None = None
+
+
+def _admit(key: bytes, kept: np.ndarray) -> None:
+    """Record kept, made read-only, as the Hermitian part of the matrix with bytes key."""
+    global _last_accepted
+    kept.setflags(write=False)
+    _last_accepted = (key, kept)
+
+
+def _admitted(key: bytes) -> np.ndarray | None:
+    """The recorded read-only Hermitian part when key is the record's, else None."""
+    last = _last_accepted
+    return last[1] if last is not None and last[0] == key else None
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -325,19 +352,20 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     input is exactly Hermitian. Callers hand it on to code that guards no
     further (see the linalg module notes).
 
-    The last single 4x4 matrix accepted is remembered by the bytes of its
-    complex form: a call with the same content runs no test again and
-    returns a copy of the Hermitian part kept then. Every call returns a new
-    writable array; a stack is checked on every call.
+    A single 4x4 matrix accepted here, or built by is_state for a t it
+    admitted, is the admission record, keyed by the bytes of its complex
+    form: a call with the same content runs no test again and returns a
+    copy of the Hermitian part kept then. Every call returns a new writable
+    array; a stack is checked on every call and never recorded.
     """
-    global _last_accepted
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
     key = rho.tobytes() if rho.ndim == 2 else None
-    last = _last_accepted
-    if key is not None and last is not None and last[0] == key:
-        return last[1].copy()
+    if key is not None:
+        kept = _admitted(key)
+        if kept is not None:
+            return kept.copy()
     require_hermitian(rho, "density matrix", STATE_VALIDATION_TOL)
     rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
     # python comparisons beat numpy reductions on one value per member
@@ -348,9 +376,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     if key is not None:
-        kept = rho.copy()
-        kept.setflags(write=False)
-        _last_accepted = (key, kept)
+        _admit(key, rho.copy())
     return rho
 
 

@@ -33,6 +33,7 @@ from .linalg import (
     require_hermitian,
     svd,
 )
+from .mds import _admitted
 
 
 def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -186,11 +187,18 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     singular values of its real coefficient matrix 2R/||rho||_HS in the normalized
     Pauli product basis. Coefficients that rank_split finds vanishing at tol *
     (largest coefficient) are truncated (reduced Schmidt rank) rather than
-    padded with an arbitrary basis completion.
+    padded with an arbitrary basis completion. The input is guarded for
+    Hermiticity unless a state gate admitted it as its own Hermitian part
+    (the admission record, see mds.validate_density_matrix).
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {np.shape(rho)}")
-    rho = require_hermitian(rho, "operator_schmidt: input")
+    rho = np.asarray(rho, dtype=complex)
+    key = rho.tobytes()
+    kept = _admitted(key)
+    # a state gate admitted these bytes as their own Hermitian part: the guard would pass
+    if kept is None or kept.tobytes() != key:
+        require_hermitian(rho, "operator_schmidt: input")
     norm = hs_norm(rho)
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")

@@ -22,6 +22,7 @@ from .mds import (
     MdsClass,
     StateVerdict,
     _canonicalize,
+    _failed_test,
     _is_mds,
     build_T,
     classify,
@@ -39,7 +40,9 @@ class State:
     `t`, a t-vector with `verdict` is_state(t, tol). `rho` is the density
     matrix every kernel reads, validated once: the matrix through the 1e-8
     gate, the vector through the gate on its squared norm and then its
-    projector, and the t-vector through the tetrahedron and then T(t).
+    projector, and the t-vector through the tetrahedron and the gate's
+    eigenvalue test, in is_state, which records T(t) so its validation runs
+    no test again. A t is_state rejects raises the failed test's reading.
     `coords` are its Pauli coordinates and `canonical` its canonical form.
     `frame` is the canonical form (u1 x u2) rho (u1 x u2)^dag = T(frame.t):
     the identity frame for a t, else `canonical`, or None when the
@@ -71,10 +74,9 @@ class State:
                 raise ValueError(f"pure state vector has squared norm {norm2:.12g}, expected 1")
             return validate_density_matrix(np.outer(self.pure, self.pure.conj()))
         if not self.verdict.ok:
-            raise ValueError(
-                f"t-vector {self.t.tolist()} is outside the tetrahedron "
-                f"(weight w{self.verdict.offending_index} = {self.verdict.min_weight:.12g})"
-            )
+            reading, _ = _failed_test(self.verdict, self.tol)
+            raise ValueError(f"t-vector {self.t.tolist()} is outside the tetrahedron ({reading})")
+        # is_state recorded T(t) when it admitted t: no test runs again
         return validate_density_matrix(build_T(self.t))
 
     @cached_property

@@ -509,6 +509,23 @@ def test_non_state_t_has_one_message(capsys):
     assert "class: non_state" in out
 
 
+def test_a_t_at_the_gate_gets_one_answer_at_a_loose_tol(capsys):
+    # the smallest weight passes the 1e-8 cut and the smallest eigenvalue of T(t) does not
+    t = "--t=0.976960117838385,-0.18603611084318827,0.20907603300480326"
+    code, out, _ = invoke(capsys, "classify", t, "--tol=1e-7")
+    assert code == 0
+    assert "  class: non_state\n" in out
+    assert "  detail: min eigenvalue of T(t) = -1.00000000086e-08 < -1e-08\n" in out
+    for command in ("twins", "verify", "separability", "schmidt", "canonicalize"):
+        code, out, err = invoke(capsys, command, t, "--tol=1e-7")
+        assert (code, out) == (1, "")
+        assert err == (
+            f"twinscope {command}: error: t-vector [0.976960117838385, -0.18603611084318827, "
+            "0.20907603300480326] is outside the tetrahedron "
+            "(min eigenvalue of T(t) = -1.00000000086e-08)\n"
+        )
+
+
 def test_canonicalize_ignores_rank_tol(capsys, scrambled_edge_file):
     # --tol is the rank cut; the canonicalization residual bound is fixed
     code, out, _ = invoke(capsys, "canonicalize", "--tol", "1e-17", "--input", scrambled_edge_file)

@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,20 @@ def test_require_hermitian_names_a_non_finite_entry():
             require_hermitian(m, "probe")
     with pytest.raises(ValueError, match=r"^operator_schmidt: input has a non-finite entry$"):
         schmidt.operator_schmidt(np.full((4, 4), np.nan))
+
+
+def test_non_finite_entries_raise_without_a_warning():
+    for bad in (np.inf, np.nan):
+        m = np.diag([bad, 0, 0, 0]).astype(complex)
+        for fn, what in (
+            (mds.validate_density_matrix, "density matrix"),
+            (schmidt.operator_schmidt, "operator_schmidt: input"),
+            (eigh, "eigh: matrix"),
+        ):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=rf"^{what} has a non-finite entry$"):
+                    fn(m)
 
 
 def test_random_unitary_is_unitary():

@@ -1,6 +1,9 @@
+import ast
 import itertools
 import sys
 import threading
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -417,6 +420,201 @@ def test_validation_memo_never_holds_a_stack(monkeypatch):
     validate_density_matrix(rho)
     validate_density_matrix(stack)
     assert len(calls) == 5
+
+
+# a t whose smallest Bell weight sits at the 1e-8 gate: at --tol 1e-7 its weight passes
+# (-9.99999999474e-9) and the smallest eigenvalue of T(t) fails (-1.00000000086e-8)
+SLIVER_T = np.array([0.976960117838385, -0.18603611084318827, 0.20907603300480326])
+
+
+def _unit_weights(raw: list[float]) -> np.ndarray:
+    w = np.array(raw)
+    return w / w.sum()
+
+
+@st.composite
+def _t_and_tol(draw):
+    """(t, tol): a vertex, an edge point or an interior point at the default tol, or a
+    point whose smallest weight lies in [-1e-8, 0] at tol 1e-7."""
+    kind = draw(st.sampled_from(["vertex", "edge", "interior", "gate"]))
+    if kind == "vertex":
+        return bell_t_vector(draw(st.integers(0, 3))), mds.DEFAULT_TOL
+    if kind == "edge":
+        u = draw(st.floats(-0.99, 0.99))
+        axis, case = draw(st.integers(1, 3)), draw(st.sampled_from("AB"))
+        return random_edge_t(np.random.default_rng(0), axis, case, parameter=u), mds.DEFAULT_TOL
+    rest = draw(st.lists(st.floats(0.01, 1.0), min_size=3, max_size=3))
+    if kind == "interior":
+        return t_from_weights(_unit_weights([draw(st.floats(0.01, 1.0)), *rest])), mds.DEFAULT_TOL
+    # a weight of exactly -1e-8 lands on either side of each test's cut after rounding
+    low = -draw(st.one_of(st.just(1e-8), st.floats(0.0, 1e-8)))
+    w = np.insert(_unit_weights(rest) * (1 - low), draw(st.integers(0, 3)), low)
+    return t_from_weights(w), 1e-7
+
+
+def _counting(calls, fn):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@settings(max_examples=300, deadline=None)
+@given(_t_and_tol())
+def test_an_admitted_t_is_the_gates_record(case):
+    t, tol = case
+    rho = build_T(t)
+    with mock.patch.object(mds, "_last_accepted", None):
+        try:
+            full = validate_density_matrix(rho)  # the full path, with the record cleared
+        except ValueError:
+            full = None
+        sentinel = (b"", np.zeros((4, 4), dtype=complex))
+        mds._last_accepted = sentinel
+        verdict = is_state(t, tol)
+        if not verdict.ok:
+            assert mds._last_accepted is sentinel
+            return
+        # is_state admits only what the gate admits, and records the gate's own result
+        assert full is not None
+        calls = []
+        with (
+            mock.patch.object(linalg, "hermitian_check", _counting(calls, linalg.hermitian_check)),
+            mock.patch.object(np.linalg, "eigvalsh", _counting(calls, np.linalg.eigvalsh)),
+        ):
+            got = validate_density_matrix(rho)
+        assert calls == []
+        assert got.tobytes() == full.tobytes() and got.flags.writeable
+
+
+def test_is_state_rejects_what_the_gate_rejects():
+    verdict = is_state(SLIVER_T, 1e-7)
+    assert verdict.min_weight >= -1e-8 > verdict.min_eigenvalue
+    assert not verdict.ok
+    cls = classify(SLIVER_T, 1e-7)
+    assert cls.kind == NON_STATE
+    assert cls.detail == "min eigenvalue of T(t) = -1.00000000086e-08 < -1e-08"
+    with pytest.raises(ValueError, match="negative eigenvalue -1.000e-08"):
+        validate_density_matrix(build_T(SLIVER_T))
+    # at the default tol the weight test rejects it first, as before
+    assert classify(SLIVER_T).detail == "weight w0 = -9.99999999474e-09 < -1e-09"
+
+
+def test_a_rejected_t_leaves_the_record(monkeypatch):
+    calls = _count_guards(monkeypatch)
+    kept = build_T(np.array([0.2, 0.1, -0.05]))
+    for t, tol in ((np.array([1.0, 1, 1]), mds.DEFAULT_TOL), (SLIVER_T, 1e-7)):
+        validate_density_matrix(kept)
+        record = mds._last_accepted
+        calls.clear()
+        assert not is_state(t, tol).ok
+        assert mds._last_accepted is record
+        assert np.array_equal(validate_density_matrix(kept), kept) and calls == []
+
+
+def test_is_state_admission_pairs_each_thread_with_its_own_matrix(monkeypatch):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    rng = np.random.default_rng(61)
+    points = [random_interior_t(rng) for _ in range(3)]
+    points += [bell_t_vector(1), np.array([0.4, -0.4, 1.0])]
+    wrong = []
+
+    def work(t):
+        want = build_T(t).tobytes()
+        for _ in range(300):
+            if not is_state(t).ok or validate_density_matrix(build_T(t)).tobytes() != want:
+                wrong.append(1)
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in points]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+
+
+def test_operator_schmidt_skips_the_guard_only_on_an_admitted_state(monkeypatch):
+    calls = _count_guards(monkeypatch)
+    t = np.array([0.2, 0.1, -0.05])
+    rho = build_T(t)
+    guarded = schmidt.operator_schmidt(rho)
+    assert len(calls) == 1
+    assert is_state(t).ok
+    admitted = schmidt.operator_schmidt(rho)
+    assert len(calls) == 1
+    for a, b in zip(
+        (guarded.coefficients, *guarded.left_ops, *guarded.right_ops),
+        (admitted.coefficients, *admitted.left_ops, *admitted.right_ops),
+    ):
+        assert a.tobytes() == b.tobytes()
+    # a Hermitian operator that is not a state is guarded, with a state on the record
+    assert schmidt.operator_schmidt(np.kron(pauli(1), pauli(1))).schmidt_rank == 1
+    assert len(calls) == 2
+
+
+def test_operator_schmidt_still_rejects_what_the_gate_let_through(monkeypatch):
+    _count_guards(monkeypatch)
+    t = np.array([0.2, 0.1, -0.05])
+    assert is_state(t).ok
+    off = build_T(t)
+    off[0, 1] += 1e-6
+    with pytest.raises(ValueError, match=r"^operator_schmidt: input is not Hermitian"):
+        schmidt.operator_schmidt(off)
+    # the 1e-8 gate admits a 5e-9 deviation and records its Hermitian part; the
+    # 1e-9 guard still rejects the input itself
+    near = build_T(t)
+    near[0, 1] += 5e-9
+    validate_density_matrix(near)
+    with pytest.raises(ValueError, match=r"^operator_schmidt: input is not Hermitian"):
+        schmidt.operator_schmidt(near)
+
+
+def _functions_assigning(tree: ast.AST, name: str) -> list[str]:
+    """Names of the innermost functions that bind `name` (as a variable, an attribute or
+    a global declaration); module-level bindings are listed as '<module>'."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            where = getattr(node, "name", "<lambda>")
+        targets = []
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign, ast.NamedExpr)):
+            targets = [node.target]
+        elif isinstance(node, ast.Global) and name in node.names:
+            found.append(where)
+        for target in targets:
+            for sub in ast.walk(target):
+                if (isinstance(sub, ast.Name) and sub.id == name) or (
+                    isinstance(sub, ast.Attribute) and sub.attr == name
+                ):
+                    found.append(where)
+        for child in ast.iter_child_nodes(node):
+            visit(child, where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_admission_record_has_one_writer():
+    # the record is one tuple rebound in one step; a second writer could pair a key with
+    # another matrix's result, so only mds._admit binds it after the module's None
+    src = Path(mds.__file__).parent
+    writers = {}
+    for path in sorted(src.glob("*.py")):
+        for where in _functions_assigning(ast.parse(path.read_text()), "_last_accepted"):
+            writers.setdefault(f"{path.name}:{where}", 0)
+            writers[f"{path.name}:{where}"] += 1
+    # _admit declares the global and assigns it once
+    assert writers == {"mds.py:<module>": 1, "mds.py:_admit": 2}
 
 
 def test_correlation_matrix_diagonal_for_generating_states():

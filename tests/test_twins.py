@@ -223,7 +223,7 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     assert calls
 
 
-def test_sweep_path_checks_hermiticity_twice(monkeypatch):
+def test_sweep_path_checks_hermiticity_never(monkeypatch):
     monkeypatch.setattr(mds, "_last_accepted", None)
     calls = []
 
@@ -244,10 +244,13 @@ def test_sweep_path_checks_hermiticity_twice(monkeypatch):
         twin_space(rho)
         ppt_separable(rho)
         operator_schmidt(rho)
-        # the validation in twin_space and operator_schmidt's guard: ppt_separable validates
-        # the matrix twin_space just accepted, which validate_density_matrix remembers;
-        # build_T and the partial transpose of a validated state are Hermitian as built
-        assert len(calls) == 2
+        # is_state, inside classify, admits t and records T(t), Hermitian as built: the
+        # validations in twin_space and ppt_separable and operator_schmidt's guard find it
+        # there; the partial transpose of a validated state is Hermitian as built
+        assert len(calls) == 0
+    # the counter does see a guard: a Hermitian operator no gate admitted
+    operator_schmidt(np.kron(pauli(1), pauli(1)))
+    assert len(calls) == 1
 
 
 def test_bell_twin_partner_sign_table():
