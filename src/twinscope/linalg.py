@@ -9,23 +9,25 @@ eigh returns eigenvalues and phase-normalized eigenvectors, after rejecting
 input that is not Hermitian. No kernel of the package calls it: they read
 spectra, or projectors, which do not depend on phase. It stays as public API
 and as the phase-normalized reference the tests hold those kernels to.
+A 2x2 observable c0 I + c.sigma needs no eigensolver at all: its spectrum is
+c0 +- |c| and its eigenprojectors are (I +- chat.sigma)/2, so
+twins.correlation_tables reads outcome tables in closed form from Pauli
+components and the Pauli coordinates of rho.
 
 A matrix is guarded for Hermiticity once. A matrix that has passed a guard
 (mds.validate_density_matrix returns its exact Hermitian part), or that is
-Hermitian by construction (build_T, a partial transpose of such a matrix),
-goes to np.linalg.eigvalsh, for callers that read no eigenvector, or to a
-private kernel with no second guard; public entry points guard what they
-receive from outside. Both state gates, mds.validate_density_matrix and
-mds.is_state, write one admission record (the last single matrix admitted,
-with its Hermitian part; is_state records T(t) for a t it admits):
-validate_density_matrix runs no test again on the recorded content, nor
-operator_schmidt its guard when that content is its own Hermitian part.
-The phase convention of eigh and svd, and
+Hermitian by construction (build_T, a partial transpose of such a matrix,
+from_pauli of real rows), goes to np.linalg.eigvalsh, for callers that read
+no eigenvector, or to a private kernel with no second guard; public entry
+points guard what they receive from outside. Both state gates,
+mds.validate_density_matrix and mds.is_state, write one admission record
+(the last single matrix admitted, with its Hermitian part; is_state records
+T(t) for a t it admits): validate_density_matrix runs no test again on the
+recorded content or on the recorded Hermitian part, nor operator_schmidt its
+guard on that part. The phase convention of eigh and svd, and
 the sign convention of real factors elsewhere, is one rule, leading_phases: the
 first entry above PHASE_CUT in magnitude of each column is made real positive.
-It covers vectors that are reported; a kernel that reads an eigenvector only
-through its projector v v^dag (twins.correlation_tables) takes np.linalg.eigh
-unphased, since the projector does not depend on the phase.
+It covers vectors that are reported.
 
 Every rank decision goes through rank_split: a value at or below the cut
 vanishes, and one within a factor RANK_GUARD of it makes the decision
@@ -228,18 +230,32 @@ def _dagger(m: np.ndarray) -> np.ndarray:
     return m.conj().swapaxes(-2, -1)
 
 
-def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck:
+def hermitian_check(
+    m: np.ndarray, tol: float = HERMITIAN_TOL, dagger: np.ndarray | None = None
+) -> HermitianCheck:
     """Guard a square matrix, or a stack (..., n, n) of them, in one pass.
 
-    A nan or inf entry makes the deviation nan or inf, with no numpy warning.
+    dagger is m's conjugate transpose when the caller has already formed it
+    (_hermitian_part). A nan or inf entry makes the deviation nan or inf,
+    with no numpy warning.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"hermitian_check expects a square matrix, got {m.shape}")
+    if dagger is None:
+        dagger = _dagger(m)
     # inf - inf is nan, which require_hermitian names as a non-finite entry: no warning
     with np.errstate(invalid="ignore"):
-        dev = float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
+        dev = float(np.abs(m - dagger).max()) if m.size else 0.0
     return HermitianCheck(max_deviation=dev, tolerance=tol)
+
+
+def _reject_unless(chk: HermitianCheck, what: str) -> None:
+    """Raise require_hermitian's ValueError when a guard failed."""
+    if not chk.passes:
+        if not math.isfinite(chk.max_deviation):
+            raise ValueError(f"{what} has a non-finite entry")
+        raise ValueError(f"{what} is not Hermitian (max deviation {chk.max_deviation:.3e})")
 
 
 def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -250,12 +266,16 @@ def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> n
     nan or inf.
     """
     m = np.asarray(m, dtype=complex)
-    chk = hermitian_check(m, tol)
-    if not chk.passes:
-        if not math.isfinite(chk.max_deviation):
-            raise ValueError(f"{what} has a non-finite entry")
-        raise ValueError(f"{what} is not Hermitian (max deviation {chk.max_deviation:.3e})")
+    _reject_unless(hermitian_check(m, tol), what)
     return m
+
+
+def _hermitian_part(m: np.ndarray, what: str, tol: float) -> np.ndarray:
+    """(m + m^dagger)/2, after rejecting m as require_hermitian does; m^dagger is formed once."""
+    m = np.asarray(m, dtype=complex)
+    dagger = _dagger(m)
+    _reject_unless(hermitian_check(m, tol, dagger), what)
+    return (m + dagger) / 2
 
 
 def leading_phases(a: np.ndarray) -> np.ndarray:
@@ -300,8 +320,7 @@ def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndar
     positive. Rejects input that is not Hermitian within `tol`; a stack
     is guarded once, by its largest deviation.
     """
-    m = require_hermitian(m, "eigh: matrix", tol)
-    w, v = np.linalg.eigh((m + _dagger(m)) / 2)
+    w, v = np.linalg.eigh(_hermitian_part(m, "eigh: matrix", tol))
     v = v[..., ::-1]
     return w[..., ::-1].copy(), v * leading_phases(v).conj()[..., None, :]
 

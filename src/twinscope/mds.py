@@ -32,13 +32,13 @@ from .linalg import (
     RESIDUAL_TOL,
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
+    _hermitian_part,
     from_pauli,
     hs_norm,
     local_conj,
     pauli_adjoint,
     pauli_coordinates,
     rank_split,
-    require_hermitian,
 )
 
 BELL_VERTEX = "bell_vertex"
@@ -321,8 +321,9 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
 
 # The admission record: (the bytes of a single 4x4 matrix's complex form, its read-only
 # Hermitian part) for the last matrix a state gate admitted, validate_density_matrix or
-# is_state. One tuple, rebound in one step by _admit alone and read once by _admitted,
-# so no thread pairs a key with another matrix's result.
+# is_state. The part is admitted under its own bytes too. One tuple, rebound in one step
+# by _admit alone and read once by _admitted, so no thread pairs a key with another
+# matrix's result.
 _last_accepted: tuple[bytes, np.ndarray] | None = None
 
 
@@ -334,9 +335,15 @@ def _admit(key: bytes, kept: np.ndarray) -> None:
 
 
 def _admitted(key: bytes) -> np.ndarray | None:
-    """The recorded read-only Hermitian part when key is the record's, else None."""
+    """The recorded read-only Hermitian part when key is the record's or the part's own, else None.
+
+    The part is exactly Hermitian and passed the gate, so it is admitted as itself too.
+    """
     last = _last_accepted
-    return last[1] if last is not None and last[0] == key else None
+    if last is None:
+        return None
+    kept = last[1]
+    return kept if key == last[0] or key == kept.tobytes() else None
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -354,8 +361,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
 
     A single 4x4 matrix accepted here, or built by is_state for a t it
     admitted, is the admission record, keyed by the bytes of its complex
-    form: a call with the same content runs no test again and returns a
-    copy of the Hermitian part kept then. Every call returns a new writable
+    form: a call with the same content, or with the Hermitian part kept
+    then (which the full path returns unchanged), runs no test again and
+    returns a copy of that part. The guard forms rho^dagger once, for its
+    test and for the Hermitian part. Every call returns a new writable
     array; a stack is checked on every call and never recorded.
     """
     rho = np.asarray(rho, dtype=complex)
@@ -366,8 +375,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         kept = _admitted(key)
         if kept is not None:
             return kept.copy()
-    require_hermitian(rho, "density matrix", STATE_VALIDATION_TOL)
-    rho = (rho + rho.conj().swapaxes(-2, -1)) / 2
+    rho = _hermitian_part(rho, "density matrix", STATE_VALIDATION_TOL)
     # python comparisons beat numpy reductions on one value per member
     for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
         if abs(tr - 1) > STATE_VALIDATION_TOL:

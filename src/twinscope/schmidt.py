@@ -188,15 +188,16 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     Pauli product basis. Coefficients that rank_split finds vanishing at tol *
     (largest coefficient) are truncated (reduced Schmidt rank) rather than
     padded with an arbitrary basis completion. The input is guarded for
-    Hermiticity unless a state gate admitted it as its own Hermitian part
-    (the admission record, see mds.validate_density_matrix).
+    Hermiticity unless it is the Hermitian part a state gate recorded (the
+    admission record, see mds.validate_density_matrix), as validate_density_matrix
+    returns it for a file's matrix.
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {np.shape(rho)}")
     rho = np.asarray(rho, dtype=complex)
     key = rho.tobytes()
     kept = _admitted(key)
-    # a state gate admitted these bytes as their own Hermitian part: the guard would pass
+    # these bytes are the Hermitian part a state gate recorded: the guard would pass
     if kept is None or kept.tobytes() != key:
         require_hermitian(rho, "operator_schmidt: input")
     norm = hs_norm(rho)

@@ -39,8 +39,8 @@ from .linalg import (
     NullspaceResult,
     from_pauli,
     leading_phases,
-    partial_trace,
     pauli_adjoint,
+    pauli_coordinates,
     real_nullspace,
     require_hermitian,
     tensor,
@@ -178,6 +178,11 @@ def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarra
     """
     a1 = require_hermitian(a1, "is_twin_pair: a1", OBSERVABLE_HERMITIAN_TOL)
     a2 = require_hermitian(a2, "is_twin_pair: a2", OBSERVABLE_HERMITIAN_TOL)
+    return _twin_residuals(a1, a2, rho)
+
+
+def _twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """twin_residuals on stacks Hermitian as built (from_pauli of real rows): no guard."""
     r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     diff = np.einsum("nia,abcd->nibcd", a1, r) - np.einsum("njb,abcd->najcd", a2, r)
     return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
@@ -387,6 +392,56 @@ def biorthogonal_separable_forms() -> list[dict]:
     ]
 
 
+def _pauli_radius(c: np.ndarray) -> np.ndarray:
+    """|c| of the operators c0 I + c.sigma over a stack (..., 4) of Pauli components."""
+    v = c[..., 1:]
+    return np.sqrt(np.einsum("...k,...k->...", v, v))
+
+
+_OUTCOME_SIGNS = np.array([1.0, -1.0])
+_OUTCOME_SIGNS.setflags(write=False)
+
+
+def _pauli_spectra(c: np.ndarray) -> np.ndarray:
+    """Descending spectra (c0 + |c|, c0 - |c|) of c0 I + c.sigma over a stack (..., 4)."""
+    return c[..., :1] + _pauli_radius(c)[..., None] * _OUTCOME_SIGNS
+
+
+def _pauli_tables(rows: np.ndarray, R: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """correlation_tables of pair_parameters rows (n, 8) on a state with Pauli coordinates R.
+
+    For a = c0 I + c.sigma, c != 0, the outcomes are c0 +- |c| (_pauli_spectra) with
+    eigenprojectors (I +- chat.sigma)/2, and Tr[(sigma_k x sigma_l) rho] = 4 R_kl, so
+    table entry (a, b) is (1, s_a chat_1)^T R (1, s_b chat_2) with s = (+1, -1): the
+    supervector rho read against the two projectors. With Tr_2 rho = 2 R[:, 0].sigma and
+    Tr_1 rho = 2 R[0, :].sigma, the gap is 4 |c_1.R[:, 0] - c_2.R[0, :]|. A side with
+    2|c| <= DEGENERACY_TOL, its eigenvalue gap, is degenerate. Tables are bounded as
+    correlation_tables says.
+    """
+    halves = rows.reshape(-1, 2, 4)
+    c = halves[..., 1:]
+    radius = _pauli_radius(halves)
+    degenerate = 2 * radius.min(axis=1) <= DEGENERACY_TOL
+    # a degenerate side gets the trivial table, so its divisor need only be nonzero
+    unit = c / np.maximum(radius, DEGENERACY_TOL / 2)[..., None]
+    # (1, s_a chat) for the outcome signs s_a, on each side
+    ends = np.ones((halves.shape[0], 2, 2, 4))
+    ends[..., 1:] = unit[:, :, None] * _OUTCOME_SIGNS[:, None]
+    dist = np.einsum("nak,kl,nbl->nab", ends[:, 0], R, ends[:, 1])
+    dist[degenerate] = ((1.0, 0.0), (0.0, 0.0))
+    gap = 4 * np.abs(halves[:, 0] @ R[:, 0] - halves[:, 1] @ R[0, :])
+    # python comparisons beat numpy reductions on four entries per table
+    for table in dist.reshape(-1, 4).tolist():
+        low, total = min(table), sum(table)
+        if low < -(STATE_VALIDATION_TOL + ROUNDING_TOL) or (
+            abs(total - 1) > STATE_VALIDATION_TOL + PROBABILITY_TOL
+        ):
+            raise InternalConsistencyError(
+                f"joint distribution is not a probability table (min {low:.3e}, sum {total:.12g})"
+            )
+    return dist, gap, degenerate
+
+
 def correlation_tables(
     a1: np.ndarray, a2: np.ndarray, rho: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -394,44 +449,21 @@ def correlation_tables(
 
     a1 and a2 are stacks (n, 2, 2); rho must already be a validated density
     matrix (validate_density_matrix). Each side is guarded for Hermiticity
-    once and takes one np.linalg.eigh over its stack, in descending order.
-    Outcomes are matched by sorted eigenvalue: table entry (a, b) is
-    Tr[(P_a x Q_b) rho], the eigenprojectors P_a = v_a v_a^dag contracted with
-    the (2, 2, 2, 2) view of rho. A projector does not depend on the phase
-    of v_a, so the eigenvectors are read unphased. The gap is
-    |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced states. A pair with a
-    degenerate observable admits no outcome pairing; it is flagged and gets
-    the trivial table (all weight on (0, 0)). An entry is at least the least
-    eigenvalue of rho and the sum is Tr rho, so an entry below -(STATE_VALIDATION_TOL
-    + ROUNDING_TOL), or a sum off 1 by more than STATE_VALIDATION_TOL + PROBABILITY_TOL,
-    is an InternalConsistencyError.
+    once and read as its Pauli components; the tables come in closed form
+    from those and the Pauli coordinates of rho (_pauli_tables). Outcomes
+    are matched by descending eigenvalue: table entry (a, b) is
+    Tr[(P_a x Q_b) rho] for the eigenprojectors P_a of a1 and Q_b of a2. The
+    gap is |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced states. A pair with
+    a degenerate observable admits no outcome pairing; it is flagged and
+    gets the trivial table (all weight on (0, 0)). An entry is at least the
+    least eigenvalue of rho and the sum is Tr rho, so an entry below
+    -(STATE_VALIDATION_TOL + ROUNDING_TOL), or a sum off 1 by more than
+    STATE_VALIDATION_TOL + PROBABILITY_TOL, is an InternalConsistencyError.
     """
-    rho = np.asarray(rho, dtype=complex)
-    a1 = require_hermitian(a1, "eigh: matrix", OBSERVABLE_HERMITIAN_TOL)
-    a2 = require_hermitian(a2, "eigh: matrix", OBSERVABLE_HERMITIAN_TOL)
-    w1, v1 = np.linalg.eigh(a1)
-    w2, v2 = np.linalg.eigh(a2)
-    w1, v1, w2, v2 = w1[..., ::-1], v1[..., ::-1], w2[..., ::-1], v2[..., ::-1]
-    exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
-    exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
-    degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= DEGENERACY_TOL) | (
-        np.abs(w2[:, 0] - w2[:, 1]) <= DEGENERACY_TOL
-    )
-    p = np.einsum("nia,nka->naik", v1, v1.conj())
-    q = np.einsum("njb,nlb->nbjl", v2, v2.conj())
-    dist = np.einsum("naik,nbjl,klij->nab", p, q, rho.reshape(2, 2, 2, 2)).real
-    dist[degenerate] = ((1.0, 0.0), (0.0, 0.0))
-    mins = dist.min(axis=(1, 2))
-    totals = dist.sum(axis=(1, 2))
-    low = mins < -(STATE_VALIDATION_TOL + ROUNDING_TOL)
-    bad = np.flatnonzero(low | (np.abs(totals - 1) > STATE_VALIDATION_TOL + PROBABILITY_TOL))
-    if bad.size:
-        n = bad[0]
-        raise InternalConsistencyError(
-            f"joint distribution is not a probability table "
-            f"(min {mins[n]:.3e}, sum {totals[n]:.12g})"
-        )
-    return dist, np.abs(exp1 - exp2), degenerate
+    a1 = require_hermitian(a1, "correlation_tables: a1", OBSERVABLE_HERMITIAN_TOL)
+    a2 = require_hermitian(a2, "correlation_tables: a2", OBSERVABLE_HERMITIAN_TOL)
+    rows = np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1)
+    return _pauli_tables(rows, pauli_coordinates(rho))
 
 
 def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:

@@ -36,12 +36,13 @@ from .mds import (
 from .schmidt import pure_twin_partners
 from .state import State
 from .twins import (
-    correlation_tables,
+    _pauli_spectra,
+    _pauli_tables,
+    _twin_residuals,
     pull_back,
     simultaneous_twins,
     span_distances,
     subspace_residual,
-    twin_residuals,
 )
 
 ALL_STRATA = frozenset({BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR})
@@ -182,7 +183,8 @@ def _check_local_unitary_covariance(ctx: State) -> CheckResult:
         )
     moved = pull_back(space, v1.conj().T, v2.conj().T)
     ops = moved.ops
-    worst_res = float(twin_residuals(ops[:, 0], ops[:, 1], moved_state.rho).max())
+    # from_pauli of real rows is exactly Hermitian: no guard
+    worst_res = float(_twin_residuals(ops[:, 0], ops[:, 1], moved_state.rho).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL
     return CheckResult(
@@ -224,8 +226,7 @@ def _check_pure_state_commutant(ctx: State) -> CheckResult:
 
 
 def _check_perfect_correlation(ctx: State) -> CheckResult:
-    ops = ctx.space.ops
-    dist, gap, degenerate = correlation_tables(ops[:, 0], ops[:, 1], ctx.rho)
+    dist, gap, degenerate = _pauli_tables(ctx.space.rows, ctx.coords)
     paired = ~degenerate
     mismatch = dist[paired, 0, 1] + dist[paired, 1, 0]
     worst_mismatch = float(mismatch.max(initial=0.0))
@@ -240,10 +241,9 @@ def _check_perfect_correlation(ctx: State) -> CheckResult:
 
 
 def _check_twin_spectra_match(ctx: State) -> CheckResult:
-    ops = ctx.space.ops[1:]
-    s1 = np.sort(np.linalg.eigvalsh(ops[:, 0]))
-    s2 = np.sort(np.linalg.eigvalsh(ops[:, 1]))
-    worst = float(np.abs(s1 - s2).max(initial=0.0))
+    halves = ctx.space.rows[1:].reshape(-1, 2, 4)
+    deviation = _pauli_spectra(halves[:, 0]) - _pauli_spectra(halves[:, 1])
+    worst = float(np.abs(deviation).max(initial=0.0))
     return CheckResult(
         "twin-spectra-match",
         bool(worst <= RESIDUAL_TOL),

@@ -117,7 +117,8 @@ def test_correlate_mismatch(capsys):
         capsys, "correlate", "--t", "0.4,-0.4,1", "--a1", "0,1,0,0", "--a2", "0,1,0,0"
     )
     assert code == 0
-    assert "mismatch_probability: 0.29999999999999982" in out
+    # the closed form reads (1 - 0.4)/2 to the last digit
+    assert "mismatch_probability: 0.29999999999999999" in out
     code, out, _ = invoke(
         capsys, "correlate", "--t", "0.4,-0.4,1", "--a1", "0,0,0,1", "--a2", "0,0,0,1"
     )
@@ -353,6 +354,26 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
     expected = mds.validate_density_matrix(np.outer(phi, phi.conj()))
     for rho in seen.values():
         assert np.array_equal(rho, expected)
+
+
+def test_schmidt_guards_a_file_once(capsys, monkeypatch, scrambled_edge_file):
+    monkeypatch.setattr(mds, "_last_accepted", None)
+    callers = []
+    guard = linalg.hermitian_check
+
+    def recording(*args, **kwargs):
+        # the first caller outside linalg: the function whose guard this is
+        frame = sys._getframe(1)
+        while frame.f_globals["__name__"] == "twinscope.linalg":
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return guard(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "hermitian_check", recording)
+    code, _, err = invoke(capsys, "schmidt", "--input", scrambled_edge_file)
+    assert code == 0, err
+    # operator_schmidt reads the Hermitian part the file's validation recorded
+    assert callers == ["validate_density_matrix"]
 
 
 def test_verify_covers_all_named_checks(capsys):

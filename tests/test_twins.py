@@ -219,7 +219,7 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
         operator_schmidt(rho)
     assert calls == []
     # the counter does see a caller that reads eigenvectors
-    distant_correlation(ObservablePair(a1=pauli(3), a2=pauli(3)), rho)
+    linalg.eigh(rho)
     assert calls
 
 
@@ -614,21 +614,68 @@ def phased_correlation_tables(a1, a2, rho):
     return dist, np.abs(exp1 - exp2), degenerate
 
 
-def test_correlation_tables_read_unphased_eigenvectors():
-    # a projector v v^dag does not depend on the phase of v
+def _near_degenerate_observables(rng):
+    """c.sigma with 2|c| at 0.5, 1 and 2 x DEGENERACY_TOL; the tie itself along sigma_3, exactly."""
+    tie = linalg.DEGENERACY_TOL
+    obs = []
+    for factor in (0.5, 2.0):
+        c = rng.standard_normal(3)
+        c *= factor * tie / 2 / np.linalg.norm(c)
+        obs.append(linalg.from_pauli(np.concatenate([[0.0], c])))
+    obs.append(tie / 2 * pauli(3))
+    return obs
+
+
+def test_correlation_tables_match_the_phased_eigh_reference():
+    # closed form from Pauli components against phase-normalised eigenprojectors
     rng = np.random.default_rng(19)
     worst = 0.0
-    for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
-        for _ in range(20):
+    flags = set()
+    zero = np.zeros((2, 2), dtype=complex)
+    cases = [bell_t_vector(k) for k in range(4)]
+    cases += [random_edge_t(rng, axis, case) for axis in (1, 2, 3) for case in ("A", "B")]
+    cases += [random_interior_t(rng) for _ in range(6)]
+    for t in cases:
+        for _ in range(5):
             rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
-            ops = twin_space(rho).ops
-            a1 = np.concatenate([ops[:, 0], [random_hermitian(rng) for _ in range(3)]])
-            a2 = np.concatenate([ops[:, 1], [random_hermitian(rng) for _ in range(3)]])
+            space = twin_space(rho)
+            ops = space.ops
+            strays = [random_hermitian(rng) for _ in range(3)]
+            tiny = _near_degenerate_observables(rng)
+            a1 = np.concatenate([ops[:, 0], strays, [zero], tiny, strays[:3]])
+            a2 = np.concatenate([ops[:, 1], strays[::-1], [zero], strays[:3], tiny])
             dist, gap, degenerate = correlation_tables(a1, a2, rho)
             ref_dist, ref_gap, ref_degenerate = phased_correlation_tables(a1, a2, rho)
             assert np.array_equal(degenerate, ref_degenerate)
+            flags.update(degenerate[-6:].tolist())
             worst = max(worst, np.abs(dist - ref_dist).max(), np.abs(gap - ref_gap).max())
+            # verify's route reads the stored rows and rho's Pauli coordinates
+            rows_dist, rows_gap, rows_degenerate = twins._pauli_tables(
+                space.rows, linalg.pauli_coordinates(rho)
+            )
+            n = space.dimension
+            assert np.array_equal(rows_degenerate, degenerate[:n])
+            assert np.abs(rows_dist - dist[:n]).max() <= 1e-15
+            assert np.abs(rows_gap - gap[:n]).max() <= 1e-15
     assert worst <= 1e-15
+    assert flags == {True, False}
+
+
+def test_pauli_spectra_match_eigvalsh():
+    rng = np.random.default_rng(29)
+    # unit scale, as the pairs verify reads (rows at norm 1/sqrt(2)): 1e-15 is a few ulps
+    obs = [h / np.linalg.norm(h) for h in (random_hermitian(rng) for _ in range(200))]
+    obs += [np.zeros((2, 2), dtype=complex), *_near_degenerate_observables(rng)]
+    obs += list(twin_space(local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))).ops[:, 1])
+    a = np.array(obs)
+    spectra = twins._pauli_spectra(linalg.to_pauli(a))
+    assert np.abs(spectra - np.linalg.eigvalsh(a)[:, ::-1]).max() <= 1e-15
+
+
+def test_pairs_lifted_from_real_rows_are_exactly_hermitian():
+    # local-unitary-covariance reads its twin residuals unguarded on such pairs
+    rows = np.random.default_rng(31).standard_normal((100_000, 4))
+    assert linalg.hermitian_check(linalg.from_pauli(rows), 0.0).max_deviation == 0.0
 
 
 def test_twin_space_ops_computed_once_and_read_only():
@@ -688,8 +735,8 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
     rho = local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
-    # one unphased eigendecomposition per side, no phase-normalising linalg.eigh
-    assert calls == ["np.linalg.eigh", "np.linalg.eigh"]
+    # the tables come in closed form from Pauli components: no eigensolver, no product
+    assert calls == []
 
 
 # The former per-pair bodies, kept as the references for the stacked kernels.
@@ -810,8 +857,10 @@ def test_stacked_guards_name_the_operand():
     stack = np.array([pauli(3), bad])
     with pytest.raises(ValueError, match="^is_twin_pair: a2 is not Hermitian"):
         twin_residuals(good, stack[1:], rho)
-    with pytest.raises(ValueError, match="^eigh: matrix is not Hermitian"):
+    with pytest.raises(ValueError, match="^correlation_tables: a1 is not Hermitian"):
         correlation_tables(stack, stack, rho)
+    with pytest.raises(ValueError, match="^correlation_tables: a2 is not Hermitian"):
+        correlation_tables(good, stack[1:], rho)
     with pytest.raises(ValueError, match="^pure_twin_partner: a1 is not Hermitian"):
         pure_twin_partners(stack, bell_state(0)[0])
     with pytest.raises(ValueError, match="commute"):

@@ -154,6 +154,18 @@ def _first_block(rho, keep):
     return 2 * np.asarray(rho)[:2, :2]
 
 
+def _oracle_with_a2_scaled(scale):
+    """Fault: the a2 half of c of the first nontrivial oracle row is scaled by `scale`."""
+
+    def oracle(rho, tol):
+        space = twins._twin_space(rho, tol)
+        rows = space.rows.copy()
+        rows[1, 5:] *= scale
+        return twins.TwinSpace(rows=rows, singular_value_gap=space.singular_value_gap)
+
+    return oracle
+
+
 @pytest.mark.parametrize(
     "attribute, fault, t, check, detail, failed",
     [
@@ -186,11 +198,44 @@ def _first_block(rho, keep):
             "random observable fails to commute with I/2",
             ["pure-state-commutant"],
         ),
+        (
+            "_twin_space",
+            _oracle_with_a2_scaled(-1.0),
+            "1,-1,1",
+            verify._check_perfect_correlation,
+            "3 nondegenerate pairs, worst mismatch 1.000e+00",
+            [
+                "analytic-twins-in-oracle",
+                "mixture-intersection-twins",
+                "local-unitary-covariance",
+                "pure-state-commutant",
+                "perfect-correlation",
+            ],
+        ),
+        (
+            "_twin_space",
+            _oracle_with_a2_scaled(2.0),
+            "0.4,-0.4,1",
+            verify._check_twin_spectra_match,
+            "largest sorted-spectrum deviation 5.000e-01",
+            [
+                "analytic-twins-in-oracle",
+                "mixture-intersection-twins",
+                "local-unitary-covariance",
+                "twin-spectra-match",
+            ],
+        ),
     ],
-    ids=["covariance-dimension", "commutant-not-rank-one", "commutant-not-commuting"],
+    ids=[
+        "covariance-dimension",
+        "commutant-not-rank-one",
+        "commutant-not-commuting",
+        "anticorrelated-pair",
+        "unequal-spectra",
+    ],
 )
 def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, check, detail, failed):
-    target = {"moved": state.State, "classify": state}.get(attribute, verify)
+    target = {"moved": state.State, "classify": state, "_twin_space": state}.get(attribute, verify)
     monkeypatch.setattr(target, attribute, fault)
     ctx = state.State(DEFAULT_TOL, 0, t=np.array([float(v) for v in t.split(",")]))
     result = check(ctx)
