@@ -642,8 +642,8 @@ def test_correlation_tables_match_the_phased_eigh_reference():
             ops = space.ops
             strays = [random_hermitian(rng) for _ in range(3)]
             tiny = _near_degenerate_observables(rng)
-            a1 = np.concatenate([ops[:, 0], strays, [zero], tiny, strays[:3]])
-            a2 = np.concatenate([ops[:, 1], strays[::-1], [zero], strays[:3], tiny])
+            a1 = np.concatenate([ops[:, 0], strays, [zero], tiny, strays])
+            a2 = np.concatenate([ops[:, 1], strays[::-1], [zero], strays, tiny])
             dist, gap, degenerate = correlation_tables(a1, a2, rho)
             ref_dist, ref_gap, ref_degenerate = phased_correlation_tables(a1, a2, rho)
             assert np.array_equal(degenerate, ref_degenerate)
