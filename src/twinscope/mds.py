@@ -268,9 +268,12 @@ def classify(
     if not verdict.ok:
         reading, cut = _failed_test(verdict, tol)
         return MdsClass(kind=NON_STATE, weights=w, detail=f"{reading} < -{cut:g}", verdict=verdict)
-    rest = np.argsort(w)[1:]
-    zero, gap = rank_split(np.abs(w[rest]), tol)
-    alive = sorted(rest[~zero].tolist())
+    # the decision on Python floats, in numpy's order: on ties a SIMD argsort need not be
+    # stable, and the order names the weight the interior detail reports
+    weights = w.tolist()
+    rest = np.argsort(w)[1:].tolist()
+    zero, gap = rank_split([abs(weights[k]) for k in rest], tol)
+    alive = sorted(k for k, vanishes in zip(rest, zero.tolist()) if not vanishes)
     cut = f"cut {tol:g}, rank gap {gap:.3e}"
     if len(alive) == 1:
         return MdsClass(
@@ -284,21 +287,22 @@ def classify(
         _, (i, sign) = _shared_signs(alive)  # column 0, then the axis, where t_axis = sign
         case = "A" if sign > 0 else "B"
         j, _ = _CYCLIC[i]
+        u = float(t[j - 1])
         return MdsClass(
             kind=BINARY_EDGE,
             weights=w,
             axis=i,
             case=case,
-            edge_parameter=float(t[j - 1]),
+            edge_parameter=u,
             detail=f"w{alive[0]} and w{alive[1]} survive the {cut}: axis {i} "
-            f"case {case}, free coordinate t{j} = {t[j - 1]:.12g}",
+            f"case {case}, free coordinate t{j} = {u:.12g}",
             verdict=verdict,
         )
     return MdsClass(
         kind=GENERIC_INTERIOR,
         weights=w,
         detail=f"at most one weight vanishes: the second smallest, w{rest[0]} = "
-        f"{w[rest[0]]:.12g}, clears the cut {tol:g}",
+        f"{weights[rest[0]]:.12g}, clears the cut {tol:g}",
         verdict=verdict,
     )
 

@@ -11,11 +11,17 @@ Operator level: a Hermitian 4x4 operator is a supervector in the
 Hilbert-Schmidt space, expanded over the orthonormal product basis
 {sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of its real 4x4 coefficient
 matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data.
+An OperatorSchmidt stores one thing for its bases, `rows`: the real Pauli
+components of the truncated left and right Schmidt bases (the sign-fixed
+columns of U and rows of V^T). Its 2x2 operators, left_ops and right_ops,
+are lifted from the rows on first read and kept read-only, so a caller that
+reads only the coefficients lifts nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -102,13 +108,34 @@ class AntiunitaryMap:
 
 @dataclass(frozen=True)
 class OperatorSchmidt:
-    """Schmidt data of a Hermitian operator viewed as a unit supervector."""
+    """Schmidt data of a Hermitian operator viewed as a unit supervector.
+
+    `rows` (2, rank, 4) is the one stored form of the bases, read-only:
+    rows[0, i] and rows[1, i] are the coordinates of the i-th left and right
+    Schmidt operator in the orthonormal basis sigma_k/sqrt(2). left_ops and
+    right_ops, the (rank, 2, 2) stacks from_pauli(rows) / sqrt(2), are
+    computed on first read and kept, read-only.
+    """
 
     coefficients: np.ndarray
-    left_ops: tuple[np.ndarray, ...]
-    right_ops: tuple[np.ndarray, ...]
+    rows: np.ndarray
     schmidt_rank: int
     degeneracy: tuple[int, ...]
+
+    @cached_property
+    def _ops(self) -> np.ndarray:
+        # both bases lifted in one product
+        ops = from_pauli(self.rows) / np.sqrt(2)
+        ops.setflags(write=False)
+        return ops
+
+    @cached_property
+    def left_ops(self) -> np.ndarray:
+        return self._ops[0]
+
+    @cached_property
+    def right_ops(self) -> np.ndarray:
+        return self._ops[1]
 
 
 def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
@@ -162,7 +189,14 @@ def pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
     decomposed once for the whole stack, and the stack is guarded for
     Hermiticity once.
     """
-    a1 = require_hermitian(a1, "pure_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL)
+    return _pure_twin_partners(
+        require_hermitian(a1, "pure_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL), phi
+    )
+
+
+def _pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """pure_twin_partners on a stack Hermitian as built, such as (z + z^dag)/2: no guard."""
+    a1 = np.asarray(a1, dtype=complex)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1
@@ -207,13 +241,13 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     # sign convention: first significant entry of each left column positive
     sign = leading_phases(u)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
-    # the left (columns of u) and right (rows of vh) components lifted in one product
-    left, right = from_pauli(np.array((u.T, vh))[:, :rank] * sign[:rank, None]) / np.sqrt(2)
+    # the left (columns of u) and right (rows of vh) components, lifted only when read
+    rows = np.array((u.T, vh))[:, :rank] * sign[:rank, None]
+    rows.setflags(write=False)
     coeffs = s[:rank].copy()
     return OperatorSchmidt(
         coefficients=coeffs,
-        left_ops=tuple(left),
-        right_ops=tuple(right),
+        rows=rows,
         schmidt_rank=rank,
         degeneracy=_degeneracy_profile(coeffs, tol * s[0]),
     )

@@ -462,6 +462,13 @@ def correlation_tables(
     """
     a1 = require_hermitian(a1, "correlation_tables: a1", OBSERVABLE_HERMITIAN_TOL)
     a2 = require_hermitian(a2, "correlation_tables: a2", OBSERVABLE_HERMITIAN_TOL)
+    return _correlation_tables(a1, a2, rho)
+
+
+def _correlation_tables(
+    a1: np.ndarray, a2: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """correlation_tables on stacks Hermitian as built (from_pauli of real rows): no guard."""
     rows = np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1)
     return _pauli_tables(rows, pauli_coordinates(rho))
 
@@ -471,14 +478,22 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
 
     mismatch_probability is the total weight off the matched pairing.
     """
-    return _distant_correlation(pair, validate_density_matrix(rho))
+    rho = validate_density_matrix(rho)
+    a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
+    return _correlation_report(*correlation_tables(a1, a2, rho))
 
 
 def _distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
-    """distant_correlation on a density matrix that validate_density_matrix returned."""
-    dist, gap, degenerate = correlation_tables(
-        np.asarray(pair.a1)[None], np.asarray(pair.a2)[None], rho
-    )
+    """distant_correlation of a pair Hermitian as built (from_pauli of real components), on
+    a density matrix that validate_density_matrix returned: no guard."""
+    a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
+    return _correlation_report(*_correlation_tables(a1, a2, rho))
+
+
+def _correlation_report(
+    dist: np.ndarray, gap: np.ndarray, degenerate: np.ndarray
+) -> CorrelationReport:
+    """The CorrelationReport of the one pair in correlation_tables' output."""
     table = dist[0]
     return CorrelationReport(
         joint_distribution=table,

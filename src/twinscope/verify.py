@@ -33,7 +33,7 @@ from .mds import (
     t_from_weights,
     weights_from_t,
 )
-from .schmidt import pure_twin_partners
+from .schmidt import _pure_twin_partners
 from .state import State
 from .twins import (
     _pauli_spectra,
@@ -212,7 +212,7 @@ def _check_pure_state_commutant(ctx: State) -> CheckResult:
             False,
             f"random observable fails to commute with I/2 ({comm[failing[0]]:.3e})",
         )
-    a2 = pure_twin_partners(a1, phi)
+    a2 = _pure_twin_partners(a1, phi)
     worst_member = float(span_distances(ctx.space, np.hstack([to_pauli(a1), to_pauli(a2)])).max())
     oracle_a1 = ctx.space.ops[:, 0]
     worst_comm = float(np.abs(oracle_a1 @ rho1 - rho1 @ oracle_a1).max())

@@ -356,7 +356,9 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
         assert np.array_equal(rho, expected)
 
 
-def test_schmidt_guards_a_file_once(capsys, monkeypatch, scrambled_edge_file):
+@pytest.fixture
+def guard_callers(monkeypatch):
+    """The functions whose Hermitian guard runs, one entry per linalg.hermitian_check call."""
     monkeypatch.setattr(mds, "_last_accepted", None)
     callers = []
     guard = linalg.hermitian_check
@@ -370,10 +372,31 @@ def test_schmidt_guards_a_file_once(capsys, monkeypatch, scrambled_edge_file):
         return guard(*args, **kwargs)
 
     monkeypatch.setattr(linalg, "hermitian_check", recording)
+    return callers
+
+
+def test_schmidt_guards_a_file_once(capsys, guard_callers, scrambled_edge_file):
     code, _, err = invoke(capsys, "schmidt", "--input", scrambled_edge_file)
     assert code == 0, err
     # operator_schmidt reads the Hermitian part the file's validation recorded
-    assert callers == ["validate_density_matrix"]
+    assert guard_callers == ["validate_density_matrix"]
+
+
+def test_correlate_runs_no_guard_on_its_lifted_pair(capsys, guard_callers):
+    code, _, err = invoke(
+        capsys, "correlate", "--t", "0.4,-0.4,1", "--a1", "0,1,0,0", "--a2", "0,1,0,0"
+    )
+    assert code == 0, err
+    # the pair is from_pauli of real components, and is_state admits t with no guard
+    assert guard_callers == []
+
+
+def test_verify_guards_no_random_commutant_draw(capsys, guard_callers, singlet_file):
+    code, out, err = invoke(capsys, "verify", "--input", singlet_file)
+    assert code == 0, err
+    assert "name: pure-state-commutant\n      passed: true" in out
+    # random_hermitian draws are (z + z^dag)/2, Hermitian as built: only validations guard
+    assert guard_callers == ["validate_density_matrix"] * 3
 
 
 def test_verify_covers_all_named_checks(capsys):

@@ -1,8 +1,18 @@
 import numpy as np
 import pytest
 
-from twinscope.linalg import RankDecisionError, hs_inner, hs_norm, partial_trace, pauli, random_unitary, tensor
-from twinscope.mds import bell_state, build_T, random_interior_t
+from twinscope import schmidt
+from twinscope.linalg import (
+    RankDecisionError,
+    from_pauli,
+    hs_inner,
+    hs_norm,
+    partial_trace,
+    pauli,
+    random_unitary,
+    tensor,
+)
+from twinscope.mds import bell_state, build_T, classify, random_interior_t
 from twinscope.schmidt import (
     correlation_operator,
     operator_schmidt,
@@ -244,6 +254,30 @@ def test_operator_schmidt_coefficients_for_tetrahedron_points():
         padded = np.zeros(4)
         padded[: os_.schmidt_rank] = os_.coefficients
         assert np.abs(padded - expected).max() < 1e-10
+
+
+def test_operator_schmidt_ops_computed_once_and_read_only():
+    os_ = operator_schmidt(build_T(np.array([0.4, -0.4, 1.0])))
+    assert not os_.rows.flags.writeable
+    assert os_.left_ops is os_.left_ops and os_.right_ops is os_.right_ops
+    assert not os_.left_ops.flags.writeable and not os_.right_ops.flags.writeable
+    lifted = from_pauli(os_.rows) / np.sqrt(2)
+    assert np.array_equal(os_.left_ops, lifted[0]) and np.array_equal(os_.right_ops, lifted[1])
+
+
+def test_operator_schmidt_lifts_no_operator_until_read(monkeypatch):
+    lifts = []
+    lift = schmidt.from_pauli
+    monkeypatch.setattr(schmidt, "from_pauli", lambda c: lifts.append(c) or lift(c))
+    for t in ([0.4, -0.4, 1.0], [0.3, -0.2, 0.1], [-1.0, -1.0, -1.0]):
+        # the sweep's reads: classify, then the spectrum of T(t)
+        t = np.array(t)
+        classify(t)
+        os_ = operator_schmidt(build_T(t))
+        assert os_.coefficients.size == os_.schmidt_rank
+        assert lifts == []
+    os_.left_ops, os_.right_ops
+    assert len(lifts) == 1
 
 
 def test_operator_schmidt_invariant_under_local_unitaries():

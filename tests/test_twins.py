@@ -861,6 +861,11 @@ def test_stacked_guards_name_the_operand():
         correlation_tables(stack, stack, rho)
     with pytest.raises(ValueError, match="^correlation_tables: a2 is not Hermitian"):
         correlation_tables(good, stack[1:], rho)
+    # distant_correlation guards its pair as correlation_tables does
+    with pytest.raises(ValueError, match="^correlation_tables: a1 is not Hermitian"):
+        distant_correlation(herm_pair(bad, pauli(3)), rho)
+    with pytest.raises(ValueError, match="^correlation_tables: a2 is not Hermitian"):
+        distant_correlation(herm_pair(pauli(3), bad), rho)
     with pytest.raises(ValueError, match="^pure_twin_partner: a1 is not Hermitian"):
         pure_twin_partners(stack, bell_state(0)[0])
     with pytest.raises(ValueError, match="commute"):
