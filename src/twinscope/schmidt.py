@@ -11,11 +11,9 @@ Operator level: a Hermitian 4x4 operator is a supervector in the
 Hilbert-Schmidt space, expanded over the orthonormal product basis
 {sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of its real 4x4 coefficient
 matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data.
-An OperatorSchmidt stores one thing for its bases, `rows`: the real Pauli
-components of the truncated left and right Schmidt bases (the sign-fixed
-columns of U and rows of V^T). Its 2x2 operators, left_ops and right_ops,
-are lifted from the rows on first read and kept read-only, so a caller that
-reads only the coefficients lifts nothing.
+An OperatorSchmidt stores its bases as the real rows of that SVD; their 2x2
+operators are lifted on first read, so a caller that reads only the
+coefficients lifts nothing.
 """
 
 from __future__ import annotations
@@ -196,7 +194,6 @@ def pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """pure_twin_partners on a stack Hermitian as built, such as (z + z^dag)/2: no guard."""
-    a1 = np.asarray(a1, dtype=complex)
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
     comm = a1 @ rho1 - rho1 @ a1

@@ -484,8 +484,7 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
 
 
 def _distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
-    """distant_correlation of a pair Hermitian as built (from_pauli of real components), on
-    a density matrix that validate_density_matrix returned: no guard."""
+    """distant_correlation of a from_pauli pair on a validated density matrix: no guard."""
     a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
     return _correlation_report(*_correlation_tables(a1, a2, rho))
 
