@@ -19,16 +19,16 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, from_pauli
+from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError
 from .linalg import hs_norm
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import matrix_tree, parse_state_file, render
 from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
 from .state import State
 from .twins import (
-    ObservablePair,
     TwinSpace,
-    _distant_correlation,
+    _correlation_report,
+    _pauli_tables,
     _ppt_separable,
     subspace_residual,
 )
@@ -296,10 +296,11 @@ def cmd_separability(args: argparse.Namespace, state: State) -> tuple[dict, int]
 
 
 def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
-    rho = state.rho
+    coords = state.coords
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
-    report = _distant_correlation(ObservablePair(a1=from_pauli(c1), a2=from_pauli(c2)), rho)
+    # one Pauli row (c1, c2), read as perfect-correlation reads twin rows: no lift, no guard
+    report = _correlation_report(*_pauli_tables(np.concatenate([c1, c2])[None], coords))
     return {
         "result": {
             "a1_pauli": list(c1),

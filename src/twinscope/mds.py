@@ -228,7 +228,7 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
         )
     ok = min_w >= -min(tol, STATE_VALIDATION_TOL) and min_eig >= -STATE_VALIDATION_TOL
     if ok:
-        _admit(T.tobytes(), T)
+        _admit(T.tobytes())
     return StateVerdict(
         ok=ok, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
     )
@@ -268,10 +268,9 @@ def classify(
     if not verdict.ok:
         reading, cut = _failed_test(verdict, tol)
         return MdsClass(kind=NON_STATE, weights=w, detail=f"{reading} < -{cut:g}", verdict=verdict)
-    # the decision on Python floats, in numpy's order: on ties a SIMD argsort need not be
-    # stable, and the order names the weight the interior detail reports
+    # the decision on Python floats; the stable sort names the weight the interior detail reports
     weights = w.tolist()
-    rest = np.argsort(w)[1:].tolist()
+    rest = sorted(range(4), key=weights.__getitem__)[1:]
     zero, gap = rank_split([abs(weights[k]) for k in rest], tol)
     alive = sorted(k for k, vanishes in zip(rest, zero.tolist()) if not vanishes)
     cut = f"cut {tol:g}, rank gap {gap:.3e}"
@@ -323,31 +322,21 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
     return {k: (1 + row[j] * u) / 2 for k, row in enumerate(BELL_SIGNS.tolist()) if row[i] == sign}
 
 
-# The admission record: (the bytes of a single 4x4 matrix's complex form, its read-only
-# Hermitian part) for the last matrix a state gate admitted, validate_density_matrix or
-# is_state. The part is admitted under its own bytes too. One tuple, rebound in one step
-# by _admit alone and read once by _admitted, so no thread pairs a key with another
-# matrix's result.
-_last_accepted: tuple[bytes, np.ndarray] | None = None
+# The admission record: the bytes of the last single 4x4 Hermitian part a state gate
+# admitted, validate_density_matrix's result or T(t) from is_state. Only bytes are kept, so
+# no stored result exists that a thread could pair with another matrix's key.
+_last_accepted: bytes | None = None
 
 
-def _admit(key: bytes, kept: np.ndarray) -> None:
-    """Record kept, made read-only, as the Hermitian part of the matrix with bytes key."""
+def _admit(key: bytes) -> None:
+    """Record key, the bytes of an admitted Hermitian part in its complex form."""
     global _last_accepted
-    kept.setflags(write=False)
-    _last_accepted = (key, kept)
+    _last_accepted = key
 
 
-def _admitted(key: bytes) -> np.ndarray | None:
-    """The recorded read-only Hermitian part when key is the record's or the part's own, else None.
-
-    The part is exactly Hermitian and passed the gate, so it is admitted as itself too.
-    """
-    last = _last_accepted
-    if last is None:
-        return None
-    kept = last[1]
-    return kept if key == last[0] or key == kept.tobytes() else None
+def _admitted(key: bytes) -> bool:
+    """True when key is the bytes of the last admitted Hermitian part."""
+    return key == _last_accepted
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
@@ -363,22 +352,17 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     input is exactly Hermitian. Callers hand it on to code that guards no
     further (see the linalg module notes).
 
-    A single 4x4 matrix accepted here, or built by is_state for a t it
-    admitted, is the admission record, keyed by the bytes of its complex
-    form: a call with the same content, or with the Hermitian part kept
-    then (which the full path returns unchanged), runs no test again and
-    returns a copy of that part. The guard forms rho^dagger once, for its
-    test and for the Hermitian part. Every call returns a new writable
-    array; a stack is checked on every call and never recorded.
+    The bytes of a single 4x4 result, or of T(t) built by is_state for a t
+    it admitted, are the admission record: a call whose input has those
+    bytes runs no test again and returns a copy of its input, which is what
+    the full path would return. Every call returns a new writable array; a
+    stack is checked on every call and never recorded.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
-    key = rho.tobytes() if rho.ndim == 2 else None
-    if key is not None:
-        kept = _admitted(key)
-        if kept is not None:
-            return kept.copy()
+    if rho.ndim == 2 and _admitted(rho.tobytes()):
+        return rho.copy()
     rho = _hermitian_part(rho, "density matrix", STATE_VALIDATION_TOL)
     # python comparisons beat numpy reductions on one value per member
     for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
@@ -387,8 +371,8 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-    if key is not None:
-        _admit(key, rho.copy())
+    if rho.ndim == 2:
+        _admit(rho.tobytes())
     return rho
 
 

@@ -219,17 +219,15 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     Pauli product basis. Coefficients that rank_split finds vanishing at tol *
     (largest coefficient) are truncated (reduced Schmidt rank) rather than
     padded with an arbitrary basis completion. The input is guarded for
-    Hermiticity unless it is the Hermitian part a state gate recorded (the
-    admission record, see mds.validate_density_matrix), as validate_density_matrix
-    returns it for a file's matrix.
+    Hermiticity unless its bytes are the admission record (see
+    mds.validate_density_matrix), as they are for the matrix
+    validate_density_matrix returns for a file.
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {np.shape(rho)}")
     rho = np.asarray(rho, dtype=complex)
-    key = rho.tobytes()
-    kept = _admitted(key)
-    # these bytes are the Hermitian part a state gate recorded: the guard would pass
-    if kept is None or kept.tobytes() != key:
+    # the bytes of a Hermitian part a state gate admitted: the guard would pass
+    if not _admitted(rho.tobytes()):
         require_hermitian(rho, "operator_schmidt: input")
     norm = hs_norm(rho)
     if norm == 0.0:

@@ -462,13 +462,6 @@ def correlation_tables(
     """
     a1 = require_hermitian(a1, "correlation_tables: a1", OBSERVABLE_HERMITIAN_TOL)
     a2 = require_hermitian(a2, "correlation_tables: a2", OBSERVABLE_HERMITIAN_TOL)
-    return _correlation_tables(a1, a2, rho)
-
-
-def _correlation_tables(
-    a1: np.ndarray, a2: np.ndarray, rho: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """correlation_tables on stacks Hermitian as built (from_pauli of real rows): no guard."""
     rows = np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1)
     return _pauli_tables(rows, pauli_coordinates(rho))
 
@@ -481,12 +474,6 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
     rho = validate_density_matrix(rho)
     a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
     return _correlation_report(*correlation_tables(a1, a2, rho))
-
-
-def _distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
-    """distant_correlation of a from_pauli pair on a validated density matrix: no guard."""
-    a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
-    return _correlation_report(*_correlation_tables(a1, a2, rho))
 
 
 def _correlation_report(

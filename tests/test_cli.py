@@ -387,7 +387,7 @@ def test_correlate_runs_no_guard_on_its_lifted_pair(capsys, guard_callers):
         capsys, "correlate", "--t", "0.4,-0.4,1", "--a1", "0,1,0,0", "--a2", "0,1,0,0"
     )
     assert code == 0, err
-    # the pair is from_pauli of real components, and is_state admits t with no guard
+    # the pair is read as its real Pauli components, and is_state admits t with no guard
     assert guard_callers == []
 
 
@@ -767,14 +767,14 @@ def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):
 
 
 # pauli_coordinates calls per command on a scrambled matrix file: once for the input
-# wherever mds or schmidt read it, and once more for verify's moved frame state
+# wherever mds, schmidt or state read it, and once more for verify's moved frame state
 COORDINATES = {
     "classify": 1,
     "schmidt": 1,
     "twins": 1,
     "verify": 2,
     "separability": 0,
-    "correlate": 0,
+    "correlate": 1,
     "canonicalize": 1,
 }
 

@@ -218,6 +218,13 @@ def test_classify_interior():
     assert cls.weights.min() > 0
 
 
+def test_classify_names_the_later_of_two_tied_smallest_weights():
+    # w2 and w3 tie at the bottom: a stable sort drops w2 as the smallest and names w3
+    cls = classify(t_from_weights((0.4, 0.4, 0.1, 0.1)))
+    assert cls.kind == GENERIC_INTERIOR
+    assert "the second smallest, w3 = 0.1," in cls.detail
+
+
 def test_classify_near_edge_is_interior():
     # a point close to but not on the edge legitimately classifies interior
     cls = classify(np.array([0.4, -0.4, 1.0 - 1e-6]))
@@ -574,6 +581,10 @@ def test_the_recorded_hermitian_part_is_admitted_as_itself(monkeypatch):
     monkeypatch.setattr(mds, "_last_accepted", None)
     assert validate_density_matrix(part).tobytes() == part.tobytes()
     assert len(calls) == 2
+    # the raw matrix is not admitted as itself: each validation of it runs the guard again
+    for n in (3, 4):
+        assert validate_density_matrix(matrix).tobytes() == part.tobytes()
+        assert len(calls) == n
 
 
 def test_operator_schmidt_still_rejects_what_the_gate_let_through(monkeypatch):
@@ -622,8 +633,8 @@ def _functions_assigning(tree: ast.AST, name: str) -> list[str]:
 
 
 def test_admission_record_has_one_writer():
-    # the record is one tuple rebound in one step; a second writer could pair a key with
-    # another matrix's result, so only mds._admit binds it after the module's None
+    # the record is the bytes of one admitted Hermitian part; only mds._admit binds it after
+    # the module's None, so every admission goes through one writer
     src = Path(mds.__file__).parent
     writers = {}
     for path in sorted(src.glob("*.py")):

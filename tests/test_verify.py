@@ -166,6 +166,22 @@ def _oracle_with_a2_scaled(scale):
     return oracle
 
 
+def _sign_flipped_t(w):
+    """Fault: t_from_weights returns -t."""
+    return -mds.t_from_weights(w)
+
+
+def _T_of_minus_t(t):
+    """Fault: build_T builds T(-t)."""
+    return mds.build_T(-np.asarray(t))
+
+
+def _edge_weights_swapped(cls):
+    """Fault: edge_mixture gives each Bell index of the edge the other's weight."""
+    (i, wi), (j, wj) = mds.edge_mixture(cls).items()
+    return {i: wj, j: wi}
+
+
 @pytest.mark.parametrize(
     "attribute, fault, t, check, detail, failed",
     [
@@ -225,6 +241,30 @@ def _oracle_with_a2_scaled(scale):
                 "twin-spectra-match",
             ],
         ),
+        (
+            "t_from_weights",
+            _sign_flipped_t,
+            "0.2,0.1,-0.05",
+            verify._check_weights_roundtrip,
+            "t residual 4.000e-01",
+            ["weights-roundtrip"],
+        ),
+        (
+            "build_T",
+            _T_of_minus_t,
+            "1,-1,1",
+            verify._check_bell_mixture_identity,
+            "entrywise residual 1.000e+00",
+            ["bell-mixture-identity"],
+        ),
+        (
+            "edge_mixture",
+            _edge_weights_swapped,
+            "0.4,-0.4,1",
+            verify._check_edge_weight_consistency,
+            "closed-form edge weights match within 4.000e-01",
+            ["edge-weight-consistency"],
+        ),
     ],
     ids=[
         "covariance-dimension",
@@ -232,6 +272,9 @@ def _oracle_with_a2_scaled(scale):
         "commutant-not-commuting",
         "anticorrelated-pair",
         "unequal-spectra",
+        "weights-sign-flip",
+        "mixture-of-minus-t",
+        "edge-weights-swapped",
     ],
 )
 def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, check, detail, failed):
