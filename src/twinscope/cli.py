@@ -23,7 +23,7 @@ from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionE
 from .linalg import hs_norm
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import matrix_tree, parse_state_file, render
-from .schmidt import correlation_operator, operator_schmidt, pure_schmidt
+from .schmidt import _operator_schmidt, correlation_operator, pure_schmidt
 from .state import State
 from .twins import (
     TwinSpace,
@@ -33,17 +33,6 @@ from .twins import (
     subspace_residual,
 )
 from .verify import run_verification
-
-COMMANDS = (
-    "classify",
-    "schmidt",
-    "twins",
-    "verify",
-    "separability",
-    "correlate",
-    "canonicalize",
-)
-
 
 def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
     parts = text.split(",")
@@ -128,17 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"twinscope {__version__}")
     sub = parser.add_subparsers(dest="command", metavar="|".join(COMMANDS))
-    descriptions = {
-        "classify": "Locate a state on the Bell tetrahedron (vertex/edge/interior).",
-        "schmidt": "Operator Schmidt data; adds pure-state Schmidt data for pure input.",
-        "twins": "Brute-force twin space, with the closed-form basis when available.",
-        "verify": "Run all invariant checks applicable to the input state.",
-        "separability": "Positive-partial-transpose verdict.",
-        "correlate": "Joint outcome statistics of an observable pair on the state.",
-        "canonicalize": "Local unitaries onto the diagonal-correlation form.",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=descriptions[name], description=descriptions[name])
+    for name, handler in _HANDLERS.items():
+        p = sub.add_parser(name, help=handler.__doc__, description=handler.__doc__)
         p.add_argument("--t", help="comma-separated correlation components t1,t2,t3")
         p.add_argument("--weights", help="comma-separated Bell weights w0,w1,w2,w3")
         p.add_argument("--input", help="path to a 'matrix 4 4' or 'pure 4' state file")
@@ -183,6 +163,7 @@ def _class_tree(cls: MdsClass) -> dict:
 
 
 def cmd_classify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Locate a state on the Bell tetrahedron (vertex/edge/interior)."""
     diagnostics: dict = {}
     cf = state.frame
     if cf is None:
@@ -200,9 +181,10 @@ def cmd_classify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 
 def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Operator Schmidt data; adds pure-state Schmidt data for pure input."""
     rho = state.rho
     norm = hs_norm(rho)
-    os_ = operator_schmidt(rho, args.tol)
+    os_ = _operator_schmidt(rho, args.tol)
     result: dict = {
         "hs_norm": norm,
         "coefficients": list(os_.coefficients),
@@ -237,6 +219,7 @@ def _basis_tree(space: TwinSpace) -> list[dict]:
 
 
 def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Brute-force twin space, with the closed-form basis when available."""
     diagnostics: dict = {}
     cf = state.frame
     if cf is not None and state.t is None:
@@ -267,6 +250,7 @@ def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 
 def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Run all invariant checks applicable to the input state."""
     state.rho  # a --t outside the tetrahedron fails here, before any check
     results = run_verification(state)
     passed = sum(1 for r in results if r.passed)
@@ -286,6 +270,7 @@ def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 
 def cmd_separability(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Positive-partial-transpose verdict."""
     separable, min_eig = _ppt_separable(state.rho, args.tol)
     return {
         "result": {
@@ -296,6 +281,7 @@ def cmd_separability(args: argparse.Namespace, state: State) -> tuple[dict, int]
 
 
 def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Joint outcome statistics of an observable pair on the state."""
     coords = state.coords
     c1 = _parse_floats(args.a1, 4, "--a1")
     c2 = _parse_floats(args.a2, 4, "--a2")
@@ -314,6 +300,7 @@ def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 
 def cmd_canonicalize(args: argparse.Namespace, state: State) -> tuple[dict, int]:
+    """Local unitaries onto the diagonal-correlation form."""
     cf = state.canonical
     return {
         "result": {
@@ -325,6 +312,7 @@ def cmd_canonicalize(args: argparse.Namespace, state: State) -> tuple[dict, int]
     }, 0
 
 
+# the one command table: a handler's docstring is its --help text
 _HANDLERS = {
     "classify": cmd_classify,
     "schmidt": cmd_schmidt,
@@ -334,6 +322,7 @@ _HANDLERS = {
     "correlate": cmd_correlate,
     "canonicalize": cmd_canonicalize,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def run(argv: list[str]) -> int:

@@ -14,17 +14,16 @@ c0 +- |c| and its eigenprojectors are (I +- chat.sigma)/2, so
 twins.correlation_tables reads outcome tables in closed form from Pauli
 components and the Pauli coordinates of rho.
 
-A matrix is guarded for Hermiticity once, and every guard is require_hermitian.
+A matrix is guarded for Hermiticity once, and every guard is require_hermitian,
+which holds hermitian_check's largest |M - M^dagger| entry to its tol.
 A matrix that has passed a guard (mds.validate_density_matrix returns its
 exact Hermitian part), or that is Hermitian by construction (build_T, a
 partial transpose of such a matrix, from_pauli of real rows), goes to
 np.linalg.eigvalsh, for callers that read no eigenvector, or to a private
 kernel with no second guard; public entry points guard what they receive
-from outside. Both state gates, mds.validate_density_matrix and
-mds.is_state, record the bytes of the last single Hermitian part they
-admitted (is_state records T(t) for a t it admits): validate_density_matrix
-runs no test again on those bytes, nor operator_schmidt its guard. The
-phase convention of eigh and svd, and
+from outside. mds.is_state records the bytes of T(t) for the last t it
+admitted: validate_density_matrix runs no test again on those bytes, nor
+operator_schmidt its guard. The phase convention of eigh and svd, and
 the sign convention of real factors elsewhere, is one rule, leading_phases: the
 first entry above PHASE_CUT in magnitude of each column is made real positive.
 It covers vectors that are reported.
@@ -213,25 +212,13 @@ def hs_norm(a: np.ndarray) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
 
 
-@dataclass(frozen=True)
-class HermitianCheck:
-    """Outcome of a Hermiticity guard: largest |M - M^dagger| entry vs tolerance."""
-
-    max_deviation: float
-    tolerance: float
-
-    @property
-    def passes(self) -> bool:
-        return self.max_deviation <= self.tolerance
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return m.conj().swapaxes(-2, -1)
 
 
-def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck:
-    """Guard a square matrix, or a stack (..., n, n) of them, in one pass.
+def hermitian_check(m: np.ndarray) -> float:
+    """Largest |M - M^dagger| entry of a square matrix, or of a stack (..., n, n), in one pass.
 
     A nan or inf entry makes the deviation nan or inf, with no numpy warning.
     """
@@ -240,8 +227,7 @@ def hermitian_check(m: np.ndarray, tol: float = HERMITIAN_TOL) -> HermitianCheck
         raise ValueError(f"hermitian_check expects a square matrix, got {m.shape}")
     # inf - inf is nan, which require_hermitian names as a non-finite entry: no warning
     with np.errstate(invalid="ignore"):
-        dev = float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
-    return HermitianCheck(max_deviation=dev, tolerance=tol)
+        return float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -252,11 +238,11 @@ def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> n
     nan or inf.
     """
     m = np.asarray(m, dtype=complex)
-    chk = hermitian_check(m, tol)
-    if not chk.passes:
-        if not math.isfinite(chk.max_deviation):
+    dev = hermitian_check(m)
+    if not dev <= tol:  # a nan deviation fails too
+        if not math.isfinite(dev):
             raise ValueError(f"{what} has a non-finite entry")
-        raise ValueError(f"{what} is not Hermitian (max deviation {chk.max_deviation:.3e})")
+        raise ValueError(f"{what} is not Hermitian (max deviation {dev:.3e})")
     return m
 
 
@@ -274,8 +260,8 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
     with no such entry gets 1. A stack (..., m, n) gives phases (..., n).
     A real matrix (the operator Schmidt and twin-row factors) is read as
     Python floats, one column at a time, which beats the array path on a few
-    entries. Complex input stays on the array path: Python's complex
-    division rounds differently from numpy's.
+    entries. Complex input and stacks take the one array path: Python's
+    complex division rounds differently from numpy's.
     """
     if a.ndim == 2 and a.dtype == np.float64:
         signs = []
@@ -287,14 +273,10 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
                     break
             signs.append(sign)
         return np.array(signs)
-    big = np.abs(a) > PHASE_CUT
-    if a.ndim == 2:
-        first = a[big.argmax(axis=0), np.arange(a.shape[1])]
-    else:
-        cols = np.swapaxes(a, -2, -1)  # one row per column, over the whole stack
-        flat = cols.reshape(-1, cols.shape[-1])
-        lead = np.swapaxes(big, -2, -1).reshape(flat.shape).argmax(axis=-1)
-        first = flat[np.arange(flat.shape[0]), lead].reshape(cols.shape[:-1])
+    cols = np.swapaxes(a, -2, -1)  # one row per column, over the whole stack
+    flat = cols.reshape(-1, cols.shape[-1])
+    lead = (np.abs(flat) > PHASE_CUT).argmax(axis=-1)
+    first = flat[np.arange(flat.shape[0]), lead].reshape(cols.shape[:-1])
     # argmax gives row 0 for a column with no entry above PHASE_CUT; that column gets 1
     z = np.where(np.abs(first) > PHASE_CUT, first, 1)
     return z / np.abs(z)

@@ -208,13 +208,15 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     with unit trace as built (its maps are real symmetric, and the identity
     row, added last, leaves no entry -0.0), so it is its own Hermitian part
     and passes the gate's other two tests: whatever tol, validate_density_matrix
-    accepts T(t) for every t is_state admits. An admitted T becomes the
-    admission record, so validate_density_matrix(build_T(t)) right after runs
-    no test again and returns T's bytes. The two minima are the same number
+    accepts T(t) for every t is_state admits. The bytes of an admitted T are
+    the admission record, which only is_state writes, so
+    validate_density_matrix(build_T(t)) right after runs no test again and
+    returns T's bytes. The two minima are the same number
     computed two ways, so InternalConsistencyError is raised when |min weight
     - min eigenvalue| exceeds state_test_rounding(w); the two landing on
     opposite sides of a cut is not an error.
     """
+    global _last_accepted
     w = weights_from_t(t)
     min_w = float(w.min())
     arg = int(w.argmin())
@@ -228,7 +230,7 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
         )
     ok = min_w >= -min(tol, STATE_VALIDATION_TOL) and min_eig >= -STATE_VALIDATION_TOL
     if ok:
-        _admit(T.tobytes())
+        _last_accepted = T.tobytes()
     return StateVerdict(
         ok=ok, min_weight=min_w, offending_index=arg, min_eigenvalue=min_eig, weights=w
     )
@@ -322,20 +324,13 @@ def edge_mixture(cls: MdsClass) -> dict[int, float]:
     return {k: (1 + row[j] * u) / 2 for k, row in enumerate(BELL_SIGNS.tolist()) if row[i] == sign}
 
 
-# The admission record: the bytes of the last single 4x4 Hermitian part a state gate
-# admitted, validate_density_matrix's result or T(t) from is_state. Only bytes are kept, so
-# no stored result exists that a thread could pair with another matrix's key.
+# The admission record: the bytes of T(t) for the last t is_state admitted. is_state is
+# its only writer; validate_density_matrix and operator_schmidt read it through _admitted.
 _last_accepted: bytes | None = None
 
 
-def _admit(key: bytes) -> None:
-    """Record key, the bytes of an admitted Hermitian part in its complex form."""
-    global _last_accepted
-    _last_accepted = key
-
-
 def _admitted(key: bytes) -> bool:
-    """True when key is the bytes of the last admitted Hermitian part."""
+    """True when key is the bytes of T(t) for the last t is_state admitted."""
     return key == _last_accepted
 
 
@@ -352,11 +347,10 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     input is exactly Hermitian. Callers hand it on to code that guards no
     further (see the linalg module notes).
 
-    The bytes of a single 4x4 result, or of T(t) built by is_state for a t
-    it admitted, are the admission record: a call whose input has those
-    bytes runs no test again and returns a copy of its input, which is what
-    the full path would return. Every call returns a new writable array; a
-    stack is checked on every call and never recorded.
+    A single 4x4 input whose bytes are the admission record, T(t) for the
+    last t is_state admitted, runs no test again and returns a copy of
+    itself, which is what the full path would return. Validation reads the
+    record and never writes it. Every call returns a new writable array.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.shape[-2:] != (4, 4):
@@ -371,8 +365,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
-    if rho.ndim == 2:
-        _admit(rho.tobytes())
     return rho
 
 

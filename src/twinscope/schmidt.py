@@ -219,16 +219,20 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     Pauli product basis. Coefficients that rank_split finds vanishing at tol *
     (largest coefficient) are truncated (reduced Schmidt rank) rather than
     padded with an arbitrary basis completion. The input is guarded for
-    Hermiticity unless its bytes are the admission record (see
-    mds.validate_density_matrix), as they are for the matrix
-    validate_density_matrix returns for a file.
+    Hermiticity unless its bytes are the admission record, T(t) for the last
+    t mds.is_state admitted.
     """
     if np.shape(rho) != (4, 4):
         raise ValueError(f"operator_schmidt expects a 4x4 matrix, got {np.shape(rho)}")
     rho = np.asarray(rho, dtype=complex)
-    # the bytes of a Hermitian part a state gate admitted: the guard would pass
+    # T(t) of an admitted t is Hermitian as built: the guard would pass
     if not _admitted(rho.tobytes()):
         require_hermitian(rho, "operator_schmidt: input")
+    return _operator_schmidt(rho, tol)
+
+
+def _operator_schmidt(rho: np.ndarray, tol: float) -> OperatorSchmidt:
+    """operator_schmidt on a 4x4 complex matrix Hermitian as validated or built: no guard."""
     norm = hs_norm(rho)
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
 from twinscope.cli import run
 from twinscope.linalg import local_conj, pauli, pauli_adjoint, random_unitary, tensor
-from twinscope.mds import build_T, is_state
+from twinscope.mds import build_T, is_state, random_interior_t
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
 
@@ -157,6 +158,30 @@ def test_correlate_is_local_unitary_invariant(capsys, tmp_path):
         assert "degenerate: false" in out
         for key in ("mismatch_probability", "expectation_gap"):
             assert abs(report_value(out, key) - report_value(expected, key)) <= 1e-12
+
+
+def test_correlate_agrees_with_distant_correlation_to_rounding():
+    # the command reads --a1 and --a2 as one Pauli row; distant_correlation reads to_pauli
+    # of the lifted pair, so the last bit may differ and nothing more
+    rng = np.random.default_rng(47)
+    eps = np.finfo(float).eps
+    for _ in range(20):
+        rho = local_conj(build_T(random_interior_t(rng)), random_unitary(rng), random_unitary(rng))
+        given = state.State(mds.DEFAULT_TOL, 0, matrix=rho)
+        for _ in range(100):
+            a1, a2 = (",".join(f"{k / 1000:.3f}" for k in rng.integers(-1000, 1001, 4)) for _ in "12")
+            tree, code = cli.cmd_correlate(argparse.Namespace(a1=a1, a2=a2), given)
+            got = tree["result"]
+            pair = twins.ObservablePair(
+                a1=linalg.from_pauli(np.array(got["a1_pauli"])),
+                a2=linalg.from_pauli(np.array(got["a2_pauli"])),
+            )
+            want = twins.distant_correlation(pair, rho)
+            assert code == 0 and got["degenerate"] == want.degenerate
+            table = np.array(got["joint_distribution"])
+            assert np.abs(table - want.joint_distribution).max() <= 4 * eps
+            assert abs(got["mismatch_probability"] - want.mismatch_probability) <= 4 * eps
+            assert abs(got["expectation_gap"] - want.expectation_gap) <= 4 * eps
 
 
 def test_canonicalize_from_file(capsys, mixed_file):
@@ -343,7 +368,7 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
         return wrapped
 
     for command, module, name in (
-        ("schmidt", cli, "operator_schmidt"),
+        ("schmidt", cli, "_operator_schmidt"),
         ("separability", cli, "_ppt_separable"),
         ("twins", state, "_twin_space"),
     ):
@@ -378,7 +403,7 @@ def guard_callers(monkeypatch):
 def test_schmidt_guards_a_file_once(capsys, guard_callers, scrambled_edge_file):
     code, _, err = invoke(capsys, "schmidt", "--input", scrambled_edge_file)
     assert code == 0, err
-    # operator_schmidt reads the Hermitian part the file's validation recorded
+    # the schmidt command reads the file's validated Hermitian part with no second guard
     assert guard_callers == ["validate_density_matrix"]
 
 

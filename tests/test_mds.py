@@ -349,10 +349,12 @@ def _count_guards(monkeypatch):
 
 def test_validation_memo_rechecks_a_matrix_changed_in_place(monkeypatch):
     calls = _count_guards(monkeypatch)
-    rho = build_T(np.array([0.2, 0.1, -0.05]))
+    t = np.array([0.2, 0.1, -0.05])
+    rho = build_T(t)
+    assert is_state(t).ok
     validate_density_matrix(rho)
     validate_density_matrix(rho)
-    assert len(calls) == 1
+    assert len(calls) == 0
     rho[0, 3] = rho[3, 0] = 2.0  # still Hermitian with unit trace, no longer positive
     with pytest.raises(ValueError, match="negative eigenvalue"):
         validate_density_matrix(rho)
@@ -510,9 +512,10 @@ def test_is_state_rejects_what_the_gate_rejects():
 
 def test_a_rejected_t_leaves_the_record(monkeypatch):
     calls = _count_guards(monkeypatch)
-    kept = build_T(np.array([0.2, 0.1, -0.05]))
+    kept_t = np.array([0.2, 0.1, -0.05])
+    kept = build_T(kept_t)
     for t, tol in ((np.array([1.0, 1, 1]), mds.DEFAULT_TOL), (SLIVER_T, 1e-7)):
-        validate_density_matrix(kept)
+        assert is_state(kept_t).ok
         record = mds._last_accepted
         calls.clear()
         assert not is_state(t, tol).ok
@@ -566,25 +569,19 @@ def test_operator_schmidt_skips_the_guard_only_on_an_admitted_state(monkeypatch)
     assert len(calls) == 2
 
 
-def test_the_recorded_hermitian_part_is_admitted_as_itself(monkeypatch):
+def test_validation_leaves_the_record(monkeypatch):
     calls = _count_guards(monkeypatch)
     rng = np.random.default_rng(29)
-    edge = build_T(np.array([0.4, -0.4, 1.0]))
-    matrix = local_conj(edge, random_unitary(rng), random_unitary(rng))
-    part = validate_density_matrix(matrix)
-    assert part.tobytes() != matrix.tobytes() and len(calls) == 1
-    again = validate_density_matrix(part)
-    schmidt.operator_schmidt(part)
-    assert len(calls) == 1
-    assert again.tobytes() == part.tobytes() and again.flags.writeable
-    # the full path returns the part unchanged
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    assert validate_density_matrix(part).tobytes() == part.tobytes()
-    assert len(calls) == 2
-    # the raw matrix is not admitted as itself: each validation of it runs the guard again
-    for n in (3, 4):
-        assert validate_density_matrix(matrix).tobytes() == part.tobytes()
+    t = np.array([0.4, -0.4, 1.0])
+    assert is_state(t).ok
+    matrix = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+    # a validation reads the record and never writes it: each one runs the guard again
+    for n in (1, 2):
+        validate_density_matrix(matrix)
         assert len(calls) == n
+        assert mds._last_accepted == build_T(t).tobytes()
+    assert np.array_equal(validate_density_matrix(build_T(t)), build_T(t))
+    assert len(calls) == 2
 
 
 def test_operator_schmidt_still_rejects_what_the_gate_let_through(monkeypatch):
@@ -595,8 +592,7 @@ def test_operator_schmidt_still_rejects_what_the_gate_let_through(monkeypatch):
     off[0, 1] += 1e-6
     with pytest.raises(ValueError, match=r"^operator_schmidt: input is not Hermitian"):
         schmidt.operator_schmidt(off)
-    # the 1e-8 gate admits a 5e-9 deviation and records its Hermitian part; the
-    # 1e-9 guard still rejects the input itself
+    # the 1e-8 gate admits a 5e-9 deviation; the 1e-9 guard still rejects the input itself
     near = build_T(t)
     near[0, 1] += 5e-9
     validate_density_matrix(near)
@@ -633,16 +629,16 @@ def _functions_assigning(tree: ast.AST, name: str) -> list[str]:
 
 
 def test_admission_record_has_one_writer():
-    # the record is the bytes of one admitted Hermitian part; only mds._admit binds it after
-    # the module's None, so every admission goes through one writer
+    # the record is the bytes of T(t) for the last t is_state admitted; only is_state binds
+    # it after the module's None
     src = Path(mds.__file__).parent
     writers = {}
     for path in sorted(src.glob("*.py")):
         for where in _functions_assigning(ast.parse(path.read_text()), "_last_accepted"):
             writers.setdefault(f"{path.name}:{where}", 0)
             writers[f"{path.name}:{where}"] += 1
-    # _admit declares the global and assigns it once
-    assert writers == {"mds.py:<module>": 1, "mds.py:_admit": 2}
+    # is_state declares the global and assigns it once
+    assert writers == {"mds.py:<module>": 1, "mds.py:is_state": 2}
 
 
 def test_correlation_matrix_diagonal_for_generating_states():
