@@ -22,7 +22,7 @@ from . import __version__
 from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError
 from .linalg import hs_norm
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
-from .report import matrix_tree, parse_state_file, render
+from .report import parse_state_file, render
 from .schmidt import _operator_schmidt, correlation_operator, pure_schmidt
 from .state import State
 from .twins import (
@@ -61,20 +61,20 @@ def load_state_spec(args: argparse.Namespace) -> tuple[State, dict]:
         )
     if args.t is not None:
         t = _parse_floats(args.t, 3, "--t")
-        return State(args.tol, args.seed, t=t), {"kind": "t", "t": list(t)}
+        return State(args.tol, args.seed, t=t), {"kind": "t", "t": t}
     if args.weights is not None:
         w = _parse_floats(args.weights, 4, "--weights")
         if abs(w.sum() - 1) > STATE_VALIDATION_TOL:
             raise ValueError(f"--weights must sum to 1, got {w.sum():.12g}")
         state = State(args.tol, args.seed, t=t_from_weights(w))
-        return state, {"kind": "weights", "weights": list(w)}
+        return state, {"kind": "weights", "weights": w}
     if not args.input:
         raise ValueError("--input: the path is empty")
     variant, data = parse_state_file(args.input)
     state = State(args.tol, args.seed, **{variant: data})
     state.rho  # a file is gated where it is read
     # a matrix echoes its exact Hermitian part: what passed the gate, and what every command reads
-    echo = matrix_tree(state.rho) if variant == "matrix" else [complex(v) for v in data]
+    echo = state.rho if variant == "matrix" else data
     return state, {"kind": variant, variant: echo, "source": args.input}
 
 
@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _class_tree(cls: MdsClass) -> dict:
-    tree: dict = {"class": cls.kind, "weights": list(cls.weights)}
+    tree: dict = {"class": cls.kind, "weights": cls.weights}
     if cls.vertex is not None:
         tree["vertex"] = cls.vertex
     if cls.axis is not None:
@@ -173,7 +173,7 @@ def cmd_classify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
         )
     if state.t is None:
         diagnostics["canonicalization_residual"] = cf.residual
-        diagnostics["canonical_t"] = list(cf.t)
+        diagnostics["canonical_t"] = cf.t
     cls = state.cls
     diagnostics["min_weight"] = cls.verdict.min_weight
     diagnostics["min_eigenvalue"] = cls.verdict.min_eigenvalue
@@ -184,27 +184,27 @@ def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     """Operator Schmidt data; adds pure-state Schmidt data for pure input."""
     rho = state.rho
     norm = hs_norm(rho)
-    os_ = _operator_schmidt(rho, args.tol)
+    os_ = _operator_schmidt(rho, state.tol)
     result: dict = {
         "hs_norm": norm,
-        "coefficients": list(os_.coefficients),
+        "coefficients": os_.coefficients,
         "schmidt_rank": os_.schmidt_rank,
-        "degeneracy": list(os_.degeneracy),
-        "left_ops": [matrix_tree(m) for m in os_.left_ops],
-        "right_ops": [matrix_tree(m) for m in os_.right_ops],
+        "degeneracy": os_.degeneracy,
+        "left_ops": os_.left_ops,
+        "right_ops": os_.right_ops,
     }
     if state.pure is not None:
-        ps = pure_schmidt(state.pure, args.tol)
+        ps = pure_schmidt(state.pure, state.tol)
         pure_tree: dict = {
-            "coefficients": list(ps.coefficients),
+            "coefficients": ps.coefficients,
             "schmidt_rank": ps.schmidt_rank,
-            "degeneracy": list(ps.degeneracy),
-            "left_vectors": [list(v) for v in ps.left_vectors],
-            "right_vectors": [list(v) for v in ps.right_vectors],
+            "degeneracy": ps.degeneracy,
+            "left_vectors": ps.left_vectors,
+            "right_vectors": ps.right_vectors,
         }
         ua = correlation_operator(ps)
         pure_tree["correlation_operator"] = {
-            "unitary_part": matrix_tree(ua.unitary_part),
+            "unitary_part": ua.unitary_part,
             "rank": ua.rank,
             "partial": ua.partial,
         }
@@ -215,7 +215,7 @@ def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 def _basis_tree(space: TwinSpace) -> list[dict]:
     """The stored rows of a twin space, one a1/a2 pair of Pauli components each."""
     rows = space.rows + 0.0  # a sign flip of an exact zero prints as 0, not -0
-    return [{"a1_pauli": list(row[:4]), "a2_pauli": list(row[4:])} for row in rows]
+    return [{"a1_pauli": row[:4], "a2_pauli": row[4:]} for row in rows]
 
 
 def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
@@ -223,7 +223,7 @@ def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     diagnostics: dict = {}
     cf = state.frame
     if cf is not None and state.t is None:
-        diagnostics["canonical_t"] = list(cf.t)
+        diagnostics["canonical_t"] = cf.t
         diagnostics["canonicalization_residual"] = cf.residual
     space = state.space
     result: dict = {
@@ -264,14 +264,14 @@ def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
             "passed": passed,
             "failed": len(results) - passed,
         },
-        "diagnostics": {"canonical_t": list(state.frame.t), "seed": args.seed},
+        "diagnostics": {"canonical_t": state.frame.t, "seed": state.seed},
     }
     return tree, 0 if passed == len(results) else 2
 
 
 def cmd_separability(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     """Positive-partial-transpose verdict."""
-    separable, min_eig = _ppt_separable(state.rho, args.tol)
+    separable, min_eig = _ppt_separable(state.rho, state.tol)
     return {
         "result": {
             "separable": separable,
@@ -289,9 +289,9 @@ def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     report = _correlation_report(*_pauli_tables(np.concatenate([c1, c2])[None], coords))
     return {
         "result": {
-            "a1_pauli": list(c1),
-            "a2_pauli": list(c2),
-            "joint_distribution": [list(row) for row in report.joint_distribution],
+            "a1_pauli": c1,
+            "a2_pauli": c2,
+            "joint_distribution": report.joint_distribution,
             "mismatch_probability": report.mismatch_probability,
             "expectation_gap": report.expectation_gap,
             "degenerate": report.degenerate,
@@ -304,9 +304,9 @@ def cmd_canonicalize(args: argparse.Namespace, state: State) -> tuple[dict, int]
     cf = state.canonical
     return {
         "result": {
-            "t": list(cf.t),
-            "u1": matrix_tree(cf.u1),
-            "u2": matrix_tree(cf.u2),
+            "t": cf.t,
+            "u1": cf.u1,
+            "u2": cf.u2,
             "residual": cf.residual,
         }
     }, 0

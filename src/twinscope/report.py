@@ -1,9 +1,12 @@
 """Deterministic plain-text report rendering and state-file parsing.
 
 Reports are key/value trees: two-space indentation, scalar lists inline in
-brackets, matrices as one bracketed row per line. Floats carry 17
-significant digits and complex numbers use the re+imi form, so identical
-inputs always produce byte-identical output.
+brackets, matrices as one bracketed row per line. A tree may hold numpy
+arrays and scalars anywhere: `render` turns each into its nested Python
+lists (one `tolist()`, the only conversion), so callers hand it library
+values as they are. Floats carry 17 significant digits and complex numbers
+use the re+imi form, so identical inputs always produce byte-identical
+output.
 """
 
 from __future__ import annotations
@@ -33,84 +36,49 @@ def parse_complex(token: str) -> complex:
 
 
 def _format_scalar(value) -> str:
-    if isinstance(value, bool) or isinstance(value, np.bool_):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if value is None:
-        return "none"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return format_float(value)
-    if isinstance(value, (complex, np.complexfloating)):
+    if isinstance(value, complex):
         return format_complex(value)
     return str(value)
 
 
-def _format_inline_list(values) -> str:
-    return "[" + ", ".join(_format_scalar(v) for v in values) + "]"
+def _lines(value, dash: str = "- ") -> str | list[str]:
+    """A scalar or a row of scalars as one inline string, anything else as lines.
 
-
-def _is_scalar(value) -> bool:
-    return not isinstance(value, (dict, list, tuple, np.ndarray))
-
-
-def _render_value(key: str, value, indent: int, lines: list[str]) -> None:
-    pad = "  " * indent
-    if isinstance(value, np.ndarray):
-        if value.ndim <= 1:
-            value = list(value)
-        else:
-            value = [list(row) for row in value]
-    if _is_scalar(value):
-        lines.append(f"{pad}{key}: {_format_scalar(value)}")
-        return
+    A dict gives one `key: value` line per key, a nested value indented under
+    its key. Any other list gives each item one `dash`: a dict, a row, or the
+    rows of a matrix; inside an item, rows take no dash of their own.
+    """
+    if isinstance(value, (np.ndarray, np.generic)):
+        value = value.tolist()
     if isinstance(value, dict):
-        lines.append(f"{pad}{key}:")
-        for k, v in value.items():
-            _render_value(k, v, indent + 1, lines)
-        return
-    seq = list(value)
-    if all(_is_scalar(v) for v in seq):
-        lines.append(f"{pad}{key}: {_format_inline_list(seq)}")
-        return
-    lines.append(f"{pad}{key}:")
-    inner = "  " * (indent + 1)
-    for item in seq:
-        if isinstance(item, np.ndarray):
-            item = [list(r) for r in item] if item.ndim > 1 else list(item)
-        if isinstance(item, (list, tuple)) and all(_is_scalar(v) for v in item):
-            lines.append(f"{inner}- {_format_inline_list(item)}")
-        elif isinstance(item, (list, tuple)):
-            # one matrix per dash: first row prefixed, later rows aligned
-            for n, row in enumerate(item):
-                if isinstance(row, np.ndarray):
-                    row = list(row)
-                prefix = "- " if n == 0 else "  "
-                lines.append(f"{inner}{prefix}{_format_inline_list(row)}")
-        elif isinstance(item, dict):
-            first = True
-            for k, v in item.items():
-                sub: list[str] = []
-                _render_value(k, v, 0, sub)
-                for n, line in enumerate(sub):
-                    prefix = "- " if first and n == 0 else "  "
-                    lines.append(f"{inner}{prefix}{line}")
-                first = False
-        else:
-            lines.append(f"{inner}- {_format_scalar(item)}")
+        lines = []
+        for key, v in value.items():
+            sub = _lines(v)
+            if isinstance(sub, str):
+                lines.append(f"{key}: {sub}")
+            else:
+                lines.append(f"{key}:")
+                lines.extend("  " + line for line in sub)
+        return lines
+    if not isinstance(value, (list, tuple)):
+        return _format_scalar(value)
+    items = [_lines(v, "") for v in value]
+    if not any(isinstance(v, (dict, list, tuple, np.ndarray)) for v in value):
+        return "[" + ", ".join(items) + "]"
+    lines = []
+    for sub in items:
+        for n, line in enumerate([sub] if isinstance(sub, str) else sub):
+            lines.append((dash if n == 0 else " " * len(dash)) + line)
+    return lines
 
 
 def render(tree: dict) -> str:
-    """Render a nested dict as the plain-text report document."""
-    lines: list[str] = []
-    for key, value in tree.items():
-        _render_value(key, value, 0, lines)
-    return "\n".join(lines) + "\n"
-
-
-def matrix_tree(m: np.ndarray) -> list[list[complex]]:
-    """Matrix as nested lists of complex scalars for rendering."""
-    return [[complex(v) for v in row] for row in np.asarray(m, dtype=complex)]
+    """Render a nested dict, whose leaves may be numpy arrays, as the plain-text report."""
+    return "\n".join(_lines(tree)) + "\n"
 
 
 def _parse_entries(path: str, tokens: list[str]) -> np.ndarray:

@@ -381,25 +381,6 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
         assert np.array_equal(rho, expected)
 
 
-@pytest.fixture
-def guard_callers(monkeypatch):
-    """The functions whose Hermitian guard runs, one entry per linalg.hermitian_check call."""
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    callers = []
-    guard = linalg.hermitian_check
-
-    def recording(*args, **kwargs):
-        # the first caller outside linalg: the function whose guard this is
-        frame = sys._getframe(1)
-        while frame.f_globals["__name__"] == "twinscope.linalg":
-            frame = frame.f_back
-        callers.append(frame.f_code.co_name)
-        return guard(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_check", recording)
-    return callers
-
-
 def test_schmidt_guards_a_file_once(capsys, guard_callers, scrambled_edge_file):
     code, _, err = invoke(capsys, "schmidt", "--input", scrambled_edge_file)
     assert code == 0, err
@@ -465,6 +446,9 @@ def test_exit_code_one_on_bad_input(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert invoke(capsys, "classify", "--input", str(missing))[0] == 1
     assert invoke(capsys, "nonsense-command")[0] == 1
+    code, out, err = invoke(capsys)
+    assert (code, out) == (1, "")
+    assert err.splitlines()[-1] == "twinscope: error: a subcommand is required"
     non_finite = (
         ("--t", ("classify", "--t", "nan,0,0")),
         ("--t", ("classify", "--t=inf,0,0")),
@@ -511,6 +495,8 @@ def test_empty_float_field_rejected(capsys, command, flag, text, field):
             ("--t=", "--weights=1,0,0,0"),
             "exactly one of --t, --weights, --input must be given (got t, weights)",
         ),
+        (("--t=a,0,0",), "--t: could not convert string to float: 'a'"),
+        (("--weights=0.5,0.5,0.5,0.5",), "--weights must sum to 1, got 2"),
     ],
 )
 def test_empty_flag_value_is_given(capsys, argv, message):
@@ -519,23 +505,25 @@ def test_empty_flag_value_is_given(capsys, argv, message):
     assert err == f"twinscope classify: error: {message}\n"
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("classify", "--t=0.1,0.2,0.3", "--tol=nan"),
-        ("classify", "--t=0.1,0.2,0.3", "--tol=-1"),
-        ("twins", "--t=0.1,0.2,0.3", "--tol=nan"),
-        ("twins", "--t=0.1,0.2,0.3", "--tol=inf"),
-        ("twins", "--t=0.1,0.2,0.3", "--tol=0"),
-        # at 1/RANK_GUARD no kept value can clear the guard band
-        ("classify", "--weights=1,0,0,0", "--tol=0.1"),
-    ],
-)
+# argv -> why argparse rejects its --tol
+BAD_TOL = {
+    ("classify", "--t=0.1,0.2,0.3", "--tol=nan"): "must be finite and in (0, 0.1), got nan",
+    ("classify", "--t=0.1,0.2,0.3", "--tol=-1"): "must be finite and in (0, 0.1), got -1",
+    ("twins", "--t=0.1,0.2,0.3", "--tol=nan"): "must be finite and in (0, 0.1), got nan",
+    ("twins", "--t=0.1,0.2,0.3", "--tol=inf"): "must be finite and in (0, 0.1), got inf",
+    ("twins", "--t=0.1,0.2,0.3", "--tol=0"): "must be finite and in (0, 0.1), got 0",
+    # at 1/RANK_GUARD no kept value can clear the guard band
+    ("classify", "--weights=1,0,0,0", "--tol=0.1"): "must be finite and in (0, 0.1), got 0.1",
+    ("classify", "--t=0.1,0.2,0.3", "--tol=abc"): "expects a number, got 'abc'",
+}
+
+
+@pytest.mark.parametrize("argv", BAD_TOL)
 def test_bad_tol_rejected_where_parsed(capsys, argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 1
     assert out == ""
-    assert "argument --tol: must be finite and in (0, 0.1), got " in err
+    assert err.splitlines()[-1] == f"twinscope {argv[0]}: error: argument --tol: {BAD_TOL[argv]}"
 
 
 def test_tol_just_below_guard_bound_is_accepted(capsys):
@@ -544,11 +532,15 @@ def test_tol_just_below_guard_bound_is_accepted(capsys):
     assert "class: bell_vertex" in out
 
 
-def test_negative_seed_rejected_where_parsed(capsys):
-    code, out, err = invoke(capsys, "verify", "--t=0.1,0.2,0.3", "--seed=-1")
-    assert code == 1
-    assert out == ""
-    assert "argument --seed: must be a non-negative integer, got -1" in err
+def test_bad_seed_rejected_where_parsed(capsys):
+    for text, reason in (
+        ("-1", "must be a non-negative integer, got -1"),
+        ("abc", "expects an integer, got 'abc'"),
+    ):
+        code, out, err = invoke(capsys, "verify", "--t=0.1,0.2,0.3", f"--seed={text}")
+        assert code == 1
+        assert out == ""
+        assert err.splitlines()[-1] == f"twinscope verify: error: argument --seed: {reason}"
 
 
 def test_ambiguous_rank_exits_two(capsys):
@@ -920,14 +912,41 @@ def test_non_finite_state_file_entry_rejected_where_parsed(
 
 
 def test_render_nested_tree():
+    # every shape a report holds, as the library hands it over
     tree = {
-        "a": 1,
-        "b": {"c": [1.0, 2.0], "d": "text"},
-        "e": [[1 + 0j, 0j], [0j, 1 + 0j]],
-        "f": True,
+        "count": 3,
+        "ok": np.True_,
+        "degeneracy": (1, 3),
+        "t": np.array([0.5, -0.0, 1e-17]),
+        "u": np.array([[1, 0.5j], [-0.0, 1 - 2j]]),
+        "ops": np.array([np.eye(2), [[0, 1], [1, 0]]], dtype=complex),
+        "basis": [
+            {"a1": np.array([0.0, 1.0]), "a2": np.array([2.5, -1.0])},
+            {"a1": np.zeros(2), "a2": np.ones(2)},
+        ],
+        "result": {"kind": "edge", "nested": {"gap": np.float64(0.25), "rank": np.int64(2)}},
     }
-    text = render(tree)
-    assert "a: 1" in text
-    assert "  c: [1, 2]" in text
-    assert "- [1+0i, 0+0i]" in text
-    assert "f: true" in text
+    assert render(tree) == (
+        "count: 3\n"
+        "ok: true\n"
+        "degeneracy: [1, 3]\n"
+        "t: [0.5, -0, 1.0000000000000001e-17]\n"
+        "u:\n"
+        "  - [1+0i, 0+0.5i]\n"
+        "  - [-0+0i, 1-2i]\n"
+        "ops:\n"
+        "  - [1+0i, 0+0i]\n"
+        "    [0+0i, 1+0i]\n"
+        "  - [0+0i, 1+0i]\n"
+        "    [1+0i, 0+0i]\n"
+        "basis:\n"
+        "  - a1: [0, 1]\n"
+        "    a2: [2.5, -1]\n"
+        "  - a1: [0, 0]\n"
+        "    a2: [1, 1]\n"
+        "result:\n"
+        "  kind: edge\n"
+        "  nested:\n"
+        "    gap: 0.25\n"
+        "    rank: 2\n"
+    )

@@ -334,21 +334,8 @@ def test_non_finite_input_is_named():
         validate_density_matrix(np.full((4, 4), np.nan))
 
 
-def _count_guards(monkeypatch):
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    calls = []
-    guard = linalg.hermitian_check
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return guard(*args, **kwargs)
-
-    monkeypatch.setattr(linalg, "hermitian_check", counted)
-    return calls
-
-
-def test_validation_memo_rechecks_a_matrix_changed_in_place(monkeypatch):
-    calls = _count_guards(monkeypatch)
+def test_validation_memo_rechecks_a_matrix_changed_in_place(guard_callers):
+    calls = guard_callers
     t = np.array([0.2, 0.1, -0.05])
     rho = build_T(t)
     assert is_state(t).ok
@@ -364,9 +351,11 @@ def test_validation_memo_rechecks_a_matrix_changed_in_place(monkeypatch):
         validate_density_matrix(rho)
 
 
-def test_validation_memo_hands_out_fresh_arrays(monkeypatch):
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    rho = build_T(np.array([0.4, -0.4, 1.0]))
+def test_validation_memo_hands_out_fresh_arrays(guard_callers):
+    calls = guard_callers
+    t = np.array([0.4, -0.4, 1.0])
+    rho = build_T(t)
+    assert is_state(t).ok
     first = validate_density_matrix(rho)
     first[:] = 7.0
     second = validate_density_matrix(rho)
@@ -374,61 +363,42 @@ def test_validation_memo_hands_out_fresh_arrays(monkeypatch):
     assert np.array_equal(second, rho)
     second[0, 0] = 3.0
     assert np.array_equal(validate_density_matrix(rho), rho)
+    # every validation was a hit on the record, each handing out its own copy
+    assert len(calls) == 0
 
 
-def test_validation_memo_serves_alternating_matrices(monkeypatch):
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    a = build_T(np.array([0.2, 0.1, -0.05]))
+def test_validation_memo_serves_alternating_matrices(guard_callers):
+    calls = guard_callers
+    t = np.array([0.2, 0.1, -0.05])
+    a = build_T(t)
+    assert is_state(t).ok
     b = a.copy()
     b[0, 1] += 5e-9  # inside the gate: its Hermitian part differs from a
     not_a_state = np.eye(4, dtype=complex)
-    for _ in range(3):
+    for n in range(1, 4):
         assert np.array_equal(validate_density_matrix(a), a)
         assert np.array_equal(validate_density_matrix(b), (b + b.conj().T) / 2)
         with pytest.raises(ValueError, match="trace"):
             validate_density_matrix(not_a_state)
+        # a is recorded and runs no guard; b and not_a_state are guarded on each call
+        assert len(calls) == 2 * n
+        assert mds._last_accepted == a.tobytes()
 
 
-def test_validation_memo_pairs_each_thread_with_its_own_matrix(monkeypatch):
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    rng = np.random.default_rng(59)
-    inputs = []
-    for _ in range(4):
-        rho = build_T(random_interior_t(rng)).astype(complex)
-        rho[0, 1] += 5e-9 * rng.uniform()  # inside the gate: a Hermitian part of its own
-        inputs.append(rho)
-    wrong = []
-
-    def work(rho):
-        want = (rho + rho.conj().T) / 2
-        for _ in range(300):
-            if not np.array_equal(validate_density_matrix(rho), want):
-                wrong.append(1)
-
-    old = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=work, args=(rho,)) for rho in inputs]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=60)
-    finally:
-        sys.setswitchinterval(old)
-    assert not any(th.is_alive() for th in threads)
-    assert not wrong
-
-
-def test_validation_memo_never_holds_a_stack(monkeypatch):
-    calls = _count_guards(monkeypatch)
-    rho = build_T(np.array([0.2, 0.1, -0.05]))
+def test_validation_memo_never_holds_a_stack(guard_callers):
+    calls = guard_callers
+    t = np.array([0.2, 0.1, -0.05])
+    rho = build_T(t)
+    assert is_state(t).ok
     stack = np.array([rho, rho])
+    # a stack of the recorded T(t) is still guarded
     for n in range(1, 4):
         assert np.array_equal(validate_density_matrix(stack), stack)
         assert len(calls) == n
     validate_density_matrix(rho)
+    assert len(calls) == 3
     validate_density_matrix(stack)
-    assert len(calls) == 5
+    assert len(calls) == 4
 
 
 # a t whose smallest Bell weight sits at the 1e-8 gate: at --tol 1e-7 its weight passes
@@ -510,8 +480,8 @@ def test_is_state_rejects_what_the_gate_rejects():
     assert classify(SLIVER_T).detail == "weight w0 = -9.99999999474e-09 < -1e-09"
 
 
-def test_a_rejected_t_leaves_the_record(monkeypatch):
-    calls = _count_guards(monkeypatch)
+def test_a_rejected_t_leaves_the_record(guard_callers):
+    calls = guard_callers
     kept_t = np.array([0.2, 0.1, -0.05])
     kept = build_T(kept_t)
     for t, tol in ((np.array([1.0, 1, 1]), mds.DEFAULT_TOL), (SLIVER_T, 1e-7)):
@@ -550,8 +520,8 @@ def test_is_state_admission_pairs_each_thread_with_its_own_matrix(monkeypatch):
     assert not wrong
 
 
-def test_operator_schmidt_skips_the_guard_only_on_an_admitted_state(monkeypatch):
-    calls = _count_guards(monkeypatch)
+def test_operator_schmidt_skips_the_guard_only_on_an_admitted_state(guard_callers):
+    calls = guard_callers
     t = np.array([0.2, 0.1, -0.05])
     rho = build_T(t)
     guarded = schmidt.operator_schmidt(rho)
@@ -569,8 +539,8 @@ def test_operator_schmidt_skips_the_guard_only_on_an_admitted_state(monkeypatch)
     assert len(calls) == 2
 
 
-def test_validation_leaves_the_record(monkeypatch):
-    calls = _count_guards(monkeypatch)
+def test_validation_leaves_the_record(guard_callers):
+    calls = guard_callers
     rng = np.random.default_rng(29)
     t = np.array([0.4, -0.4, 1.0])
     assert is_state(t).ok
@@ -584,8 +554,7 @@ def test_validation_leaves_the_record(monkeypatch):
     assert len(calls) == 2
 
 
-def test_operator_schmidt_still_rejects_what_the_gate_let_through(monkeypatch):
-    _count_guards(monkeypatch)
+def test_operator_schmidt_still_rejects_what_the_gate_let_through(guard_callers):
     t = np.array([0.2, 0.1, -0.05])
     assert is_state(t).ok
     off = build_T(t)

@@ -223,20 +223,8 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     assert calls
 
 
-def test_sweep_path_checks_hermiticity_never(monkeypatch):
-    monkeypatch.setattr(mds, "_last_accepted", None)
-    calls = []
-
-    def counted(fn):
-        def wrapper(*args, **kwargs):
-            calls.append(fn)
-            return fn(*args, **kwargs)
-
-        return wrapper
-
-    for module in (linalg, mds, twins, schmidt):
-        if hasattr(module, "hermitian_check"):
-            monkeypatch.setattr(module, "hermitian_check", counted(module.hermitian_check))
+def test_sweep_path_checks_hermiticity_never(guard_callers):
+    calls = guard_callers
     for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
         calls.clear()
         classify(t)
