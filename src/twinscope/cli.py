@@ -5,7 +5,8 @@ correlate | canonicalize. A state arrives as exactly one of --t, --weights,
 or --input (a matrix/pure-state file), and becomes one `state.State`,
 which validates what it is given; the subcommands only read it. Reports
 are deterministic key/value trees on standard output; error messages go
-to standard error.
+to standard error. `schmidt` and `verify` are imported inside the one
+handler that runs each, so no other command pays for loading them.
 
 Exit codes: 0 success, 1 input or validation failure, 2 internal
 consistency failure.
@@ -23,7 +24,6 @@ from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionE
 from .linalg import hs_norm
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import parse_state_file, render
-from .schmidt import _operator_schmidt, correlation_operator, pure_schmidt
 from .state import State
 from .twins import (
     TwinSpace,
@@ -32,7 +32,6 @@ from .twins import (
     _ppt_separable,
     subspace_residual,
 )
-from .verify import run_verification
 
 def _parse_floats(text: str, count: int, label: str) -> np.ndarray:
     parts = text.split(",")
@@ -182,6 +181,8 @@ def cmd_classify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     """Operator Schmidt data; adds pure-state Schmidt data for pure input."""
+    from .schmidt import _operator_schmidt, correlation_operator, pure_schmidt
+
     rho = state.rho
     norm = hs_norm(rho)
     os_ = _operator_schmidt(rho, state.tol)
@@ -251,6 +252,8 @@ def cmd_twins(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
 def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     """Run all invariant checks applicable to the input state."""
+    from .verify import run_verification
+
     state.rho  # a --t outside the tetrahedron fails here, before any check
     results = run_verification(state)
     passed = sum(1 for r in results if r.passed)

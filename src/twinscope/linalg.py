@@ -62,7 +62,7 @@ twins.correlation_tables).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -309,8 +309,7 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u * phase.conj(), s, vh
 
 
-@dataclass(frozen=True)
-class NullspaceResult:
+class NullspaceResult(NamedTuple):
     """Orthonormal nullspace basis (rows) plus the rank-decision diagnostics."""
 
     basis: np.ndarray

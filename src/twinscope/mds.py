@@ -22,7 +22,7 @@ weights with the cut at tol; the weights sum to 1, so the cut is relative.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,8 +88,7 @@ class InternalConsistencyError(RuntimeError):
     """A mathematically impossible configuration was observed numerically."""
 
 
-@dataclass(frozen=True)
-class StateVerdict:
+class StateVerdict(NamedTuple):
     """Joint verdict of the weight test and the eigenvalue test, and the Bell weights tested."""
 
     ok: bool
@@ -99,8 +98,7 @@ class StateVerdict:
     weights: np.ndarray
 
 
-@dataclass(frozen=True)
-class MdsClass:
+class MdsClass(NamedTuple):
     """Classification of a t-vector on the tetrahedron.
 
     kind is one of BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR, NON_STATE.
@@ -121,8 +119,7 @@ class MdsClass:
     verdict: StateVerdict | None = None
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Local unitaries carrying a state onto its diagonal-correlation form."""
 
     u1: np.ndarray
@@ -477,7 +474,16 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
 def random_interior_t(
     rng: np.random.Generator, min_weight: float = 0.01
 ) -> np.ndarray:
-    """t-vector with all four Bell weights >= min_weight (rejection sampling)."""
+    """t-vector with all four Bell weights >= min_weight (rejection sampling).
+
+    Four weights summing to 1 have a smallest one of at most 1/4, reached
+    only when all are equal, so a min_weight of 1/4 or more raises instead
+    of sampling forever.
+    """
+    if not min_weight < 0.25:  # a nan bound is rejected too
+        raise ValueError(
+            f"min_weight must be below 1/4, the largest possible smallest weight, got {min_weight}"
+        )
     while True:
         w = rng.dirichlet(np.ones(4))
         if w.min() >= min_weight:

@@ -18,8 +18,8 @@ coefficients lifts nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,7 @@ def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]
     return tuple(groups)
 
 
-@dataclass(frozen=True)
-class PureSchmidt:
+class PureSchmidt(NamedTuple):
     """Biorthogonal expansion of a two-qubit state vector.
 
     coefficients are positive and descending; the state is the sum of
@@ -75,8 +74,7 @@ class PureSchmidt:
         return terms.reshape(4)
 
 
-@dataclass(frozen=True)
-class AntiunitaryMap:
+class AntiunitaryMap(NamedTuple):
     """Antiunitary map encoded as conjugation followed by `unitary_part`.
 
     For a rank-deficient source the map is only defined on the range and
@@ -104,7 +102,6 @@ class AntiunitaryMap:
         return w @ np.conj(np.asarray(op, dtype=complex)) @ w.conj().T
 
 
-@dataclass(frozen=True)
 class OperatorSchmidt:
     """Schmidt data of a Hermitian operator viewed as a unit supervector.
 
@@ -115,10 +112,17 @@ class OperatorSchmidt:
     computed on first read and kept, read-only.
     """
 
-    coefficients: np.ndarray
-    rows: np.ndarray
-    schmidt_rank: int
-    degeneracy: tuple[int, ...]
+    def __init__(
+        self,
+        coefficients: np.ndarray,
+        rows: np.ndarray,
+        schmidt_rank: int,
+        degeneracy: tuple[int, ...],
+    ) -> None:
+        self.coefficients = coefficients
+        self.rows = rows
+        self.schmidt_rank = schmidt_rank
+        self.degeneracy = degeneracy
 
     @cached_property
     def _ops(self) -> np.ndarray:

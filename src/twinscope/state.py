@@ -11,7 +11,6 @@ input and its first read is the time that stage costs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -32,7 +31,6 @@ from .mds import (
 from .twins import TwinSpace, _twin_space, analytic_twins, pull_back
 
 
-@dataclass(eq=False)
 class State:
     """One input state, resolved once: each part is computed on first read and kept.
 
@@ -51,11 +49,19 @@ class State:
     one, pulled back onto rho.
     """
 
-    tol: float
-    seed: int
-    matrix: np.ndarray | None = None
-    pure: np.ndarray | None = None
-    t: np.ndarray | None = None
+    def __init__(
+        self,
+        tol: float,
+        seed: int,
+        matrix: np.ndarray | None = None,
+        pure: np.ndarray | None = None,
+        t: np.ndarray | None = None,
+    ) -> None:
+        self.tol = tol
+        self.seed = seed
+        self.matrix = matrix
+        self.pure = pure
+        self.t = t
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -24,8 +24,8 @@ the other.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,15 +61,13 @@ from .mds import (
 )
 
 
-@dataclass(frozen=True)
-class ObservablePair:
+class ObservablePair(NamedTuple):
     """Hermitian observables on subsystems 1 and 2."""
 
     a1: np.ndarray
     a2: np.ndarray
 
 
-@dataclass(frozen=True)
 class TwinSpace:
     """Real solution space of the twin condition, held as its Pauli rows.
 
@@ -83,8 +81,9 @@ class TwinSpace:
     for analytic bases). ops is computed on first read and kept, read-only.
     """
 
-    rows: np.ndarray
-    singular_value_gap: float
+    def __init__(self, rows: np.ndarray, singular_value_gap: float) -> None:
+        self.rows = rows
+        self.singular_value_gap = singular_value_gap
 
     @property
     def dimension(self) -> int:
@@ -106,8 +105,7 @@ class TwinSpace:
         return tuple(ObservablePair(*ops) for ops in self.ops)
 
 
-@dataclass(frozen=True)
-class CorrelationReport:
+class CorrelationReport(NamedTuple):
     """Joint outcome statistics of a binary observable pair on a state."""
 
     joint_distribution: np.ndarray

@@ -12,7 +12,7 @@ this module computes no part of the state itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,8 +50,7 @@ ALL_STRATA = frozenset({BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR})
 EXPECTED_TWIN_DIMENSION = {BELL_VERTEX: 4, BINARY_EDGE: 2, GENERIC_INTERIOR: 1}
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -368,7 +368,7 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
         return wrapped
 
     for command, module, name in (
-        ("schmidt", cli, "_operator_schmidt"),
+        ("schmidt", schmidt, "_operator_schmidt"),
         ("separability", cli, "_ppt_separable"),
         ("twins", state, "_twin_space"),
     ):
@@ -858,7 +858,8 @@ def test_import_loads_no_scipy():
         [
             sys.executable,
             "-c",
-            "import sys, twinscope.cli; "
+            "import sys, twinscope.cli, twinscope.verify, twinscope.schmidt, "
+            "twinscope.twins, twinscope.state, twinscope.report; "
             "print([m for m in sys.modules if m.startswith('scipy')])",
         ],
         capture_output=True,
@@ -867,6 +868,68 @@ def test_import_loads_no_scipy():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "[]"
+
+
+def _child_modules(code: str) -> set[str]:
+    """The modules a fresh interpreter has loaded after running `code`."""
+    result = subprocess.run(
+        [sys.executable, "-c", f"{code}\nimport sys\nprint(sorted(sys.modules))"],
+        capture_output=True,
+        text=True,
+        env=CHILD_ENV,
+    )
+    assert result.returncode == 0, result.stderr
+    return set(ast.literal_eval(result.stdout.splitlines()[-1]))
+
+
+@pytest.fixture(scope="module")
+def bare_modules():
+    """What a child that imports only numpy and argparse has loaded."""
+    return _child_modules("import numpy, argparse")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_each_command_loads_only_the_modules_it_runs(command, bare_modules):
+    argv = [command, "--t", "0.4,-0.4,1"]
+    if command == "correlate":
+        argv += ["--a1", "0,1,0,0", "--a2", "0,1,0,0"]
+    loaded = _child_modules(f"import twinscope.cli\nassert twinscope.cli.run({argv!r}) == 0")
+    expected = {
+        "schmidt": {"twinscope.schmidt"},
+        "verify": {"twinscope.schmidt", "twinscope.verify"},
+    }.get(command, set())
+    assert loaded & {"twinscope.schmidt", "twinscope.verify"} == expected
+    assert "dataclasses" in bare_modules or "dataclasses" not in loaded
+
+
+def test_package_exports_load_their_module_on_first_read():
+    # a fresh import loads no submodule; the first read of a name loads its module and binds it
+    assert not {m for m in _child_modules("import twinscope") if m.startswith("twinscope.")}
+    loaded = _child_modules(
+        "import twinscope\n"
+        "assert 'classify' not in vars(twinscope)\n"
+        "f = twinscope.classify\n"
+        "assert vars(twinscope)['classify'] is f"
+    )
+    assert {m for m in loaded if m.startswith("twinscope.")} == {"twinscope.linalg", "twinscope.mds"}
+
+
+def test_package_namespace():
+    import twinscope
+
+    star: dict = {}
+    exec("from twinscope import *", star)
+    del star["__builtins__"]
+    assert set(star) == set(twinscope.__all__)
+    for name in twinscope.__all__:
+        obj = getattr(twinscope, name)
+        if name != "__version__":
+            assert getattr(sys.modules[obj.__module__], name) is obj
+        # bound in the package: later reads are plain dict hits, not __getattr__ calls
+        assert vars(twinscope)[name] is obj
+    assert set(twinscope.__all__) <= set(dir(twinscope))
+    with pytest.raises(AttributeError, match="has no attribute 'no_such_name'"):
+        twinscope.no_such_name
 
 
 def test_complex_format_roundtrip():

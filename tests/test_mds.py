@@ -244,6 +244,13 @@ def test_edge_mixture_rebuilds_state():
             assert np.abs(build_T(t) - direct).max() < 1e-12
 
 
+@pytest.mark.parametrize("bound", [0.25, 0.3, float("nan")])
+def test_interior_sampler_rejects_a_bound_no_draw_can_meet(bound):
+    # four weights summing to 1 never all exceed 1/4: the rejection loop would never end
+    with pytest.raises(ValueError, match="min_weight must be below 1/4"):
+        random_interior_t(np.random.default_rng(0), bound)
+
+
 def test_edge_consistency_relations():
     rng = np.random.default_rng(6)
     for axis in (1, 2, 3):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -144,9 +142,7 @@ def _moved_off_stratum(ctx):
 def _vertex_for_every_state(t, tol, verdict):
     """Fault: classify calls every state Bell vertex 2."""
     cls = mds.classify(t, tol, verdict)
-    return dataclasses.replace(
-        cls, kind=BELL_VERTEX, vertex=2, axis=None, case=None, edge_parameter=None
-    )
+    return cls._replace(kind=BELL_VERTEX, vertex=2, axis=None, case=None, edge_parameter=None)
 
 
 def _first_block(rho, keep):
