@@ -20,8 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError
-from .linalg import hs_norm
+from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, hs_norm
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import parse_state_file, render
 from .state import State
@@ -183,11 +182,9 @@ def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     """Operator Schmidt data; adds pure-state Schmidt data for pure input."""
     from .schmidt import _operator_schmidt, correlation_operator, pure_schmidt
 
-    rho = state.rho
-    norm = hs_norm(rho)
-    os_ = _operator_schmidt(rho, state.tol)
+    os_ = _operator_schmidt(state.coords, state.tol)
     result: dict = {
-        "hs_norm": norm,
+        "hs_norm": hs_norm(state.rho),
         "coefficients": os_.coefficients,
         "schmidt_rank": os_.schmidt_rank,
         "degeneracy": os_.degeneracy,

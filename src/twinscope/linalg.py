@@ -19,14 +19,15 @@ which holds hermitian_check's largest |M - M^dagger| entry to its tol.
 A matrix that has passed a guard (mds.validate_density_matrix returns its
 exact Hermitian part), or that is Hermitian by construction (build_T, a
 partial transpose of such a matrix, from_pauli of real rows), goes to
-np.linalg.eigvalsh, for callers that read no eigenvector, or to a private
-kernel with no second guard; public entry points guard what they receive
-from outside. mds.is_state records the bytes of T(t) for the last t it
-admitted: validate_density_matrix runs no test again on those bytes, nor
-operator_schmidt its guard. The phase convention of eigh and svd, and
-the sign convention of real factors elsewhere, is one rule, leading_phases: the
-first entry above PHASE_CUT in magnitude of each column is made real positive.
-It covers vectors that are reported.
+np.linalg.eigvalsh, for callers that read no eigenvector, or is converted
+to its Pauli coordinates for a private kernel, with no second guard; public
+entry points guard what they receive from outside. mds.is_state records the
+bytes of T(t) for the last t it admitted: validate_density_matrix runs no
+test again on those bytes, nor operator_schmidt its guard. The phase
+convention of eigh and svd, and the sign convention of real factors
+elsewhere, is one rule, leading_phases: the first entry above PHASE_CUT in
+magnitude of each column is made real positive. It covers vectors that are
+reported.
 
 Every rank decision goes through rank_split: a value at or below the cut
 vanishes, and one within a factor RANK_GUARD of it makes the decision
@@ -42,6 +43,10 @@ map derived from PAULI. pauli_coordinates(rho) is
 the 4x4 conversion beside them: the real R with rho = sum_ij R_ij sigma_i x sigma_j.
 The reduced states are from_pauli(2 R[:, 0]) and from_pauli(2 R[0, :]), and
 4 R[1:, 1:] is the correlation matrix of a two-qubit state.
+R is what every private kernel reads, converted once at each public entry
+point. A complex 4x4 matrix is formed only at the boundaries: parsing, the
+gate's and PPT's eigenvalue tests, pure-state-commutant's eigenvectors and
+rendering.
 
 The tolerance policy is the commented table of module constants below; no
 other module holds a tolerance literal:
@@ -152,28 +157,18 @@ def from_pauli(c: np.ndarray) -> np.ndarray:
 
 
 def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
-    """Real R_ij = Tr[(sigma_i x sigma_j) rho]/4, so a Hermitian rho = sum R_ij sigma_i x sigma_j."""
-    return np.einsum("ijab,ba->ij", PAULI2, np.asarray(rho, dtype=complex)).real / 4
+    """Real R with rho = sum_ij R_ij sigma_i x sigma_j, for a Hermitian rho or each of a stack."""
+    return np.einsum("ijab,...ba->...ij", PAULI2, np.asarray(rho, dtype=complex)).real / 4
 
 
 def pauli_adjoint(u: np.ndarray) -> np.ndarray:
     """Real 4x4 matrix of a -> u a u^dag on Pauli components, for a 2x2 unitary u.
 
     Column l holds the components of u sigma_l u^dag, so to_pauli(u a u^dag)
-    is pauli_adjoint(u) @ to_pauli(a) for Hermitian a.
+    is pauli_adjoint(u) @ to_pauli(a) for Hermitian a, and the Pauli coordinates
+    of (u1 x u2) rho (u1 x u2)^dag are pauli_adjoint(u1) @ R @ pauli_adjoint(u2).T.
     """
     return (_ADJOINT_MAP @ np.multiply.outer(u, u.conj()).reshape(16)).real.reshape(4, 4)
-
-
-def local_conj(rho: np.ndarray, u1: np.ndarray, u2: np.ndarray) -> np.ndarray:
-    """(u1 x u2) rho (u1 x u2)^dag, contracted on the (2, 2, 2, 2) view of rho.
-
-    rho may be a stack (..., 4, 4); every member is moved by the same u1, u2.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    r = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
-    moved = np.einsum("ia,jb,...abcd,kc,ld->...ijkl", u1, u2, r, u1.conj(), u2.conj())
-    return moved.reshape(rho.shape)
 
 
 def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -17,6 +17,8 @@ Strata of the tetrahedron, read off the vanishing Bell weights:
     points (one vanishing weight only moves a point onto a face).
 Which weights vanish is one rank decision, made by linalg.rank_split on the
 weights with the cut at tol; the weights sum to 1, so the cut is relative.
+The private kernels read a validated state's Pauli coordinates R; complex
+matrices are formed only for the gate (build_T, validate_density_matrix).
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .linalg import (
     STATE_VALIDATION_TOL,
     _hermitian_part,
     from_pauli,
-    hs_norm,
-    local_conj,
     pauli_adjoint,
     pauli_coordinates,
     rank_split,
@@ -61,6 +61,9 @@ _BELL_VECTORS = np.array(
 _BELL_VECTORS.setflags(write=False)
 _BELL_PROJECTORS = np.einsum("ka,kb->kab", _BELL_VECTORS, _BELL_VECTORS.conj())
 _BELL_PROJECTORS.setflags(write=False)
+# their Pauli coordinates, converted from the projectors and not read off the sign table
+_BELL_COORDS = pauli_coordinates(_BELL_PROJECTORS)
+_BELL_COORDS.setflags(write=False)
 
 # The Bell sign table: row k is (1, t-vector of psi_k), and on psi_k sigma_i x I acts as
 # BELL_SIGNS[k, i] (I x sigma_i). The rows are orthogonal, BELL_SIGNS @ BELL_SIGNS.T = 4 I,
@@ -424,8 +427,7 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     along by every local unitary and never removed, so only a transport residual above
     DEFAULT_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
     """
-    rho = validate_density_matrix(rho)
-    return _canonicalize(rho, pauli_coordinates(rho))
+    return _canonicalize(pauli_coordinates(validate_density_matrix(rho)))
 
 
 def _residual_bound(R: np.ndarray) -> float:
@@ -438,9 +440,9 @@ def _residual_bound(R: np.ndarray) -> float:
     return DEFAULT_TOL + 2 * float(np.linalg.norm(local))
 
 
-def _canonicalize(rho: np.ndarray, R: np.ndarray) -> CanonicalForm:
-    """canonicalize on a validated density matrix rho, with R = pauli_coordinates(rho)."""
-    cf, bound = _canonical_form(rho, R)
+def _canonicalize(R: np.ndarray) -> CanonicalForm:
+    """canonicalize on the Pauli coordinates R of a density matrix that passed the gate."""
+    cf, bound = _canonical_form(R)
     if cf.residual > bound:
         raise InternalConsistencyError(
             f"canonicalization residual {cf.residual:.3e} exceeds {bound:.3e}, "
@@ -449,7 +451,7 @@ def _canonicalize(rho: np.ndarray, R: np.ndarray) -> CanonicalForm:
     return cf
 
 
-def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, float]:
+def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
     """_canonicalize's form and residual bound, without testing one against the other."""
     if not _is_mds(R):
         raise ValueError(
@@ -467,7 +469,9 @@ def _canonical_form(rho: np.ndarray, R: np.ndarray) -> tuple[CanonicalForm, floa
     t[2] *= np.sign(da) * np.sign(db)
     u1 = _su2_from_rotation(a.T)
     u2 = _su2_from_rotation(bt)
-    residual = hs_norm(local_conj(rho, u1, u2) - build_T(t))
+    # ||(u1 x u2) rho (u1 x u2)^dag - T(t)||_HS is 2 ||O1 R O2^T - diag(1, t)/4||_F
+    moved = pauli_adjoint(u1) @ R @ pauli_adjoint(u2).T
+    residual = 2 * np.linalg.norm(moved - np.diag(np.concatenate(([1.0], t))) / 4)
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
 
 

@@ -10,7 +10,8 @@ full-rank vectors it is unique even when the coefficients are degenerate.
 Operator level: a Hermitian 4x4 operator is a supervector in the
 Hilbert-Schmidt space, expanded over the orthonormal product basis
 {sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of its real 4x4 coefficient
-matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data.
+matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data;
+operator_schmidt converts once and its kernel reads R alone.
 An OperatorSchmidt stores its bases as the real rows of that SVD; their 2x2
 operators are lifted on first read, so a caller that reads only the
 coefficients lifts nothing.
@@ -29,7 +30,6 @@ from .linalg import (
     RESIDUAL_TOL,
     STATE_VALIDATION_TOL,
     from_pauli,
-    hs_norm,
     leading_phases,
     partial_trace,
     pauli_coordinates,
@@ -232,15 +232,15 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
     # T(t) of an admitted t is Hermitian as built: the guard would pass
     if not _admitted(rho.tobytes()):
         require_hermitian(rho, "operator_schmidt: input")
-    return _operator_schmidt(rho, tol)
+    return _operator_schmidt(pauli_coordinates(rho), tol)
 
 
-def _operator_schmidt(rho: np.ndarray, tol: float) -> OperatorSchmidt:
-    """operator_schmidt on a 4x4 complex matrix Hermitian as validated or built: no guard."""
-    norm = hs_norm(rho)
+def _operator_schmidt(R: np.ndarray, tol: float) -> OperatorSchmidt:
+    """operator_schmidt on the Pauli coordinates R of a Hermitian rho: ||rho||_HS = 2||R||_F."""
+    norm = 2 * float(np.linalg.norm(R))
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
-    u, s, vh = np.linalg.svd(2 * pauli_coordinates(rho) / norm)
+    u, s, vh = np.linalg.svd(2 * R / norm)
     # sign convention: first significant entry of each left column positive
     sign = leading_phases(u)
     rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))

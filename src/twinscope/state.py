@@ -7,6 +7,9 @@ matrix, its Pauli coordinates, its canonical form, the stratum, the oracle
 and closed-form twin spaces, and the seeded local move) is a property
 computed on first read and kept, so each is computed at most once per
 input and its first read is the time that stage costs.
+The canonical form, the oracle twin spaces and the seeded local move read
+the Pauli coordinates R (`coords`), so `rho` is converted once and read
+again only by the checks that need the matrix itself.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import STATE_VALIDATION_TOL, local_conj, pauli_coordinates, random_unitary
+from .linalg import STATE_VALIDATION_TOL, pauli_adjoint, pauli_coordinates, random_unitary
 from .mds import (
     CanonicalForm,
     MdsClass,
@@ -46,7 +49,8 @@ class State:
     the identity frame for a t, else `canonical`, or None when the
     subsystems are not maximally disordered. `cls` classifies frame.t,
     `space` is the oracle twin space of rho and `analytic` the closed-form
-    one, pulled back onto rho.
+    one, pulled back onto rho. `moved` is a seeded local move of R, and
+    `moved_space` the oracle twin space of the moved state.
     """
 
     def __init__(
@@ -91,7 +95,7 @@ class State:
 
     @cached_property
     def canonical(self) -> CanonicalForm:
-        return _canonicalize(self.rho, self.coords)
+        return _canonicalize(self.coords)
 
     @cached_property
     def frame(self) -> CanonicalForm | None:
@@ -106,7 +110,7 @@ class State:
 
     @cached_property
     def space(self) -> TwinSpace:
-        return _twin_space(self.rho, self.tol)
+        return _twin_space(self.coords, self.tol)
 
     @cached_property
     def analytic(self) -> TwinSpace | None:
@@ -115,13 +119,17 @@ class State:
         return None if closed is None else pull_back(closed, self.frame.u1, self.frame.u2)
 
     @cached_property
-    def moved(self) -> tuple[np.ndarray, np.ndarray, State]:
-        """Seeded local unitaries (v1, v2) and the moved state (v1 x v2) rho (v1 x v2)^dag.
+    def moved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Seeded local unitaries (v1, v2) and the Pauli coordinates of (v1 x v2) rho (v1 x v2)^dag.
 
-        Drawn once from rng() and shared by canonical-form-roundtrip and
-        local-unitary-covariance; the moved state resolves its own parts.
+        O(v1) R O(v2)^T with O = pauli_adjoint, validated no further. Drawn once from
+        rng() and shared by canonical-form-roundtrip and local-unitary-covariance.
         """
         rng = self.rng()
         v1 = random_unitary(rng)
         v2 = random_unitary(rng)
-        return v1, v2, State(self.tol, self.seed, matrix=local_conj(self.rho, v1, v2))
+        return v1, v2, pauli_adjoint(v1) @ self.coords @ pauli_adjoint(v2).T
+
+    @cached_property
+    def moved_space(self) -> TwinSpace:
+        return _twin_space(self.moved[2], self.tol)

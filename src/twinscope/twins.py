@@ -20,6 +20,8 @@ Two independent routes are kept side by side throughout:
 
 Tests require the two routes to agree; neither is allowed to stand in for
 the other.
+The kernels read a state's Pauli coordinates R, converted once by each public
+entry point; only ppt_separable's eigenvalue test reads rho itself.
 """
 
 from __future__ import annotations
@@ -171,19 +173,17 @@ def contains_pair(space: TwinSpace, pair: ObservablePair) -> float:
 def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """Hilbert-Schmidt norms of (a1 x I) rho - (I x a2) rho over stacks (n, 2, 2) of a1, a2.
 
-    rho must already be a validated density matrix (validate_density_matrix);
-    each stack is guarded for Hermiticity once.
+    rho is validated (validate_density_matrix) and each stack guarded for Hermiticity once.
     """
+    R = pauli_coordinates(validate_density_matrix(rho))
     a1 = require_hermitian(a1, "is_twin_pair: a1", OBSERVABLE_HERMITIAN_TOL)
     a2 = require_hermitian(a2, "is_twin_pair: a2", OBSERVABLE_HERMITIAN_TOL)
-    return _twin_residuals(a1, a2, rho)
+    return _twin_residuals(np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1), R)
 
 
-def _twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """twin_residuals on stacks Hermitian as built (from_pauli of real rows): no guard."""
-    r = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
-    diff = np.einsum("nia,abcd->nibcd", a1, r) - np.einsum("njb,abcd->najcd", a2, r)
-    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
+def _twin_residuals(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """twin_residuals of pair rows (n, 8): the column norms of twin_condition_matrix(R) @ rows^T."""
+    return np.linalg.norm(twin_condition_matrix(R) @ rows.T, axis=0)
 
 
 def is_twin_pair(
@@ -193,40 +193,35 @@ def is_twin_pair(
 
     The residual is the Hilbert-Schmidt norm of (a1 x I) rho - (I x a2) rho.
     """
-    rho = validate_density_matrix(rho)
     residual = float(twin_residuals(np.asarray(pair.a1)[None], np.asarray(pair.a2)[None], rho)[0])
     return residual <= tol, residual
 
 
 def _twin_condition_map() -> np.ndarray:
-    """Real (256, 32) map from the (re, im) entries of rho to twin_condition_matrix(rho).
+    """Real (256, 16) map from the Pauli coordinates R of rho to twin_condition_matrix(R).
 
-    Column k of the system is the flattened real, then imaginary, part of
-    s_k rho, where s_k is sigma_k x I for k < 4 and -(I x sigma_(k-4)) after.
+    Column k of the system is the flattened real, then imaginary, part of s_k rho,
+    s_k = sigma_k x I for k < 4 and -(I x sigma_(k-4)) after. Every entry is -1, 0 or 1.
     """
     s = np.concatenate([PAULI2[:, 0], -PAULI2[0, :]])
-    # g[a, b, k, c, d]: the coefficient of rho[c, d] in (s_k rho)[a, b]
-    g = np.einsum("kac,bd->abkcd", s, np.eye(4))
-    # (re, im) of (s_k rho)[a, b] from (re, im) of rho[c, d]
-    real = np.stack([np.stack([g.real, -g.imag], -1), np.stack([g.imag, g.real], -1)])
-    return real.reshape(256, 32)
+    # g[a, b, k, i, j]: the coefficient of R_ij in (s_k rho)[a, b]
+    g = np.einsum("kac,ijcb->abkij", s, PAULI2)
+    return np.stack([g.real, g.imag]).reshape(256, 16)
 
 
 _TWIN_CONDITION_MAP = _twin_condition_map()
 _TWIN_CONDITION_MAP.setflags(write=False)
 
 
-def twin_condition_matrix(rho: np.ndarray) -> np.ndarray:
-    """Real 32x8 system whose nullspace is the twin solution space.
+def twin_condition_matrix(R: np.ndarray) -> np.ndarray:
+    """Real 32x8 system of the state with Pauli coordinates R; its nullspace is the twin space.
 
     Column k < 4 holds (sigma_k x I) rho and column 4 + k holds
     -(I x sigma_k) rho, real parts of the 16 entries above imaginary parts.
-    A stack (..., 4, 4) gives one system per member, (..., 32, 8).
+    A stack (n, 4, 4) gives its n systems stacked, (32 n, 8).
     """
-    x = np.ascontiguousarray(rho, dtype=complex).view(float)
-    lead = x.shape[:-2]
-    # a column per member: matmul applies the map to each as the matrix-vector product
-    return (_TWIN_CONDITION_MAP @ x.reshape(*lead, 32, 1)).reshape(*lead, 32, 8)
+    # one matrix-vector product per member
+    return (_TWIN_CONDITION_MAP @ np.reshape(R, (-1, 16, 1))).reshape(-1, 8)
 
 
 _TRIVIAL_DIRECTION = np.zeros(8)
@@ -265,12 +260,12 @@ def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
 
 def twin_space(rho: np.ndarray, tol: float = DEFAULT_TOL) -> TwinSpace:
     """Brute-force solution space of the twin condition for one state."""
-    return _twin_space(validate_density_matrix(rho), tol)
+    return _twin_space(pauli_coordinates(validate_density_matrix(rho)), tol)
 
 
-def _twin_space(rho: np.ndarray, tol: float) -> TwinSpace:
-    """twin_space on a density matrix that validate_density_matrix returned."""
-    return _space_from_nullspace(real_nullspace(twin_condition_matrix(rho), tol))
+def _twin_space(R: np.ndarray, tol: float) -> TwinSpace:
+    """twin_space on the Pauli coordinates R of a density matrix that passed the gate."""
+    return _simultaneous_twins(R[None], tol)
 
 
 def simultaneous_twins(
@@ -279,13 +274,17 @@ def simultaneous_twins(
     """Pairs that are twins for every listed state, via one stacked nullspace.
 
     states is a list of density matrices or an (n, 4, 4) stack; either is
-    validated as one stack, mapped to its n twin systems in one product, and
-    solved with one SVD of the stacked (32 n) x 8 system.
+    validated and converted as one stack, mapped to its n twin systems in one
+    product, and solved with one SVD of the stacked (32 n) x 8 system.
     """
     if len(states) == 0:
         raise ValueError("simultaneous_twins needs at least one state")
-    blocks = twin_condition_matrix(validate_density_matrix(states))
-    return _space_from_nullspace(real_nullspace(blocks.reshape(-1, 8), tol))
+    return _simultaneous_twins(pauli_coordinates(validate_density_matrix(states)), tol)
+
+
+def _simultaneous_twins(R: np.ndarray, tol: float) -> TwinSpace:
+    """simultaneous_twins on a stack (n, 4, 4) of Pauli coordinates of validated states."""
+    return _space_from_nullspace(real_nullspace(twin_condition_matrix(R), tol))
 
 
 def _sign_twins(support: list[int]) -> TwinSpace:
@@ -445,11 +444,10 @@ def correlation_tables(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Joint outcome tables (n, 2, 2), expectation gaps (n,) and degeneracy flags (n,).
 
-    a1 and a2 are stacks (n, 2, 2); rho must already be a validated density
-    matrix (validate_density_matrix). Each side is guarded for Hermiticity
-    once and read as its Pauli components; the tables come in closed form
-    from those and the Pauli coordinates of rho (_pauli_tables). Outcomes
-    are matched by descending eigenvalue: table entry (a, b) is
+    a1 and a2 are stacks (n, 2, 2); rho is validated (validate_density_matrix)
+    and each side guarded for Hermiticity once. The tables come in closed form
+    from the sides' Pauli components and rho's Pauli coordinates (_pauli_tables).
+    Outcomes are matched by descending eigenvalue: table entry (a, b) is
     Tr[(P_a x Q_b) rho] for the eigenprojectors P_a of a1 and Q_b of a2. The
     gap is |Tr(a1 rho_1) - Tr(a2 rho_2)| on the reduced states. A pair with
     a degenerate observable admits no outcome pairing; it is flagged and
@@ -458,10 +456,10 @@ def correlation_tables(
     -(STATE_VALIDATION_TOL + ROUNDING_TOL), or a sum off 1 by more than
     STATE_VALIDATION_TOL + PROBABILITY_TOL, is an InternalConsistencyError.
     """
+    R = pauli_coordinates(validate_density_matrix(rho))
     a1 = require_hermitian(a1, "correlation_tables: a1", OBSERVABLE_HERMITIAN_TOL)
     a2 = require_hermitian(a2, "correlation_tables: a2", OBSERVABLE_HERMITIAN_TOL)
-    rows = np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1)
-    return _pauli_tables(rows, pauli_coordinates(rho))
+    return _pauli_tables(np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1), R)
 
 
 def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:
@@ -469,7 +467,6 @@ def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationRep
 
     mismatch_probability is the total weight off the matched pairing.
     """
-    rho = validate_density_matrix(rho)
     a1, a2 = np.asarray(pair.a1)[None], np.asarray(pair.a2)[None]
     return _correlation_report(*correlation_tables(a1, a2, rho))
 

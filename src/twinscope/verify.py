@@ -7,7 +7,8 @@ bases); across the three strata the union of executed checks covers the
 full invariant catalogue of the classification and twin modules.
 
 A check reads one `state.State`, which resolves and validates the input:
-this module computes no part of the state itself.
+this module computes no part of the state itself. Moved states and Bell components
+are rotations of its Pauli coordinates R; only pure-state-commutant reads rho.
 """
 
 from __future__ import annotations
@@ -16,13 +17,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, local_conj, partial_trace
+from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, partial_trace, pauli_adjoint
 from .linalg import random_hermitian, to_pauli
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
     GENERIC_INTERIOR,
     NON_STATE,
+    _BELL_COORDS,
     _BELL_PROJECTORS,
     CanonicalForm,
     _canonical_form,
@@ -38,9 +40,9 @@ from .state import State
 from .twins import (
     _pauli_spectra,
     _pauli_tables,
+    _simultaneous_twins,
     _twin_residuals,
     pull_back,
-    simultaneous_twins,
     span_distances,
     subspace_residual,
 )
@@ -117,8 +119,7 @@ def _check_edge_weight_consistency(ctx: State) -> CheckResult:
 
 
 def _check_canonical_form_roundtrip(ctx: State) -> CheckResult:
-    moved = ctx.moved[2]
-    cf, bound = _canonical_form(moved.rho, moved.coords)
+    cf, bound = _canonical_form(ctx.moved[2])
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.frame.t))).max()
     ok = cf.residual <= bound and mag_err <= RESIDUAL_TOL
     return CheckResult(
@@ -155,11 +156,10 @@ def _check_analytic_twins_in_oracle(ctx: State) -> CheckResult:
 def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
     w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > ctx.tol]
-    # the Bell components of T(frame.t), pulled back onto rho
-    u1, u2 = ctx.frame.u1, ctx.frame.u2
-    components = local_conj(_BELL_PROJECTORS[support], u1.conj().T, u2.conj().T)
+    # the Bell components of T(frame.t), pulled back onto rho: O1^T C_k O2 in Pauli coordinates
+    components = pauli_adjoint(ctx.frame.u1).T @ _BELL_COORDS[support] @ pauli_adjoint(ctx.frame.u2)
     via_mixture = ctx.space
-    via_intersection = simultaneous_twins(components, ctx.tol)
+    via_intersection = _simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
     ok = via_mixture.dimension == via_intersection.dimension and res <= RESIDUAL_TOL
     return CheckResult(
@@ -171,9 +171,9 @@ def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
 
 
 def _check_local_unitary_covariance(ctx: State) -> CheckResult:
-    v1, v2, moved_state = ctx.moved
+    v1, v2, moved_coords = ctx.moved
     space = ctx.space
-    moved_space = moved_state.space
+    moved_space = ctx.moved_space
     if moved_space.dimension != space.dimension:
         return CheckResult(
             "local-unitary-covariance",
@@ -181,9 +181,7 @@ def _check_local_unitary_covariance(ctx: State) -> CheckResult:
             f"dimension changed {space.dimension} -> {moved_space.dimension}",
         )
     moved = pull_back(space, v1.conj().T, v2.conj().T)
-    ops = moved.ops
-    # from_pauli of real rows is exactly Hermitian: no guard
-    worst_res = float(_twin_residuals(ops[:, 0], ops[:, 1], moved_state.rho).max())
+    worst_res = float(_twin_residuals(moved.rows, moved_coords).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL
     return CheckResult(

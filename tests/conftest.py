@@ -5,6 +5,12 @@ import pytest
 from twinscope import linalg, mds
 
 
+def local_move(rho, u1, u2):
+    """(u1 x u2) rho (u1 x u2)^dag, for a matrix or a stack (..., 4, 4): a scrambled input."""
+    u = linalg.tensor(u1, u2)
+    return u @ rho @ u.conj().T
+
+
 @pytest.fixture
 def guard_callers(monkeypatch):
     """The functions whose Hermitian guard runs, one entry per linalg.hermitian_check call.

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
+from conftest import local_move
 from twinscope.cli import run
-from twinscope.linalg import local_conj, pauli, pauli_adjoint, random_unitary, tensor
+from twinscope.linalg import pauli, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state, random_interior_t
 from twinscope.report import format_complex, parse_complex, parse_state_file, render
 
@@ -140,7 +141,7 @@ def test_correlate_is_local_unitary_invariant(capsys, tmp_path):
     rng = np.random.default_rng(43)
     u1, u2 = random_unitary(rng), random_unitary(rng)
     path = tmp_path / "scrambled_edge.txt"
-    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), u1, u2)
+    rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), u1, u2)
     rows = [" ".join(format_complex(z) for z in row) for row in rho]
     path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
     pairs = [([0, 1, 0, 0], [0, 1, 0, 0]), ([0, 0, 0, 1], [0, 0, 0, 1])]
@@ -166,7 +167,7 @@ def test_correlate_agrees_with_distant_correlation_to_rounding():
     rng = np.random.default_rng(47)
     eps = np.finfo(float).eps
     for _ in range(20):
-        rho = local_conj(build_T(random_interior_t(rng)), random_unitary(rng), random_unitary(rng))
+        rho = local_move(build_T(random_interior_t(rng)), random_unitary(rng), random_unitary(rng))
         given = state.State(mds.DEFAULT_TOL, 0, matrix=rho)
         for _ in range(100):
             a1, a2 = (",".join(f"{k / 1000:.3f}" for k in rng.integers(-1000, 1001, 4)) for _ in "12")
@@ -234,15 +235,15 @@ VALIDATIONS = {
     "classify": (1, 0),
     "schmidt": (1, 1),
     "twins": (1, 1),
-    # the input once, then verify's moved state and the stack of the edge's Bell components
-    "verify": (3, 3),
+    # the input once: verify's moved state and Bell components are rotations of its R
+    "verify": (1, 1),
     "separability": (1, 1),
     "correlate": (1, 1),
     "canonicalize": (1, 1),
 }
 
 # (classify, twin oracle) calls per command, for either input: the oracle reads the
-# validated input, and verify's local-unitary-covariance check the moved state after it
+# validated input's R, and verify's local-unitary-covariance check the moved R after it
 RESOLUTIONS = {"classify": (1, 0), "twins": (1, 1), "verify": (1, 2)}
 
 
@@ -285,7 +286,9 @@ def test_each_input_is_validated_once(capsys, monkeypatch, scrambled_edge_file, 
         counts.append(len(validations))
         assert len(verdicts) <= 1
         assert (len(classes), len(oracles)) == RESOLUTIONS.get(command, (0, 0))
-        assert all(rho is state for rho, state in zip(oracles, validated))
+        assert all(
+            np.array_equal(R, linalg.pauli_coordinates(rho)) for R, rho in zip(oracles, validated)
+        )
     assert tuple(counts) == VALIDATIONS[command]
 
 
@@ -375,10 +378,12 @@ def test_schmidt_reads_the_matrix_every_command_reads(capsys, monkeypatch, tmp_p
         monkeypatch.setattr(module, name, recording(command, getattr(module, name)))
         code, _, err = invoke(capsys, command, "--input", str(path))
         assert code == 0, err
-    # the validated Hermitian part of the projector, not the raw outer product
+    # the validated Hermitian part of the projector, not the raw outer product, and the
+    # kernels that read R read its Pauli coordinates
     expected = mds.validate_density_matrix(np.outer(phi, phi.conj()))
-    for rho in seen.values():
-        assert np.array_equal(rho, expected)
+    assert np.array_equal(seen.pop("separability"), expected)
+    for R in seen.values():
+        assert np.array_equal(R, linalg.pauli_coordinates(expected))
 
 
 def test_schmidt_guards_a_file_once(capsys, guard_callers, scrambled_edge_file):
@@ -401,8 +406,9 @@ def test_verify_guards_no_random_commutant_draw(capsys, guard_callers, singlet_f
     code, out, err = invoke(capsys, "verify", "--input", singlet_file)
     assert code == 0, err
     assert "name: pure-state-commutant\n      passed: true" in out
-    # random_hermitian draws are (z + z^dag)/2, Hermitian as built: only validations guard
-    assert guard_callers == ["validate_density_matrix"] * 3
+    # random_hermitian draws are (z + z^dag)/2, Hermitian as built: only the input's
+    # validation guards, since verify moves R and validates nothing it builds
+    assert guard_callers == ["validate_density_matrix"]
 
 
 def test_verify_covers_all_named_checks(capsys):
@@ -784,12 +790,12 @@ def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):
 
 
 # pauli_coordinates calls per command on a scrambled matrix file: once for the input
-# wherever mds, schmidt or state read it, and once more for verify's moved frame state
+# wherever mds, schmidt or state read it; verify moves R and converts nothing more
 COORDINATES = {
     "classify": 1,
     "schmidt": 1,
     "twins": 1,
-    "verify": 2,
+    "verify": 1,
     "separability": 0,
     "correlate": 1,
     "canonicalize": 1,

@@ -1,3 +1,4 @@
+import ast
 import inspect
 import itertools
 import warnings
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import local_move
 from twinscope import cli, linalg, mds, schmidt, verify
 from twinscope.linalg import (
     RANK_GUARD,
@@ -17,7 +19,6 @@ from twinscope.linalg import (
     hermitian_check,
     hs_inner,
     leading_phases,
-    local_conj,
     partial_trace,
     pauli,
     pauli_adjoint,
@@ -252,14 +253,14 @@ def test_from_pauli_stack_matches_rows():
 
 
 def test_local_actions_match_kronecker_conjugation():
-    # the Kronecker form is the reference for both local actions
+    # the Kronecker form is the reference for both local actions, on R and on 2x2 components
     rng = np.random.default_rng(41)
     for _ in range(20):
         u1, u2 = random_unitary(rng), random_unitary(rng)
         rho = random_hermitian(rng, 4)
-        u = tensor(u1, u2)
-        assert np.abs(local_conj(rho, u1, u2) - u @ rho @ u.conj().T).max() <= 1e-14
         adj = pauli_adjoint(u1)
+        moved = adj @ pauli_coordinates(rho) @ pauli_adjoint(u2).T
+        assert np.abs(pauli_coordinates(local_move(rho, u1, u2)) - moved).max() <= 1e-14
         assert np.abs(adj @ adj.T - np.eye(4)).max() <= 1e-14
         a = random_hermitian(rng)
         assert np.abs(adj @ to_pauli(a) - to_pauli(u1 @ a @ u1.conj().T)).max() <= 1e-14
@@ -273,16 +274,6 @@ def test_pauli_adjoint_matches_conjugated_components():
         u = random_unitary(rng)
         expected = np.array([to_pauli(u @ pauli(k) @ u.conj().T) for k in range(4)]).T
         assert np.abs(pauli_adjoint(u) - expected).max() <= 1e-15
-
-
-def test_local_conj_moves_a_stack_member_by_member():
-    rng = np.random.default_rng(47)
-    u1, u2 = random_unitary(rng), random_unitary(rng)
-    stack = np.array([random_hermitian(rng, 4) for _ in range(3)])
-    moved = local_conj(stack, u1, u2)
-    assert moved.shape == (3, 4, 4)
-    for rho, m in zip(stack, moved):
-        assert np.array_equal(m, local_conj(rho, u1, u2))
 
 
 def _random_state(rng):
@@ -320,22 +311,38 @@ def test_pauli_coordinates_of_a_local_move():
     for _ in range(50):
         rho = _random_state(rng)
         u1, u2 = random_unitary(rng), random_unitary(rng)
-        moved = pauli_coordinates(local_conj(rho, u1, u2))
+        moved = pauli_coordinates(local_move(rho, u1, u2))
         expected = pauli_adjoint(u1) @ pauli_coordinates(rho) @ pauli_adjoint(u2).T
         assert np.abs(moved - expected).max() <= 1e-15
 
 
 def test_pauli_coordinates_are_computed_in_one_place():
-    # mds and schmidt read R; the twin oracle and the pair-level kernels keep reading rho
+    # every private kernel reads R; the one conversion is pauli_coordinates
     source = Path(linalg.__file__).parent
-    counts = {path.name: path.read_text().count('"ijab,ba->ij"') for path in source.glob("*.py")}
+    einsum = '"ijab,...ba->...ij"'
+    counts = {path.name: path.read_text().count(einsum) for path in source.glob("*.py")}
     assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
     assert "einsum" not in inspect.getsource(schmidt.operator_schmidt)
     assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
 
 
+def test_no_module_defines_or_imports_local_conj():
+    # a local move is a rotation of the Pauli coordinates R: no complex move is left in src/
+    for path in Path(linalg.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+        names |= {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+        }
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert "local_conj" not in names, path.name
+
+
 def test_library_modules_bind_no_tensor():
-    # local unitaries act through local_conj and pauli_adjoint there, not Kronecker products
+    # local unitaries act through pauli_adjoint there, not Kronecker products
     for module in (mds, verify, schmidt, cli):
         assert not hasattr(module, "tensor"), module.__name__
 

@@ -10,11 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import local_move
 from twinscope import linalg, mds, schmidt, twins, verify
 from twinscope.linalg import (
     PAULI,
     hs_norm,
-    local_conj,
     partial_trace,
     pauli,
     pauli_coordinates,
@@ -309,7 +309,7 @@ def test_validate_density_matrix_rejects_bad_input():
 
 def test_validate_density_matrix_stack_is_a_batch_of_scalars():
     rng = np.random.default_rng(53)
-    good = [local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+    good = [local_move(build_T(t), random_unitary(rng), random_unitary(rng))
             for t in ([0.2, 0.1, -0.05], [0.4, -0.4, 1.0], [-1.0, -1.0, -1.0])]
     stack = validate_density_matrix(np.array(good))
     for rho, h in zip(good, stack):
@@ -551,7 +551,7 @@ def test_validation_leaves_the_record(guard_callers):
     rng = np.random.default_rng(29)
     t = np.array([0.4, -0.4, 1.0])
     assert is_state(t).ok
-    matrix = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+    matrix = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
     # a validation reads the record and never writes it: each one runs the guard again
     for n in (1, 2):
         validate_density_matrix(matrix)
@@ -638,7 +638,7 @@ def test_mds_reads_no_partial_trace(monkeypatch):
         if hasattr(module, "partial_trace"):
             monkeypatch.setattr(module, "partial_trace", counted)
     rng = np.random.default_rng(23)
-    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
     assert is_mds(rho)
     canonicalize(rho)
     assert calls == []
@@ -651,7 +651,7 @@ def test_disordered_gate_is_local_unitary_invariant():
     rho = build_T(np.array([0.3, -0.2, 0.1])) + tensor(HALF_I2, kick)
     assert np.abs(partial_trace(rho, 2) - HALF_I2).max() <= 1e-8
     rng = np.random.default_rng(0)
-    moves = [local_conj(rho, random_unitary(rng), random_unitary(rng)) for _ in range(20)]
+    moves = [local_move(rho, random_unitary(rng), random_unitary(rng)) for _ in range(20)]
     for state in [rho, *moves]:
         assert max(mds._disorder(pauli_coordinates(state))) == pytest.approx(1.3e-8, rel=1e-6)
         assert not is_mds(state)
@@ -696,7 +696,7 @@ def test_canonical_axis_order_on_tied_states(seed, family, index, a):
     else:
         t = np.array([a, a, -a])
     rng = np.random.default_rng(seed)
-    cf = canonicalize(local_conj(build_T(t), random_unitary(rng), random_unitary(rng)))
+    cf = canonicalize(local_move(build_T(t), random_unitary(rng), random_unitary(rng)))
     assert cf.residual <= 1e-9
     # |t| descending; where two |t_i| tie (to rounding), the signed values descend
     eps = 1e-12

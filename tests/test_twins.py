@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import local_move
 from twinscope import linalg, mds, schmidt, twins
 from twinscope.linalg import (
-    local_conj,
     partial_trace,
     pauli,
     random_hermitian,
@@ -92,11 +92,15 @@ def test_twin_condition_map_matches_einsum_definition():
     for _ in range(100):
         u = tensor(random_unitary(rng), random_unitary(rng))
         states.append(u @ build_T(random_interior_t(rng)) @ u.conj().T)
-        states.append(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    eps = np.finfo(float).eps
     for rho in states:
         g = np.einsum("kac,cb->kab", np.array(ops), rho).reshape(8, 16)
         direct = np.concatenate([g.real, g.imag], axis=1).T
-        assert np.array_equal(twins.twin_condition_matrix(rho), direct)
+        system = twins.twin_condition_matrix(linalg.pauli_coordinates(rho))
+        assert np.abs(system - direct).max() <= 4 * eps
+    # the map reads R: exactly rational entries, so an exact R gives an exact system
+    assert set(np.unique(twins._TWIN_CONDITION_MAP).tolist()) == {-1.0, 0.0, 1.0}
+    assert twins._TWIN_CONDITION_MAP.shape == (256, 16)
     assert not twins._TWIN_CONDITION_MAP.flags.writeable
 
 
@@ -510,9 +514,9 @@ def test_projections_match_qr_reference():
             t = random_interior_t(rng)
         u1, u2 = random_unitary(rng), random_unitary(rng)
         cls = classify(t)
-        oracle = twin_space(local_conj(build_T(t), u1, u2))
+        oracle = twin_space(local_move(build_T(t), u1, u2))
         support = [k for k in range(4) if cls.weights[k] > 1e-9]
-        components = [local_conj(bell_state(k)[1], u1, u2) for k in support]
+        components = [local_move(bell_state(k)[1], u1, u2) for k in support]
         compared = [simultaneous_twins(components)]
         analytic = analytic_twins(cls)
         if analytic is not None:
@@ -579,7 +583,7 @@ def test_simultaneous_twins_takes_a_list_or_a_stack():
     rng = np.random.default_rng(17)
     for support in ([2], [0, 3], [1, 2, 3], [0, 1, 2, 3]):
         u1, u2 = random_unitary(rng), random_unitary(rng)
-        components = [local_conj(bell_state(k)[1], u1, u2) for k in support]
+        components = [local_move(bell_state(k)[1], u1, u2) for k in support]
         from_list = simultaneous_twins(components)
         from_stack = simultaneous_twins(np.array(components))
         assert np.array_equal(from_list.rows, from_stack.rows)
@@ -625,7 +629,7 @@ def test_correlation_tables_match_the_phased_eigh_reference():
     cases += [random_interior_t(rng) for _ in range(6)]
     for t in cases:
         for _ in range(5):
-            rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+            rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
             space = twin_space(rho)
             ops = space.ops
             strays = [random_hermitian(rng) for _ in range(3)]
@@ -654,7 +658,7 @@ def test_pauli_spectra_match_eigvalsh():
     # unit scale, as the pairs verify reads (rows at norm 1/sqrt(2)): 1e-15 is a few ulps
     obs = [h / np.linalg.norm(h) for h in (random_hermitian(rng) for _ in range(200))]
     obs += [np.zeros((2, 2), dtype=complex), *_near_degenerate_observables(rng)]
-    obs += list(twin_space(local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))).ops[:, 1])
+    obs += list(twin_space(local_move(EDGE_A, random_unitary(rng), random_unitary(rng))).ops[:, 1])
     a = np.array(obs)
     spectra = twins._pauli_spectra(linalg.to_pauli(a))
     assert np.abs(spectra - np.linalg.eigvalsh(a)[:, ::-1]).max() <= 1e-15
@@ -683,7 +687,7 @@ def test_distant_correlation_matches_kronecker_reference():
             t = random_edge_t(rng, int(rng.integers(1, 4)), rng.choice(["A", "B"]))
         else:
             t = random_interior_t(rng)
-        rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+        rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
         stray = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
         # a state with unequal marginals tells the two reduced states apart
         g = random_hermitian(rng, 4)
@@ -712,6 +716,8 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
 
         return wrapper
 
+    rng = np.random.default_rng(41)
+    rho = local_move(EDGE_A, random_unitary(rng), random_unitary(rng))
     for module in (linalg, twins):
         for name in ("tensor", "eigh"):
             if hasattr(module, name):
@@ -719,8 +725,6 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
                 monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
     monkeypatch.setattr(np, "kron", counted("np.kron", np.kron))
     monkeypatch.setattr(np.linalg, "eigh", counted("np.linalg.eigh", np.linalg.eigh))
-    rng = np.random.default_rng(41)
-    rho = local_conj(EDGE_A, random_unitary(rng), random_unitary(rng))
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
     # the tables come in closed form from Pauli components: no eigensolver, no product
@@ -807,7 +811,7 @@ def test_stacked_kernels_match_per_pair_bodies():
             t = random_edge_t(rng, int(rng.integers(1, 4)), rng.choice(["A", "B"]))
         else:
             t = random_interior_t(rng)
-        rho = local_conj(build_T(t), u1, u2)
+        rho = local_move(build_T(t), u1, u2)
         space = twin_space(rho)
         strays = [ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng)) for _ in range(3)]
         zero = ObservablePair(a1=np.zeros((2, 2), dtype=complex), a2=np.zeros((2, 2), dtype=complex))
@@ -836,6 +840,22 @@ def test_stacked_kernels_match_per_pair_bodies():
             for a, partner in zip(stack, partners):
                 worst = max(worst, np.abs(partner - per_pair_pure_twin_partner(a, phi)).max())
     assert worst <= 1e-14
+
+
+def test_pair_kernels_validate_rho():
+    # the gate's ValueError: not the Hermitian part's tables, nor a table's consistency error
+    a = pauli(3)[None]
+    skew = np.zeros((4, 4), dtype=complex)
+    skew[0, 1], skew[1, 0] = 1e-3, -1e-3
+    bad = [
+        (EDGE_A + skew, r"^density matrix is not Hermitian \(max deviation 2.000e-03\)$"),
+        (2 * EDGE_A, "^density matrix trace is 2, expected 1$"),
+        (np.diag([1.5, -0.5, 0, 0]).astype(complex), "^density matrix has negative eigenvalue"),
+    ]
+    for rho, message in bad:
+        for kernel in (twin_residuals, correlation_tables):
+            with pytest.raises(ValueError, match=message):
+                kernel(a, a, rho)
 
 
 def test_stacked_guards_name_the_operand():

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from conftest import local_move
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
-from twinscope.linalg import local_conj, random_unitary, tensor
+from twinscope.linalg import random_unitary, tensor
 from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
 
 
@@ -22,21 +23,22 @@ def test_oracle_twin_space_computed_once(monkeypatch):
     results = verify.run_verification(ctx)
     assert ctx.cls.kind == BELL_VERTEX
     assert all(r.passed for r in results)
-    # rho once in make_context, and the locally moved state once in the
-    # local-unitary-covariance check; both as validated
+    # rho's Pauli coordinates once in make_context, and the locally moved R once in
+    # the local-unitary-covariance check
     assert len(calls) == 2
-    assert np.array_equal(calls[0], mds.validate_density_matrix(rho))
-    assert calls[1] is ctx.moved[2].rho
+    assert np.array_equal(calls[0], linalg.pauli_coordinates(mds.validate_density_matrix(rho)))
+    assert calls[1] is ctx.moved[2]
 
 
 @pytest.mark.parametrize(
     "t, validations",
     [
-        # rho (make_context) and the moved state (frame) once each, plus
-        # one stack of the Bell components in the mixture-intersection check
-        (bell_t_vector(1), 3),
-        (np.array([0.4, -0.4, 1.0]), 3),
-        (np.array([0.2, 0.1, -0.05]), 3),
+        # rho once, in make_context: the moved state and the Bell components of the
+        # mixture-intersection check are rotations of its Pauli coordinates. The case
+        # ids keep the names they had when the count here was three per stratum.
+        pytest.param(bell_t_vector(1), 1, id="t0-3"),
+        pytest.param(np.array([0.4, -0.4, 1.0]), 1, id="t1-3"),
+        pytest.param(np.array([0.2, 0.1, -0.05]), 1, id="t2-3"),
     ],
 )
 def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
@@ -51,7 +53,7 @@ def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
         if hasattr(module, "validate_density_matrix"):
             monkeypatch.setattr(module, "validate_density_matrix", counted)
     rng = np.random.default_rng(7)
-    rho = local_conj(build_T(t), random_unitary(rng), random_unitary(rng))
+    rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
     results = verify.run_verification(ctx)
     assert all(r.passed for r in results)
@@ -63,7 +65,7 @@ def test_shared_frame_drawn_once(monkeypatch):
     draw = state.random_unitary
     monkeypatch.setattr(state, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
     rng = np.random.default_rng(11)
-    rho = local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 5)
     assert all(r.passed for r in verify.run_verification(ctx))
     # canonical-form-roundtrip and local-unitary-covariance share (v1, v2)
@@ -71,7 +73,7 @@ def test_shared_frame_drawn_once(monkeypatch):
     v1, v2, moved = ctx.moved
     fresh = ctx.rng()
     assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
-    assert np.array_equal(moved.rho, mds.validate_density_matrix(local_conj(ctx.rho, v1, v2)))
+    assert np.abs(moved - linalg.pauli_coordinates(local_move(ctx.rho, v1, v2))).max() <= 1e-15
 
 
 def test_a_raw_matrix_meets_the_gate():
@@ -90,10 +92,10 @@ def test_a_raw_matrix_meets_the_gate():
 
 def _scrambled_edge(seed):
     rng = np.random.default_rng(seed)
-    return local_conj(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    return local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
 
 
-def test_pauli_coordinates_twice_per_verification(monkeypatch):
+def test_pauli_coordinates_once_per_verification(monkeypatch):
     calls = []
     coordinates = linalg.pauli_coordinates
 
@@ -105,9 +107,72 @@ def test_pauli_coordinates_twice_per_verification(monkeypatch):
         monkeypatch.setattr(module, "pauli_coordinates", counted)
     ctx = verify.make_context(_scrambled_edge(13), None, DEFAULT_TOL, 0)
     assert all(r.passed for r in verify.run_verification(ctx))
-    # the input once in make_context, the moved frame state once in canonical-form-roundtrip
-    assert len(calls) == 2
-    assert calls[0] is ctx.rho and calls[1] is ctx.moved[2].rho
+    # the input once, in make_context; the moved state is a rotation of its R
+    assert len(calls) == 1
+    assert calls[0] is ctx.rho
+
+
+def test_bell_coordinates_match_the_sign_table():
+    # converted from the projectors, so they cross-check BELL_SIGNS: 1/sqrt(2) squared rounds
+    for k in range(4):
+        expected = np.diag(mds.BELL_SIGNS[k]) / 4
+        assert np.abs(mds._BELL_COORDS[k] - expected).max() <= np.finfo(float).eps / 2
+    assert not mds._BELL_COORDS.flags.writeable
+
+
+def _complex_twin_residuals(rows, rho):
+    """The former complex body: ||(a1 x I) rho - (I x a2) rho||_HS on the (2, 2, 2, 2) view."""
+    ops = linalg.from_pauli(rows.reshape(-1, 2, 4))
+    r = rho.reshape(2, 2, 2, 2)
+    diff = np.einsum("nia,abcd->nibcd", ops[:, 0], r) - np.einsum("njb,abcd->najcd", ops[:, 1], r)
+    return np.linalg.norm(diff.reshape(diff.shape[0], -1), axis=1)
+
+
+def _recording(monkeypatch, name, seen):
+    """Patch verify's binding of a kernel so each call's arguments and result land in seen."""
+    kernel = getattr(verify, name)
+
+    def recorded(*args):
+        seen.append((*args, kernel(*args)))
+        return seen[-1][-1]
+
+    monkeypatch.setattr(verify, name, recorded)
+
+
+def test_r_route_matches_the_complex_route(monkeypatch):
+    # the complex route is the reference: Kronecker conjugation, validation, then the oracle
+    seen = {name: [] for name in ("_canonical_form", "_twin_residuals", "_simultaneous_twins")}
+    for name, calls in seen.items():
+        _recording(monkeypatch, name, calls)
+    rng = np.random.default_rng(61)
+    vectors = [bell_t_vector(k % 4) for k in range(8)]
+    vectors += [mds.random_edge_t(rng, k % 3 + 1, "AB"[k % 2]) for k in range(8)]
+    vectors += [mds.random_interior_t(rng) for _ in range(8)]
+    for n, t in enumerate(vectors):
+        rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
+        ctx = verify.make_context(rho, None, DEFAULT_TOL, n)
+        for calls in seen.values():
+            calls.clear()
+        assert all(r.passed for r in verify.run_verification(ctx))
+        v1, v2, moved = ctx.moved
+        moved_rho = mds.validate_density_matrix(local_move(ctx.rho, v1, v2))
+        # the moved canonical residual
+        ((_, (cf, _)),) = seen["_canonical_form"]
+        ref = mds.canonicalize(moved_rho)
+        u = tensor(ref.u1, ref.u2)
+        complex_residual = linalg.hs_norm(u @ moved_rho @ u.conj().T - build_T(ref.t))
+        assert abs(cf.residual - complex_residual) <= 1e-14
+        # the covariance twin residuals
+        ((rows, R, residuals),) = seen["_twin_residuals"]
+        assert R is moved
+        assert np.abs(residuals - _complex_twin_residuals(rows, moved_rho)).max() <= 1e-14
+        # the mixture-intersection twin space, from the Bell projectors pulled back onto rho
+        ((_, _, via_r),) = seen["_simultaneous_twins"]
+        support = [k for k in range(4) if ctx.cls.weights[k] > ctx.tol]
+        u1, u2 = ctx.frame.u1.conj().T, ctx.frame.u2.conj().T
+        reference = twins.simultaneous_twins(local_move(mds._BELL_PROJECTORS[support], u1, u2))
+        assert via_r.dimension == reference.dimension
+        assert twins.subspace_residual(via_r, reference) <= linalg.RESIDUAL_TOL
 
 
 def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
@@ -136,7 +201,7 @@ def _failed_checks(out):
 def _moved_off_stratum(ctx):
     """Fault: the seeded move lands on an edge instead of a local image of the input."""
     eye = np.eye(2, dtype=complex)
-    return eye, eye, state.State(ctx.tol, ctx.seed, matrix=build_T(np.array([0.4, -0.4, 1.0])))
+    return eye, eye, linalg.pauli_coordinates(build_T(np.array([0.4, -0.4, 1.0])))
 
 
 def _vertex_for_every_state(t, tol, verdict):
