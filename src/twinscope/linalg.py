@@ -295,9 +295,11 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     Left singular vectors are phase-normalized (first significant entry real
     positive) and the compensating phase is pushed into the matching right
-    vector, so the factorization stays exact.
+    vector, so the factorization stays exact. Real input stays real: its
+    factors are real and its phases are signs +-1.0.
     """
-    u, s, vh = np.linalg.svd(np.asarray(m, dtype=complex))
+    m = np.asarray(m)
+    u, s, vh = np.linalg.svd(m.astype(complex if np.iscomplexobj(m) else float, copy=False))
     phase = leading_phases(u)
     k = min(phase.size, vh.shape[0])
     vh[:k] *= phase[:k, None]

@@ -334,6 +334,13 @@ def _admitted(key: bytes) -> bool:
     return key == _last_accepted
 
 
+def _require_unit_norm(phi: np.ndarray, rejection: str) -> None:
+    """The gate on a pure vector: ValueError(rejection.format(|phi|^2)) unless |phi|^2 is 1."""
+    norm2 = float(np.vdot(phi, phi).real)
+    if not abs(norm2 - 1) <= STATE_VALIDATION_TOL:  # a nan |phi|^2 (a nan or inf entry) fails too
+        raise ValueError(rejection.format(norm2))
+
+
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     """Check Hermiticity, unit trace, and positivity; return the exact Hermitian part.
 

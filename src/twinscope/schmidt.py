@@ -1,20 +1,21 @@
-"""Schmidt canonical machinery at two levels.
+"""Schmidt canonical machinery: one expansion at two levels.
 
-Ordinary level: a two-qubit state vector is a 2x2 coefficient matrix, and
-its biorthogonal expansion with positive coefficients comes from the SVD of
-that matrix. The antiunitary correlation operator pairing the left and
-right bases is the unitary polar factor of the transposed coefficient
-matrix (composed with complex conjugation in the computational basis); for
-full-rank vectors it is unique even when the coefficients are degenerate.
+_expand is the expansion: the phased linalg.svd of a coefficient matrix,
+the rank_split cut at tol * (largest coefficient), truncation of both
+factors and the degeneracy profile. A two-qubit state vector hands it its
+2x2 coefficient matrix. The antiunitary correlation operator pairing the
+left and right bases is the unitary polar factor of the transposed
+coefficient matrix (composed with complex conjugation in the computational
+basis); for full-rank vectors it is unique even when the coefficients are
+degenerate.
 
-Operator level: a Hermitian 4x4 operator is a supervector in the
-Hilbert-Schmidt space, expanded over the orthonormal product basis
-{sigma_i/sqrt(2) x sigma_j/sqrt(2)}. The SVD of its real 4x4 coefficient
-matrix 2R/||rho||_HS, R = linalg.pauli_coordinates(rho), yields the Schmidt data;
-operator_schmidt converts once and its kernel reads R alone.
-An OperatorSchmidt stores its bases as the real rows of that SVD; their 2x2
-operators are lifted on first read, so a caller that reads only the
-coefficients lifts nothing.
+A Hermitian 4x4 operator, a supervector in the Hilbert-Schmidt space over
+the orthonormal product basis {sigma_i/sqrt(2) x sigma_j/sqrt(2)}, hands it
+the real 2R/||rho||_HS, R = linalg.pauli_coordinates(rho): operator_schmidt
+converts once and its kernel reads R alone. An OperatorSchmidt stores its
+bases as real rows and lifts their 2x2 operators on first read. At a pure
+state the levels meet: the operator coefficients of |phi><phi| are the
+products c_i c_j of phi's.
 """
 
 from __future__ import annotations
@@ -28,16 +29,13 @@ from .linalg import (
     DEFAULT_TOL,
     OBSERVABLE_HERMITIAN_TOL,
     RESIDUAL_TOL,
-    STATE_VALIDATION_TOL,
     from_pauli,
-    leading_phases,
-    partial_trace,
     pauli_coordinates,
     rank_split,
     require_hermitian,
     svd,
 )
-from .mds import _admitted
+from .mds import _admitted, _require_unit_norm
 
 
 def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]:
@@ -52,6 +50,19 @@ def _degeneracy_profile(coefficients: np.ndarray, tol: float) -> tuple[int, ...]
             groups.append(1)
         last = c
     return tuple(groups)
+
+
+def _expand(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int, tuple[int, ...]]:
+    """Schmidt expansion of a coefficient matrix: (coefficients, rows, rank, degeneracy).
+
+    rows[0] and rows[1] are the columns of u and rows of vh kept with the coefficients.
+    """
+    u, s, vh = svd(m)
+    cut = tol * s[0]
+    rank = s.size - int(np.count_nonzero(rank_split(s, cut)[0]))
+    coefficients = s[:rank].copy()
+    rows = np.array((u[:, :rank].T, vh[:rank]))
+    return coefficients, rows, rank, _degeneracy_profile(coefficients, cut)
 
 
 class PureSchmidt(NamedTuple):
@@ -153,22 +164,9 @@ def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
     phi = np.asarray(phi, dtype=complex).reshape(-1)
     if phi.shape != (4,):
         raise ValueError(f"pure_schmidt expects a 4-vector, got shape {phi.shape}")
-    norm2 = float(np.vdot(phi, phi).real)
-    if abs(norm2 - 1.0) > STATE_VALIDATION_TOL:
-        raise ValueError(f"pure_schmidt expects a normalized vector, |phi|^2 = {norm2:.12g}")
-    m = phi.reshape(2, 2)
-    u, s, vh = svd(m)
-    rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
-    coeffs = s[:rank].copy()
-    left = u[:, :rank].T.copy()
-    right = vh[:rank].copy()
-    return PureSchmidt(
-        coefficients=coeffs,
-        left_vectors=left,
-        right_vectors=right,
-        schmidt_rank=rank,
-        degeneracy=_degeneracy_profile(coeffs, tol * s[0]),
-    )
+    _require_unit_norm(phi, "pure_schmidt expects a normalized vector, |phi|^2 = {:.12g}")
+    coefficients, rows, rank, degeneracy = _expand(phi.reshape(2, 2), tol)
+    return PureSchmidt(coefficients, rows[0], rows[1], rank, degeneracy)
 
 
 def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
@@ -184,22 +182,18 @@ def correlation_operator(ps: PureSchmidt) -> AntiunitaryMap:
 def pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Second-subsystem twins of a stack (n, 2, 2) of a1 on the pure state phi.
 
-    Requires [a1, rho_1] = 0 within RESIDUAL_TOL for every a1; the component
-    acting in the null space of rho_2 (arbitrary for the twin property) is
-    fixed to zero, so each result is the transport of a1 through the
-    correlation operator, compressed onto the range of rho_2. phi is
-    decomposed once for the whole stack, and the stack is guarded for
-    Hermiticity once.
+    phi must pass pure_schmidt's checks, and then [a1, rho_1] = 0 must hold
+    within RESIDUAL_TOL for every a1; the component acting in the null space
+    of rho_2 (arbitrary for the twin property) is fixed to zero, so each
+    result is the transport of a1 through the correlation operator,
+    compressed onto the range of rho_2. phi is decomposed once for the whole
+    stack, and the stack is guarded for Hermiticity once.
     """
-    return _pure_twin_partners(
-        require_hermitian(a1, "pure_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL), phi
-    )
-
-
-def _pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """pure_twin_partners on a stack Hermitian as built, such as (z + z^dag)/2: no guard."""
-    phi = np.asarray(phi, dtype=complex).reshape(-1)
-    rho1 = partial_trace(np.outer(phi, phi.conj()), 1)
+    a1 = require_hermitian(a1, "pure_twin_partner: a1", OBSERVABLE_HERMITIAN_TOL)
+    ps = pure_schmidt(phi)
+    # rho_1 = m m^dag for the coefficient matrix m, summed over j as the partial trace sums
+    m = np.asarray(phi, dtype=complex).reshape(2, 2)
+    rho1 = (m[:, None] * m.conj()).sum(-1)
     comm = a1 @ rho1 - rho1 @ a1
     comm_norm = np.linalg.norm(comm.reshape(comm.shape[0], -1), axis=1)
     if (comm_norm > RESIDUAL_TOL).any():
@@ -207,6 +201,11 @@ def _pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
             f"pure_twin_partner: a1 does not commute with the reduced state "
             f"(commutator norm {comm_norm.max():.3e} > {RESIDUAL_TOL:g})"
         )
+    return correlation_operator(ps).conjugate(a1)
+
+
+def _pure_twin_partners(a1: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """The transport of pure_twin_partners alone, for a stack Hermitian as built and tested."""
     return correlation_operator(pure_schmidt(phi)).conjugate(a1)
 
 
@@ -240,20 +239,9 @@ def _operator_schmidt(R: np.ndarray, tol: float) -> OperatorSchmidt:
     norm = 2 * float(np.linalg.norm(R))
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
-    u, s, vh = np.linalg.svd(2 * R / norm)
-    # sign convention: first significant entry of each left column positive
-    sign = leading_phases(u)
-    rank = s.size - int(np.count_nonzero(rank_split(s, tol * s[0])[0]))
-    # the left (columns of u) and right (rows of vh) components, lifted only when read
-    rows = np.array((u.T, vh))[:, :rank] * sign[:rank, None]
-    rows.setflags(write=False)
-    coeffs = s[:rank].copy()
-    return OperatorSchmidt(
-        coefficients=coeffs,
-        rows=rows,
-        schmidt_rank=rank,
-        degeneracy=_degeneracy_profile(coeffs, tol * s[0]),
-    )
+    coefficients, rows, rank, degeneracy = _expand(2 * R / norm, tol)
+    rows.setflags(write=False)  # lifted to left_ops and right_ops only when read
+    return OperatorSchmidt(coefficients, rows, rank, degeneracy)
 
 
 def reconstruct(os_: OperatorSchmidt, norm: float) -> np.ndarray:

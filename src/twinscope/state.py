@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import STATE_VALIDATION_TOL, pauli_adjoint, pauli_coordinates, random_unitary
+from .linalg import pauli_adjoint, pauli_coordinates, random_unitary
 from .mds import (
     CanonicalForm,
     MdsClass,
@@ -26,6 +26,7 @@ from .mds import (
     _canonicalize,
     _failed_test,
     _is_mds,
+    _require_unit_norm,
     build_T,
     classify,
     is_state,
@@ -79,9 +80,7 @@ class State:
         if self.matrix is not None:
             return validate_density_matrix(self.matrix)
         if self.pure is not None:
-            norm2 = float(np.vdot(self.pure, self.pure).real)
-            if abs(norm2 - 1) > STATE_VALIDATION_TOL:
-                raise ValueError(f"pure state vector has squared norm {norm2:.12g}, expected 1")
+            _require_unit_norm(self.pure, "pure state vector has squared norm {:.12g}, expected 1")
             return validate_density_matrix(np.outer(self.pure, self.pure.conj()))
         if not self.verdict.ok:
             reading, _ = _failed_test(self.verdict, self.tol)

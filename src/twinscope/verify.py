@@ -199,7 +199,7 @@ def _check_pure_state_commutant(ctx: State) -> CheckResult:
         )
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
-    rng = ctx.rng()
+    rng = ctx.rng().spawn(1)[0]  # a stream of the seed independent of the move's draws
     a1 = np.array([random_hermitian(rng) for _ in range(5)])
     comm = np.linalg.norm((a1 @ rho1 - rho1 @ a1).reshape(len(a1), -1), axis=1)
     failing = np.flatnonzero(comm > RESIDUAL_TOL)

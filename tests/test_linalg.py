@@ -326,6 +326,38 @@ def test_pauli_coordinates_are_computed_in_one_place():
     assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
 
 
+def test_schmidt_expansion_is_computed_in_one_place():
+    # both levels hand a coefficient matrix to schmidt._expand: one SVD, cut and profile
+    tree = ast.parse(Path(schmidt.__file__).read_text(encoding="utf-8"))
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(node):
+        return [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+    everywhere, in_expand = calls(tree), calls(functions["_expand"])
+    for name in ("svd", "rank_split", "_degeneracy_profile"):
+        assert everywhere.count(name) == in_expand.count(name) == 1, name
+    for name in ("np.linalg.svd", "leading_phases", "partial_trace"):
+        assert name not in everywhere, name
+    for name in ("pure_schmidt", "_operator_schmidt"):
+        assert "_expand" in calls(functions[name]), name
+
+
+def test_every_import_is_read():
+    # no linter is installed: a name an import binds must be read in its module
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and not (isinstance(node, ast.ImportFrom) and node.module == "__future__")
+            for alias in node.names
+        }
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        assert sorted(bound - read) == [], path.name
+
+
 def test_no_module_defines_or_imports_local_conj():
     # a local move is a rotation of the Pauli coordinates R: no complex move is left in src/
     for path in Path(linalg.__file__).parent.glob("*.py"):
@@ -390,6 +422,19 @@ def test_svd_phase_convention_deterministic():
     for k in range(4):
         first = u1[np.flatnonzero(np.abs(u1[:, k]) > 1e-12)[0], k]
         assert abs(first.imag) < 1e-12 and first.real > 0
+
+
+def test_svd_keeps_real_input_real():
+    # a real matrix gets real factors, with signs +-1 as its phases
+    rng = np.random.default_rng(29)
+    m = rng.standard_normal((4, 4))
+    u, s, vh = svd(m)
+    assert u.dtype == s.dtype == vh.dtype == np.float64
+    assert np.abs((u * s) @ vh - m).max() < 1e-12
+    assert np.all(leading_phases(u) == 1.0)
+    # the complex path agrees to rounding: its LAPACK routine differs in the last bits
+    for real, complex_ in zip((u, s, vh), svd(m.astype(complex))):
+        assert np.abs(complex_ - real).max() < 1e-12
 
 
 def test_real_nullspace_zero_and_identity():

@@ -1,7 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
-from twinscope import schmidt
+from twinscope import schmidt, state
 from twinscope.linalg import (
     RankDecisionError,
     from_pauli,
@@ -18,8 +20,10 @@ from twinscope.schmidt import (
     operator_schmidt,
     pure_schmidt,
     pure_twin_partner,
+    pure_twin_partners,
     reconstruct,
 )
+from twinscope.state import State
 
 KET_UP = np.array([1, 0], dtype=complex)
 KET_DOWN = np.array([0, 1], dtype=complex)
@@ -198,6 +202,45 @@ def test_pure_twin_partner_rejects_noncommuting():
         pure_twin_partner(pauli(1).copy(), phi)
 
 
+@pytest.mark.parametrize("phi", [[np.nan, 0, 0, 0], [np.inf, 0, 0, 0]], ids=["nan", "inf"])
+def test_pure_vector_gate_rejects_non_finite_vectors(phi):
+    # a nan or inf entry makes |phi|^2 nan, which fails the one gate: no SVD error, no nan
+    # coefficients, no numpy warning on the way
+    phi = np.array(phi, dtype=complex)
+    message = r"^pure_schmidt expects a normalized vector, \|phi\|\^2 = nan$"
+    with pytest.raises(ValueError, match=message):
+        pure_schmidt(phi)
+    with pytest.raises(ValueError, match=message):
+        pure_twin_partners(np.eye(2)[None], phi)
+    with pytest.raises(ValueError, match=message):
+        pure_twin_partner(np.eye(2), phi)
+    with pytest.raises(ValueError, match=r"^pure state vector has squared norm nan, expected 1$"):
+        State(1e-9, 0, pure=phi).rho
+    # both callers test |phi|^2 through mds._require_unit_norm alone
+    for module in (schmidt, state):
+        assert "_require_unit_norm" in inspect.getsource(module)
+        assert "vdot" not in inspect.getsource(module)
+
+
+def test_pure_twin_partners_check_phi_before_the_commutator():
+    # the transport's input is checked first, so an unnormalized phi is named as such
+    with pytest.raises(ValueError, match=r"^pure_schmidt expects a normalized vector, \|phi\|\^2 = 4$"):
+        pure_twin_partner(pauli(1).copy(), np.array([2, 0, 0, 0], dtype=complex))
+    with pytest.raises(ValueError, match=r"^pure_schmidt expects a 4-vector, got shape \(3,\)$"):
+        pure_twin_partner(pauli(1).copy(), np.array([1, 0, 0], dtype=complex))
+
+
+def test_private_twin_partners_only_transport(monkeypatch):
+    # verify's pure-state-commutant tests [a1, rho_1] itself: the kernel it calls does not
+    singlet, _ = bell_state(0)
+    stack = np.array([pauli(1), pauli(3)])
+    monkeypatch.setattr(schmidt, "RESIDUAL_TOL", -1.0)
+    expected = correlation_operator(pure_schmidt(singlet)).conjugate(stack)
+    assert np.array_equal(schmidt._pure_twin_partners(stack, singlet), expected)
+    with pytest.raises(ValueError, match="commute"):
+        pure_twin_partners(stack, singlet)
+
+
 def test_operator_schmidt_edge_state_coefficients():
     rho = build_T(np.array([0.4, -0.4, 1.0]))
     os_ = operator_schmidt(rho)
@@ -323,3 +366,26 @@ def test_schmidt_ranks_share_the_guard_band():
         pure_schmidt(np.array([1.0, 0.0, 0.0, 3e-10]) / np.sqrt(1 + 9e-20))
     assert operator_schmidt(build_T(np.array([0.5, 0.3, 0.0]))).schmidt_rank == 3
     assert pure_schmidt(np.array([1.0, 0.0, 0.0, 0.0])).schmidt_rank == 1
+
+
+def test_operator_coefficients_of_a_pure_state_are_products_of_its_coefficients():
+    # the two levels meet: the operator Schmidt coefficients of |phi><phi| are the
+    # products c_i c_j of phi's Schmidt coefficients, sorted
+    rng = np.random.default_rng(2001)
+    worst = 0.0
+    for _ in range(500):
+        phi = random_pure_state(rng)
+        c = pure_schmidt(phi).coefficients
+        os_ = operator_schmidt(np.outer(phi, phi.conj()))
+        expected = np.sort(np.outer(c, c).reshape(-1))[::-1]
+        assert os_.schmidt_rank == expected.size == 4
+        worst = max(worst, np.abs(os_.coefficients - expected).max())
+    assert worst <= 1e-14
+    a, b = random_pure_state(rng).reshape(2, 2)
+    product = np.kron(a / np.linalg.norm(a), b / np.linalg.norm(b))
+    assert pure_schmidt(product).schmidt_rank == 1
+    os_ = operator_schmidt(np.outer(product, product.conj()))
+    assert os_.schmidt_rank == 1 and abs(os_.coefficients[0] - 1) <= 1e-14
+    singlet, projector = bell_state(0)
+    os_ = operator_schmidt(projector)
+    assert os_.degeneracy == (4,) and np.abs(os_.coefficients - 0.5).max() <= 1e-14

@@ -76,6 +76,23 @@ def test_shared_frame_drawn_once(monkeypatch):
     assert np.abs(moved - linalg.pauli_coordinates(local_move(ctx.rho, v1, v2))).max() <= 1e-15
 
 
+def test_commutant_draws_are_independent_of_the_move(monkeypatch):
+    # the move draws (v1, v2) from rng(); pure-state-commutant draws its observables from
+    # another stream of the same seed, so none is the Hermitian part of a move draw
+    drawn = []
+    transport = verify._pure_twin_partners
+    monkeypatch.setattr(verify, "_pure_twin_partners", lambda a1, phi: drawn.append(a1) or transport(a1, phi))
+    for seed in range(20):
+        ctx = state.State(DEFAULT_TOL, seed, t=bell_t_vector(seed % 4))
+        assert all(r.passed for r in verify.run_verification(ctx))
+        rng = ctx.rng()
+        moves = [rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)) for _ in "12"]
+        for z in moves:
+            hermitian = (z + z.conj().T) / 2
+            assert np.abs(drawn[-1] - hermitian).max(axis=(1, 2)).min() > 1e-3
+    assert len(drawn) == 20
+
+
 def test_a_raw_matrix_meets_the_gate():
     # off-Hermitian by ~7e-3: the gate names that, rather than canonicalization's residual
     rng = np.random.default_rng(1)
