@@ -74,12 +74,10 @@ import numpy as np
 # The tolerance policy: every threshold in the package, named once. Absolute
 # entries bound a number of unit scale (an entry of a unit-trace state or of
 # the observables handed in, a probability, a residual); relative ones bound a
-# ratio to the largest value of its kind. Three bounds are derived, with their
-# formulas where they are defined: twins._SVD_ERROR (32 * 8 * eps, the twin
-# system's SVD backward error over its largest singular value),
-# mds._residual_bound (DEFAULT_TOL + ||L||_HS, the canonicalization residual)
-# and mds.state_test_rounding (ROUNDING_TOL * max(1, sum_k |w_k|), weight test
-# against eigenvalue test).
+# ratio to the largest value of its kind. Two bounds are derived, with their
+# formulas where they are defined: mds._residual_bound (DEFAULT_TOL + ||L||_HS,
+# the canonicalization residual) and mds.state_test_rounding (ROUNDING_TOL *
+# max(1, sum_k |w_k|), weight test against eigenvalue test).
 #
 # Relative: the default cut of every rank decision (--tol): singular values and
 # Schmidt coefficients over the largest, Bell weights (which sum to 1). The same
@@ -296,14 +294,15 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Left singular vectors are phase-normalized (first significant entry real
     positive) and the compensating phase is pushed into the matching right
     vector, so the factorization stays exact. Real input stays real: its
-    factors are real and its phases are signs +-1.0.
+    factors are real and its phases are signs +-1.0. A stack (..., m, n)
+    is factored member by member, in one call.
     """
     m = np.asarray(m)
     u, s, vh = np.linalg.svd(m.astype(complex if np.iscomplexobj(m) else float, copy=False))
     phase = leading_phases(u)
-    k = min(phase.size, vh.shape[0])
-    vh[:k] *= phase[:k, None]
-    return u * phase.conj(), s, vh
+    k = min(phase.shape[-1], vh.shape[-2])
+    vh[..., :k, :] *= phase[..., :k, None]
+    return u * phase.conj()[..., None, :], s, vh
 
 
 class NullspaceResult(NamedTuple):

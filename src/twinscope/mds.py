@@ -400,6 +400,7 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     Shepperd's quaternion (J. Guidance & Control 1(3), 1978): k[a, b] = 4 q_a q_b
     for q = (w, x, y, z), so q is the row of k with the largest diagonal, normalised.
     The lift's trace is 2 w / |q|. k is built and its pivot picked on Python floats.
+    _canonical_form holds the lift against r, on the adjoint it computes anyway.
     """
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r.tolist()
     tr = r00 + r11 + r22
@@ -414,11 +415,7 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     q = np.array(k[max(range(4), key=lambda a: k[a][a])])
     if q[0] < 0:
         q = -q
-    u = from_pauli(q / np.linalg.norm(q) * _QUATERNION_TO_PAULI)
-    # guard against a convention mismatch: conjugation must reproduce r
-    if np.abs(pauli_adjoint(u)[1:, 1:] - r).max() > RESIDUAL_TOL:
-        raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
-    return u
+    return from_pauli(q / np.linalg.norm(q) * _QUATERNION_TO_PAULI)
 
 
 def canonicalize(rho: np.ndarray) -> CanonicalForm:
@@ -476,8 +473,12 @@ def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
     t[2] *= np.sign(da) * np.sign(db)
     u1 = _su2_from_rotation(a.T)
     u2 = _su2_from_rotation(bt)
+    o1, o2 = pauli_adjoint(u1), pauli_adjoint(u2)
+    # guard against a convention mismatch: conjugation must reproduce each rotation
+    if max(np.abs(o1[1:, 1:] - a.T).max(), np.abs(o2[1:, 1:] - bt).max()) > RESIDUAL_TOL:
+        raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
     # ||(u1 x u2) rho (u1 x u2)^dag - T(t)||_HS is 2 ||O1 R O2^T - diag(1, t)/4||_F
-    moved = pauli_adjoint(u1) @ R @ pauli_adjoint(u2).T
+    moved = o1 @ R @ o2.T
     residual = 2 * np.linalg.norm(moved - np.diag(np.concatenate(([1.0], t))) / 4)
     return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
 

@@ -14,7 +14,9 @@ Two independent routes are kept side by side throughout:
 
   * a brute-force oracle: parametrize both observables over the Pauli
     basis with 8 real unknowns, write the twin condition as 32 real linear
-    equations, and take the nullspace;
+    equations, and take the nullspace. Every system sends the trivial
+    direction to 0 exactly, so it is solved on the 7-dimensional complement
+    of (I, I), and the trivial pair is prepended;
   * closed-form constructions: Bell states share the pairs (sigma_i, s sigma_i)
     for each column i of the sign table mds.BELL_SIGNS where all their rows hold s.
 
@@ -38,7 +40,6 @@ from .linalg import (
     PROBABILITY_TOL,
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
-    NullspaceResult,
     from_pauli,
     leading_phases,
     pauli_adjoint,
@@ -77,10 +78,12 @@ class TwinSpace:
     of basis[n], the pairs orthonormal in the combined inner product
     Re Tr(a1^dag b1) + Re Tr(a2^dag b2), so the rows are orthogonal with
     squared norm 1/2. dimension, has_nontrivial and basis are read off the
-    rows. When the trivial pair is present it is pinned as the first row, so
-    has_nontrivial is simply dimension > 1. singular_value_gap carries the
-    rank-decision diagnostic of the underlying nullspace computation (inf
-    for analytic bases). ops is computed on first read and kept, read-only.
+    rows. Every space the package builds holds the trivial pair as its first
+    row (pull_back maps it to itself, to rounding), so has_nontrivial is
+    simply dimension > 1. singular_value_gap carries the rank-decision
+    diagnostic of the oracle's nullspace computation on the complement of the
+    trivial pair, inf when no singular value is dropped (in the interior) and
+    for analytic bases. ops is computed on first read and kept, read-only.
     """
 
     def __init__(self, rows: np.ndarray, singular_value_gap: float) -> None:
@@ -227,35 +230,11 @@ def twin_condition_matrix(R: np.ndarray) -> np.ndarray:
 _TRIVIAL_DIRECTION = np.zeros(8)
 _TRIVIAL_DIRECTION[0] = _TRIVIAL_DIRECTION[4] = 1 / np.sqrt(2)
 _TRIVIAL_DIRECTION.setflags(write=False)
-_SVD_ERROR = 32 * 8 * np.finfo(float).eps  # SVD backward error over s_max, m * n * eps
-
-
-def _space_from_nullspace(ns: NullspaceResult) -> TwinSpace:
-    """Orthonormal twin space from a nullspace, trivial pair pinned first.
-
-    The computed nullspace may tilt from the exact one, which holds the
-    trivial pair, by the SVD backward error over the smallest kept singular
-    value (Wedin, BIT 12, 99 (1972)); only a larger miss is a fault.
-    """
-    basis = ns.basis
-    dim = basis.shape[0]
-    if dim == 0:
-        raise InternalConsistencyError("twin system has an empty nullspace")
-    e = _TRIVIAL_DIRECTION
-    proj = basis.T @ (basis @ e)
-    s = ns.singular_values
-    if np.linalg.norm(proj - e) > _SVD_ERROR * s[0] / s[ns.rank - 1]:
-        raise InternalConsistencyError(
-            "the trivial pair (I, I) is missing from the computed twin space"
-        )
-    rows = e[None, :]
-    if dim > 1:
-        _, _, vt = np.linalg.svd(basis - np.outer(basis @ e, e))
-        rest = vt[: dim - 1]
-        # sign convention: first significant entry of each row positive
-        rows = np.concatenate([rows, rest * leading_phases(rest.T)[:, None]])
-    # scale so each pair has unit combined Hilbert-Schmidt norm
-    return TwinSpace(rows=rows / np.sqrt(2), singular_value_gap=ns.gap)
+# orthonormal columns spanning the complement of the trivial direction:
+# (x_0 - x_4) / sqrt(2), then x_1, x_2, x_3, x_5, x_6, x_7
+_COMPLEMENT = np.eye(8)[:, [0, 1, 2, 3, 5, 6, 7]]
+_COMPLEMENT[[0, 4], 0] = _TRIVIAL_DIRECTION[0], -_TRIVIAL_DIRECTION[0]
+_COMPLEMENT.setflags(write=False)
 
 
 def twin_space(rho: np.ndarray, tol: float = DEFAULT_TOL) -> TwinSpace:
@@ -275,7 +254,8 @@ def simultaneous_twins(
 
     states is a list of density matrices or an (n, 4, 4) stack; either is
     validated and converted as one stack, mapped to its n twin systems in one
-    product, and solved with one SVD of the stacked (32 n) x 8 system.
+    product, and solved with one SVD of the stacked (32 n) x 7 system on the
+    complement of the trivial pair.
     """
     if len(states) == 0:
         raise ValueError("simultaneous_twins needs at least one state")
@@ -283,8 +263,19 @@ def simultaneous_twins(
 
 
 def _simultaneous_twins(R: np.ndarray, tol: float) -> TwinSpace:
-    """simultaneous_twins on a stack (n, 4, 4) of Pauli coordinates of validated states."""
-    return _space_from_nullspace(real_nullspace(twin_condition_matrix(R), tol))
+    """simultaneous_twins on a stack (n, 4, 4) of Pauli coordinates of validated states.
+
+    Columns 0 and 4 of every twin system are exact negatives (s_4 = -s_0), so the
+    system sends the trivial direction to 0 exactly: the trivial pair is the first
+    row by construction, and the nullspace of the system on _COMPLEMENT, lifted
+    back, gives the rows after it.
+    """
+    ns = real_nullspace(twin_condition_matrix(R) @ _COMPLEMENT, tol)
+    rest = ns.basis @ _COMPLEMENT.T
+    # sign convention: first significant entry of each row positive
+    rows = np.concatenate([_TRIVIAL_DIRECTION[None], rest * leading_phases(rest.T)[:, None]])
+    # scale so each pair has unit combined Hilbert-Schmidt norm
+    return TwinSpace(rows=rows / np.sqrt(2), singular_value_gap=ns.gap)
 
 
 def _sign_twins(support: list[int]) -> TwinSpace:

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import local_move
-from twinscope import cli, linalg, mds, schmidt, verify
+from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.linalg import (
     RANK_GUARD,
     RankDecisionError,
@@ -326,14 +326,20 @@ def test_pauli_coordinates_are_computed_in_one_place():
     assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
 
 
+def parsed_functions(module):
+    """A module's syntax tree and its function definitions by name."""
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    return tree, {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+
+def calls(node):
+    """The callee of every call under a syntax node, as source text."""
+    return [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
+
+
 def test_schmidt_expansion_is_computed_in_one_place():
     # both levels hand a coefficient matrix to schmidt._expand: one SVD, cut and profile
-    tree = ast.parse(Path(schmidt.__file__).read_text(encoding="utf-8"))
-    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
-
-    def calls(node):
-        return [ast.unparse(n.func) for n in ast.walk(node) if isinstance(n, ast.Call)]
-
+    tree, functions = parsed_functions(schmidt)
     everywhere, in_expand = calls(tree), calls(functions["_expand"])
     for name in ("svd", "rank_split", "_degeneracy_profile"):
         assert everywhere.count(name) == in_expand.count(name) == 1, name
@@ -341,6 +347,16 @@ def test_schmidt_expansion_is_computed_in_one_place():
         assert name not in everywhere, name
     for name in ("pure_schmidt", "_operator_schmidt"):
         assert "_expand" in calls(functions[name]), name
+
+
+def test_twin_oracle_solves_in_one_place():
+    # one SVD per oracle call, on the complement of the trivial pair: no second SVD, no derived bound
+    tree, functions = parsed_functions(twins)
+    everywhere, in_oracle = calls(tree), calls(functions["_simultaneous_twins"])
+    assert "np.linalg.svd" not in everywhere
+    assert everywhere.count("real_nullspace") == in_oracle.count("real_nullspace") == 1
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert "_SVD_ERROR" not in names and "_space_from_nullspace" not in functions
 
 
 def test_every_import_is_read():
@@ -435,6 +451,18 @@ def test_svd_keeps_real_input_real():
     # the complex path agrees to rounding: its LAPACK routine differs in the last bits
     for real, complex_ in zip((u, s, vh), svd(m.astype(complex))):
         assert np.abs(complex_ - real).max() < 1e-12
+
+
+def test_svd_factors_a_stack_member_by_member():
+    # phases go along each member's last axes, never along the stack axis
+    rng = np.random.default_rng(31)
+    complex_stack = rng.standard_normal((3, 2, 2)) + 1j * rng.standard_normal((3, 2, 2))
+    for stack in (complex_stack, rng.standard_normal((3, 4, 4))):
+        u, s, vh = svd(stack)
+        for n, m in enumerate(stack):
+            for stacked, member in zip((u[n], s[n], vh[n]), svd(m)):
+                assert np.array_equal(stacked, member)
+        assert np.abs((u * s[:, None, :]) @ vh - stack).max() < 1e-12
 
 
 def test_real_nullspace_zero_and_identity():

@@ -798,3 +798,20 @@ def test_su2_lift_reproduces_rotation():
         assert np.trace(u).real >= 0
         assert np.abs(u @ u.conj().T - np.eye(2)).max() <= 1e-12
         assert abs(np.linalg.det(u) - 1) <= 1e-12
+
+
+def test_canonicalize_guards_each_lift_on_the_adjoint_it_reads(monkeypatch):
+    rng = np.random.default_rng(1979)
+    rho = local_move(build_T(random_interior_t(rng)), random_unitary(rng), random_unitary(rng))
+    adjoints = []
+    adjoint = mds.pauli_adjoint
+    monkeypatch.setattr(mds, "pauli_adjoint", lambda u: adjoints.append(u) or adjoint(u))
+    cf = canonicalize(rho)
+    # one adjoint per lift serves both the guard and the residual
+    assert len(adjoints) == 2
+    assert np.array_equal(adjoints[0], cf.u1) and np.array_equal(adjoints[1], cf.u2)
+    # the conjugate quaternion lifts the inverse rotation: the guard names the mismatch
+    lift = mds._su2_from_rotation
+    monkeypatch.setattr(mds, "_su2_from_rotation", lambda r: lift(r).conj().T)
+    with pytest.raises(mds.InternalConsistencyError, match=r"SU\(2\) lift does not reproduce"):
+        canonicalize(rho)

@@ -120,12 +120,60 @@ def test_twin_space_pins_trivial_pair_first():
     assert space.has_nontrivial
 
 
+def test_twin_system_sends_the_trivial_direction_to_zero():
+    # s_4 = -s_0 = -(I x I): columns 0 and 4 are exact negatives for any real R or stack of R
+    rng = np.random.default_rng(53)
+    for n in (1, 1, 2, 3, 4) * 20:
+        R = rng.standard_normal((n, 4, 4))
+        system = twins.twin_condition_matrix(R if n > 1 else R[0])
+        assert system.shape == (32 * n, 8)
+        assert np.array_equal(system[:, 0], -system[:, 4])
+
+
+def random_density_matrix(rng, rank):
+    vecs = rng.standard_normal((rank, 4)) + 1j * rng.standard_normal((rank, 4))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    weights = rng.dirichlet(np.ones(rank))
+    return np.einsum("k,ka,kb->ab", weights, vecs, vecs.conj())
+
+
+def oracle_spaces(rng):
+    """Oracle spaces of seeded generic, scrambled vertex and edge states, and of stacks."""
+    for rank in (1, 2, 3, 4):
+        for _ in range(5):
+            yield twin_space(random_density_matrix(rng, rank))
+    for k in range(4):
+        yield twin_space(local_move(bell_state(k)[1], random_unitary(rng), random_unitary(rng)))
+    for axis, case in ((1, "A"), (2, "B"), (3, "A"), (3, "B")):
+        rho = build_T(random_edge_t(rng, axis, case))
+        yield twin_space(local_move(rho, random_unitary(rng), random_unitary(rng)))
+    for support in ([0], [0, 1], [1, 2, 3], [2, 3]):
+        u1, u2 = random_unitary(rng), random_unitary(rng)
+        yield simultaneous_twins(np.array([local_move(bell_state(k)[1], u1, u2) for k in support]))
+
+
+def test_oracle_rows_hold_the_trivial_pair_first_by_construction():
+    trivial = twins._TRIVIAL_DIRECTION / np.sqrt(2)
+    dimensions = set()
+    for space in oracle_spaces(np.random.default_rng(59)):
+        rows = space.rows
+        dimensions.add(space.dimension)
+        assert np.array_equal(rows[0], trivial)
+        assert np.array_equal(rows[1:, 0], -rows[1:, 4])
+        assert np.abs(rows @ rows.T - np.eye(space.dimension) / 2).max() <= 1e-15
+    assert dimensions == {1, 2, 4}
+
+
 def test_twin_space_interior_is_trivial_only():
-    rng = np.random.default_rng(3)
+    rng, moves = np.random.default_rng(3), np.random.default_rng(61)
     for _ in range(20):
-        space = twin_space(build_T(random_interior_t(rng)))
-        assert space.dimension == 1
-        assert not space.has_nontrivial
+        rho = build_T(random_interior_t(rng))
+        scrambled = local_move(rho, random_unitary(moves), random_unitary(moves))
+        for space in (twin_space(rho), twin_space(scrambled)):
+            assert space.dimension == 1
+            assert not space.has_nontrivial
+            # no singular value of the system on the complement vanishes: none is dropped
+            assert space.singular_value_gap == np.inf
 
 
 def test_twin_space_basis_orthonormal_combined_inner_product():
@@ -462,8 +510,8 @@ def test_pair_parameter_roundtrip():
 
 
 def test_trivial_pair_kept_near_edge():
-    # the smallest kept singular value is ~1.5e-8 of the largest, so the
-    # computed nullspace tilts by more than a fixed 1e-9 from the exact one
+    # the smallest kept singular value is ~1.5e-8 of the largest: the trivial
+    # pair stays first by construction, and no pair near it is taken for a twin
     t = np.array([-0.4120694927964107, -0.4120694981014408, -0.9999999711535859])
     space = twin_space(build_T(t))
     assert space.dimension == 1
