@@ -29,9 +29,11 @@ elsewhere, is one rule, leading_phases: the first entry above PHASE_CUT in
 magnitude of each column is made real positive. It covers vectors that are
 reported.
 
-Every rank decision goes through rank_split: a value at or below the cut
-vanishes, and one within a factor RANK_GUARD of it makes the decision
-ambiguous (RankDecisionError). Callers choose only what they cut and where.
+Every rank decision cuts a descending spectrum with rank_split: the kept
+values are a prefix, and the two neighbours at the cut decide the rank. One
+within a factor RANK_GUARD of the cut makes the decision ambiguous
+(RankDecisionError); a spectrum that is not descending is a ValueError.
+Callers choose only what they cut and where.
 
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
@@ -314,35 +316,31 @@ class NullspaceResult(NamedTuple):
     gap: float
 
 
-def rank_split(values: np.ndarray, threshold: float) -> tuple[np.ndarray, float]:
-    """Split nonnegative values at a cut: (mask of the vanishing ones, gap).
+def rank_split(values: list[float], threshold: float) -> tuple[int, float]:
+    """Cut a descending spectrum: (rank, gap), rank counting the values above threshold.
 
-    A value vanishes when it is <= threshold; gap is the smallest kept over
-    the largest vanishing value (inf if there is none, or it is 0). Any value
-    within a factor RANK_GUARD of the cut raises RankDecisionError. Both
-    extremes come from one pass over the values as Python floats, which
-    beats numpy reductions on a few values.
+    The kept values are a prefix, so the neighbours at the cut, values[rank - 1]
+    and values[rank], decide the rank; gap is their ratio (inf if either is
+    missing or the second is 0). A value within a factor RANK_GUARD of the cut
+    raises RankDecisionError, a spectrum that is not descending (a nan included)
+    ValueError. One pass over Python floats beats numpy on a few values.
     """
-    values = np.asarray(values, dtype=float)
     threshold = float(threshold)
-    zero = values <= threshold
-    kept = dropped = None
-    for v in values.tolist():
-        if v > threshold:
-            if kept is None or v < kept:
-                kept = v
-        elif v <= threshold and (dropped is None or v > dropped):  # a nan is neither
-            dropped = v
-    smallest_kept = np.inf if kept is None else kept
-    largest_dropped = 0.0 if dropped is None else dropped
+    rank, last = 0, math.inf
+    for v in values:
+        if not v <= last:
+            raise ValueError(f"rank_split expects a descending spectrum, got {list(values)}")
+        rank += v > threshold
+        last = v
+    smallest_kept = values[rank - 1] if rank else math.inf
+    largest_dropped = values[rank] if rank < len(values) else 0.0
     if smallest_kept < RANK_GUARD * threshold or largest_dropped > threshold / RANK_GUARD:
         raise RankDecisionError(
             f"ambiguous rank decision: values cluster around the cut {threshold:.3e} "
             f"(smallest kept {smallest_kept:.3e}, largest dropped {largest_dropped:.3e}, "
             f"guard factor {RANK_GUARD:g})"
         )
-    gap = smallest_kept / largest_dropped if largest_dropped > 0 else np.inf
-    return zero, float(gap)
+    return rank, smallest_kept / largest_dropped if largest_dropped > 0 else math.inf
 
 
 def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
@@ -361,8 +359,7 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     s_full = np.zeros(n)
     s_full[: s.size] = s
     smax = s_full[0] if s_full.size else 0.0
-    null_mask, gap = rank_split(s_full, tol * smax)
-    rank = n - int(np.count_nonzero(null_mask))
+    rank, gap = rank_split(s_full.tolist(), tol * smax)
     return NullspaceResult(basis=vt[rank:].copy(), singular_values=s_full, rank=rank, gap=gap)
 
 

@@ -258,7 +258,7 @@ def classify(
     Membership is `verdict`, which is is_state(t, tol) when the caller already
     has it; with None it is computed here. The Bell weights w are the
     verdict's. The stratum is the number of vanishing Bell weights, which
-    rank_split decides on |w| of all but the smallest weight at cut tol.
+    rank_split decides on |w| of all but the smallest weight, descending, at cut tol.
     Three mean the Bell vertex of the surviving index; two a binary edge,
     case B when w0 survives, on the axis k in 1..3 that vanishes or survives
     with w0; fewer a generic point.
@@ -273,8 +273,9 @@ def classify(
     # the decision on Python floats; the stable sort names the weight the interior detail reports
     weights = w.tolist()
     rest = sorted(range(4), key=weights.__getitem__)[1:]
-    zero, gap = rank_split([abs(weights[k]) for k in rest], tol)
-    alive = sorted(k for k, vanishes in zip(rest, zero.tolist()) if not vanishes)
+    order = sorted(rest, key=lambda k: abs(weights[k]), reverse=True)
+    rank, gap = rank_split([abs(weights[k]) for k in order], tol)
+    alive = sorted(order[:rank])
     cut = f"cut {tol:g}, rank gap {gap:.3e}"
     if len(alive) == 1:
         return MdsClass(

@@ -59,7 +59,7 @@ def _expand(m: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray, int, tup
     """
     u, s, vh = svd(m)
     cut = tol * s[0]
-    rank = s.size - int(np.count_nonzero(rank_split(s, cut)[0]))
+    rank, _ = rank_split(s.tolist(), cut)
     coefficients = s[:rank].copy()
     rows = np.array((u[:, :rank].T, vh[:rank]))
     return coefficients, rows, rank, _degeneracy_profile(coefficients, cut)

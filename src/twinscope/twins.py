@@ -227,13 +227,13 @@ def twin_condition_matrix(R: np.ndarray) -> np.ndarray:
     return (_TWIN_CONDITION_MAP @ np.reshape(R, (-1, 16, 1))).reshape(-1, 8)
 
 
-_TRIVIAL_DIRECTION = np.zeros(8)
-_TRIVIAL_DIRECTION[0] = _TRIVIAL_DIRECTION[4] = 1 / np.sqrt(2)
-_TRIVIAL_DIRECTION.setflags(write=False)
+# the trivial pair (I/2, I/2), exactly the closed forms' first row
+_TRIVIAL_ROW = np.array([0.5, 0, 0, 0, 0.5, 0, 0, 0])
+_TRIVIAL_ROW.setflags(write=False)
 # orthonormal columns spanning the complement of the trivial direction:
 # (x_0 - x_4) / sqrt(2), then x_1, x_2, x_3, x_5, x_6, x_7
 _COMPLEMENT = np.eye(8)[:, [0, 1, 2, 3, 5, 6, 7]]
-_COMPLEMENT[[0, 4], 0] = _TRIVIAL_DIRECTION[0], -_TRIVIAL_DIRECTION[0]
+_COMPLEMENT[[0, 4], 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
 _COMPLEMENT.setflags(write=False)
 
 
@@ -272,10 +272,10 @@ def _simultaneous_twins(R: np.ndarray, tol: float) -> TwinSpace:
     """
     ns = real_nullspace(twin_condition_matrix(R) @ _COMPLEMENT, tol)
     rest = ns.basis @ _COMPLEMENT.T
-    # sign convention: first significant entry of each row positive
-    rows = np.concatenate([_TRIVIAL_DIRECTION[None], rest * leading_phases(rest.T)[:, None]])
-    # scale so each pair has unit combined Hilbert-Schmidt norm
-    return TwinSpace(rows=rows / np.sqrt(2), singular_value_gap=ns.gap)
+    # sign convention: first significant entry of each row positive; scaled so each
+    # pair has unit combined Hilbert-Schmidt norm
+    rest = rest * leading_phases(rest.T)[:, None] / np.sqrt(2)
+    return TwinSpace(rows=np.concatenate([_TRIVIAL_ROW[None], rest]), singular_value_gap=ns.gap)
 
 
 def _sign_twins(support: list[int]) -> TwinSpace:

@@ -600,6 +600,35 @@ def test_canonicalize_ignores_rank_tol(capsys, scrambled_edge_file):
     assert "residual:" in out
 
 
+def test_is_state_consistency_raise_exits_2(monkeypatch, capsys):
+    # a rounding bound below 0 no |min weight - min eigenvalue| can meet
+    t = np.array([0.1, 0.2, 0.3])
+    min_w = float(mds.weights_from_t(t).min())
+    min_eig = float(np.linalg.eigvalsh(build_T(t))[0])
+    message = (
+        f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) disagree beyond rounding"
+    )
+    monkeypatch.setattr(mds, "state_test_rounding", lambda w: -1.0)
+    with pytest.raises(mds.InternalConsistencyError) as info:
+        is_state(t)
+    assert str(info.value) == message
+    code, out, err = invoke(capsys, "classify", "--t=0.1,0.2,0.3")
+    assert (code, out) == (2, "")
+    assert err == f"twinscope classify: internal consistency failure: {message}\n"
+
+
+def test_canonicalize_consistency_raise_exits_2(monkeypatch, capsys, scrambled_edge_file):
+    # a residual bound of 0 that a scrambled matrix's rounding residual exceeds
+    monkeypatch.setattr(mds, "_residual_bound", lambda R: 0.0)
+    with pytest.raises(mds.InternalConsistencyError) as info:
+        mds.canonicalize(parse_state_file(scrambled_edge_file)[1])
+    assert str(info.value).startswith("canonicalization residual ")
+    assert str(info.value).endswith(" exceeds 0.000e+00, 1e-09 plus the local part")
+    code, out, err = invoke(capsys, "canonicalize", "--input", scrambled_edge_file)
+    assert (code, out) == (2, "")
+    assert err == f"twinscope canonicalize: internal consistency failure: {info.value}\n"
+
+
 def test_state_boundary_point_classifies(capsys):
     # the smallest weight sits within rounding of -tol, so the weight and
     # eigenvalue tests fall on opposite sides of the cut
@@ -955,6 +984,16 @@ def test_parse_state_file_errors(tmp_path):
     wrong.write_text("pure 3\n1+0i 0+0i 0+0i\n")
     with pytest.raises(ValueError, match="pure 4"):
         parse_state_file(str(wrong))
+    path = tmp_path / "state.txt"
+    for content, message in (
+        ("", "empty state file"),
+        ("matrix 3 3\n" + "0+0i " * 9 + "\n", "expected header 'matrix 4 4', got 'matrix 3 3'"),
+        ("pure 4\n1+0i 0+0i\n", "expected 4 amplitudes, got 2"),
+    ):
+        path.write_text(content)
+        with pytest.raises(ValueError) as info:
+            parse_state_file(str(path))
+        assert str(info.value) == f"{path}: {message}"
 
 
 @pytest.mark.parametrize(

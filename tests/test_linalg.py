@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import local_move
+import twinscope
 from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.linalg import (
     RANK_GUARD,
@@ -494,22 +495,49 @@ def test_real_nullspace_flags_ambiguous_rank():
         real_nullspace(m, tol=1e-9)
 
 
-def test_rank_split_mask_gap_and_guard_band():
-    zero, gap = rank_split(np.array([1.0, 1e-12, 0.5, 0.0]), 1e-9)
-    assert zero.tolist() == [False, True, False, True]
-    assert gap == 0.5 / 1e-12
-    assert rank_split(np.array([1.0, 0.0]), 1e-9)[1] == np.inf
-    assert rank_split(np.array([1.0, 0.5]), 1e-9)[1] == np.inf
+def test_real_nullspace_rejects_an_input_that_is_not_2d():
+    with pytest.raises(ValueError) as info:
+        real_nullspace(np.zeros(3))
+    assert str(info.value) == "real_nullspace expects a 2-d array, got ndim=1"
+
+
+def test_rank_split_rank_gap_and_guard_band():
+    assert rank_split([1.0, 0.5, 1e-12, 0.0], 1e-9) == (2, 0.5 / 1e-12)
+    assert rank_split([1.0, 0.0], 1e-9) == (1, np.inf)
+    assert rank_split([1.0, 0.5], 1e-9) == (2, np.inf)
+    assert rank_split([], 1e-9) == (0, np.inf)
     # a value within a factor 10 of the cut, on either side, is ambiguous
     for value in (5e-9, 9.9e-9, 1.01e-10, 1e-9):
         with pytest.raises(RankDecisionError, match="ambiguous rank decision"):
-            rank_split(np.array([1.0, value]), 1e-9)
-    assert rank_split(np.array([1.0, 1e-8]), 1e-9)[0].tolist() == [False, False]
-    assert rank_split(np.array([1.0, 1e-10]), 1e-9)[0].tolist() == [False, True]
+            rank_split([1.0, value], 1e-9)
+    assert rank_split([1.0, 1e-8], 1e-9)[0] == 2
+    assert rank_split([1.0, 1e-10], 1e-9)[0] == 1
+
+
+def test_rank_split_rejects_a_spectrum_that_is_not_descending():
+    for values in ([1.0, 1e-12, 0.5, 0.0], [0.0, 1.0], [1.0, np.nan, 0.0], [np.nan]):
+        with pytest.raises(ValueError, match="expects a descending spectrum") as got:
+            rank_split(values, 1e-9)
+        assert type(got.value) is ValueError
+
+
+def test_rank_split_builds_no_array_and_has_three_callers():
+    # the kept values are a prefix: no mask, and no numpy array, in the cut itself
+    _, functions = parsed_functions(linalg)
+    assert not any(name.startswith("np.") for name in calls(functions["rank_split"]))
+    callers = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert calls(tree).count("linalg.rank_split") == 0, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                callers += [(path.stem, node.name)] * calls(node).count("rank_split")
+    assert sorted(callers) == [("linalg", "real_nullspace"), ("mds", "classify"), ("schmidt", "_expand")]
+    assert "rank_split" not in twinscope.__all__
 
 
 def _rank_split_by_generators(values, threshold):
-    """The two generator scans rank_split replaced, kept as its reference."""
+    """The two generator scans rank_split replaced, kept as its reference: (mask, gap)."""
     values = np.asarray(values, dtype=float)
     threshold = float(threshold)
     zero = values <= threshold
@@ -538,16 +566,19 @@ def _values_around_a_cut(draw):
 @given(_values_around_a_cut())
 def test_rank_split_matches_the_generator_scans(drawn):
     values, cut = drawn
+    descending = sorted(values, reverse=True)
+    if values != descending:
+        with pytest.raises(ValueError, match="expects a descending spectrum"):
+            rank_split(values, cut)
     try:
-        want = _rank_split_by_generators(values, cut)
+        want = _rank_split_by_generators(descending, cut)
     except RankDecisionError as exc:
         with pytest.raises(RankDecisionError) as got:
-            rank_split(np.array(values), cut)
+            rank_split(descending, cut)
         assert str(got.value) == str(exc)
         return
-    zero, gap = rank_split(np.array(values), cut)
-    assert np.array_equal(zero, want[0])
-    assert gap == want[1]
+    # the rank counts the kept values, the ones the mask does not mark vanishing
+    assert rank_split(descending, cut) == (len(values) - int(np.count_nonzero(want[0])), want[1])
 
 
 def test_hermitian_check():
@@ -555,6 +586,10 @@ def test_hermitian_check():
     assert dev <= linalg.HERMITIAN_TOL and dev == 0.0
     dev = hermitian_check(np.array([[0, 1e-6], [0, 0]]))
     assert not dev <= 1e-9
+    for m in (np.zeros((2, 3)), np.zeros(3)):
+        with pytest.raises(ValueError) as info:
+            hermitian_check(m)
+        assert str(info.value) == f"hermitian_check expects a square matrix, got {m.shape}"
 
 
 def test_require_hermitian_names_the_operand():

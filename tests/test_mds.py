@@ -244,6 +244,26 @@ def test_edge_mixture_rebuilds_state():
             assert np.abs(build_T(t) - direct).max() < 1e-12
 
 
+def test_edge_mixture_rejects_a_non_edge():
+    with pytest.raises(ValueError) as info:
+        edge_mixture(classify(bell_t_vector(0)))
+    assert str(info.value) == "edge_mixture expects a binary edge, got bell_vertex"
+
+
+@pytest.mark.parametrize(
+    "fn, arg, message",
+    [
+        (t_from_weights, [0.5, 0.5, 0.0], "expected 4 weights, got shape (3,)"),
+        (weights_from_t, [0.1, 0.2], "expected a 3-component t-vector, got shape (2,)"),
+        (build_T, np.zeros((2, 2)), "expected a 3-component t-vector, got shape (4,)"),
+    ],
+)
+def test_sign_table_maps_reject_a_wrong_shape(fn, arg, message):
+    with pytest.raises(ValueError) as info:
+        fn(arg)
+    assert str(info.value) == message
+
+
 @pytest.mark.parametrize("bound", [0.25, 0.3, float("nan")])
 def test_interior_sampler_rejects_a_bound_no_draw_can_meet(bound):
     # four weights summing to 1 never all exceed 1/4: the rejection loop would never end
@@ -744,6 +764,22 @@ def test_random_edge_t_explicit_parameter():
     rng = np.random.default_rng(0)
     t = random_edge_t(rng, 3, "A", parameter=0.6)
     assert np.allclose(t, [-0.6, 0.6, 1.0])
+
+
+@pytest.mark.parametrize(
+    "axis, case, parameter, message",
+    [
+        (0, "A", None, "edge axis must be 1..3, got 0"),
+        (4, "B", 0.5, "edge axis must be 1..3, got 4"),
+        (1, "C", None, "edge case must be 'A' or 'B', got 'C'"),
+        (2, "A", 1.0, "edge parameter must be in (-1, 1), got 1.0"),
+        (3, "B", -1.5, "edge parameter must be in (-1, 1), got -1.5"),
+    ],
+)
+def test_random_edge_t_rejects_a_bad_axis_case_or_parameter(axis, case, parameter, message):
+    with pytest.raises(ValueError) as info:
+        random_edge_t(np.random.default_rng(0), axis, case, parameter=parameter)
+    assert str(info.value) == message
 
 
 def test_mds_partial_traces_maximally_mixed():

@@ -268,6 +268,12 @@ def test_operator_schmidt_rejects_zero():
         operator_schmidt(np.zeros((4, 4)))
 
 
+def test_operator_schmidt_rejects_a_matrix_that_is_not_4x4():
+    with pytest.raises(ValueError) as info:
+        operator_schmidt(np.eye(2))
+    assert str(info.value) == "operator_schmidt expects a 4x4 matrix, got (2, 2)"
+
+
 def test_operator_schmidt_bases_orthonormal_and_reconstruct():
     rng = np.random.default_rng(55)
     for _ in range(10):

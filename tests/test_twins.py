@@ -153,7 +153,8 @@ def oracle_spaces(rng):
 
 
 def test_oracle_rows_hold_the_trivial_pair_first_by_construction():
-    trivial = twins._TRIVIAL_DIRECTION / np.sqrt(2)
+    # bit for bit the closed forms' first row, (1/2, 0, 0, 0 | 1/2, 0, 0, 0)
+    trivial = analytic_vertex_twins(0).rows[0]
     dimensions = set()
     for space in oracle_spaces(np.random.default_rng(59)):
         rows = space.rows
