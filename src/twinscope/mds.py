@@ -123,12 +123,18 @@ class MdsClass(NamedTuple):
 
 
 class CanonicalForm(NamedTuple):
-    """Local unitaries carrying a state onto its diagonal-correlation form."""
+    """Local unitaries carrying a state onto its diagonal-correlation form.
+
+    o1 and o2 are their Pauli adjoints, pauli_adjoint(u1) and pauli_adjoint(u2),
+    formed once with the frame: every pull-back through it reads them.
+    """
 
     u1: np.ndarray
     u2: np.ndarray
     t: np.ndarray
     residual: float
+    o1: np.ndarray
+    o2: np.ndarray
 
 
 def _bell_index(k: int) -> int:
@@ -381,18 +387,23 @@ def is_mds(rho: np.ndarray) -> bool:
     return _is_mds(pauli_coordinates(validate_density_matrix(rho)))
 
 
-def _disorder(R: np.ndarray) -> tuple[float, float]:
+def _disorder(r: list[list[float]]) -> tuple[float, float]:
     """Operator norms of rho_1 - I/2 = (2 R_00 - 1/2) I + 2 R[1:, 0].sigma and of rho_2 - I/2.
 
     ||a I + b.sigma|| = |a| + |b|: no local unitary changes it, and it bounds every entry.
+    r is R.tolist(), read on Python floats (an array R gives the same numbers).
     """
-    a = abs(2 * R[0, 0] - 0.5)
-    return float(a + 2 * np.linalg.norm(R[1:, 0])), float(a + 2 * np.linalg.norm(R[0, 1:]))
+    (r00, r01, r02, r03), (r10, _, _, _), (r20, _, _, _), (r30, _, _, _) = r
+    a = abs(2 * r00 - 0.5)
+    return (
+        a + 2 * math.sqrt(r10 * r10 + r20 * r20 + r30 * r30),
+        a + 2 * math.sqrt(r01 * r01 + r02 * r02 + r03 * r03),
+    )
 
 
 def _is_mds(R: np.ndarray) -> bool:
     """is_mds on the Pauli coordinates R of a density matrix validate_density_matrix returned."""
-    return max(_disorder(R)) <= STATE_VALIDATION_TOL
+    return max(_disorder(R.tolist())) <= STATE_VALIDATION_TOL
 
 
 def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
@@ -435,14 +446,17 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     return _canonicalize(pauli_coordinates(validate_density_matrix(rho)))
 
 
-def _residual_bound(R: np.ndarray) -> float:
+def _residual_bound(r: list[list[float]]) -> float:
     """DEFAULT_TOL + ||L||_HS: the canonicalization residual bound of a state with coordinates R.
 
     L = (2 R_00 - 1/2) I x I + sum_k (R_k0 sigma_k x I + R_0k I x sigma_k), and
     each sigma_i x sigma_j has norm 2; for exactly disordered subsystems L = 0.
+    r is R.tolist(), as _disorder reads it.
     """
-    local = np.concatenate(([2 * R[0, 0] - 0.5], R[1:, 0], R[0, 1:]))
-    return DEFAULT_TOL + 2 * float(np.linalg.norm(local))
+    (r00, r01, r02, r03), (r10, _, _, _), (r20, _, _, _), (r30, _, _, _) = r
+    a = 2 * r00 - 0.5
+    local = a * a + r10 * r10 + r20 * r20 + r30 * r30 + r01 * r01 + r02 * r02 + r03 * r03
+    return DEFAULT_TOL + 2 * math.sqrt(local)
 
 
 def _canonicalize(R: np.ndarray) -> CanonicalForm:
@@ -458,20 +472,24 @@ def _canonicalize(R: np.ndarray) -> CanonicalForm:
 
 def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
     """_canonicalize's form and residual bound, without testing one against the other."""
-    if not _is_mds(R):
+    r = R.tolist()
+    disorder = _disorder(r)
+    if not max(disorder) <= STATE_VALIDATION_TOL:
         raise ValueError(
             "canonicalize expects maximally disordered subsystems; reduced states deviate "
-            "from I/2 by {:.3e} and {:.3e} in operator norm".format(*_disorder(R))
+            "from I/2 by {:.3e} and {:.3e} in operator norm".format(*disorder)
         )
     # R_00 = Tr(rho)/4: t is read from rho / Tr(rho), so a trace off 1 cannot push a |t_i| past 1
-    a, s, bt = np.linalg.svd(R[1:, 1:] / R[0, 0])
-    da, db = np.linalg.det(np.stack([a, bt])).tolist()
+    a, s, bt = np.linalg.svd(R[1:, 1:] / r[0][0])
+    # each factor is orthogonal, so its determinant is +-1 and the sign is never in doubt
+    da, db = _det3(a.tolist()), _det3(bt.tolist())
     if da < 0:
         a[:, 2] = -a[:, 2]
     if db < 0:
         bt[2] = -bt[2]
     t = s.copy()
-    t[2] *= np.sign(da) * np.sign(db)
+    if (da < 0) != (db < 0):
+        t[2] = -t[2]
     u1 = _su2_from_rotation(a.T)
     u2 = _su2_from_rotation(bt)
     o1, o2 = pauli_adjoint(u1), pauli_adjoint(u2)
@@ -481,7 +499,14 @@ def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
     # ||(u1 x u2) rho (u1 x u2)^dag - T(t)||_HS is 2 ||O1 R O2^T - diag(1, t)/4||_F
     moved = o1 @ R @ o2.T
     residual = 2 * np.linalg.norm(moved - np.diag(np.concatenate(([1.0], t))) / 4)
-    return CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual)), _residual_bound(R)
+    cf = CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual), o1=o1, o2=o2)
+    return cf, _residual_bound(r)
+
+
+def _det3(m: list[list[float]]) -> float:
+    """The determinant of a 3x3 matrix given as rows of Python floats: the triple product."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = m
+    return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
 def random_interior_t(

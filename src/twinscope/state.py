@@ -9,7 +9,10 @@ computed on first read and kept, so each is computed at most once per
 input and its first read is the time that stage costs.
 The canonical form, the oracle twin spaces and the seeded local move read
 the Pauli coordinates R (`coords`), so `rho` is converted once and read
-again only by the checks that need the matrix itself.
+again only by the checks that need the matrix itself. A local frame acts on
+R as one pair of real 4x4 rotations, its Pauli adjoints: the canonical form
+carries (o1, o2) and the move its pair, each formed once per unitary, and
+every pull-back reads them.
 """
 
 from __future__ import annotations
@@ -47,10 +50,11 @@ class State:
     no test again. A t is_state rejects raises the failed test's reading.
     `coords` are its Pauli coordinates and `canonical` its canonical form.
     `frame` is the canonical form (u1 x u2) rho (u1 x u2)^dag = T(frame.t):
-    the identity frame for a t, else `canonical`, or None when the
-    subsystems are not maximally disordered. `cls` classifies frame.t,
-    `space` is the oracle twin space of rho and `analytic` the closed-form
-    one, pulled back onto rho. `moved` is a seeded local move of R, and
+    the identity frame for a t (its adjoints np.eye(4), pauli_adjoint(I) bit
+    for bit), else `canonical`, or None when the subsystems are not maximally
+    disordered. `cls` classifies frame.t, `space` is the oracle twin space of
+    rho and `analytic` the closed-form one, pulled back onto rho through
+    (frame.o1, frame.o2). `moved` is a seeded local move of R, and
     `moved_space` the oracle twin space of the moved state.
     """
 
@@ -99,8 +103,8 @@ class State:
     @cached_property
     def frame(self) -> CanonicalForm | None:
         if self.t is not None:
-            eye = np.eye(2, dtype=complex)
-            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0)
+            eye, adjoint = np.eye(2, dtype=complex), np.eye(4)
+            return CanonicalForm(u1=eye, u2=eye, t=self.t, residual=0.0, o1=adjoint, o2=adjoint)
         return self.canonical if _is_mds(self.coords) else None
 
     @cached_property
@@ -115,19 +119,20 @@ class State:
     def analytic(self) -> TwinSpace | None:
         """analytic_twins(cls) pulled back onto rho; None off the vertex and edge strata."""
         closed = None if self.cls is None else analytic_twins(self.cls)
-        return None if closed is None else pull_back(closed, self.frame.u1, self.frame.u2)
+        return None if closed is None else pull_back(closed, self.frame.o1, self.frame.o2)
 
     @cached_property
     def moved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Seeded local unitaries (v1, v2) and the Pauli coordinates of (v1 x v2) rho (v1 x v2)^dag.
+        """A seeded local move by (v1, v2): (O(v1), O(v2)) and the moved Pauli coordinates.
 
-        O(v1) R O(v2)^T with O = pauli_adjoint, validated no further. Drawn once from
-        rng() and shared by canonical-form-roundtrip and local-unitary-covariance.
+        O = pauli_adjoint of the unitaries v1, v2, drawn once from rng(); the coordinates
+        of (v1 x v2) rho (v1 x v2)^dag are O(v1) R O(v2)^T, validated no further.
+        Shared by canonical-form-roundtrip and local-unitary-covariance.
         """
         rng = self.rng()
-        v1 = random_unitary(rng)
-        v2 = random_unitary(rng)
-        return v1, v2, pauli_adjoint(v1) @ self.coords @ pauli_adjoint(v2).T
+        o1 = pauli_adjoint(random_unitary(rng))
+        o2 = pauli_adjoint(random_unitary(rng))
+        return o1, o2, o1 @ self.coords @ o2.T
 
     @cached_property
     def moved_space(self) -> TwinSpace:

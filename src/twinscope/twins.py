@@ -42,7 +42,6 @@ from .linalg import (
     STATE_VALIDATION_TOL,
     from_pauli,
     leading_phases,
-    pauli_adjoint,
     pauli_coordinates,
     real_nullspace,
     require_hermitian,
@@ -130,20 +129,24 @@ def pair_from_parameters(x: np.ndarray) -> ObservablePair:
     return ObservablePair(a1=from_pauli(x[:4]), a2=from_pauli(x[4:]))
 
 
-def pull_back(space: TwinSpace, u1: np.ndarray, u2: np.ndarray) -> TwinSpace:
+def pull_back(space: TwinSpace, o1: np.ndarray, o2: np.ndarray) -> TwinSpace:
     """Carry a twin space of (u1 x u2) rho (u1 x u2)^dag back onto rho.
 
-    Each pair goes to (u1^dag a1 u1, u2^dag a2 u2): one adjoint matrix per row block.
+    o1, o2 are the frame's Pauli adjoints, pauli_adjoint(u1) and pauli_adjoint(u2),
+    as the frame carries them. Each pair goes to (u1^dag a1 u1, u2^dag a2 u2): one
+    adjoint matrix per row block.
     """
     blocks = space.rows.reshape(-1, 2, 4)
-    rows = np.hstack([blocks[:, 0] @ pauli_adjoint(u1), blocks[:, 1] @ pauli_adjoint(u2)])
+    rows = np.hstack([blocks[:, 0] @ o1, blocks[:, 1] @ o2])
     return TwinSpace(rows=rows, singular_value_gap=space.singular_value_gap)
 
 
 def _off_span(x: np.ndarray, space: TwinSpace) -> np.ndarray:
     """Distance of each 8-vector in x (rows), normalized, from the span of a twin space."""
-    x = x / np.linalg.norm(x, axis=-1, keepdims=True)
-    return np.linalg.norm(x - 2 * (x @ space.rows.T) @ space.rows, axis=-1)
+    # np.linalg.norm's own reduction on real rows, without its wrapper
+    x = x / np.sqrt((x * x).sum(axis=-1, keepdims=True))
+    off = x - 2 * (x @ space.rows.T) @ space.rows
+    return np.sqrt((off * off).sum(axis=-1))
 
 
 def subspace_residual(a: TwinSpace, b: TwinSpace) -> float:
@@ -186,7 +189,8 @@ def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarra
 
 def _twin_residuals(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
     """twin_residuals of pair rows (n, 8): the column norms of twin_condition_matrix(R) @ rows^T."""
-    return np.linalg.norm(twin_condition_matrix(R) @ rows.T, axis=0)
+    images = twin_condition_matrix(R) @ rows.T
+    return np.sqrt((images * images).sum(axis=0))
 
 
 def is_twin_pair(

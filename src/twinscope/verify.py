@@ -9,6 +9,9 @@ full invariant catalogue of the classification and twin modules.
 A check reads one `state.State`, which resolves and validates the input:
 this module computes no part of the state itself. Moved states and Bell components
 are rotations of its Pauli coordinates R; only pure-state-commutant reads rho.
+Each rotation is a frame's pair of Pauli adjoints, formed once per unitary where
+the frame is made (the canonical form's o1 and o2, the seeded move's pair): the
+checks read them and form none.
 """
 
 from __future__ import annotations
@@ -59,9 +62,16 @@ class CheckResult(NamedTuple):
 
 
 def make_context(rho: np.ndarray, cf: CanonicalForm | None, tol: float, seed: int) -> State:
-    """The state of a density matrix rho, framed here: `cf` when given, else its canonical form."""
+    """The state of a density matrix rho, framed here: `cf` when given, else its canonical form.
+
+    A given cf's o1 and o2 are formed again from its u1 and u2, so every pull-back
+    through the frame is the one its unitaries make.
+    """
     state = State(tol, seed, matrix=rho)
-    state.frame = state.canonical if cf is None else cf
+    if cf is None:
+        state.frame = state.canonical
+    else:
+        state.frame = cf._replace(o1=pauli_adjoint(cf.u1), o2=pauli_adjoint(cf.u2))
     return state
 
 
@@ -157,7 +167,7 @@ def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
     w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > ctx.tol]
     # the Bell components of T(frame.t), pulled back onto rho: O1^T C_k O2 in Pauli coordinates
-    components = pauli_adjoint(ctx.frame.u1).T @ _BELL_COORDS[support] @ pauli_adjoint(ctx.frame.u2)
+    components = ctx.frame.o1.T @ _BELL_COORDS[support] @ ctx.frame.o2
     via_mixture = ctx.space
     via_intersection = _simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
@@ -171,7 +181,7 @@ def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
 
 
 def _check_local_unitary_covariance(ctx: State) -> CheckResult:
-    v1, v2, moved_coords = ctx.moved
+    o1, o2, moved_coords = ctx.moved
     space = ctx.space
     moved_space = ctx.moved_space
     if moved_space.dimension != space.dimension:
@@ -180,7 +190,8 @@ def _check_local_unitary_covariance(ctx: State) -> CheckResult:
             False,
             f"dimension changed {space.dimension} -> {moved_space.dimension}",
         )
-    moved = pull_back(space, v1.conj().T, v2.conj().T)
+    # the move's inverse: O(v^dag) = O(v)^T
+    moved = pull_back(space, o1.T, o2.T)
     worst_res = float(_twin_residuals(moved.rows, moved_coords).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL

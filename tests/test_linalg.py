@@ -360,6 +360,21 @@ def test_twin_oracle_solves_in_one_place():
     assert "_SVD_ERROR" not in names and "_space_from_nullspace" not in functions
 
 
+def test_pauli_adjoint_is_formed_where_a_frame_is_made():
+    # a frame carries its adjoints: the canonical form's two lifts and the seeded move's two
+    # draws form them, and make_context those of a frame its caller gives
+    callers = []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert calls(tree).count("linalg.pauli_adjoint") == 0, path.name
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                callers += [(path.stem, node.name)] * calls(node).count("pauli_adjoint")
+        assert calls(tree).count("pauli_adjoint") == sum(c[0] == path.stem for c in callers)
+    expected = [("mds", "_canonical_form"), ("state", "moved"), ("verify", "make_context")]
+    assert sorted(callers) == sorted(expected * 2)
+
+
 def test_every_import_is_read():
     # no linter is installed: a name an import binds must be read in its module
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
@@ -639,3 +654,4 @@ def test_partial_trace_tensor_consistency(seed):
     a = random_hermitian(rng)
     b = random_hermitian(rng)
     assert np.abs(partial_trace(tensor(a, b), 1) - a * np.trace(b)).max() < 1e-12
+

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import local_move
-from twinscope import linalg, mds, schmidt, twins, verify
+from twinscope import linalg, mds, schmidt, state, twins, verify
 from twinscope.linalg import (
     PAULI,
     hs_norm,
@@ -851,3 +851,109 @@ def test_canonicalize_guards_each_lift_on_the_adjoint_it_reads(monkeypatch):
     monkeypatch.setattr(mds, "_su2_from_rotation", lambda r: lift(r).conj().T)
     with pytest.raises(mds.InternalConsistencyError, match=r"SU\(2\) lift does not reproduce"):
         canonicalize(rho)
+
+
+def test_canonical_form_carries_its_pauli_adjoints():
+    rng = np.random.default_rng(1980)
+    vectors = [bell_t_vector(k) for k in range(4)]
+    vectors += [random_edge_t(rng, k % 3 + 1, "AB"[k % 2]) for k in range(6)]
+    vectors += [random_interior_t(rng) for _ in range(10)]
+    for t in vectors:
+        cf = canonicalize(local_move(build_T(t), random_unitary(rng), random_unitary(rng)))
+        assert cf.o1.tobytes() == linalg.pauli_adjoint(cf.u1).tobytes()
+        assert cf.o2.tobytes() == linalg.pauli_adjoint(cf.u2).tobytes()
+        # a t-vector keeps the identity frame, whose adjoints are pauli_adjoint(I) bit for bit
+        frame = state.State(mds.DEFAULT_TOL, 0, t=t).frame
+        identity = linalg.pauli_adjoint(frame.u1).tobytes()
+        assert frame.o1.tobytes() == frame.o2.tobytes() == identity == np.eye(4).tobytes()
+
+
+def _disorder_by_norms(R):
+    """The array formula _disorder replaced, kept as its reference."""
+    a = abs(2 * R[0, 0] - 0.5)
+    return float(a + 2 * np.linalg.norm(R[1:, 0])), float(a + 2 * np.linalg.norm(R[0, 1:]))
+
+
+def _residual_bound_by_norm(R):
+    """The array formula _residual_bound replaced, kept as its reference."""
+    local = np.concatenate(([2 * R[0, 0] - 0.5], R[1:, 0], R[0, 1:]))
+    return mds.DEFAULT_TOL + 2 * float(np.linalg.norm(local))
+
+
+def test_float_disorder_and_bound_match_the_norm_formulas():
+    rng = np.random.default_rng(1981)
+    coords = []
+    for _ in range(200):
+        psi = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        rho = psi @ psi.conj().T
+        coords.append(pauli_coordinates(rho / np.trace(rho).real))
+    # near the 1e-8 gate: Bell-diagonal coordinates with local parts of norm 0.8e-8 to 1.2e-8
+    for _ in range(200):
+        R = pauli_coordinates(build_T(random_interior_t(rng)))
+        local = rng.standard_normal((2, 3))
+        local *= rng.uniform(0.4e-8, 0.6e-8, (2, 1)) / np.linalg.norm(local, axis=1, keepdims=True)
+        R[1:, 0], R[0, 1:] = local
+        R[0, 0] += rng.uniform(-1e-10, 1e-10)
+        coords.append(R)
+    decisions = set()
+    for R in coords:
+        r = R.tolist()
+        for got, expected in zip(mds._disorder(r), _disorder_by_norms(R)):
+            assert abs(got - expected) <= 4 * np.spacing(expected)
+        expected = _residual_bound_by_norm(R)
+        assert abs(mds._residual_bound(r) - expected) <= 4 * np.spacing(expected)
+        decisions.add(mds._is_mds(R))
+        assert mds._is_mds(R) == (max(_disorder_by_norms(R)) <= mds.STATE_VALIDATION_TOL)
+    assert decisions == {True, False}
+
+
+def _canonical_by_determinants(R):
+    """(t, u1, u2) with the factors' signs read off np.linalg.det, as before the triple product."""
+    a, s, bt = np.linalg.svd(R[1:, 1:] / R[0, 0])
+    da, db = np.linalg.det(np.stack([a, bt])).tolist()
+    if da < 0:
+        a[:, 2] = -a[:, 2]
+    if db < 0:
+        bt[2] = -bt[2]
+    t = s.copy()
+    t[2] *= np.sign(da) * np.sign(db)
+    return t, mds._su2_from_rotation(a.T), mds._su2_from_rotation(bt)
+
+
+_SVD = np.linalg.svd
+
+
+def _svd_reflected(m):
+    """np.linalg.svd(m) with the last left and right singular vectors negated: the same product."""
+    a, s, bt = _SVD(m)
+    return a * [1, 1, -1], s, bt * [[1], [1], [-1]]
+
+
+def test_triple_product_sign_is_the_determinant_sign(monkeypatch):
+    rng = np.random.default_rng(1982)
+    for _ in range(100):
+        a, _, bt = np.linalg.svd(rng.standard_normal((3, 3)))
+        # each factor and its reflection: the last column, or the last row, negated
+        for f in (a, a * [1, 1, -1], bt, bt * [[1], [1], [-1]]):
+            d = mds._det3(f.tolist())
+            assert np.sign(d) == np.sign(np.linalg.det(f))
+            assert abs(abs(d) - 1) <= 1e-12
+    seen = []
+    det3 = mds._det3
+    monkeypatch.setattr(mds, "_det3", lambda m: seen.append(np.sign(det3(m))) or det3(m))
+    for _ in range(40):
+        t = random_interior_t(rng)
+        R = pauli_coordinates(local_move(build_T(t), random_unitary(rng), random_unitary(rng)))
+        forms = []
+        for svd in (_SVD, _svd_reflected):
+            with mock.patch.object(np.linalg, "svd", svd):
+                cf = mds._canonicalize(R)
+                ref_t, ref_u1, ref_u2 = _canonical_by_determinants(R)
+            assert cf.t.tobytes() == ref_t.tobytes()
+            assert cf.u1.tobytes() == ref_u1.tobytes() and cf.u2.tobytes() == ref_u2.tobytes()
+            forms.append(b"".join(x.tobytes() for x in (cf.t, cf.u1, cf.u2)))
+        # the flips undo the reflection: the same canonical form either way
+        assert forms[0] == forms[1]
+    # both reflection branches ran, each alone: da < 0 with db > 0, and db < 0 with da > 0
+    signs = set(zip(seen[::2], seen[1::2]))
+    assert {(-1.0, 1.0), (1.0, -1.0)} <= signs

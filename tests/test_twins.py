@@ -570,7 +570,7 @@ def test_projections_match_qr_reference():
         analytic = analytic_twins(cls)
         if analytic is not None:
             assert_rows_at_pair_scale(analytic)
-            compared.append(pull_back(analytic, u1.conj().T, u2.conj().T))
+            compared.append(pull_back(analytic, linalg.pauli_adjoint(u1).T, linalg.pauli_adjoint(u2).T))
         stray = pair_from_parameters(rng.standard_normal(8))
         assert_rows_at_pair_scale(oracle)
         for other in compared:

@@ -5,6 +5,7 @@ from conftest import local_move
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
 from twinscope.linalg import random_unitary, tensor
 from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
+from twinscope.report import format_complex
 
 
 def test_oracle_twin_space_computed_once(monkeypatch):
@@ -68,11 +69,12 @@ def test_shared_frame_drawn_once(monkeypatch):
     rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
     ctx = verify.make_context(rho, None, DEFAULT_TOL, 5)
     assert all(r.passed for r in verify.run_verification(ctx))
-    # canonical-form-roundtrip and local-unitary-covariance share (v1, v2)
+    # canonical-form-roundtrip and local-unitary-covariance share (v1, v2), held as their adjoints
     assert len(calls) == 2
-    v1, v2, moved = ctx.moved
+    o1, o2, moved = ctx.moved
     fresh = ctx.rng()
-    assert np.array_equal(v1, draw(fresh)) and np.array_equal(v2, draw(fresh))
+    v1, v2 = draw(fresh), draw(fresh)
+    assert np.array_equal(o1, linalg.pauli_adjoint(v1)) and np.array_equal(o2, linalg.pauli_adjoint(v2))
     assert np.abs(moved - linalg.pauli_coordinates(local_move(ctx.rho, v1, v2))).max() <= 1e-15
 
 
@@ -111,6 +113,16 @@ def _scrambled_edge(seed):
     rng = np.random.default_rng(seed)
     return local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
 
+
+
+def test_a_given_frame_pulls_back_through_its_unitaries():
+    # make_context forms a caller's frame's adjoints from its u1 and u2, whatever it carries
+    rho = _scrambled_edge(17)
+    cf = mds.canonicalize(rho)
+    ctx = verify.make_context(rho, cf._replace(o1=np.eye(4), o2=np.eye(4)), DEFAULT_TOL, 0)
+    assert ctx.frame.u1 is cf.u1 and ctx.frame.t is cf.t
+    assert np.array_equal(ctx.frame.o1, cf.o1) and np.array_equal(ctx.frame.o2, cf.o2)
+    assert all(r.passed for r in verify.run_verification(ctx))
 
 def test_pauli_coordinates_once_per_verification(monkeypatch):
     calls = []
@@ -171,7 +183,10 @@ def test_r_route_matches_the_complex_route(monkeypatch):
         for calls in seen.values():
             calls.clear()
         assert all(r.passed for r in verify.run_verification(ctx))
-        v1, v2, moved = ctx.moved
+        o1, o2, moved = ctx.moved
+        draws = ctx.rng()
+        v1, v2 = random_unitary(draws), random_unitary(draws)
+        assert np.array_equal(o1, linalg.pauli_adjoint(v1)) and np.array_equal(o2, linalg.pauli_adjoint(v2))
         moved_rho = mds.validate_density_matrix(local_move(ctx.rho, v1, v2))
         # the moved canonical residual
         ((_, (cf, _)),) = seen["_canonical_form"]
@@ -217,7 +232,7 @@ def _failed_checks(out):
 
 def _moved_off_stratum(ctx):
     """Fault: the seeded move lands on an edge instead of a local image of the input."""
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(4)
     return eye, eye, linalg.pauli_coordinates(build_T(np.array([0.4, -0.4, 1.0])))
 
 
@@ -368,3 +383,29 @@ def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, chec
     assert err == ""
     assert _failed_checks(out) == failed
     assert f"failed: {len(failed)}\n" in out
+
+
+@pytest.mark.parametrize(
+    "t", ["1,-1,1", "0.4,-0.4,1", "0.2,0.1,-0.05"], ids=["vertex", "edge", "interior"]
+)
+def test_pauli_adjoint_formed_once_per_unitary(monkeypatch, capsys, tmp_path, t):
+    # a matrix input forms its frame's (u1, u2), the move's (v1, v2) and the moved frame's
+    # adjoints once each; a --t input has the identity frame, whose adjoints are np.eye(4)
+    calls = []
+    adjoint = linalg.pauli_adjoint
+    for module in (mds, state, verify):
+        monkeypatch.setattr(module, "pauli_adjoint", lambda u: calls.append(u) or adjoint(u))
+    rng = np.random.default_rng(31)
+    t_vector = np.array([float(v) for v in t.split(",")])
+    rho = local_move(build_T(t_vector), random_unitary(rng), random_unitary(rng))
+    path = tmp_path / "scrambled.txt"
+    rows = [" ".join(format_complex(z) for z in row) for row in rho]
+    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    counts = []
+    for spec in (["--input", str(path)], [f"--t={t}"]):
+        calls.clear()
+        assert cli.run(["verify", *spec]) == 0
+        counts.append(len(calls))
+    capsys.readouterr()
+    assert counts == [6, 4]
+
