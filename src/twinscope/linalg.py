@@ -363,9 +363,9 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     return NullspaceResult(basis=vt[rank:].copy(), singular_values=s_full, rank=rank, gap=gap)
 
 
-def random_unitary(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Haar-random unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary via QR of a complex Ginibre matrix."""
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))

@@ -126,7 +126,9 @@ class CanonicalForm(NamedTuple):
     """Local unitaries carrying a state onto its diagonal-correlation form.
 
     o1 and o2 are their Pauli adjoints, pauli_adjoint(u1) and pauli_adjoint(u2),
-    formed once with the frame: every pull-back through it reads them.
+    formed once with the frame: every pull-back through it reads them. Only
+    _canonical_form and State.frame make one, and no library function takes
+    one, so (o1, o2) are the adjoints of (u1, u2) by construction.
     """
 
     u1: np.ndarray
@@ -509,43 +511,28 @@ def _det3(m: list[list[float]]) -> float:
     return a0 * (b1 * c2 - b2 * c1) - a1 * (b0 * c2 - b2 * c0) + a2 * (b0 * c1 - b1 * c0)
 
 
-def random_interior_t(
-    rng: np.random.Generator, min_weight: float = 0.01
-) -> np.ndarray:
-    """t-vector with all four Bell weights >= min_weight (rejection sampling).
-
-    Four weights summing to 1 have a smallest one of at most 1/4, reached
-    only when all are equal, so a min_weight of 1/4 or more raises instead
-    of sampling forever.
-    """
-    if not min_weight < 0.25:  # a nan bound is rejected too
-        raise ValueError(
-            f"min_weight must be below 1/4, the largest possible smallest weight, got {min_weight}"
-        )
+def random_interior_t(rng: np.random.Generator) -> np.ndarray:
+    """t-vector with all four Bell weights >= 0.01 (rejection sampling of Dirichlet weights)."""
     while True:
         w = rng.dirichlet(np.ones(4))
-        if w.min() >= min_weight:
+        if w.min() >= 0.01:
             return t_from_weights(w)
 
 
 def random_edge_t(
-    rng: np.random.Generator,
-    axis: int,
-    case: str,
-    parameter: float | None = None,
-    margin: float = 0.05,
+    rng: np.random.Generator, axis: int, case: str, parameter: float | None = None
 ) -> np.ndarray:
     """Open-edge t-vector on the given axis and case.
 
-    The free parameter is sampled in (-1 + margin, 1 - margin) when not
-    given. Case A fixes t_axis = +1 with the two free coordinates opposite;
-    case B fixes t_axis = -1 with them equal.
+    The free parameter is sampled uniformly in (-0.95, 0.95) when not given.
+    Case A fixes t_axis = +1 with the two free coordinates opposite; case B
+    fixes t_axis = -1 with them equal.
     """
     if axis not in (1, 2, 3):
         raise ValueError(f"edge axis must be 1..3, got {axis}")
     if case not in ("A", "B"):
         raise ValueError(f"edge case must be 'A' or 'B', got {case!r}")
-    u = parameter if parameter is not None else rng.uniform(-1 + margin, 1 - margin)
+    u = parameter if parameter is not None else rng.uniform(-0.95, 0.95)
     if not -1 < u < 1:
         raise ValueError(f"edge parameter must be in (-1, 1), got {u}")
     j, m = _CYCLIC[axis]

@@ -6,7 +6,8 @@ first. Every part the commands and the verify checks read (the validated
 matrix, its Pauli coordinates, its canonical form, the stratum, the oracle
 and closed-form twin spaces, and the seeded local move) is a property
 computed on first read and kept, so each is computed at most once per
-input and its first read is the time that stage costs.
+input and its first read is the time that stage costs. The state computes
+every part itself, its frame included: no caller writes one.
 The canonical form, the oracle twin spaces and the seeded local move read
 the Pauli coordinates R (`coords`), so `rho` is converted once and read
 again only by the checks that need the matrix itself. A local frame acts on

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, partial_trace, pauli_adjoint
+from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, partial_trace
 from .linalg import random_hermitian, to_pauli
 from .mds import (
     BELL_VERTEX,
@@ -29,7 +29,6 @@ from .mds import (
     NON_STATE,
     _BELL_COORDS,
     _BELL_PROJECTORS,
-    CanonicalForm,
     _canonical_form,
     bell_t_vector,
     build_T,
@@ -61,18 +60,15 @@ class CheckResult(NamedTuple):
     detail: str
 
 
-def make_context(rho: np.ndarray, cf: CanonicalForm | None, tol: float, seed: int) -> State:
-    """The state of a density matrix rho, framed here: `cf` when given, else its canonical form.
+def make_context(rho: np.ndarray, cf: None, tol: float, seed: int) -> State:
+    """State(tol, seed, matrix=rho), which frames itself as every CLI input does.
 
-    A given cf's o1 and o2 are formed again from its u1 and u2, so every pull-back
-    through the frame is the one its unitaries make.
+    `cf` is the benchmark's four-argument slot and must be None: a caller
+    gives no frame, so any other value raises TypeError.
     """
-    state = State(tol, seed, matrix=rho)
-    if cf is None:
-        state.frame = state.canonical
-    else:
-        state.frame = cf._replace(o1=pauli_adjoint(cf.u1), o2=pauli_adjoint(cf.u2))
-    return state
+    if cf is not None:
+        raise TypeError(f"make_context takes no frame: cf must be None, got {type(cf).__name__}")
+    return State(tol, seed, matrix=rho)
 
 
 def _check_weights_roundtrip(ctx: State) -> CheckResult:

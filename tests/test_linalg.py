@@ -362,7 +362,7 @@ def test_twin_oracle_solves_in_one_place():
 
 def test_pauli_adjoint_is_formed_where_a_frame_is_made():
     # a frame carries its adjoints: the canonical form's two lifts and the seeded move's two
-    # draws form them, and make_context those of a frame its caller gives
+    # draws form them, and no library function takes a frame from its caller
     callers = []
     for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -371,7 +371,7 @@ def test_pauli_adjoint_is_formed_where_a_frame_is_made():
             if isinstance(node, ast.FunctionDef):
                 callers += [(path.stem, node.name)] * calls(node).count("pauli_adjoint")
         assert calls(tree).count("pauli_adjoint") == sum(c[0] == path.stem for c in callers)
-    expected = [("mds", "_canonical_form"), ("state", "moved"), ("verify", "make_context")]
+    expected = [("mds", "_canonical_form"), ("state", "moved")]
     assert sorted(callers) == sorted(expected * 2)
 
 
@@ -642,9 +642,8 @@ def test_non_finite_entries_raise_without_a_warning():
 
 def test_random_unitary_is_unitary():
     rng = np.random.default_rng(31)
-    for dim in (2, 4):
-        u = random_unitary(rng, dim)
-        assert np.abs(u @ u.conj().T - np.eye(dim)).max() < 1e-12
+    u = random_unitary(rng)
+    assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
 
 
 @settings(max_examples=50, deadline=None)

@@ -264,13 +264,6 @@ def test_sign_table_maps_reject_a_wrong_shape(fn, arg, message):
     assert str(info.value) == message
 
 
-@pytest.mark.parametrize("bound", [0.25, 0.3, float("nan")])
-def test_interior_sampler_rejects_a_bound_no_draw_can_meet(bound):
-    # four weights summing to 1 never all exceed 1/4: the rejection loop would never end
-    with pytest.raises(ValueError, match="min_weight must be below 1/4"):
-        random_interior_t(np.random.default_rng(0), bound)
-
-
 def test_edge_consistency_relations():
     rng = np.random.default_rng(6)
     for axis in (1, 2, 3):

@@ -51,3 +51,13 @@ def test_no_tolerance_literal_outside_the_table():
 )
 def test_single_value_tolerances_are_constants(fn):
     assert "tol" not in inspect.signature(fn).parameters
+
+
+@pytest.mark.parametrize(
+    "fn, option",
+    [(mds.random_interior_t, "min_weight"), (mds.random_edge_t, "margin"), (linalg.random_unitary, "dim")],
+    ids=["random_interior_t", "random_edge_t", "random_unitary"],
+)
+def test_single_value_sampler_options_are_constants(fn, option):
+    # every caller draws with the one value, so 0.01, 0.05 and 2 are written in the body
+    assert option not in inspect.signature(fn).parameters

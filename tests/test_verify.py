@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,12 +23,12 @@ def test_oracle_twin_space_computed_once(monkeypatch):
         return oracle(state, tol)
 
     monkeypatch.setattr(state, "_twin_space", counted)
-    ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
+    ctx = state.State(DEFAULT_TOL, 0, matrix=rho)
     results = verify.run_verification(ctx)
     assert ctx.cls.kind == BELL_VERTEX
     assert all(r.passed for r in results)
-    # rho's Pauli coordinates once in make_context, and the locally moved R once in
-    # the local-unitary-covariance check
+    # rho's Pauli coordinates once, for the state's own space, and the locally moved R
+    # once in the local-unitary-covariance check
     assert len(calls) == 2
     assert np.array_equal(calls[0], linalg.pauli_coordinates(mds.validate_density_matrix(rho)))
     assert calls[1] is ctx.moved[2]
@@ -34,7 +37,7 @@ def test_oracle_twin_space_computed_once(monkeypatch):
 @pytest.mark.parametrize(
     "t, validations",
     [
-        # rho once, in make_context: the moved state and the Bell components of the
+        # rho once, on the state's first read: the moved state and the Bell components of the
         # mixture-intersection check are rotations of its Pauli coordinates. The case
         # ids keep the names they had when the count here was three per stratum.
         pytest.param(bell_t_vector(1), 1, id="t0-3"),
@@ -55,7 +58,7 @@ def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
             monkeypatch.setattr(module, "validate_density_matrix", counted)
     rng = np.random.default_rng(7)
     rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
-    ctx = verify.make_context(rho, None, DEFAULT_TOL, 0)
+    ctx = state.State(DEFAULT_TOL, 0, matrix=rho)
     results = verify.run_verification(ctx)
     assert all(r.passed for r in results)
     assert len(calls) == validations
@@ -67,7 +70,7 @@ def test_shared_frame_drawn_once(monkeypatch):
     monkeypatch.setattr(state, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
     rng = np.random.default_rng(11)
     rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
-    ctx = verify.make_context(rho, None, DEFAULT_TOL, 5)
+    ctx = state.State(DEFAULT_TOL, 5, matrix=rho)
     assert all(r.passed for r in verify.run_verification(ctx))
     # canonical-form-roundtrip and local-unitary-covariance share (v1, v2), held as their adjoints
     assert len(calls) == 2
@@ -114,15 +117,53 @@ def _scrambled_edge(seed):
     return local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
 
 
-
-def test_a_given_frame_pulls_back_through_its_unitaries():
-    # make_context forms a caller's frame's adjoints from its u1 and u2, whatever it carries
+def test_make_context_is_a_plain_state():
+    # cf is the benchmark's four-argument slot: no caller gives a frame
     rho = _scrambled_edge(17)
-    cf = mds.canonicalize(rho)
-    ctx = verify.make_context(rho, cf._replace(o1=np.eye(4), o2=np.eye(4)), DEFAULT_TOL, 0)
-    assert ctx.frame.u1 is cf.u1 and ctx.frame.t is cf.t
-    assert np.array_equal(ctx.frame.o1, cf.o1) and np.array_equal(ctx.frame.o2, cf.o2)
-    assert all(r.passed for r in verify.run_verification(ctx))
+    ctx = verify.make_context(rho, None, DEFAULT_TOL, 3)
+    assert type(ctx) is state.State and (ctx.tol, ctx.seed) == (DEFAULT_TOL, 3)
+    reference = mds.canonicalize(rho)
+    for name in reference._fields:
+        assert np.asarray(getattr(ctx.frame, name)).tobytes() == np.asarray(getattr(reference, name)).tobytes()
+    for cf in (reference, reference._replace(o1=np.eye(4), o2=np.eye(4)), 0, False):
+        with pytest.raises(TypeError, match="make_context takes no frame: cf must be None"):
+            verify.make_context(rho, cf, DEFAULT_TOL, 3)
+
+
+def test_verify_names_a_state_with_no_frame():
+    # a matrix whose subsystems are not maximally disordered has no frame: verify says so,
+    # with the message the CLI gives, not canonicalization's
+    ctx = verify.make_context(np.diag([0.7, 0.1, 0.1, 0.1]).astype(complex), None, DEFAULT_TOL, 0)
+    assert ctx.frame is None
+    with pytest.raises(ValueError, match="^verify expects a state with maximally disordered subsystems$"):
+        verify.run_verification(ctx)
+
+
+def _state_parts():
+    """The names a State defines: its methods and properties, and what __init__ binds."""
+    tree = ast.parse(Path(state.__file__).read_text(encoding="utf-8"))
+    (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "State"]
+    names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+    init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
+    return names | {n.attr for n in ast.walk(init) if isinstance(n, ast.Attribute)}
+
+
+def test_only_the_state_writes_its_parts():
+    # a State computes every part itself: no other module stores to or deletes one
+    parts = _state_parts()
+    assert {"frame", "canonical", "space", "moved", "tol", "matrix"} <= parts
+    writes = []
+    for path in sorted(Path(state.__file__).parent.glob("*.py")):
+        if path.name != "state.py":
+            writes += [
+                f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr in parts
+            ]
+    assert writes == []
+
 
 def test_pauli_coordinates_once_per_verification(monkeypatch):
     calls = []
@@ -134,9 +175,9 @@ def test_pauli_coordinates_once_per_verification(monkeypatch):
 
     for module in (mds, schmidt, state):
         monkeypatch.setattr(module, "pauli_coordinates", counted)
-    ctx = verify.make_context(_scrambled_edge(13), None, DEFAULT_TOL, 0)
+    ctx = state.State(DEFAULT_TOL, 0, matrix=_scrambled_edge(13))
     assert all(r.passed for r in verify.run_verification(ctx))
-    # the input once, in make_context; the moved state is a rotation of its R
+    # the input once, on the state's first read; the moved state is a rotation of its R
     assert len(calls) == 1
     assert calls[0] is ctx.rho
 
@@ -179,7 +220,7 @@ def test_r_route_matches_the_complex_route(monkeypatch):
     vectors += [mds.random_interior_t(rng) for _ in range(8)]
     for n, t in enumerate(vectors):
         rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
-        ctx = verify.make_context(rho, None, DEFAULT_TOL, n)
+        ctx = state.State(DEFAULT_TOL, n, matrix=rho)
         for calls in seen.values():
             calls.clear()
         assert all(r.passed for r in verify.run_verification(ctx))
@@ -208,7 +249,9 @@ def test_r_route_matches_the_complex_route(monkeypatch):
 
 
 def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
-    ctx = verify.make_context(_scrambled_edge(19), None, DEFAULT_TOL, 0)
+    ctx = state.State(DEFAULT_TOL, 0, matrix=_scrambled_edge(19))
+    # the state frames itself on first read: the patched bound must reach only the round trip
+    assert ctx.frame is ctx.canonical
     monkeypatch.setattr(mds, "_residual_bound", lambda R: 0.0)
     result = verify._check_canonical_form_roundtrip(ctx)
     assert result.name == "canonical-form-roundtrip" and not result.passed
@@ -393,7 +436,7 @@ def test_pauli_adjoint_formed_once_per_unitary(monkeypatch, capsys, tmp_path, t)
     # adjoints once each; a --t input has the identity frame, whose adjoints are np.eye(4)
     calls = []
     adjoint = linalg.pauli_adjoint
-    for module in (mds, state, verify):
+    for module in (mds, state):
         monkeypatch.setattr(module, "pauli_adjoint", lambda u: calls.append(u) or adjoint(u))
     rng = np.random.default_rng(31)
     t_vector = np.array([float(v) for v in t.split(",")])
