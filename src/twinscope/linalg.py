@@ -363,15 +363,37 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     return NullspaceResult(basis=vt[rank:].copy(), singular_values=s_full, rank=rank, gap=gap)
 
 
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR of a complex Ginibre matrix."""
-    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+def _ginibre(rng: np.random.Generator, dim: int, size: int | None) -> np.ndarray:
+    """n complex Ginibre dim x dim matrices (n = 1 when size is None) in one normal draw.
+
+    Member i's real parts, then its imaginary parts, come before member i + 1's:
+    the order of n separate draws.
+    """
+    x = rng.standard_normal((1 if size is None else size, 2, dim, dim))
+    return x[:, 0] + 1j * x[:, 1]
 
 
-def random_hermitian(rng: np.random.Generator, dim: int = 2) -> np.ndarray:
-    """Random Hermitian matrix with O(1) entries."""
-    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return (z + z.conj().T) / 2
+def random_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndarray:
+    """Haar-random 2x2 unitary: QR of a Ginibre matrix, column k times r_kk's phase (Mezzadri).
+
+    size follows NumPy: None gives one matrix, n an (n, 2, 2) stack with one stacked QR.
+    Member i is bitwise the i-th of n single draws (LAPACK factors each member as it
+    factors one matrix), and a single draw is the stack of one.
+    """
+    q, r = np.linalg.qr(_ginibre(rng, 2, size))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (d / np.abs(d))[:, None, :]
+    return u[0] if size is None else u
+
+
+def random_hermitian(
+    rng: np.random.Generator, dim: int = 2, size: int | None = None
+) -> np.ndarray:
+    """Random Hermitian (z + z^dag)/2 of a Ginibre z, with O(1) entries.
+
+    size follows NumPy as in random_unitary: n gives an (n, dim, dim) stack whose
+    member i is bitwise the i-th of n single draws; a single draw is the stack of one.
+    """
+    z = _ginibre(rng, dim, size)
+    h = (z + _dagger(z)) / 2
+    return h[0] if size is None else h

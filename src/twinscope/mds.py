@@ -429,7 +429,8 @@ def _su2_from_rotation(r: np.ndarray) -> np.ndarray:
     q = np.array(k[max(range(4), key=lambda a: k[a][a])])
     if q[0] < 0:
         q = -q
-    return from_pauli(q / np.linalg.norm(q) * _QUATERNION_TO_PAULI)
+    # np.linalg.norm's own 2-norm of a real vector, without its wrapper
+    return from_pauli(q / np.sqrt(q.dot(q)) * _QUATERNION_TO_PAULI)
 
 
 def canonicalize(rho: np.ndarray) -> CanonicalForm:
@@ -498,9 +499,12 @@ def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
     # guard against a convention mismatch: conjugation must reproduce each rotation
     if max(np.abs(o1[1:, 1:] - a.T).max(), np.abs(o2[1:, 1:] - bt).max()) > RESIDUAL_TOL:
         raise InternalConsistencyError("SU(2) lift does not reproduce the rotation")
-    # ||(u1 x u2) rho (u1 x u2)^dag - T(t)||_HS is 2 ||O1 R O2^T - diag(1, t)/4||_F
-    moved = o1 @ R @ o2.T
-    residual = 2 * np.linalg.norm(moved - np.diag(np.concatenate(([1.0], t))) / 4)
+    # ||(u1 x u2) rho (u1 x u2)^dag - T(t)||_HS is 2 ||O1 R O2^T - diag(1, t)/4||_F,
+    # taken as np.linalg.norm takes it, on the raveled difference, without its wrapper
+    off = (o1 @ R @ o2.T).ravel()
+    off[0] -= 0.25
+    off[5::5] -= t / 4  # entries (1, 1), (2, 2), (3, 3)
+    residual = 2 * np.sqrt(off.dot(off))
     cf = CanonicalForm(u1=u1, u2=u2, t=t, residual=float(residual), o1=o1, o2=o2)
     return cf, _residual_bound(r)
 

@@ -13,7 +13,8 @@ the Pauli coordinates R (`coords`), so `rho` is converted once and read
 again only by the checks that need the matrix itself. A local frame acts on
 R as one pair of real 4x4 rotations, its Pauli adjoints: the canonical form
 carries (o1, o2) and the move its pair, each formed once per unitary, and
-every pull-back reads them.
+every pull-back reads them. The move's two unitaries are one stacked draw,
+one Ginibre sample and one QR for both.
 """
 
 from __future__ import annotations
@@ -126,13 +127,14 @@ class State:
     def moved(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """A seeded local move by (v1, v2): (O(v1), O(v2)) and the moved Pauli coordinates.
 
-        O = pauli_adjoint of the unitaries v1, v2, drawn once from rng(); the coordinates
-        of (v1 x v2) rho (v1 x v2)^dag are O(v1) R O(v2)^T, validated no further.
-        Shared by canonical-form-roundtrip and local-unitary-covariance.
+        O = pauli_adjoint of the unitaries v1, v2, drawn as one stack of two from rng()
+        (bitwise two single draws); the coordinates of (v1 x v2) rho (v1 x v2)^dag are
+        O(v1) R O(v2)^T, validated no further. Each adjoint is formed on its own: one
+        product over the stack rounds differently. Shared by canonical-form-roundtrip
+        and local-unitary-covariance.
         """
-        rng = self.rng()
-        o1 = pauli_adjoint(random_unitary(rng))
-        o2 = pauli_adjoint(random_unitary(rng))
+        v1, v2 = random_unitary(self.rng(), size=2)
+        o1, o2 = pauli_adjoint(v1), pauli_adjoint(v2)
         return o1, o2, o1 @ self.coords @ o2.T
 
     @cached_property

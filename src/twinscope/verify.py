@@ -11,7 +11,9 @@ this module computes no part of the state itself. Moved states and Bell componen
 are rotations of its Pauli coordinates R; only pure-state-commutant reads rho.
 Each rotation is a frame's pair of Pauli adjoints, formed once per unitary where
 the frame is made (the canonical form's o1 and o2, the seeded move's pair): the
-checks read them and form none.
+checks read them and form none. pure-state-commutant draws its five observables
+in one call, from the seed's first SeedSequence child: a stream independent of
+the move's.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .mds import (
 from .schmidt import _pure_twin_partners
 from .state import State
 from .twins import (
+    _off_span,
     _pauli_spectra,
     _pauli_tables,
     _simultaneous_twins,
@@ -72,7 +75,7 @@ def make_context(rho: np.ndarray, cf: None, tol: float, seed: int) -> State:
 
 
 def _check_weights_roundtrip(ctx: State) -> CheckResult:
-    w = weights_from_t(ctx.frame.t)
+    w = ctx.cls.weights  # classify's verdict computed weights_from_t(frame.t)
     err = np.abs(t_from_weights(w) - ctx.frame.t).max()
     err_w = np.abs(weights_from_t(t_from_weights(w)) - w).max()
     return CheckResult(
@@ -149,8 +152,10 @@ def _check_twin_dimension_law(ctx: State) -> CheckResult:
 def _check_analytic_twins_in_oracle(ctx: State) -> CheckResult:
     oracle = ctx.space
     pulled = ctx.analytic
-    worst = float(span_distances(oracle, pulled.rows).max())
-    mutual = subspace_residual(oracle, pulled)
+    # the membership residual is the pulled -> oracle half of subspace_residual(oracle, pulled)
+    member = _off_span(pulled.rows, oracle).max()
+    mutual = float(max(_off_span(oracle.rows, pulled).max(), member))
+    worst = float(member)
     ok = worst <= RESIDUAL_TOL and mutual <= RESIDUAL_TOL
     return CheckResult(
         "analytic-twins-in-oracle",
@@ -206,8 +211,10 @@ def _check_pure_state_commutant(ctx: State) -> CheckResult:
         )
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
-    rng = ctx.rng().spawn(1)[0]  # a stream of the seed independent of the move's draws
-    a1 = np.array([random_hermitian(rng) for _ in range(5)])
+    # the seed's first SeedSequence child, ctx.rng().spawn(1)[0] without its parent:
+    # a stream of the seed independent of the move's draws
+    rng = np.random.default_rng(np.random.SeedSequence(ctx.seed, spawn_key=(0,)))
+    a1 = random_hermitian(rng, size=5)
     comm = np.linalg.norm((a1 @ rho1 - rho1 @ a1).reshape(len(a1), -1), axis=1)
     failing = np.flatnonzero(comm > RESIDUAL_TOL)
     if failing.size:

@@ -646,6 +646,41 @@ def test_random_unitary_is_unitary():
     assert np.abs(u @ u.conj().T - np.eye(2)).max() < 1e-12
 
 
+def _unitary_recipe(rng):
+    # Mezzadri's recipe, one 2x2 matrix per call: the reference every draw is held to
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
+def _hermitian_recipe(rng, dim):
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    return (z + z.conj().T) / 2
+
+
+def test_single_draws_match_the_one_matrix_recipes():
+    # a single draw is the stack of one, bit for bit what one matrix per call gave
+    for seed in range(50):
+        for draw, recipe in (
+            (random_unitary, _unitary_recipe),
+            (random_hermitian, lambda rng: _hermitian_recipe(rng, 2)),
+            (lambda rng: random_hermitian(rng, 4), lambda rng: _hermitian_recipe(rng, 4)),
+        ):
+            got, want = draw(np.random.default_rng(seed)), recipe(np.random.default_rng(seed))
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_a_stacked_draw_is_sequential_single_draws(n):
+    for seed in range(20):
+        for draw in (random_unitary, random_hermitian, lambda rng, size=None: random_hermitian(rng, 4, size)):
+            stack = draw(np.random.default_rng(seed), size=n)
+            rng = np.random.default_rng(seed)
+            singles = np.array([draw(rng) for _ in range(n)])
+            assert stack.shape == singles.shape and stack.tobytes() == singles.tobytes()
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_partial_trace_tensor_consistency(seed):

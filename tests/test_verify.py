@@ -1,4 +1,5 @@
 import ast
+import inspect
 from pathlib import Path
 
 import numpy as np
@@ -64,16 +65,30 @@ def test_verify_validation_count_per_stratum(monkeypatch, t, validations):
     assert len(calls) == validations
 
 
+def _record_sizes(monkeypatch, module, name):
+    """Patch a sampler of module to record the size of each call; returns the record."""
+    sizes, draw = [], getattr(module, name)
+
+    def recorded(*args, **kwargs):
+        call = inspect.signature(draw).bind(*args, **kwargs)
+        call.apply_defaults()
+        sizes.append(call.arguments["size"])
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, recorded)
+    return sizes
+
+
 def test_shared_frame_drawn_once(monkeypatch):
-    calls = []
     draw = state.random_unitary
-    monkeypatch.setattr(state, "random_unitary", lambda rng: calls.append(rng) or draw(rng))
+    calls = _record_sizes(monkeypatch, state, "random_unitary")
     rng = np.random.default_rng(11)
     rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
     ctx = state.State(DEFAULT_TOL, 5, matrix=rho)
     assert all(r.passed for r in verify.run_verification(ctx))
-    # canonical-form-roundtrip and local-unitary-covariance share (v1, v2), held as their adjoints
-    assert len(calls) == 2
+    # canonical-form-roundtrip and local-unitary-covariance share (v1, v2), held as their
+    # adjoints and drawn as one stack of two
+    assert calls == [2]
     o1, o2, moved = ctx.moved
     fresh = ctx.rng()
     v1, v2 = draw(fresh), draw(fresh)
@@ -96,6 +111,42 @@ def test_commutant_draws_are_independent_of_the_move(monkeypatch):
             hermitian = (z + z.conj().T) / 2
             assert np.abs(drawn[-1] - hermitian).max(axis=(1, 2)).min() > 1e-3
     assert len(drawn) == 20
+
+
+def test_commutant_stream_is_the_seeds_first_child(monkeypatch):
+    sizes = _record_sizes(monkeypatch, verify, "random_hermitian")
+    observables = []
+    transport = verify._pure_twin_partners
+    monkeypatch.setattr(
+        verify, "_pure_twin_partners", lambda a1, phi: observables.append(a1) or transport(a1, phi)
+    )
+    for seed in (0, 7, 2**31 - 1):
+        ctx = state.State(DEFAULT_TOL, seed, t=bell_t_vector(seed % 4))
+        child = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0,)))
+        spawned = ctx.rng().spawn(1)[0]
+        assert child.standard_normal(64).tobytes() == spawned.standard_normal(64).tobytes()
+        assert all(r.passed for r in verify.run_verification(ctx))
+        # the five observables are what five single draws from the spawned child give
+        spawned = ctx.rng().spawn(1)[0]
+        singles = np.array([linalg.random_hermitian(spawned) for _ in range(5)])
+        assert observables[-1].tobytes() == singles.tobytes()
+    # in one call per vertex op
+    assert sizes == [5, 5, 5]
+
+
+def test_each_kind_of_draw_is_one_call_per_op(monkeypatch):
+    unitaries = _record_sizes(monkeypatch, state, "random_unitary")
+    hermitians = _record_sizes(monkeypatch, verify, "random_hermitian")
+    rng = np.random.default_rng(17)
+    ts = [bell_t_vector(1), np.array([1.0, 0.3, -0.3]), np.array([0.2, -0.1, 0.3])]
+    for n, t in enumerate(ts, start=1):
+        rho = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
+        ctx = state.State(DEFAULT_TOL, n, matrix=rho)
+        assert all(r.passed for r in verify.run_verification(ctx))
+        assert len(unitaries) == n
+    assert unitaries == [2, 2, 2]
+    # only the vertex runs pure-state-commutant
+    assert hermitians == [5]
 
 
 def test_a_raw_matrix_meets_the_gate():
