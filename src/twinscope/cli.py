@@ -257,10 +257,7 @@ def cmd_verify(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     tree = {
         "result": {
             "stratum": state.cls.kind,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in results
-            ],
+            "checks": [r._asdict() for r in results],
             "passed": passed,
             "failed": len(results) - passed,
         },

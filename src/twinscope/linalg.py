@@ -76,10 +76,12 @@ import numpy as np
 # The tolerance policy: every threshold in the package, named once. Absolute
 # entries bound a number of unit scale (an entry of a unit-trace state or of
 # the observables handed in, a probability, a residual); relative ones bound a
-# ratio to the largest value of its kind. Two bounds are derived, with their
-# formulas where they are defined: mds._residual_bound (DEFAULT_TOL + ||L||_HS,
-# the canonicalization residual) and mds.state_test_rounding (ROUNDING_TOL *
-# max(1, sum_k |w_k|), weight test against eigenvalue test).
+# ratio to the largest value of its kind. Four bounds are derived, with their
+# formulas where they are defined: mds._residual_bound (RESIDUAL_TOL + ||L||_HS,
+# the canonicalization residual), mds.state_test_rounding (ROUNDING_TOL *
+# max(1, sum_k |w_k|), weight test against eigenvalue test) and twins._pauli_tables'
+# two table bounds (STATE_VALIDATION_TOL + ROUNDING_TOL below 0 for an entry,
+# STATE_VALIDATION_TOL + PROBABILITY_TOL off 1 for the sum).
 #
 # Relative: the default cut of every rank decision (--tol): singular values and
 # Schmidt coefficients over the largest, Bell weights (which sum to 1). The same
@@ -109,7 +111,8 @@ PROBABILITY_TOL = 1e-10
 DEGENERACY_TOL = 1e-9
 # Absolute: the residual of a derived identity (an SU(2) lift against its
 # rotation, a commutator with a reduced state, verify's span, twin, spectrum and
-# |t| residuals, the vanishing eigenvalues of a projector).
+# |t| residuals, the vanishing eigenvalues of a projector, a twin pair's residual,
+# the canonicalization residual beside the local part).
 RESIDUAL_TOL = 1e-9
 
 PAULI = np.array(

@@ -444,13 +444,13 @@ def canonicalize(rho: np.ndarray) -> CanonicalForm:
     negative, so |t| is descending, ties broken by signed value descending.
     The local part L = (rho_1 - I/2) x I/2 + I/2 x (rho_2 - I/2) is carried
     along by every local unitary and never removed, so only a transport residual above
-    DEFAULT_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
+    RESIDUAL_TOL + ||L||_HS (_residual_bound) raises InternalConsistencyError.
     """
     return _canonicalize(pauli_coordinates(validate_density_matrix(rho)))
 
 
 def _residual_bound(r: list[list[float]]) -> float:
-    """DEFAULT_TOL + ||L||_HS: the canonicalization residual bound of a state with coordinates R.
+    """RESIDUAL_TOL + ||L||_HS: the canonicalization residual bound of a state with coordinates R.
 
     L = (2 R_00 - 1/2) I x I + sum_k (R_k0 sigma_k x I + R_0k I x sigma_k), and
     each sigma_i x sigma_j has norm 2; for exactly disordered subsystems L = 0.
@@ -459,7 +459,7 @@ def _residual_bound(r: list[list[float]]) -> float:
     (r00, r01, r02, r03), (r10, _, _, _), (r20, _, _, _), (r30, _, _, _) = r
     a = 2 * r00 - 0.5
     local = a * a + r10 * r10 + r20 * r20 + r30 * r30 + r01 * r01 + r02 * r02 + r03 * r03
-    return DEFAULT_TOL + 2 * math.sqrt(local)
+    return RESIDUAL_TOL + 2 * math.sqrt(local)
 
 
 def _canonicalize(R: np.ndarray) -> CanonicalForm:
@@ -468,7 +468,7 @@ def _canonicalize(R: np.ndarray) -> CanonicalForm:
     if cf.residual > bound:
         raise InternalConsistencyError(
             f"canonicalization residual {cf.residual:.3e} exceeds {bound:.3e}, "
-            f"{DEFAULT_TOL:g} plus the local part"
+            f"{RESIDUAL_TOL:g} plus the local part"
         )
     return cf
 

@@ -38,6 +38,7 @@ from .linalg import (
     OBSERVABLE_HERMITIAN_TOL,
     PAULI2,
     PROBABILITY_TOL,
+    RESIDUAL_TOL,
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
     from_pauli,
@@ -194,7 +195,7 @@ def _twin_residuals(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 
 def is_twin_pair(
-    pair: ObservablePair, rho: np.ndarray, tol: float = DEFAULT_TOL
+    pair: ObservablePair, rho: np.ndarray, tol: float = RESIDUAL_TOL
 ) -> tuple[bool, float]:
     """Test the twin condition; returns (verdict, residual).
 

@@ -6,6 +6,11 @@ Bell vertex (pure-state machinery) or on a binary edge (closed-form twin
 bases); across the three strata the union of executed checks covers the
 full invariant catalogue of the classification and twin modules.
 
+The checks are one table, `_CHECKS`, of (name, strata, check) rows in report
+order. A check returns (passed, detail) and names itself nowhere;
+run_verification runs the rows whose strata hold the input's stratum and
+records each as a CheckResult under its row's name.
+
 A check reads one `state.State`, which resolves and validates the input:
 this module computes no part of the state itself. Moved states and Bell components
 are rotations of its Pauli coordinates R; only pure-state-commutant reads rho.
@@ -52,7 +57,7 @@ from .twins import (
     subspace_residual,
 )
 
-ALL_STRATA = frozenset({BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR})
+ALL_STRATA = (BELL_VERTEX, BINARY_EDGE, GENERIC_INTERIOR)
 
 EXPECTED_TWIN_DIMENSION = {BELL_VERTEX: 4, BINARY_EDGE: 2, GENERIC_INTERIOR: 1}
 
@@ -74,97 +79,70 @@ def make_context(rho: np.ndarray, cf: None, tol: float, seed: int) -> State:
     return State(tol, seed, matrix=rho)
 
 
-def _check_weights_roundtrip(ctx: State) -> CheckResult:
+def _check_weights_roundtrip(ctx: State) -> tuple[bool, str]:
     w = ctx.cls.weights  # classify's verdict computed weights_from_t(frame.t)
     err = np.abs(t_from_weights(w) - ctx.frame.t).max()
     err_w = np.abs(weights_from_t(t_from_weights(w)) - w).max()
-    return CheckResult(
-        "weights-roundtrip",
-        bool(err <= ROUNDING_TOL and err_w <= ROUNDING_TOL),
-        f"t residual {err:.3e}, weight residual {err_w:.3e}",
-    )
+    ok = err <= ROUNDING_TOL and err_w <= ROUNDING_TOL
+    return ok, f"t residual {err:.3e}, weight residual {err_w:.3e}"
 
 
-def _check_bell_mixture_identity(ctx: State) -> CheckResult:
+def _check_bell_mixture_identity(ctx: State) -> tuple[bool, str]:
     direct = (ctx.cls.weights @ _BELL_PROJECTORS.reshape(4, 16)).reshape(4, 4)
     err = np.abs(build_T(ctx.frame.t) - direct).max()
-    return CheckResult(
-        "bell-mixture-identity", bool(err <= ROUNDING_TOL), f"entrywise residual {err:.3e}"
-    )
+    return err <= ROUNDING_TOL, f"entrywise residual {err:.3e}"
 
 
-def _check_state_test_agreement(ctx: State) -> CheckResult:
+def _check_state_test_agreement(ctx: State) -> tuple[bool, str]:
     verdict = ctx.cls.verdict
     # the two tests compute the same number, so they must agree to rounding
     rounding = state_test_rounding(ctx.cls.weights)
     ok = verdict.ok and abs(verdict.min_weight - verdict.min_eigenvalue) <= rounding
-    return CheckResult(
-        "state-test-agreement",
-        bool(ok),
-        f"min weight {verdict.min_weight:.3e}, min eigenvalue {verdict.min_eigenvalue:.3e}",
-    )
+    return ok, f"min weight {verdict.min_weight:.3e}, min eigenvalue {verdict.min_eigenvalue:.3e}"
 
 
-def _check_vertex_sign_table(ctx: State) -> CheckResult:
+def _check_vertex_sign_table(ctx: State) -> tuple[bool, str]:
     k = ctx.cls.vertex
     err = np.abs(ctx.frame.t - bell_t_vector(k)).max()
-    return CheckResult(
-        "vertex-sign-table",
-        bool(err <= ctx.tol),
-        f"sign pattern matches Bell projector {k} (residual {err:.3e})",
-    )
+    return err <= ctx.tol, f"sign pattern matches Bell projector {k} (residual {err:.3e})"
 
 
-def _check_edge_weight_consistency(ctx: State) -> CheckResult:
+def _check_edge_weight_consistency(ctx: State) -> tuple[bool, str]:
     mixture = edge_mixture(ctx.cls)
     w = ctx.cls.weights
     err = max(abs(w[k] - mixture.get(k, 0.0)) for k in range(4))
-    return CheckResult(
-        "edge-weight-consistency",
-        # classify calls a state an edge while its vanishing weights are below the cut
-        bool(err <= ctx.tol),
-        f"closed-form edge weights match within {err:.3e} ({ctx.cls.detail})",
-    )
+    # classify calls a state an edge while its vanishing weights are below the cut
+    return err <= ctx.tol, f"closed-form edge weights match within {err:.3e} ({ctx.cls.detail})"
 
 
-def _check_canonical_form_roundtrip(ctx: State) -> CheckResult:
+def _check_canonical_form_roundtrip(ctx: State) -> tuple[bool, str]:
     cf, bound = _canonical_form(ctx.moved[2])
     mag_err = np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(ctx.frame.t))).max()
     ok = cf.residual <= bound and mag_err <= RESIDUAL_TOL
-    return CheckResult(
-        "canonical-form-roundtrip",
-        bool(ok),
-        f"residual {cf.residual:.3e}, |t| multiset deviation {mag_err:.3e}",
-    )
+    return ok, f"residual {cf.residual:.3e}, |t| multiset deviation {mag_err:.3e}"
 
 
-def _check_twin_dimension_law(ctx: State) -> CheckResult:
+def _check_twin_dimension_law(ctx: State) -> tuple[bool, str]:
     space = ctx.space
     expected = EXPECTED_TWIN_DIMENSION[ctx.cls.kind]
-    return CheckResult(
-        "twin-dimension-law",
-        bool(space.dimension == expected),
+    return (
+        space.dimension == expected,
         f"oracle dimension {space.dimension}, expected {expected}, "
         f"rank gap {space.singular_value_gap:.3e}",
     )
 
 
-def _check_analytic_twins_in_oracle(ctx: State) -> CheckResult:
-    oracle = ctx.space
-    pulled = ctx.analytic
-    # the membership residual is the pulled -> oracle half of subspace_residual(oracle, pulled)
-    member = _off_span(pulled.rows, oracle).max()
-    mutual = float(max(_off_span(oracle.rows, pulled).max(), member))
-    worst = float(member)
-    ok = worst <= RESIDUAL_TOL and mutual <= RESIDUAL_TOL
-    return CheckResult(
-        "analytic-twins-in-oracle",
-        bool(ok),
-        f"membership residual {worst:.3e}, mutual span residual {mutual:.3e}",
+def _check_analytic_twins_in_oracle(ctx: State) -> tuple[bool, str]:
+    # the membership residual is the pulled -> oracle half of the mutual one, which bounds it
+    member = float(_off_span(ctx.analytic.rows, ctx.space).max())
+    mutual = float(max(_off_span(ctx.space.rows, ctx.analytic).max(), member))
+    return (
+        mutual <= RESIDUAL_TOL,
+        f"membership residual {member:.3e}, mutual span residual {mutual:.3e}",
     )
 
 
-def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
+def _check_mixture_intersection_twins(ctx: State) -> tuple[bool, str]:
     w = ctx.cls.weights
     support = [k for k in range(4) if w[k] > ctx.tol]
     # the Bell components of T(frame.t), pulled back onto rho: O1^T C_k O2 in Pauli coordinates
@@ -172,43 +150,31 @@ def _check_mixture_intersection_twins(ctx: State) -> CheckResult:
     via_mixture = ctx.space
     via_intersection = _simultaneous_twins(components, ctx.tol)
     res = subspace_residual(via_mixture, via_intersection)
-    ok = via_mixture.dimension == via_intersection.dimension and res <= RESIDUAL_TOL
-    return CheckResult(
-        "mixture-intersection-twins",
-        bool(ok),
+    return (
+        via_mixture.dimension == via_intersection.dimension and res <= RESIDUAL_TOL,
         f"support {support}, dimensions {via_mixture.dimension}/"
         f"{via_intersection.dimension}, span residual {res:.3e}",
     )
 
 
-def _check_local_unitary_covariance(ctx: State) -> CheckResult:
+def _check_local_unitary_covariance(ctx: State) -> tuple[bool, str]:
     o1, o2, moved_coords = ctx.moved
     space = ctx.space
     moved_space = ctx.moved_space
     if moved_space.dimension != space.dimension:
-        return CheckResult(
-            "local-unitary-covariance",
-            False,
-            f"dimension changed {space.dimension} -> {moved_space.dimension}",
-        )
+        return False, f"dimension changed {space.dimension} -> {moved_space.dimension}"
     # the move's inverse: O(v^dag) = O(v)^T
     moved = pull_back(space, o1.T, o2.T)
     worst_res = float(_twin_residuals(moved.rows, moved_coords).max())
     worst_member = float(span_distances(moved_space, moved.rows).max())
     ok = worst_res <= RESIDUAL_TOL and worst_member <= RESIDUAL_TOL
-    return CheckResult(
-        "local-unitary-covariance",
-        bool(ok),
-        f"twin residual {worst_res:.3e}, membership residual {worst_member:.3e}",
-    )
+    return ok, f"twin residual {worst_res:.3e}, membership residual {worst_member:.3e}"
 
 
-def _check_pure_state_commutant(ctx: State) -> CheckResult:
+def _check_pure_state_commutant(ctx: State) -> tuple[bool, str]:
     eigs, v = np.linalg.eigh(ctx.rho)
     if eigs[:3].max() > RESIDUAL_TOL:
-        return CheckResult(
-            "pure-state-commutant", False, "input is not a rank-one projector"
-        )
+        return False, "input is not a rank-one projector"
     phi = v[:, -1]
     rho1 = partial_trace(ctx.rho, 1)
     # the seed's first SeedSequence child, ctx.rng().spawn(1)[0] without its parent:
@@ -218,64 +184,52 @@ def _check_pure_state_commutant(ctx: State) -> CheckResult:
     comm = np.linalg.norm((a1 @ rho1 - rho1 @ a1).reshape(len(a1), -1), axis=1)
     failing = np.flatnonzero(comm > RESIDUAL_TOL)
     if failing.size:
-        return CheckResult(
-            "pure-state-commutant",
-            False,
-            f"random observable fails to commute with I/2 ({comm[failing[0]]:.3e})",
-        )
+        return False, f"random observable fails to commute with I/2 ({comm[failing[0]]:.3e})"
     a2 = _pure_twin_partners(a1, phi)
     worst_member = float(span_distances(ctx.space, np.hstack([to_pauli(a1), to_pauli(a2)])).max())
     oracle_a1 = ctx.space.ops[:, 0]
     worst_comm = float(np.abs(oracle_a1 @ rho1 - rho1 @ oracle_a1).max())
-    ok = worst_member <= RESIDUAL_TOL and worst_comm <= RESIDUAL_TOL
-    return CheckResult(
-        "pure-state-commutant",
-        bool(ok),
+    return (
+        worst_member <= RESIDUAL_TOL and worst_comm <= RESIDUAL_TOL,
         f"transport membership residual {worst_member:.3e}, "
         f"oracle commutator residual {worst_comm:.3e}",
     )
 
 
-def _check_perfect_correlation(ctx: State) -> CheckResult:
+def _check_perfect_correlation(ctx: State) -> tuple[bool, str]:
     dist, gap, degenerate = _pauli_tables(ctx.space.rows, ctx.coords)
     paired = ~degenerate
     mismatch = dist[paired, 0, 1] + dist[paired, 1, 0]
     worst_mismatch = float(mismatch.max(initial=0.0))
     worst_gap = float(gap[paired].max(initial=0.0))
-    ok = worst_mismatch <= PROBABILITY_TOL and worst_gap <= PROBABILITY_TOL
-    return CheckResult(
-        "perfect-correlation",
-        bool(ok),
+    return (
+        worst_mismatch <= PROBABILITY_TOL and worst_gap <= PROBABILITY_TOL,
         f"{int(paired.sum())} nondegenerate pairs, worst mismatch {worst_mismatch:.3e}, "
         f"worst expectation gap {worst_gap:.3e}",
     )
 
 
-def _check_twin_spectra_match(ctx: State) -> CheckResult:
+def _check_twin_spectra_match(ctx: State) -> tuple[bool, str]:
     halves = ctx.space.rows[1:].reshape(-1, 2, 4)
     deviation = _pauli_spectra(halves[:, 0]) - _pauli_spectra(halves[:, 1])
     worst = float(np.abs(deviation).max(initial=0.0))
-    return CheckResult(
-        "twin-spectra-match",
-        bool(worst <= RESIDUAL_TOL),
-        f"largest sorted-spectrum deviation {worst:.3e}",
-    )
+    return worst <= RESIDUAL_TOL, f"largest sorted-spectrum deviation {worst:.3e}"
 
 
 _CHECKS = (
-    (_check_weights_roundtrip, ALL_STRATA),
-    (_check_bell_mixture_identity, ALL_STRATA),
-    (_check_state_test_agreement, ALL_STRATA),
-    (_check_vertex_sign_table, frozenset({BELL_VERTEX})),
-    (_check_edge_weight_consistency, frozenset({BINARY_EDGE})),
-    (_check_canonical_form_roundtrip, ALL_STRATA),
-    (_check_twin_dimension_law, ALL_STRATA),
-    (_check_analytic_twins_in_oracle, frozenset({BELL_VERTEX, BINARY_EDGE})),
-    (_check_mixture_intersection_twins, ALL_STRATA),
-    (_check_local_unitary_covariance, ALL_STRATA),
-    (_check_pure_state_commutant, frozenset({BELL_VERTEX})),
-    (_check_perfect_correlation, ALL_STRATA),
-    (_check_twin_spectra_match, frozenset({BINARY_EDGE})),
+    ("weights-roundtrip", ALL_STRATA, _check_weights_roundtrip),
+    ("bell-mixture-identity", ALL_STRATA, _check_bell_mixture_identity),
+    ("state-test-agreement", ALL_STRATA, _check_state_test_agreement),
+    ("vertex-sign-table", (BELL_VERTEX,), _check_vertex_sign_table),
+    ("edge-weight-consistency", (BINARY_EDGE,), _check_edge_weight_consistency),
+    ("canonical-form-roundtrip", ALL_STRATA, _check_canonical_form_roundtrip),
+    ("twin-dimension-law", ALL_STRATA, _check_twin_dimension_law),
+    ("analytic-twins-in-oracle", (BELL_VERTEX, BINARY_EDGE), _check_analytic_twins_in_oracle),
+    ("mixture-intersection-twins", ALL_STRATA, _check_mixture_intersection_twins),
+    ("local-unitary-covariance", ALL_STRATA, _check_local_unitary_covariance),
+    ("pure-state-commutant", (BELL_VERTEX,), _check_pure_state_commutant),
+    ("perfect-correlation", ALL_STRATA, _check_perfect_correlation),
+    ("twin-spectra-match", (BINARY_EDGE,), _check_twin_spectra_match),
 )
 
 
@@ -293,7 +247,8 @@ def run_verification(ctx: State) -> list[CheckResult]:
             f"({ctx.cls.detail})"
         )
     results = []
-    for fn, strata in _CHECKS:
+    for name, strata, check in _CHECKS:
         if ctx.cls.kind in strata:
-            results.append(fn(ctx))
+            passed, detail = check(ctx)
+            results.append(CheckResult(name, bool(passed), detail))
     return results

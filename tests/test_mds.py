@@ -682,7 +682,7 @@ def test_residual_bound_is_the_local_part_norm():
         d1, d2 = partial_trace(rho, 1) - HALF_I2, partial_trace(rho, 2) - HALF_I2
         local = hs_norm(tensor(d1, HALF_I2) + tensor(HALF_I2, d2))
         bound = mds._residual_bound(pauli_coordinates(rho))
-        assert abs(bound - mds.DEFAULT_TOL - local) <= 1e-15
+        assert abs(bound - mds.RESIDUAL_TOL - local) <= 1e-15
 
 
 def test_canonicalize_fixed_point():
@@ -870,7 +870,7 @@ def _disorder_by_norms(R):
 def _residual_bound_by_norm(R):
     """The array formula _residual_bound replaced, kept as its reference."""
     local = np.concatenate(([2 * R[0, 0] - 0.5], R[1:, 0], R[0, 1:]))
-    return mds.DEFAULT_TOL + 2 * float(np.linalg.norm(local))
+    return mds.RESIDUAL_TOL + 2 * float(np.linalg.norm(local))
 
 
 def test_float_disorder_and_bound_match_the_norm_formulas():

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from twinscope import linalg, mds, schmidt
+from twinscope import linalg, mds, schmidt, twins
 
 PACKAGE = Path(linalg.__file__).resolve().parent
 EXPONENT_LITERAL = re.compile(r"\d+(\.\d*)?e-\d+")
@@ -61,3 +61,29 @@ def test_single_value_tolerances_are_constants(fn):
 def test_single_value_sampler_options_are_constants(fn, option):
     # every caller draws with the one value, so 0.01, 0.05 and 2 are written in the body
     assert option not in inspect.signature(fn).parameters
+
+
+def test_default_tol_is_only_a_parameter_default():
+    # DEFAULT_TOL is the rank cut --tol sets; a residual bound reads RESIDUAL_TOL, its own role
+    strays = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                allowed |= {id(d) for d in node.args.defaults + node.args.kw_defaults if d}
+            elif isinstance(node, ast.Call) and any(
+                isinstance(a, ast.Constant) and a.value == "--tol" for a in node.args
+            ):
+                allowed |= {id(n) for n in ast.walk(node)}
+        strays += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Name)
+            and isinstance(node.ctx, ast.Load)
+            and node.id == "DEFAULT_TOL"
+            and id(node) not in allowed
+        ]
+    assert strays == []
+    tree = ast.parse(inspect.getsource(twins.is_twin_pair))
+    assert [ast.unparse(d) for d in tree.body[0].args.defaults] == ["RESIDUAL_TOL"]

@@ -304,14 +304,37 @@ def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
     # the state frames itself on first read: the patched bound must reach only the round trip
     assert ctx.frame is ctx.canonical
     monkeypatch.setattr(mds, "_residual_bound", lambda R: 0.0)
-    result = verify._check_canonical_form_roundtrip(ctx)
-    assert result.name == "canonical-form-roundtrip" and not result.passed
+    (name,) = [n for n, _, c in verify._CHECKS if c is verify._check_canonical_form_roundtrip]
+    passed, _ = verify._check_canonical_form_roundtrip(ctx)
+    assert name == "canonical-form-roundtrip" and not passed
     # a --t input keeps the identity frame, so only the round trip canonicalizes
     assert cli.run(["verify", "--t", "0.4,-0.4,1"]) == 2
     out, err = capsys.readouterr()
     assert err == ""
     assert "- name: canonical-form-roundtrip\n      passed: false" in out
     assert "failed: 1" in out
+
+
+def test_checks_are_one_table():
+    # run_verification records every check under its _CHECKS row's name: no check names itself
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    builds = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult"
+    ]
+    (run,) = [n for n in tree.body if getattr(n, "name", None) == "run_verification"]
+    assert len(builds) == 1 and builds[0] in list(ast.walk(run))
+    names = [name for name, _, _ in verify._CHECKS]
+    assert len(set(names)) == len(names)
+    written = []
+    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+        written += [
+            node.value
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Constant) and node.value in names
+        ]
+    assert sorted(written) == sorted(names)
 
 
 def _failed_checks(out):
@@ -468,9 +491,9 @@ def test_failure_branch_witnesses(monkeypatch, capsys, attribute, fault, t, chec
     target = {"moved": state.State, "classify": state, "_twin_space": state}.get(attribute, verify)
     monkeypatch.setattr(target, attribute, fault)
     ctx = state.State(DEFAULT_TOL, 0, t=np.array([float(v) for v in t.split(",")]))
-    result = check(ctx)
-    assert not result.passed
-    assert result.detail.startswith(detail)
+    passed, reported = check(ctx)
+    assert not passed
+    assert reported.startswith(detail)
     # verify reports the failed check and exits 2, with no internal error
     assert cli.run(["verify", f"--t={t}"]) == 2
     out, err = capsys.readouterr()
