@@ -19,11 +19,12 @@ which holds hermitian_check's largest |M - M^dagger| entry to its tol.
 A matrix that has passed a guard (mds.validate_density_matrix returns its
 exact Hermitian part), or that is Hermitian by construction (build_T, a
 partial transpose of such a matrix, from_pauli of real rows), goes to
-np.linalg.eigvalsh, for callers that read no eigenvector, or is converted
-to its Pauli coordinates for a private kernel, with no second guard; public
-entry points guard what they receive from outside. mds.is_state records the
-bytes of T(t) for the last t it admitted: validate_density_matrix runs no
-test again on those bytes, nor operator_schmidt its guard. The phase
+the LAPACK seam's eigvalsh kernel, for callers that read no eigenvector,
+or is converted to its Pauli coordinates for a private kernel, with no
+second guard; public entry points guard what they receive from outside.
+mds.is_state records the bytes of T(t) for the last t it admitted:
+validate_density_matrix runs no test again on those bytes, nor
+operator_schmidt its guard. The phase
 convention of eigh and svd, and the sign convention of real factors
 elsewhere, is one rule, leading_phases: the first entry above PHASE_CUT in
 magnitude of each column is made real positive. It covers vectors that are
@@ -34,6 +35,15 @@ values are a prefix, and the two neighbours at the cut decide the rank. One
 within a factor RANK_GUARD of the cut makes the decision ambiguous
 (RankDecisionError); a spectrum that is not descending is a ValueError.
 Callers choose only what they cut and where.
+
+Every SVD and Hermitian eigensolver of the package runs through one seam,
+_lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s,
+eigvalsh_lo, eigh_lo), the kernels np.linalg.svd, eigvalsh and eigh call
+after their argument checks, under the same error state. Results are bitwise
+those of np.linalg; what is skipped is the wrapper's per-call Python, which on
+a 4x4 costs about as much as the LAPACK work. The gufunc names are numpy 2's,
+hence numpy >= 2.0. random_unitary's np.linalg.qr is exempt: numpy's QR is
+two gufuncs plus relayout of their results, which the seam would have to copy.
 
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
@@ -72,6 +82,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 # The tolerance policy: every threshold in the package, named once. Absolute
 # entries bound a number of unit scale (an entry of a unit-trace state or of
@@ -128,6 +139,39 @@ PAULI2.setflags(write=False)
 # Tr(sigma_k u sigma_l u^dag) / 2
 _ADJOINT_MAP = np.einsum("kab,lcd->klbcad", PAULI, PAULI).reshape(16, 16) / 2
 _ADJOINT_MAP.setflags(write=False)
+
+
+def _svd_did_not_converge(err: str, flag: int) -> None:
+    raise LinAlgError("SVD did not converge")
+
+
+def _eigenvalues_did_not_converge(err: str, flag: int) -> None:
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+# The LAPACK seam's kernels: each gufunc's real and complex loop and its error, as
+# np.linalg.svd (full_matrices=True, False), eigvalsh and eigh (UPLO="L") pick them
+_KERNELS = {
+    "svd_f": ("d->ddd", "D->DdD", _svd_did_not_converge),
+    "svd_s": ("d->ddd", "D->DdD", _svd_did_not_converge),
+    "eigvalsh_lo": ("d->d", "D->d", _eigenvalues_did_not_converge),
+    "eigh_lo": ("d->dd", "D->dD", _eigenvalues_did_not_converge),
+}
+
+
+def _lapack(kernel: str, a: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    """numpy's linalg gufunc `kernel` on a float64 or complex128 matrix, or a stack (..., m, n).
+
+    svd_f gives (u, s, vh) as np.linalg.svd(a), svd_s as np.linalg.svd(a,
+    full_matrices=False), eigvalsh_lo the eigenvalues ascending as
+    np.linalg.eigvalsh(a), eigh_lo (w, v) as np.linalg.eigh(a); each bitwise,
+    without the wrapper's checks. Non-convergence (a nan entry included) raises
+    numpy's LinAlgError, with no warning.
+    """
+    real, cplx, error = _KERNELS[kernel]
+    # numpy's wrappers run their gufuncs under this state: LAPACK failure flags invalid
+    with np.errstate(call=error, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return getattr(_umath_linalg, kernel)(a, signature=cplx if a.dtype.kind == "c" else real)
 
 
 class RankDecisionError(ValueError):
@@ -288,7 +332,7 @@ def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndar
     positive. Rejects input that is not Hermitian within `tol`; a stack
     is guarded once, by its largest deviation.
     """
-    w, v = np.linalg.eigh(_hermitian_part(m, "eigh: matrix", tol))
+    w, v = _lapack("eigh_lo", _hermitian_part(m, "eigh: matrix", tol))
     v = v[..., ::-1]
     return w[..., ::-1].copy(), v * leading_phases(v).conj()[..., None, :]
 
@@ -303,7 +347,7 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     is factored member by member, in one call.
     """
     m = np.asarray(m)
-    u, s, vh = np.linalg.svd(m.astype(complex if np.iscomplexobj(m) else float, copy=False))
+    u, s, vh = _lapack("svd_f", m.astype(complex if np.iscomplexobj(m) else float, copy=False))
     phase = leading_phases(u)
     k = min(phase.shape[-1], vh.shape[-2])
     vh[..., :k, :] *= phase[..., :k, None]
@@ -358,7 +402,7 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
         raise ValueError(f"real_nullspace expects a 2-d array, got ndim={m.ndim}")
     n = m.shape[1]
     # vt must be n x n; a tall m gets it from the thin SVD, without the unread full u
-    _, s, vt = np.linalg.svd(m, full_matrices=m.shape[0] < n)
+    _, s, vt = _lapack("svd_f" if m.shape[0] < n else "svd_s", m)
     s_full = np.zeros(n)
     s_full[: s.size] = s
     smax = s_full[0] if s_full.size else 0.0
@@ -383,6 +427,7 @@ def random_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndar
     Member i is bitwise the i-th of n single draws (LAPACK factors each member as it
     factors one matrix), and a single draw is the stack of one.
     """
+    # np.linalg.qr stays: numpy's QR is two gufuncs plus relayout, not one kernel to call
     q, r = np.linalg.qr(_ginibre(rng, 2, size))
     d = np.diagonal(r, axis1=-2, axis2=-1)
     u = q * (d / np.abs(d))[:, None, :]

@@ -35,6 +35,7 @@ from .linalg import (
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
     _hermitian_part,
+    _lapack,
     from_pauli,
     pauli_adjoint,
     pauli_coordinates,
@@ -230,7 +231,7 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     arg = int(w.argmin())
     T = build_T(t)
     # build_T is Hermitian by construction: no guard before the eigenvalues
-    min_eig = float(np.linalg.eigvalsh(T)[0])
+    min_eig = float(_lapack("eigvalsh_lo", T)[0])
     if abs(min_w - min_eig) > state_test_rounding(w):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
@@ -378,7 +379,7 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
         if abs(tr - 1) > STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix trace is {tr:.12g}, expected 1")
-    for min_eig in np.linalg.eigvalsh(rho)[..., 0].reshape(-1).tolist():
+    for min_eig in _lapack("eigvalsh_lo", rho)[..., 0].reshape(-1).tolist():
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
@@ -483,7 +484,7 @@ def _canonical_form(R: np.ndarray) -> tuple[CanonicalForm, float]:
             "from I/2 by {:.3e} and {:.3e} in operator norm".format(*disorder)
         )
     # R_00 = Tr(rho)/4: t is read from rho / Tr(rho), so a trace off 1 cannot push a |t_i| past 1
-    a, s, bt = np.linalg.svd(R[1:, 1:] / r[0][0])
+    a, s, bt = _lapack("svd_f", R[1:, 1:] / r[0][0])
     # each factor is orthogonal, so its determinant is +-1 and the sign is never in doubt
     da, db = _det3(a.tolist()), _det3(bt.tolist())
     if da < 0:

@@ -236,7 +236,9 @@ def operator_schmidt(rho: np.ndarray, tol: float = DEFAULT_TOL) -> OperatorSchmi
 
 def _operator_schmidt(R: np.ndarray, tol: float) -> OperatorSchmidt:
     """operator_schmidt on the Pauli coordinates R of a Hermitian rho: ||rho||_HS = 2||R||_F."""
-    norm = 2 * float(np.linalg.norm(R))
+    flat = R.ravel()
+    # np.linalg.norm's own 2-norm of a real vector, without its wrapper
+    norm = 2 * float(np.sqrt(flat.dot(flat)))
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
     coefficients, rows, rank, degeneracy = _expand(2 * R / norm, tol)

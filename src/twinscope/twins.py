@@ -41,6 +41,7 @@ from .linalg import (
     RESIDUAL_TOL,
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
+    _lapack,
     from_pauli,
     leading_phases,
     pauli_coordinates,
@@ -342,7 +343,7 @@ def _ppt_separable(rho: np.ndarray, tol: float) -> tuple[bool, float]:
     """ppt_separable on a density matrix that validate_density_matrix returned."""
     # the partial transpose of the exactly Hermitian rho is exactly Hermitian: no second guard
     pt = rho.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4)
-    min_eig = float(np.linalg.eigvalsh(pt)[0])
+    min_eig = float(_lapack("eigvalsh_lo", pt)[0])
     return min_eig >= -tol, min_eig
 
 

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, partial_trace
+from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, _lapack, partial_trace
 from .linalg import random_hermitian, to_pauli
 from .mds import (
     BELL_VERTEX,
@@ -172,7 +172,7 @@ def _check_local_unitary_covariance(ctx: State) -> tuple[bool, str]:
 
 
 def _check_pure_state_commutant(ctx: State) -> tuple[bool, str]:
-    eigs, v = np.linalg.eigh(ctx.rho)
+    eigs, v = _lapack("eigh_lo", ctx.rho)
     if eigs[:3].max() > RESIDUAL_TOL:
         return False, "input is not a rank-one projector"
     phi = v[:, -1]

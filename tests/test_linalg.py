@@ -421,6 +421,105 @@ def test_kron_lives_only_in_tensor():
     assert "np.kron" in inspect.getsource(linalg.tensor)
 
 
+def linalg_references(tree):
+    """(enclosing function or None, source) of each np.linalg attribute and _umath_linalg name."""
+    found = []
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else fn
+            is_attribute = isinstance(child, ast.Attribute)
+            if is_attribute and ast.unparse(child.value) in ("np.linalg", "numpy.linalg"):
+                found.append((inner, ast.unparse(child)))
+            if isinstance(child, ast.Name) and child.id == "_umath_linalg":
+                found.append((inner, child.id))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_lapack_kernels_are_called_through_one_seam():
+    # every SVD and Hermitian eigensolver of src/ runs numpy's gufunc through linalg._lapack,
+    # without np.linalg's wrapper; random_unitary's QR is the one np.linalg decomposition left
+    decompositions = {"svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh", "qr"}
+    kernels, imports = [], []
+    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for fn, ref in linalg_references(tree):
+            if ref == "_umath_linalg" or ref.rsplit(".", 1)[1] in decompositions:
+                kernels.append((path.stem, fn, ref))
+        imports += [
+            (path.stem, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg")
+            for alias in node.names
+        ]
+    assert sorted(kernels) == [
+        ("linalg", "_lapack", "_umath_linalg"),
+        ("linalg", "random_unitary", "np.linalg.qr"),
+    ]
+    assert sorted(imports) == [("linalg", "LinAlgError"), ("linalg", "_umath_linalg")]
+
+
+def _hermitian(rng, shape):
+    z = rng.standard_normal((*shape, 2)) @ [1, 1j]
+    return z + z.conj().swapaxes(-2, -1)
+
+
+# (kernel, its np.linalg reference, input) for every shape and dtype the package passes
+# the seam (canonical form 3x3, operator and pure Schmidt 4x4 and 2x2, the twin system
+# (32 n) x 7, the gate's and PPT's 4x4 spectra, pure-state-commutant's eigh) and for stacks
+_SEAM_RNG = np.random.default_rng(2001)
+SEAM_CASES = {
+    "real 3x3 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((3, 3))),
+    "real 4x4 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((4, 4))),
+    "real 3x8 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((3, 8))),
+    "real (5,4,4) svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((5, 4, 4))),
+    "complex 2x2 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((2, 2, 2)) @ [1, 1j]),
+    "complex 4x4 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((4, 4, 2)) @ [1, 1j]),
+    "complex (3,2,2) svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((3, 2, 2, 2)) @ [1, 1j]),
+    "thin 32x7 svd": (
+        "svd_s",
+        lambda a: np.linalg.svd(a, full_matrices=False),
+        _SEAM_RNG.standard_normal((32, 7)),
+    ),
+    "thin 96x7 svd": (
+        "svd_s",
+        lambda a: np.linalg.svd(a, full_matrices=False),
+        _SEAM_RNG.standard_normal((96, 7)),
+    ),
+    "complex 4x4 eigvalsh": ("eigvalsh_lo", np.linalg.eigvalsh, _hermitian(_SEAM_RNG, (4, 4))),
+    "complex (6,4,4) eigvalsh": ("eigvalsh_lo", np.linalg.eigvalsh, _hermitian(_SEAM_RNG, (6, 4, 4))),
+    "complex 4x4 eigh": ("eigh_lo", np.linalg.eigh, _hermitian(_SEAM_RNG, (4, 4))),
+    "complex (3,4,4) eigh": ("eigh_lo", np.linalg.eigh, _hermitian(_SEAM_RNG, (3, 4, 4))),
+}
+
+
+@pytest.mark.parametrize("case", SEAM_CASES)
+def test_lapack_seam_is_bitwise_np_linalg(case):
+    kernel, reference, a = SEAM_CASES[case]
+    got, expected = linalg._lapack(kernel, a), reference(a)
+    got = got if isinstance(got, tuple) else (got,)
+    expected = tuple(expected) if isinstance(expected, tuple) else (expected,)
+    assert len(got) == len(expected)
+    for x, y in zip(got, expected):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+@pytest.mark.parametrize("kernel", ["svd_f", "svd_s", "eigvalsh_lo", "eigh_lo"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_lapack_seam_raises_numpys_error_without_a_warning(kernel, dtype):
+    message = "SVD did not converge" if kernel.startswith("svd") else "Eigenvalues did not converge"
+    state = np.geterr(), np.geterrcall()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            linalg._lapack(kernel, np.full((4, 4), np.nan, dtype=dtype))
+    # the seam's error state ends with the call
+    assert (np.geterr(), np.geterrcall()) == state
+
+
 def test_svd_identity_and_zero():
     _, s, _ = svd(np.eye(2))
     assert np.allclose(s, [1, 1])

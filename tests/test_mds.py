@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from numpy.linalg import _umath_linalg
 
 from conftest import local_move
 from twinscope import linalg, mds, schmidt, state, twins, verify
@@ -480,10 +481,16 @@ def test_an_admitted_t_is_the_gates_record(case):
         calls = []
         with (
             mock.patch.object(linalg, "hermitian_check", _counting(calls, linalg.hermitian_check)),
-            mock.patch.object(np.linalg, "eigvalsh", _counting(calls, np.linalg.eigvalsh)),
+            mock.patch.object(
+                _umath_linalg, "eigvalsh_lo", _counting(calls, _umath_linalg.eigvalsh_lo)
+            ),
         ):
             got = validate_density_matrix(rho)
-        assert calls == []
+            assert calls == []
+            # the counters see the gate's guard and its eigenvalue kernel when the record is not hit
+            mds._last_accepted = None
+            validate_density_matrix(rho)
+            assert calls == ["hermitian_check", "eigvalsh_lo"]
         assert got.tobytes() == full.tobytes() and got.flags.writeable
 
 
@@ -913,12 +920,12 @@ def _canonical_by_determinants(R):
     return t, mds._su2_from_rotation(a.T), mds._su2_from_rotation(bt)
 
 
-_SVD = np.linalg.svd
+_SVD_F = _umath_linalg.svd_f
 
 
-def _svd_reflected(m):
-    """np.linalg.svd(m) with the last left and right singular vectors negated: the same product."""
-    a, s, bt = _SVD(m)
+def _svd_f_reflected(m, signature):
+    """numpy's full SVD kernel, last left and right singular vectors negated: the same product."""
+    a, s, bt = _SVD_F(m, signature=signature)
     return a * [1, 1, -1], s, bt * [[1], [1], [-1]]
 
 
@@ -938,8 +945,9 @@ def test_triple_product_sign_is_the_determinant_sign(monkeypatch):
         t = random_interior_t(rng)
         R = pauli_coordinates(local_move(build_T(t), random_unitary(rng), random_unitary(rng)))
         forms = []
-        for svd in (_SVD, _svd_reflected):
-            with mock.patch.object(np.linalg, "svd", svd):
+        # the kernel beneath both the LAPACK seam (mds) and np.linalg.svd (the reference)
+        for svd in (_SVD_F, _svd_f_reflected):
+            with mock.patch.object(_umath_linalg, "svd_f", svd):
                 cf = mds._canonicalize(R)
                 ref_t, ref_u1, ref_u2 = _canonical_by_determinants(R)
             assert cf.t.tobytes() == ref_t.tobytes()

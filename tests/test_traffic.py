@@ -2,9 +2,10 @@
 
 Which functions and statements the workloads reach depends on their inputs,
 so the smoke run checks only the report's shape and one function that no
-kernel calls.
+kernel calls. The keying of its entries is checked on a small traced module.
 """
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -27,3 +28,48 @@ def test_traffic_map_runs():
     # linalg.eigh is public API that no kernel of the package calls
     assert "linalg.eigh" in report["not_entered"]
     assert isinstance(report["not_executed"], list)
+
+
+def _load_traffic():
+    spec = importlib.util.spec_from_file_location("traffic", ROOT / "tools" / "traffic.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+MODULE = """\
+def sign(x):
+    if x < 0:
+        return -1
+    return 1
+
+
+def unused():
+    return 0
+"""
+
+
+def _map_of(traffic, directory, source):
+    """The traffic map of one module file holding source, after tracing sign(1)."""
+    directory.mkdir()
+    path = directory / "mod.py"
+    path.write_text(source, encoding="utf-8")
+    namespace = {}
+    exec(compile(source, str(path), "exec"), namespace)
+    recorder = traffic.Recorder({str(path)})
+    previous = sys.gettrace()
+    sys.settrace(recorder)
+    try:
+        namespace["sign"](1)
+    finally:
+        sys.settrace(previous)
+    return traffic.traffic_map(recorder, directory)
+
+
+def test_entries_are_keyed_within_their_function(tmp_path):
+    traffic = _load_traffic()
+    plain = _map_of(traffic, tmp_path / "plain", MODULE)
+    assert plain == (["mod.unused"], ["mod.sign:+2: return -1"])
+    # lines added above a function move no entry of it
+    shifted = _map_of(traffic, tmp_path / "shifted", "import math\n\n# a comment\n" + MODULE)
+    assert shifted == plain

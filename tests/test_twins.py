@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 
 from conftest import local_move
 from twinscope import linalg, mds, schmidt, twins
@@ -259,11 +260,12 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
 
         return wrapper
 
-    # every twinscope binding of eigh, and the numpy routine beneath it
+    # every twinscope binding of eigh, and the numpy kernel beneath it and np.linalg.eigh
     for module in (linalg, mds, twins, schmidt):
         if hasattr(module, "eigh"):
             monkeypatch.setattr(module, "eigh", counted(module.eigh))
-    monkeypatch.setattr(np.linalg, "eigh", counted(np.linalg.eigh))
+    kernel = _umath_linalg.eigh_lo
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted(kernel))
     for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
         classify(t)
         rho = build_T(t)
@@ -271,9 +273,9 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
         ppt_separable(rho)
         operator_schmidt(rho)
     assert calls == []
-    # the counter does see a caller that reads eigenvectors
+    # the counters do see a caller that reads eigenvectors, down to the kernel
     linalg.eigh(rho)
-    assert calls
+    assert kernel in calls
 
 
 def test_sweep_path_checks_hermiticity_never(guard_callers):
@@ -773,11 +775,14 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
                 label = f"{module.__name__}.{name}"
                 monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
     monkeypatch.setattr(np, "kron", counted("np.kron", np.kron))
-    monkeypatch.setattr(np.linalg, "eigh", counted("np.linalg.eigh", np.linalg.eigh))
+    monkeypatch.setattr(_umath_linalg, "eigh_lo", counted("eigh_lo", _umath_linalg.eigh_lo))
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
     # the tables come in closed form from Pauli components: no eigensolver, no product
     assert calls == []
+    # the counters do see an eigensolver, down to the kernel
+    linalg.eigh(pair.a1)
+    assert calls == ["twinscope.linalg.eigh", "eigh_lo"]
 
 
 # The former per-pair bodies, kept as the references for the stacked kernels.

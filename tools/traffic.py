@@ -6,7 +6,10 @@ two lists:
 
   * `not_entered`: functions (module.qualname) that no workload calls;
   * `not_executed`: statements of entered functions that no workload runs,
-    as "module.qualname:line: source".
+    as "module.qualname:+offset: source", offset counting lines from the
+    function's first line (its def, or its first decorator). A line added
+    above a function moves none of its entries, so maps of two checkouts
+    compare entry by entry.
 
 Each workload's set-up and seeded input draws are traced with its operations.
 stratum-sweep and verify-scrambled run their timed `op`; cli-oneshot's calls
@@ -127,9 +130,10 @@ def run_workloads(seed: int, inputs: dict[str, int], recorder: Recorder) -> None
             sys.settrace(None)
 
 
-def traffic_map(recorder: Recorder) -> tuple[list[str], list[str]]:
+def traffic_map(recorder: Recorder, package: Path = PACKAGE) -> tuple[list[str], list[str]]:
+    """(not_entered, not_executed) of the recorded run over the files of package."""
     not_entered, not_executed = [], []
-    for path in sorted(PACKAGE.glob("*.py")):
+    for path in sorted(package.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         runnable = _code_lines(compile(source, str(path), "exec"))
@@ -143,7 +147,8 @@ def traffic_map(recorder: Recorder) -> tuple[list[str], list[str]]:
             for stmt in sorted(_own_statements(fn), key=lambda s: s.lineno):
                 span = set(range(stmt.lineno, _header_end(stmt) + 1))
                 if span & runnable and not span & run:
-                    not_executed.append(f"{name}:{stmt.lineno}: {text[stmt.lineno - 1].strip()}")
+                    source_line = text[stmt.lineno - 1].strip()
+                    not_executed.append(f"{name}:+{stmt.lineno - first}: {source_line}")
     return not_entered, not_executed
 
 
