@@ -149,13 +149,13 @@ def _eigenvalues_did_not_converge(err: str, flag: int) -> None:
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# The LAPACK seam's kernels: each gufunc's real and complex loop and its error, as
-# np.linalg.svd (full_matrices=True, False), eigvalsh and eigh (UPLO="L") pick them
+# The LAPACK seam's kernels and the error each raises on non-convergence, as
+# np.linalg.svd (full_matrices=True, False), eigvalsh and eigh (UPLO="L") call them
 _KERNELS = {
-    "svd_f": ("d->ddd", "D->DdD", _svd_did_not_converge),
-    "svd_s": ("d->ddd", "D->DdD", _svd_did_not_converge),
-    "eigvalsh_lo": ("d->d", "D->d", _eigenvalues_did_not_converge),
-    "eigh_lo": ("d->dd", "D->dD", _eigenvalues_did_not_converge),
+    "svd_f": _svd_did_not_converge,
+    "svd_s": _svd_did_not_converge,
+    "eigvalsh_lo": _eigenvalues_did_not_converge,
+    "eigh_lo": _eigenvalues_did_not_converge,
 }
 
 
@@ -165,13 +165,14 @@ def _lapack(kernel: str, a: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
     svd_f gives (u, s, vh) as np.linalg.svd(a), svd_s as np.linalg.svd(a,
     full_matrices=False), eigvalsh_lo the eigenvalues ascending as
     np.linalg.eigvalsh(a), eigh_lo (w, v) as np.linalg.eigh(a); each bitwise,
-    without the wrapper's checks. Non-convergence (a nan entry included) raises
-    numpy's LinAlgError, with no warning.
+    without the wrapper's checks. On float64 or complex128 input the gufunc picks
+    the loop np.linalg names by signature. Non-convergence (a nan entry included)
+    raises numpy's LinAlgError, with no warning.
     """
-    real, cplx, error = _KERNELS[kernel]
+    error = _KERNELS[kernel]
     # numpy's wrappers run their gufuncs under this state: LAPACK failure flags invalid
     with np.errstate(call=error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return getattr(_umath_linalg, kernel)(a, signature=cplx if a.dtype.kind == "c" else real)
+        return getattr(_umath_linalg, kernel)(a)
 
 
 class RankDecisionError(ValueError):

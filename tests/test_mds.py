@@ -923,9 +923,9 @@ def _canonical_by_determinants(R):
 _SVD_F = _umath_linalg.svd_f
 
 
-def _svd_f_reflected(m, signature):
+def _svd_f_reflected(m, **kwargs):
     """numpy's full SVD kernel, last left and right singular vectors negated: the same product."""
-    a, s, bt = _SVD_F(m, signature=signature)
+    a, s, bt = _SVD_F(m, **kwargs)
     return a * [1, 1, -1], s, bt * [[1], [1], [-1]]
 
 

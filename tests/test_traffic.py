@@ -49,7 +49,7 @@ def unused():
 """
 
 
-def _map_of(traffic, directory, source):
+def _map_of(traffic, monkeypatch, directory, source):
     """The traffic map of one module file holding source, after tracing sign(1)."""
     directory.mkdir()
     path = directory / "mod.py"
@@ -63,13 +63,15 @@ def _map_of(traffic, directory, source):
         namespace["sign"](1)
     finally:
         sys.settrace(previous)
-    return traffic.traffic_map(recorder, directory)
+    monkeypatch.setattr(traffic, "PACKAGE", directory)
+    return traffic.traffic_map(recorder)
 
 
-def test_entries_are_keyed_within_their_function(tmp_path):
+def test_entries_are_keyed_within_their_function(tmp_path, monkeypatch):
     traffic = _load_traffic()
-    plain = _map_of(traffic, tmp_path / "plain", MODULE)
+    plain = _map_of(traffic, monkeypatch, tmp_path / "plain", MODULE)
     assert plain == (["mod.unused"], ["mod.sign:+2: return -1"])
     # lines added above a function move no entry of it
-    shifted = _map_of(traffic, tmp_path / "shifted", "import math\n\n# a comment\n" + MODULE)
+    shifted_source = "import math\n\n# a comment\n" + MODULE
+    shifted = _map_of(traffic, monkeypatch, tmp_path / "shifted", shifted_source)
     assert shifted == plain

@@ -130,10 +130,10 @@ def run_workloads(seed: int, inputs: dict[str, int], recorder: Recorder) -> None
             sys.settrace(None)
 
 
-def traffic_map(recorder: Recorder, package: Path = PACKAGE) -> tuple[list[str], list[str]]:
-    """(not_entered, not_executed) of the recorded run over the files of package."""
+def traffic_map(recorder: Recorder) -> tuple[list[str], list[str]]:
+    """(not_entered, not_executed) of the recorded run over the package's files."""
     not_entered, not_executed = [], []
-    for path in sorted(package.glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source)
         runnable = _code_lines(compile(source, str(path), "exec"))
