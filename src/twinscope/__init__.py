@@ -15,9 +15,7 @@ _EXPORTS = {
     "linalg": (
         "NullspaceResult",
         "RankDecisionError",
-        "eigh",
         "hermitian_check",
-        "hs_inner",
         "partial_trace",
         "pauli",
         "random_unitary",
@@ -34,7 +32,6 @@ _EXPORTS = {
         "pure_schmidt",
         "pure_twin_partner",
         "pure_twin_partners",
-        "reconstruct",
     ),
     "mds": (
         "CanonicalForm",
@@ -46,7 +43,6 @@ _EXPORTS = {
         "build_T",
         "canonicalize",
         "classify",
-        "is_mds",
         "is_state",
         "t_from_weights",
         "validate_density_matrix",

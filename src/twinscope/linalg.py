@@ -5,10 +5,8 @@ largest system assembled anywhere is the stacked 32x8 twin condition).
 Operations are pure functions; returned decompositions follow fixed
 ordering and phase conventions so repeated runs produce identical output.
 
-eigh returns eigenvalues and phase-normalized eigenvectors, after rejecting
-input that is not Hermitian. No kernel of the package calls it: they read
-spectra, or projectors, which do not depend on phase. It stays as public API
-and as the phase-normalized reference the tests hold those kernels to.
+No public function returns eigenvectors: the kernels read spectra, or
+projectors, which do not depend on phase.
 A 2x2 observable c0 I + c.sigma needs no eigensolver at all: its spectrum is
 c0 +- |c| and its eigenprojectors are (I +- chat.sigma)/2, so
 twins.correlation_tables reads outcome tables in closed form from Pauli
@@ -25,7 +23,7 @@ second guard; public entry points guard what they receive from outside.
 mds.is_state records the bytes of T(t) for the last t it admitted:
 validate_density_matrix runs no test again on those bytes, nor
 operator_schmidt its guard. The phase
-convention of eigh and svd, and the sign convention of real factors
+convention of svd, and the sign convention of real factors
 elsewhere, is one rule, leading_phases: the first entry above PHASE_CUT in
 magnitude of each column is made real positive. It covers vectors that are
 reported.
@@ -39,9 +37,11 @@ Callers choose only what they cut and where.
 Every SVD and Hermitian eigensolver of the package runs through one seam,
 _lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s,
 eigvalsh_lo, eigh_lo), the kernels np.linalg.svd, eigvalsh and eigh call
-after their argument checks, under the same error state. Results are bitwise
-those of np.linalg; what is skipped is the wrapper's per-call Python, which on
-a 4x4 costs about as much as the LAPACK work. The gufunc names are numpy 2's,
+after their argument checks, under the same error state: svd and
+real_nullspace call svd_f or svd_s, the gate, is_state and PPT eigvalsh_lo,
+and verify's pure-state-commutant, the one reader of an eigenvector, eigh_lo.
+Results are bitwise those of np.linalg; what is skipped is the wrapper's
+per-call Python, which on a 4x4 costs about as much as the LAPACK work. The gufunc names are numpy 2's,
 hence numpy >= 2.0. random_unitary's np.linalg.qr is exempt: numpy's QR is
 two gufuncs plus relayout of their results, which the seam would have to copy.
 
@@ -104,9 +104,9 @@ RANK_GUARD = 10.0
 # Absolute: the gate that admits a state. A density matrix's Hermitian deviation,
 # |Tr rho - 1| and most negative eigenvalue; |phi|^2 - 1 of a pure vector (the
 # trace of its projector); the sum of --weights; the reduced-state disorder
-# ||rho_k - I/2|| (is_mds). A check on an admitted state allows what it admitted.
+# ||rho_k - I/2|| (mds._is_mds). A check on an admitted state allows what it admitted.
 STATE_VALIDATION_TOL = 1e-8
-# Absolute: the default Hermitian guard of a matrix (require_hermitian, eigh).
+# Absolute: the default Hermitian guard of a matrix (require_hermitian).
 HERMITIAN_TOL = 1e-9
 # Absolute: the Hermitian guard of 2x2 observables handed to the pair kernels.
 OBSERVABLE_HERMITIAN_TOL = 1e-10
@@ -241,15 +241,6 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Hilbert-Schmidt inner product Tr(a^dagger b)."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.shape != b.shape:
-        raise ValueError(f"hs_inner: shape mismatch {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
-
-
 def hs_norm(a: np.ndarray) -> float:
     """Hilbert-Schmidt (Frobenius) norm."""
     return float(np.linalg.norm(np.asarray(a, dtype=complex)))
@@ -289,12 +280,6 @@ def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> n
     return m
 
 
-def _hermitian_part(m: np.ndarray, what: str, tol: float) -> np.ndarray:
-    """(m + m^dagger)/2, after rejecting m as require_hermitian does."""
-    m = require_hermitian(m, what, tol)
-    return (m + _dagger(m)) / 2
-
-
 def leading_phases(a: np.ndarray) -> np.ndarray:
     """Unit phase of the first entry above PHASE_CUT in magnitude of each column.
 
@@ -325,19 +310,6 @@ def leading_phases(a: np.ndarray) -> np.ndarray:
     return z / np.abs(z)
 
 
-def eigh(m: np.ndarray, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, or of a stack (..., n, n) in one call.
-
-    Returns (eigenvalues descending, eigenvector columns), with each
-    eigenvector phase-normalized so its first significant entry is real
-    positive. Rejects input that is not Hermitian within `tol`; a stack
-    is guarded once, by its largest deviation.
-    """
-    w, v = _lapack("eigh_lo", _hermitian_part(m, "eigh: matrix", tol))
-    v = v[..., ::-1]
-    return w[..., ::-1].copy(), v * leading_phases(v).conj()[..., None, :]
-
-
 def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition m = u @ diag(s) @ vh with fixed phases.
 
@@ -356,11 +328,9 @@ def svd(m: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class NullspaceResult(NamedTuple):
-    """Orthonormal nullspace basis (rows) plus the rank-decision diagnostics."""
+    """Orthonormal nullspace basis (rows) and the gap of its rank decision (rank_split)."""
 
     basis: np.ndarray
-    singular_values: np.ndarray
-    rank: int
     gap: float
 
 
@@ -408,7 +378,7 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     s_full[: s.size] = s
     smax = s_full[0] if s_full.size else 0.0
     rank, gap = rank_split(s_full.tolist(), tol * smax)
-    return NullspaceResult(basis=vt[rank:].copy(), singular_values=s_full, rank=rank, gap=gap)
+    return NullspaceResult(basis=vt[rank:].copy(), gap=gap)
 
 
 def _ginibre(rng: np.random.Generator, dim: int, size: int | None) -> np.ndarray:

@@ -34,12 +34,13 @@ from .linalg import (
     RESIDUAL_TOL,
     ROUNDING_TOL,
     STATE_VALIDATION_TOL,
-    _hermitian_part,
+    _dagger,
     _lapack,
     from_pauli,
     pauli_adjoint,
     pauli_coordinates,
     rank_split,
+    require_hermitian,
 )
 
 BELL_VERTEX = "bell_vertex"
@@ -374,7 +375,8 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a 4x4 density matrix, got {rho.shape}")
     if rho.ndim == 2 and _admitted(rho.tobytes()):
         return rho.copy()
-    rho = _hermitian_part(rho, "density matrix", STATE_VALIDATION_TOL)
+    rho = require_hermitian(rho, "density matrix", STATE_VALIDATION_TOL)
+    rho = (rho + _dagger(rho)) / 2
     # python comparisons beat numpy reductions on one value per member
     for tr in rho.trace(axis1=-2, axis2=-1).real.reshape(-1).tolist():
         if abs(tr - 1) > STATE_VALIDATION_TOL:
@@ -383,11 +385,6 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
         if min_eig < -STATE_VALIDATION_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {min_eig:.3e}")
     return rho
-
-
-def is_mds(rho: np.ndarray) -> bool:
-    """True when both reduced states equal I/2 within STATE_VALIDATION_TOL, in operator norm."""
-    return _is_mds(pauli_coordinates(validate_density_matrix(rho)))
 
 
 def _disorder(r: list[list[float]]) -> tuple[float, float]:
@@ -405,7 +402,7 @@ def _disorder(r: list[list[float]]) -> tuple[float, float]:
 
 
 def _is_mds(R: np.ndarray) -> bool:
-    """is_mds on the Pauli coordinates R of a density matrix validate_density_matrix returned."""
+    """Both reduced states of a validated state with Pauli coordinates R are I/2 within the gate."""
     return max(_disorder(R.tolist())) <= STATE_VALIDATION_TOL
 
 

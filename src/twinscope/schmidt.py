@@ -80,10 +80,6 @@ class PureSchmidt(NamedTuple):
     schmidt_rank: int
     degeneracy: tuple[int, ...]
 
-    def reconstruct(self) -> np.ndarray:
-        terms = np.einsum("i,ia,ib->ab", self.coefficients, self.left_vectors, self.right_vectors)
-        return terms.reshape(4)
-
 
 class AntiunitaryMap(NamedTuple):
     """Antiunitary map encoded as conjugation followed by `unitary_part`.
@@ -244,9 +240,3 @@ def _operator_schmidt(R: np.ndarray, tol: float) -> OperatorSchmidt:
     coefficients, rows, rank, degeneracy = _expand(2 * R / norm, tol)
     rows.setflags(write=False)  # lifted to left_ops and right_ops only when read
     return OperatorSchmidt(coefficients, rows, rank, degeneracy)
-
-
-def reconstruct(os_: OperatorSchmidt, norm: float) -> np.ndarray:
-    """Rebuild norm * sum_i c_i (left_i x right_i) as a 4x4 matrix."""
-    terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
-    return norm * terms.reshape(4, 4)

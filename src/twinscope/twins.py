@@ -125,12 +125,6 @@ def pair_parameters(pair: ObservablePair) -> np.ndarray:
     return np.concatenate([to_pauli(pair.a1), to_pauli(pair.a2)])
 
 
-def pair_from_parameters(x: np.ndarray) -> ObservablePair:
-    """Inverse of pair_parameters."""
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return ObservablePair(a1=from_pauli(x[:4]), a2=from_pauli(x[4:]))
-
-
 def pull_back(space: TwinSpace, o1: np.ndarray, o2: np.ndarray) -> TwinSpace:
     """Carry a twin space of (u1 x u2) rho (u1 x u2)^dag back onto rho.
 

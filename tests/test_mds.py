@@ -33,7 +33,6 @@ from twinscope.mds import (
     canonicalize,
     classify,
     edge_mixture,
-    is_mds,
     is_state,
     random_edge_t,
     random_interior_t,
@@ -42,7 +41,7 @@ from twinscope.mds import (
     validate_density_matrix,
     weights_from_t,
 )
-from twinscope.mds import _su2_from_rotation
+from twinscope.mds import _is_mds, _su2_from_rotation
 
 HALF_I2 = np.eye(2) / 2
 
@@ -277,14 +276,14 @@ def test_edge_consistency_relations():
 
 def test_is_mds():
     for k in range(4):
-        assert is_mds(bell_state(k)[1])
+        assert _is_mds(pauli_coordinates(validate_density_matrix(bell_state(k)[1])))
     rng = np.random.default_rng(8)
     for _ in range(5):
         w = rng.dirichlet(np.ones(4))
-        assert is_mds(build_T(t_from_weights(w)))
+        assert _is_mds(pauli_coordinates(validate_density_matrix(build_T(t_from_weights(w)))))
     up = np.array([1, 0], dtype=complex)
     not_mds = tensor(np.outer(up, up), np.eye(2) / 2)
-    assert not is_mds(not_mds)
+    assert not _is_mds(pauli_coordinates(validate_density_matrix(not_mds)))
 
 
 def test_build_T_map_matches_einsum_definition():
@@ -659,7 +658,7 @@ def test_mds_reads_no_partial_trace(monkeypatch):
             monkeypatch.setattr(module, "partial_trace", counted)
     rng = np.random.default_rng(23)
     rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
-    assert is_mds(rho)
+    assert _is_mds(pauli_coordinates(validate_density_matrix(rho)))
     canonicalize(rho)
     assert calls == []
 
@@ -674,7 +673,7 @@ def test_disordered_gate_is_local_unitary_invariant():
     moves = [local_move(rho, random_unitary(rng), random_unitary(rng)) for _ in range(20)]
     for state in [rho, *moves]:
         assert max(mds._disorder(pauli_coordinates(state))) == pytest.approx(1.3e-8, rel=1e-6)
-        assert not is_mds(state)
+        assert not _is_mds(pauli_coordinates(validate_density_matrix(state)))
         with pytest.raises(ValueError, match="1.300e-08 in operator norm"):
             canonicalize(state)
 

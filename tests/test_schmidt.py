@@ -7,7 +7,6 @@ from twinscope import schmidt, state
 from twinscope.linalg import (
     RankDecisionError,
     from_pauli,
-    hs_inner,
     hs_norm,
     partial_trace,
     pauli,
@@ -21,7 +20,6 @@ from twinscope.schmidt import (
     pure_schmidt,
     pure_twin_partner,
     pure_twin_partners,
-    reconstruct,
 )
 from twinscope.state import State
 
@@ -65,7 +63,7 @@ def test_pure_schmidt_reconstruction_and_orthonormality():
     for _ in range(20):
         phi = random_pure_state(rng)
         ps = pure_schmidt(phi)
-        rebuilt = ps.reconstruct()
+        rebuilt = np.einsum("i,ia,ib->ab", ps.coefficients, ps.left_vectors, ps.right_vectors).reshape(4)
         # global phase was fixed by the left-vector convention, so compare
         # up to a single phase
         overlap = np.vdot(rebuilt, phi)
@@ -284,12 +282,13 @@ def test_operator_schmidt_bases_orthonormal_and_reconstruct():
         k = os_.schmidt_rank
         for i in range(k):
             for j in range(k):
-                li = hs_inner(os_.left_ops[i], os_.left_ops[j])
-                ri = hs_inner(os_.right_ops[i], os_.right_ops[j])
+                li = np.vdot(os_.left_ops[i], os_.left_ops[j])
+                ri = np.vdot(os_.right_ops[i], os_.right_ops[j])
                 assert abs(li - (i == j)) < 1e-10
                 assert abs(ri - (i == j)) < 1e-10
         assert abs(np.sum(os_.coefficients**2) - 1) < 1e-10
-        rebuilt = reconstruct(os_, hs_norm(rho))
+        terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
+        rebuilt = hs_norm(rho) * terms.reshape(4, 4)
         assert np.abs(rebuilt - rho).max() < 1e-10
 
 
@@ -351,7 +350,7 @@ def test_operator_schmidt_bases_are_paulis_for_distinct_t():
     half = [pauli(i) / np.sqrt(2) for i in range(4)]
     for k, ax in enumerate(order):
         left = os_.left_ops[k]
-        sign = np.sign(hs_inner(half[ax], left).real)
+        sign = np.sign(np.vdot(half[ax], left).real)
         assert np.abs(left - sign * half[ax]).max() < 1e-10
         right = os_.right_ops[k]
         t_sign = 1.0 if ax == 0 else np.sign(t[ax - 1])
@@ -360,7 +359,8 @@ def test_operator_schmidt_bases_are_paulis_for_distinct_t():
 
 def test_reconstruct_centroid():
     os_ = operator_schmidt(np.eye(4, dtype=complex) / 4)
-    rebuilt = reconstruct(os_, hs_norm(np.eye(4) / 4))
+    terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
+    rebuilt = hs_norm(np.eye(4) / 4) * terms.reshape(4, 4)
     assert np.abs(rebuilt - np.eye(4) / 4).max() < 1e-12
 
 

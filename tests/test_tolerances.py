@@ -42,7 +42,6 @@ def test_no_tolerance_literal_outside_the_table():
     "fn",
     [
         mds.validate_density_matrix,
-        mds.is_mds,
         mds._is_mds,
         schmidt.pure_twin_partners,
         schmidt.pure_twin_partner,

@@ -3,7 +3,7 @@ import pytest
 from numpy.linalg import _umath_linalg
 
 from conftest import local_move
-from twinscope import linalg, mds, schmidt, twins
+from twinscope import linalg, mds, twins
 from twinscope.linalg import (
     partial_trace,
     pauli,
@@ -41,7 +41,6 @@ from twinscope.twins import (
     correlation_tables,
     distant_correlation,
     is_twin_pair,
-    pair_from_parameters,
     pair_parameters,
     ppt_separable,
     pull_back,
@@ -260,10 +259,7 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
 
         return wrapper
 
-    # every twinscope binding of eigh, and the numpy kernel beneath it and np.linalg.eigh
-    for module in (linalg, mds, twins, schmidt):
-        if hasattr(module, "eigh"):
-            monkeypatch.setattr(module, "eigh", counted(module.eigh))
+    # the numpy kernel beneath the seam's eigh_lo and np.linalg.eigh
     kernel = _umath_linalg.eigh_lo
     monkeypatch.setattr(_umath_linalg, "eigh_lo", counted(kernel))
     for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):
@@ -273,8 +269,8 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
         ppt_separable(rho)
         operator_schmidt(rho)
     assert calls == []
-    # the counters do see a caller that reads eigenvectors, down to the kernel
-    linalg.eigh(rho)
+    # the counter does see a caller that reads eigenvectors
+    linalg._lapack("eigh_lo", rho)
     assert kernel in calls
 
 
@@ -508,7 +504,7 @@ def test_twin_pairs_have_equal_spectra_on_edges():
 def test_pair_parameter_roundtrip():
     rng = np.random.default_rng(23)
     x = rng.standard_normal(8)
-    pair = pair_from_parameters(x)
+    pair = ObservablePair(a1=linalg.from_pauli(x[:4]), a2=linalg.from_pauli(x[4:]))
     assert np.abs(pair_parameters(pair) - x).max() < 1e-12
 
 
@@ -573,7 +569,7 @@ def test_projections_match_qr_reference():
         if analytic is not None:
             assert_rows_at_pair_scale(analytic)
             compared.append(pull_back(analytic, linalg.pauli_adjoint(u1).T, linalg.pauli_adjoint(u2).T))
-        stray = pair_from_parameters(rng.standard_normal(8))
+        stray = ObservablePair(*linalg.from_pauli(rng.standard_normal((2, 4))))
         assert_rows_at_pair_scale(oracle)
         for other in compared:
             assert_rows_at_pair_scale(other)
@@ -613,8 +609,10 @@ def test_membership_and_span_tests_run_no_qr(monkeypatch):
 
 # The former Kronecker-and-trace body, kept as the reference for the contraction.
 def reference_distant_correlation(pair, rho):
-    w1, v1 = linalg.eigh(pair.a1, 1e-10)
-    w2, v2 = linalg.eigh(pair.a2, 1e-10)
+    w1, v1 = np.linalg.eigh(pair.a1)
+    w2, v2 = np.linalg.eigh(pair.a2)
+    # descending, the order of the outcome tables
+    w1, v1, w2, v2 = w1[::-1], v1[:, ::-1], w2[::-1], v2[:, ::-1]
     exp1 = np.trace(tensor(pair.a1, np.eye(2)) @ rho).real
     exp2 = np.trace(tensor(np.eye(2), pair.a2) @ rho).real
     degenerate = abs(w1[0] - w1[1]) <= 1e-9 or abs(w2[0] - w2[1]) <= 1e-9
@@ -643,10 +641,11 @@ def test_simultaneous_twins_takes_a_list_or_a_stack():
         simultaneous_twins(np.zeros((0, 4, 4)))
 
 
-def phased_correlation_tables(a1, a2, rho):
-    """correlation_tables on phase-normalised eigenvectors (linalg.eigh), the reference."""
-    w1, v1 = linalg.eigh(a1, 1e-10)
-    w2, v2 = linalg.eigh(a2, 1e-10)
+def eigh_correlation_tables(a1, a2, rho):
+    """correlation_tables on eigenprojectors from np.linalg.eigh, descending, the reference."""
+    w1, v1 = np.linalg.eigh(a1)
+    w2, v2 = np.linalg.eigh(a2)
+    w1, v1, w2, v2 = w1[..., ::-1], v1[..., ::-1], w2[..., ::-1], v2[..., ::-1]
     exp1 = np.trace(a1 @ partial_trace(rho, 1), axis1=-2, axis2=-1).real
     exp2 = np.trace(a2 @ partial_trace(rho, 2), axis1=-2, axis2=-1).real
     degenerate = (np.abs(w1[:, 0] - w1[:, 1]) <= 1e-9) | (np.abs(w2[:, 0] - w2[:, 1]) <= 1e-9)
@@ -670,7 +669,7 @@ def _near_degenerate_observables(rng):
 
 
 def test_correlation_tables_match_the_phased_eigh_reference():
-    # closed form from Pauli components against phase-normalised eigenprojectors
+    # closed form from Pauli components against eigenprojectors from np.linalg.eigh
     rng = np.random.default_rng(19)
     worst = 0.0
     flags = set()
@@ -688,7 +687,7 @@ def test_correlation_tables_match_the_phased_eigh_reference():
             a1 = np.concatenate([ops[:, 0], strays, [zero], tiny, strays])
             a2 = np.concatenate([ops[:, 1], strays[::-1], [zero], strays, tiny])
             dist, gap, degenerate = correlation_tables(a1, a2, rho)
-            ref_dist, ref_gap, ref_degenerate = phased_correlation_tables(a1, a2, rho)
+            ref_dist, ref_gap, ref_degenerate = eigh_correlation_tables(a1, a2, rho)
             assert np.array_equal(degenerate, ref_degenerate)
             flags.update(degenerate[-6:].tolist())
             worst = max(worst, np.abs(dist - ref_dist).max(), np.abs(gap - ref_gap).max())
@@ -770,19 +769,17 @@ def test_distant_correlation_builds_no_kronecker_product(monkeypatch):
     rng = np.random.default_rng(41)
     rho = local_move(EDGE_A, random_unitary(rng), random_unitary(rng))
     for module in (linalg, twins):
-        for name in ("tensor", "eigh"):
-            if hasattr(module, name):
-                label = f"{module.__name__}.{name}"
-                monkeypatch.setattr(module, name, counted(label, getattr(module, name)))
+        if hasattr(module, "tensor"):
+            monkeypatch.setattr(module, "tensor", counted(f"{module.__name__}.tensor", module.tensor))
     monkeypatch.setattr(np, "kron", counted("np.kron", np.kron))
     monkeypatch.setattr(_umath_linalg, "eigh_lo", counted("eigh_lo", _umath_linalg.eigh_lo))
     pair = ObservablePair(a1=random_hermitian(rng), a2=random_hermitian(rng))
     assert not distant_correlation(pair, rho).degenerate
     # the tables come in closed form from Pauli components: no eigensolver, no product
     assert calls == []
-    # the counters do see an eigensolver, down to the kernel
-    linalg.eigh(pair.a1)
-    assert calls == ["twinscope.linalg.eigh", "eigh_lo"]
+    # the counter does see an eigensolver
+    linalg._lapack("eigh_lo", pair.a1)
+    assert calls == ["eigh_lo"]
 
 
 # The former per-pair bodies, kept as the references for the stacked kernels.
@@ -803,8 +800,11 @@ def per_pair_is_twin_pair(pair, rho, tol=mds.DEFAULT_TOL):
 
 def per_pair_distant_correlation(pair, rho):
     rho = mds.validate_density_matrix(rho)
-    w1, v1 = linalg.eigh(np.asarray(pair.a1, dtype=complex), linalg.OBSERVABLE_HERMITIAN_TOL)
-    w2, v2 = linalg.eigh(np.asarray(pair.a2, dtype=complex), linalg.OBSERVABLE_HERMITIAN_TOL)
+    for name, a in (("a1", pair.a1), ("a2", pair.a2)):
+        linalg.require_hermitian(a, f"distant_correlation: {name}", linalg.OBSERVABLE_HERMITIAN_TOL)
+    w1, v1 = np.linalg.eigh(pair.a1)
+    w2, v2 = np.linalg.eigh(pair.a2)
+    w1, v1, w2, v2 = w1[::-1], v1[:, ::-1], w2[::-1], v2[:, ::-1]
     exp1 = np.trace(pair.a1 @ partial_trace(rho, 1)).real
     exp2 = np.trace(pair.a2 @ partial_trace(rho, 2)).real
     gap = abs(exp1 - exp2)
