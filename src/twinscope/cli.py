@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError, hs_norm
+from .linalg import DEFAULT_TOL, RANK_GUARD, STATE_VALIDATION_TOL, RankDecisionError
 from .mds import NON_STATE, InternalConsistencyError, MdsClass, edge_mixture, t_from_weights
 from .report import parse_state_file, render
 from .state import State
@@ -184,7 +184,7 @@ def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
 
     os_ = _operator_schmidt(state.coords, state.tol)
     result: dict = {
-        "hs_norm": hs_norm(state.rho),
+        "hs_norm": float(np.linalg.norm(state.rho)),
         "coefficients": os_.coefficients,
         "schmidt_rank": os_.schmidt_rank,
         "degeneracy": os_.degeneracy,
@@ -201,11 +201,7 @@ def cmd_schmidt(args: argparse.Namespace, state: State) -> tuple[dict, int]:
             "right_vectors": ps.right_vectors,
         }
         ua = correlation_operator(ps)
-        pure_tree["correlation_operator"] = {
-            "unitary_part": ua.unitary_part,
-            "rank": ua.rank,
-            "partial": ua.partial,
-        }
+        pure_tree["correlation_operator"] = {**ua._asdict(), "partial": ua.partial}
         result["pure"] = pure_tree
     return {"result": result}, 0
 
@@ -284,16 +280,7 @@ def cmd_correlate(args: argparse.Namespace, state: State) -> tuple[dict, int]:
     c2 = _parse_floats(args.a2, 4, "--a2")
     # one Pauli row (c1, c2), read as perfect-correlation reads twin rows: no lift, no guard
     report = _correlation_report(*_pauli_tables(np.concatenate([c1, c2])[None], coords))
-    return {
-        "result": {
-            "a1_pauli": c1,
-            "a2_pauli": c2,
-            "joint_distribution": report.joint_distribution,
-            "mismatch_probability": report.mismatch_probability,
-            "expectation_gap": report.expectation_gap,
-            "degenerate": report.degenerate,
-        }
-    }, 0
+    return {"result": {"a1_pauli": c1, "a2_pauli": c2, **report._asdict()}}, 0
 
 
 def cmd_canonicalize(args: argparse.Namespace, state: State) -> tuple[dict, int]:

@@ -241,11 +241,6 @@ def partial_trace(rho: np.ndarray, keep: int) -> np.ndarray:
     raise ValueError(f"keep must be 1 or 2, got {keep}")
 
 
-def hs_norm(a: np.ndarray) -> float:
-    """Hilbert-Schmidt (Frobenius) norm."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex)))
-
-
 def _dagger(m: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
     return m.conj().swapaxes(-2, -1)

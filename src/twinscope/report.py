@@ -14,10 +14,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def format_float(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def format_complex(z: complex) -> str:
     z = complex(z)
     return f"{z.real:.17g}{z.imag:+.17g}i"
@@ -39,7 +35,7 @@ def _format_scalar(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return format_float(value)
+        return f"{value:.17g}"
     if isinstance(value, complex):
         return format_complex(value)
     return str(value)

@@ -121,8 +121,8 @@ class CorrelationReport(NamedTuple):
 
 
 def pair_parameters(pair: ObservablePair) -> np.ndarray:
-    """Real 8-vector of Pauli components (a1 then a2)."""
-    return np.concatenate([to_pauli(pair.a1), to_pauli(pair.a2)])
+    """Real Pauli components (a1 then a2): an 8-vector, or rows (n, 8) of (n, 2, 2) stacks."""
+    return np.concatenate([to_pauli(pair.a1), to_pauli(pair.a2)], axis=-1)
 
 
 def pull_back(space: TwinSpace, o1: np.ndarray, o2: np.ndarray) -> TwinSpace:
@@ -177,10 +177,17 @@ def twin_residuals(a1: np.ndarray, a2: np.ndarray, rho: np.ndarray) -> np.ndarra
 
     rho is validated (validate_density_matrix) and each stack guarded for Hermiticity once.
     """
+    return _twin_residuals(*_guarded_rows("is_twin_pair", a1, a2, rho))
+
+
+def _guarded_rows(
+    name: str, a1: np.ndarray, a2: np.ndarray, rho: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pair rows (n, 8) of a1, a2 and rho's R, after rho's gate and the guards `{name}: a1/a2`."""
     R = pauli_coordinates(validate_density_matrix(rho))
-    a1 = require_hermitian(a1, "is_twin_pair: a1", OBSERVABLE_HERMITIAN_TOL)
-    a2 = require_hermitian(a2, "is_twin_pair: a2", OBSERVABLE_HERMITIAN_TOL)
-    return _twin_residuals(np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1), R)
+    a1 = require_hermitian(a1, f"{name}: a1", OBSERVABLE_HERMITIAN_TOL)
+    a2 = require_hermitian(a2, f"{name}: a2", OBSERVABLE_HERMITIAN_TOL)
+    return pair_parameters(ObservablePair(a1, a2)), R
 
 
 def _twin_residuals(rows: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -447,10 +454,7 @@ def correlation_tables(
     -(STATE_VALIDATION_TOL + ROUNDING_TOL), or a sum off 1 by more than
     STATE_VALIDATION_TOL + PROBABILITY_TOL, is an InternalConsistencyError.
     """
-    R = pauli_coordinates(validate_density_matrix(rho))
-    a1 = require_hermitian(a1, "correlation_tables: a1", OBSERVABLE_HERMITIAN_TOL)
-    a2 = require_hermitian(a2, "correlation_tables: a2", OBSERVABLE_HERMITIAN_TOL)
-    return _pauli_tables(np.concatenate([to_pauli(a1), to_pauli(a2)], axis=-1), R)
+    return _pauli_tables(*_guarded_rows("correlation_tables", a1, a2, rho))
 
 
 def distant_correlation(pair: ObservablePair, rho: np.ndarray) -> CorrelationReport:

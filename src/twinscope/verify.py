@@ -28,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import PROBABILITY_TOL, RESIDUAL_TOL, ROUNDING_TOL, _lapack, partial_trace
-from .linalg import random_hermitian, to_pauli
+from .linalg import random_hermitian
 from .mds import (
     BELL_VERTEX,
     BINARY_EDGE,
@@ -47,11 +47,13 @@ from .mds import (
 from .schmidt import _pure_twin_partners
 from .state import State
 from .twins import (
+    ObservablePair,
     _off_span,
     _pauli_spectra,
     _pauli_tables,
     _simultaneous_twins,
     _twin_residuals,
+    pair_parameters,
     pull_back,
     span_distances,
     subspace_residual,
@@ -186,7 +188,7 @@ def _check_pure_state_commutant(ctx: State) -> tuple[bool, str]:
     if failing.size:
         return False, f"random observable fails to commute with I/2 ({comm[failing[0]]:.3e})"
     a2 = _pure_twin_partners(a1, phi)
-    worst_member = float(span_distances(ctx.space, np.hstack([to_pauli(a1), to_pauli(a2)])).max())
+    worst_member = float(span_distances(ctx.space, pair_parameters(ObservablePair(a1, a2))).max())
     oracle_a1 = ctx.space.ops[:, 0]
     worst_comm = float(np.abs(oracle_a1 @ rho1 - rho1 @ oracle_a1).max())
     return (

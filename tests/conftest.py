@@ -1,14 +1,39 @@
+import ast
+import functools
 import sys
+from pathlib import Path
 
 import pytest
 
 from twinscope import linalg, mds
+from twinscope.report import format_complex
+
+PACKAGE = Path(linalg.__file__).resolve().parent
 
 
 def local_move(rho, u1, u2):
     """(u1 x u2) rho (u1 x u2)^dag, for a matrix or a stack (..., 4, 4): a scrambled input."""
     u = linalg.tensor(u1, u2)
     return u @ rho @ u.conj().T
+
+
+def matrix_file(path, rho):
+    """Write rho as a `matrix 4 4` state file, entries in the re+imi form; returns str(path)."""
+    rows = [" ".join(format_complex(z) for z in row) for row in rho]
+    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+@functools.cache
+def package_sources() -> dict[str, str]:
+    """The source of each module of the package by file name, in sorted order, read once."""
+    return {path.name: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+
+
+@functools.cache
+def package_trees() -> dict[str, ast.Module]:
+    """package_sources parsed once: the static pins share these trees and never edit them."""
+    return {name: ast.parse(source) for name, source in package_sources().items()}
 
 
 @pytest.fixture

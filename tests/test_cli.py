@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
-from conftest import local_move
+from conftest import local_move, matrix_file, package_trees
 from twinscope.cli import run
 from twinscope.linalg import pauli, pauli_adjoint, random_unitary, tensor
 from twinscope.mds import build_T, is_state, random_interior_t
@@ -27,26 +27,14 @@ def singlet_file(tmp_path):
 
 @pytest.fixture
 def mixed_file(tmp_path):
-    path = tmp_path / "mixed.txt"
-    rows = ["0.25+0i 0+0i 0+0i 0+0i"] * 4
-    entries = []
-    for i in range(4):
-        row = ["0+0i"] * 4
-        row[i] = "0.25+0i"
-        entries.append(" ".join(row))
-    path.write_text("matrix 4 4\n" + "\n".join(entries) + "\n")
-    return str(path)
+    return matrix_file(tmp_path / "mixed.txt", np.eye(4) / 4)
 
 
 @pytest.fixture
 def scrambled_edge_file(tmp_path):
     rng = np.random.default_rng(17)
-    u = tensor(random_unitary(rng), random_unitary(rng))
-    rho = u @ build_T(np.array([0.4, -0.4, 1.0])) @ u.conj().T
-    path = tmp_path / "scrambled_edge.txt"
-    rows = [" ".join(format_complex(z) for z in row) for row in rho]
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
-    return str(path)
+    rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), random_unitary(rng), random_unitary(rng))
+    return matrix_file(tmp_path / "scrambled_edge.txt", rho)
 
 
 # child interpreters import twinscope from the source tree, as pytest does
@@ -140,10 +128,8 @@ def test_correlate_is_local_unitary_invariant(capsys, tmp_path):
     # the scrambled frame gives the observables complex eigenvectors
     rng = np.random.default_rng(43)
     u1, u2 = random_unitary(rng), random_unitary(rng)
-    path = tmp_path / "scrambled_edge.txt"
     rho = local_move(build_T(np.array([0.4, -0.4, 1.0])), u1, u2)
-    rows = [" ".join(format_complex(z) for z in row) for row in rho]
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    path = matrix_file(tmp_path / "scrambled_edge.txt", rho)
     pairs = [([0, 1, 0, 0], [0, 1, 0, 0]), ([0, 0, 0, 1], [0, 0, 0, 1])]
     pairs.append((rng.standard_normal(4), rng.standard_normal(4)))
     for c1, c2 in pairs:
@@ -154,7 +140,7 @@ def test_correlate_is_local_unitary_invariant(capsys, tmp_path):
         )
         code, expected, _ = invoke(capsys, "correlate", "--t", "0.4,-0.4,1", *plain)
         assert code == 0
-        code, out, _ = invoke(capsys, "correlate", "--input", str(path), *moved)
+        code, out, _ = invoke(capsys, "correlate", "--input", path, *moved)
         assert code == 0
         assert "degenerate: false" in out
         for key in ("mismatch_probability", "expectation_gap"):
@@ -308,7 +294,7 @@ RESOLVED_IN_STATE = {
 
 def _names_used(module) -> set[str]:
     """Names a module imports from others, and attributes it reads."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    tree = package_trees()[Path(module.__file__).name]
     imported = {
         alias.name
         for node in ast.walk(tree)
@@ -657,36 +643,23 @@ def test_error_messages_are_distinct(capsys, tmp_path):
 
 def test_non_mds_matrix_rejected_for_classify(capsys, tmp_path):
     # pure product state: valid density matrix, but not maximally disordered
-    path = tmp_path / "product.txt"
-    rows = []
-    for i in range(4):
-        row = ["0+0i"] * 4
-        if i == 0:
-            row[0] = "1+0i"
-        rows.append(" ".join(row))
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
-    code, _, err = invoke(capsys, "classify", "--input", str(path))
+    path = matrix_file(tmp_path / "product.txt", np.diag([1.0, 0.0, 0.0, 0.0]))
+    code, _, err = invoke(capsys, "classify", "--input", path)
     assert code == 1
     assert "disordered" in err
-    code, out, _ = invoke(capsys, "twins", "--input", str(path))
+    code, out, _ = invoke(capsys, "twins", "--input", path)
     assert code == 0
     assert "analytic" not in out
-    code, _, err = invoke(capsys, "verify", "--input", str(path))
+    code, _, err = invoke(capsys, "verify", "--input", path)
     assert code == 1
     assert "disordered" in err
-
-
-def _matrix_file(path, rho):
-    rows = [" ".join(format_complex(z) for z in row) for row in rho]
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
-    return str(path)
 
 
 def test_near_hermitian_matrix_is_read_as_its_hermitian_part(capsys, tmp_path):
     # deviation 5e-9: inside the 1e-8 validation gate, above the 1e-9 guard of later stages
     rho = build_T(np.array([0.2, 0.1, -0.05]))
     rho[0, 1] += 5e-9
-    path = _matrix_file(tmp_path / "near_hermitian.txt", rho)
+    path = matrix_file(tmp_path / "near_hermitian.txt", rho)
     spec, _ = cli.load_state_spec(cli.build_parser().parse_args(["schmidt", "--input", path]))
     assert np.array_equal(spec.rho, spec.rho.conj().T)
     assert np.abs(spec.rho - rho).max() <= 2.5e-9
@@ -699,7 +672,7 @@ def test_near_disordered_matrix_has_no_internal_failure(capsys, tmp_path):
     # rho_2 = I/2 + 2.5e-9 sigma_3: is_mds accepts it (1e-8), and no local unitary
     # removes that local part, so the canonical residual is 2.5e-9
     rho = build_T(np.array([0.2, 0.1, -0.05])) + tensor(np.eye(2) / 2, 2.5e-9 * np.diag([1, -1]))
-    path = _matrix_file(tmp_path / "near_mds.txt", rho)
+    path = matrix_file(tmp_path / "near_mds.txt", rho)
     for command in cli.COMMANDS:
         extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
         code, out, err = invoke(capsys, command, "--input", path, *extra)
@@ -720,7 +693,7 @@ def test_near_disordered_matrix_has_no_internal_failure(capsys, tmp_path):
     ],
 )
 def test_correlate_reads_tables_within_the_gate(capsys, tmp_path, diagonal):
-    path = _matrix_file(tmp_path / "diagonal.txt", np.diag(diagonal).astype(complex))
+    path = matrix_file(tmp_path / "diagonal.txt", np.diag(diagonal).astype(complex))
     code, out, err = invoke(capsys, "correlate", "--input", path, "--a1=0,0,0,1", "--a2=0,0,0,1")
     assert code == 0, err
     # sigma_3 x sigma_3 is diagonal: the table is the diagonal itself
@@ -789,7 +762,7 @@ def test_verify_rejects_a_file_whose_canonical_form_is_a_non_state(capsys, tmp_p
     # sum_k w_k P_k with w0 = -5e-9: the 1e-8 gate admits it, the tetrahedron does not
     w = np.array([-5e-9, 0.3, 0.3, 0.4 + 5e-9])
     projectors = np.array([mds.bell_state(k)[1] for k in range(4)])
-    path = _matrix_file(tmp_path / "mixture.txt", np.einsum("k,kab->ab", w, projectors))
+    path = matrix_file(tmp_path / "mixture.txt", np.einsum("k,kab->ab", w, projectors))
     code, out, _ = invoke(capsys, "classify", "--input", path)
     assert code == 0 and "  class: non_state\n" in out
     code, out, err = invoke(capsys, "verify", "--input", path)
@@ -804,7 +777,7 @@ def test_disordered_gate_gives_one_answer_for_every_seed(capsys, tmp_path):
     # rho_2 - I/2 = 1.3e-8 (sigma_1 + sigma_3)/sqrt(2): every entry is 9.2e-9, inside
     # 1e-8, but the gate reads the operator norm 1.3e-8, which no seeded local move changes
     kick = tensor(np.eye(2) / 2, 1.3e-8 * (pauli(1) + pauli(3)) / np.sqrt(2))
-    path = _matrix_file(tmp_path / "kick.txt", build_T(np.array([0.3, -0.2, 0.1])) + kick)
+    path = matrix_file(tmp_path / "kick.txt", build_T(np.array([0.3, -0.2, 0.1])) + kick)
     for command in cli.COMMANDS:
         extra = ("--a1=0,0,0,1", "--a2=0,0,0,1") if command == "correlate" else ()
         seeds = (f"--seed={s}" for s in range(20))

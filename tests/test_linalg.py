@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import local_move
+from conftest import local_move, package_sources, package_trees
 import twinscope
 from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.linalg import (
@@ -269,9 +269,8 @@ def test_pauli_coordinates_of_a_local_move():
 
 def test_pauli_coordinates_are_computed_in_one_place():
     # every private kernel reads R; the one conversion is pauli_coordinates
-    source = Path(linalg.__file__).parent
     einsum = '"ijab,...ba->...ij"'
-    counts = {path.name: path.read_text().count(einsum) for path in source.glob("*.py")}
+    counts = {name: text.count(einsum) for name, text in package_sources().items()}
     assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
     assert "einsum" not in inspect.getsource(schmidt.operator_schmidt)
     assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
@@ -279,7 +278,7 @@ def test_pauli_coordinates_are_computed_in_one_place():
 
 def parsed_functions(module):
     """A module's syntax tree and its function definitions by name."""
-    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    tree = package_trees()[Path(module.__file__).name]
     return tree, {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
 
 
@@ -314,21 +313,20 @@ def test_pauli_adjoint_is_formed_where_a_frame_is_made():
     # a frame carries its adjoints: the canonical form's two lifts and the seeded move's two
     # draws form them, and no library function takes a frame from its caller
     callers = []
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert calls(tree).count("linalg.pauli_adjoint") == 0, path.name
+    for name, tree in package_trees().items():
+        stem = name.removesuffix(".py")
+        assert calls(tree).count("linalg.pauli_adjoint") == 0, name
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                callers += [(path.stem, node.name)] * calls(node).count("pauli_adjoint")
-        assert calls(tree).count("pauli_adjoint") == sum(c[0] == path.stem for c in callers)
+                callers += [(stem, node.name)] * calls(node).count("pauli_adjoint")
+        assert calls(tree).count("pauli_adjoint") == sum(c[0] == stem for c in callers)
     expected = [("mds", "_canonical_form"), ("state", "moved")]
     assert sorted(callers) == sorted(expected * 2)
 
 
 def test_every_import_is_read():
     # no linter is installed: a name an import binds must be read in its module
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in package_trees().items():
         bound = {
             alias.asname or alias.name.split(".")[0]
             for node in ast.walk(tree)
@@ -337,13 +335,12 @@ def test_every_import_is_read():
             for alias in node.names
         }
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
-        assert sorted(bound - read) == [], path.name
+        assert sorted(bound - read) == [], name
 
 
 def test_no_module_defines_or_imports_local_conj():
     # a local move is a rotation of the Pauli coordinates R: no complex move is left in src/
-    for path in Path(linalg.__file__).parent.glob("*.py"):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in package_trees().items():
         names = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
         names |= {
             alias.name
@@ -352,7 +349,7 @@ def test_no_module_defines_or_imports_local_conj():
             for alias in node.names
         }
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-        assert "local_conj" not in names, path.name
+        assert "local_conj" not in names, name
 
 
 def test_library_modules_bind_no_tensor():
@@ -365,8 +362,7 @@ def test_kron_lives_only_in_tensor():
     # local operators contract with the (2, 2, 2, 2) view of rho instead; twins still
     # binds tensor, because biorthogonal_separable_forms builds its product states as
     # the independent construction the Bell forms are checked against
-    source = Path(linalg.__file__).parent
-    counts = {path.name: path.read_text().count("np.kron") for path in source.glob("*.py")}
+    counts = {name: text.count("np.kron") for name, text in package_sources().items()}
     assert {name: n for name, n in counts.items() if n} == {"linalg.py": 1}
     assert "np.kron" in inspect.getsource(linalg.tensor)
 
@@ -394,13 +390,13 @@ def test_lapack_kernels_are_called_through_one_seam():
     # without np.linalg's wrapper; random_unitary's QR is the one np.linalg decomposition left
     decompositions = {"svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh", "qr"}
     kernels, imports = [], []
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in package_trees().items():
+        stem = name.removesuffix(".py")
         for fn, ref in linalg_references(tree):
             if ref == "_umath_linalg" or ref.rsplit(".", 1)[1] in decompositions:
-                kernels.append((path.stem, fn, ref))
+                kernels.append((stem, fn, ref))
         imports += [
-            (path.stem, alias.name)
+            (stem, alias.name)
             for node in ast.walk(tree)
             if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg")
             for alias in node.names
@@ -588,12 +584,11 @@ def test_rank_split_builds_no_array_and_has_three_callers():
     _, functions = parsed_functions(linalg)
     assert not any(name.startswith("np.") for name in calls(functions["rank_split"]))
     callers = []
-    for path in sorted(Path(linalg.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        assert calls(tree).count("linalg.rank_split") == 0, path.name
+    for name, tree in package_trees().items():
+        assert calls(tree).count("linalg.rank_split") == 0, name
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                callers += [(path.stem, node.name)] * calls(node).count("rank_split")
+                callers += [(name.removesuffix(".py"), node.name)] * calls(node).count("rank_split")
     assert sorted(callers) == [("linalg", "real_nullspace"), ("mds", "classify"), ("schmidt", "_expand")]
     assert "rank_split" not in twinscope.__all__
 

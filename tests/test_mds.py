@@ -2,7 +2,6 @@ import ast
 import itertools
 import sys
 import threading
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.linalg import _umath_linalg
 
-from conftest import local_move
+from conftest import local_move, package_trees
 from twinscope import linalg, mds, schmidt, state, twins, verify
 from twinscope.linalg import (
     PAULI,
-    hs_norm,
     partial_trace,
     pauli,
     pauli_coordinates,
@@ -23,7 +21,6 @@ from twinscope.linalg import (
     tensor,
 )
 from twinscope.mds import (
-    BELL_VERTEX,
     BINARY_EDGE,
     GENERIC_INTERIOR,
     NON_STATE,
@@ -178,19 +175,6 @@ def test_is_state_agreement_on_grid():
 def test_state_test_rounding_scales_with_weight_mass():
     assert state_test_rounding(np.array([0.25, 0.25, 0.25, 0.25])) == 1e-12
     assert state_test_rounding(np.array([-1.0, 1.0, 1.0, 1.0])) == 4e-12
-
-
-def test_classify_vertices_sign_table():
-    for k in range(4):
-        cls = classify(bell_t_vector(k))
-        assert cls.kind == BELL_VERTEX
-        assert cls.vertex == k
-
-
-def test_classify_rejects_non_state_sign_patterns():
-    for pattern in ([1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]):
-        cls = classify(np.array(pattern, dtype=float))
-        assert cls.kind == NON_STATE
 
 
 def test_classify_edge_case_a():
@@ -626,12 +610,11 @@ def _functions_assigning(tree: ast.AST, name: str) -> list[str]:
 def test_admission_record_has_one_writer():
     # the record is the bytes of T(t) for the last t is_state admitted; only is_state binds
     # it after the module's None
-    src = Path(mds.__file__).parent
     writers = {}
-    for path in sorted(src.glob("*.py")):
-        for where in _functions_assigning(ast.parse(path.read_text()), "_last_accepted"):
-            writers.setdefault(f"{path.name}:{where}", 0)
-            writers[f"{path.name}:{where}"] += 1
+    for name, tree in package_trees().items():
+        for where in _functions_assigning(tree, "_last_accepted"):
+            writers.setdefault(f"{name}:{where}", 0)
+            writers[f"{name}:{where}"] += 1
     # is_state declares the global and assigns it once
     assert writers == {"mds.py:<module>": 1, "mds.py:is_state": 2}
 
@@ -686,7 +669,7 @@ def test_residual_bound_is_the_local_part_norm():
         rho = psi @ psi.conj().T
         rho /= np.trace(rho).real
         d1, d2 = partial_trace(rho, 1) - HALF_I2, partial_trace(rho, 2) - HALF_I2
-        local = hs_norm(tensor(d1, HALF_I2) + tensor(HALF_I2, d2))
+        local = np.linalg.norm(tensor(d1, HALF_I2) + tensor(HALF_I2, d2))
         bound = mds._residual_bound(pauli_coordinates(rho))
         assert abs(bound - mds.RESIDUAL_TOL - local) <= 1e-15
 
@@ -734,14 +717,12 @@ def test_canonicalize_roundtrip_random_scrambles():
     rng = np.random.default_rng(10)
     for _ in range(30):
         t = random_interior_t(rng)
-        rho = build_T(t)
-        u = tensor(random_unitary(rng), random_unitary(rng))
-        scrambled = u @ rho @ u.conj().T
+        scrambled = local_move(build_T(t), random_unitary(rng), random_unitary(rng))
         cf = canonicalize(scrambled)
         assert cf.residual <= 1e-9
         assert np.abs(np.sort(np.abs(cf.t)) - np.sort(np.abs(t))).max() < 1e-9
         rebuilt = tensor(cf.u1, cf.u2) @ scrambled @ tensor(cf.u1, cf.u2).conj().T
-        assert hs_norm(rebuilt - build_T(cf.t)) <= 1e-9
+        assert np.linalg.norm(rebuilt - build_T(cf.t)) <= 1e-9
 
 
 def test_canonicalize_rejects_non_mds():

@@ -3,11 +3,11 @@ import inspect
 import numpy as np
 import pytest
 
+from conftest import local_move
 from twinscope import schmidt, state
 from twinscope.linalg import (
     RankDecisionError,
     from_pauli,
-    hs_norm,
     partial_trace,
     pauli,
     random_unitary,
@@ -149,19 +149,6 @@ def test_correlation_operator_reconstructs_state():
         assert abs(abs(np.vdot(rebuilt, phi)) - 1) < 1e-10
 
 
-def test_singlet_twin_formula():
-    # exact closed form of the second-subsystem twin on the singlet
-    singlet, _ = bell_state(0)
-    rng = np.random.default_rng(12)
-    for _ in range(20):
-        app, amm = rng.standard_normal(2)
-        apm = rng.standard_normal() + 1j * rng.standard_normal()
-        a1 = np.array([[app, apm], [np.conj(apm), amm]])
-        a2 = pure_twin_partner(a1, singlet)
-        expected = np.array([[amm, -apm], [-np.conj(apm), app]])
-        assert np.abs(a2 - expected).max() < 1e-12
-
-
 def test_identity_is_its_own_twin():
     rng = np.random.default_rng(21)
     for _ in range(5):
@@ -288,20 +275,8 @@ def test_operator_schmidt_bases_orthonormal_and_reconstruct():
                 assert abs(ri - (i == j)) < 1e-10
         assert abs(np.sum(os_.coefficients**2) - 1) < 1e-10
         terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
-        rebuilt = hs_norm(rho) * terms.reshape(4, 4)
+        rebuilt = np.linalg.norm(rho) * terms.reshape(4, 4)
         assert np.abs(rebuilt - rho).max() < 1e-10
-
-
-def test_operator_schmidt_coefficients_for_tetrahedron_points():
-    rng = np.random.default_rng(77)
-    for _ in range(20):
-        t = random_interior_t(rng)
-        os_ = operator_schmidt(build_T(t))
-        expected = np.sort(np.concatenate([[1.0], np.abs(t)]))[::-1]
-        expected /= np.sqrt(1 + np.sum(t**2))
-        padded = np.zeros(4)
-        padded[: os_.schmidt_rank] = os_.coefficients
-        assert np.abs(padded - expected).max() < 1e-10
 
 
 def test_operator_schmidt_ops_computed_once_and_read_only():
@@ -333,8 +308,7 @@ def test_operator_schmidt_invariant_under_local_unitaries():
     for _ in range(10):
         t = random_interior_t(rng)
         rho = build_T(t)
-        u = tensor(random_unitary(rng), random_unitary(rng))
-        rho_rot = u @ rho @ u.conj().T
+        rho_rot = local_move(rho, random_unitary(rng), random_unitary(rng))
         c1 = operator_schmidt(rho).coefficients
         c2 = operator_schmidt(rho_rot).coefficients
         assert np.abs(c1 - c2).max() < 1e-10
@@ -360,7 +334,7 @@ def test_operator_schmidt_bases_are_paulis_for_distinct_t():
 def test_reconstruct_centroid():
     os_ = operator_schmidt(np.eye(4, dtype=complex) / 4)
     terms = np.einsum("i,iab,icd->acbd", os_.coefficients, os_.left_ops, os_.right_ops)
-    rebuilt = hs_norm(np.eye(4) / 4) * terms.reshape(4, 4)
+    rebuilt = np.linalg.norm(np.eye(4) / 4) * terms.reshape(4, 4)
     assert np.abs(rebuilt - np.eye(4) / 4).max() < 1e-12
 
 

@@ -2,16 +2,15 @@
 
 import ast
 import itertools
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from twinscope import mds, twins
+from conftest import package_trees
+from twinscope import twins
 from twinscope.linalg import PAULI2
 from twinscope.mds import _BELL_PROJECTORS, BELL_SIGNS
 
-PACKAGE = Path(mds.__file__).resolve().parent
 SUPPORTS = [s for n in range(1, 5) for s in itertools.combinations(range(4), n)]
 
 
@@ -49,8 +48,7 @@ def _is_unit_sign(node: ast.expr) -> bool:
 
 def test_no_sign_pattern_outside_the_table():
     strays = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in package_trees().items():
         table = set()
         for node in tree.body:
             if isinstance(node, ast.Assign) and any(
@@ -65,5 +63,5 @@ def test_no_sign_pattern_outside_the_table():
                 and all(_is_unit_sign(e) for e in node.elts)
                 and id(node) not in table
             ):
-                strays.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+                strays.append(f"{name}:{node.lineno}: {ast.unparse(node)}")
     assert strays == []

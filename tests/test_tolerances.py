@@ -2,24 +2,23 @@
 
 import ast
 import inspect
+import io
 import re
 import tokenize
-from pathlib import Path
 
 import pytest
 
+from conftest import package_sources, package_trees
 from twinscope import linalg, mds, schmidt, twins
 
-PACKAGE = Path(linalg.__file__).resolve().parent
 EXPONENT_LITERAL = re.compile(r"\d+(\.\d*)?e-\d+")
 
 
 def _table_lines() -> set[int]:
     """Lines of linalg's module-level assignments of a literal: the tolerance table."""
-    tree = ast.parse((PACKAGE / "linalg.py").read_text(encoding="utf-8"))
     return {
         node.lineno
-        for node in tree.body
+        for node in package_trees()["linalg.py"].body
         if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
     }
 
@@ -27,14 +26,13 @@ def _table_lines() -> set[int]:
 def test_no_tolerance_literal_outside_the_table():
     table = _table_lines()
     strays = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        with path.open(encoding="utf-8") as fh:
-            for tok in tokenize.generate_tokens(fh.readline):
-                if tok.type != tokenize.NUMBER or not EXPONENT_LITERAL.fullmatch(tok.string):
-                    continue
-                if path.name == "linalg.py" and tok.start[0] in table:
-                    continue
-                strays.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    for name, source in package_sources().items():
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type != tokenize.NUMBER or not EXPONENT_LITERAL.fullmatch(tok.string):
+                continue
+            if name == "linalg.py" and tok.start[0] in table:
+                continue
+            strays.append(f"{name}:{tok.start[0]}: {tok.string}")
     assert strays == []
 
 
@@ -65,8 +63,7 @@ def test_single_value_sampler_options_are_constants(fn, option):
 def test_default_tol_is_only_a_parameter_default():
     # DEFAULT_TOL is the rank cut --tol sets; a residual bound reads RESIDUAL_TOL, its own role
     strays = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in package_trees().items():
         allowed = set()
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.Lambda)):
@@ -76,7 +73,7 @@ def test_default_tol_is_only_a_parameter_default():
             ):
                 allowed |= {id(n) for n in ast.walk(node)}
         strays += [
-            f"{path.name}:{node.lineno}"
+            f"{name}:{node.lineno}"
             for node in ast.walk(tree)
             if isinstance(node, ast.Name)
             and isinstance(node.ctx, ast.Load)

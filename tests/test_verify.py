@@ -1,21 +1,18 @@
 import ast
 import inspect
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import local_move
+from conftest import local_move, matrix_file, package_trees
 from twinscope import cli, linalg, mds, schmidt, state, twins, verify
 from twinscope.linalg import random_unitary, tensor
 from twinscope.mds import BELL_VERTEX, DEFAULT_TOL, bell_state, bell_t_vector, build_T
-from twinscope.report import format_complex
 
 
 def test_oracle_twin_space_computed_once(monkeypatch):
     rng = np.random.default_rng(3)
-    u = tensor(random_unitary(rng), random_unitary(rng))
-    rho = u @ bell_state(2)[1] @ u.conj().T
+    rho = local_move(bell_state(2)[1], random_unitary(rng), random_unitary(rng))
     oracle = state._twin_space
     calls = []
 
@@ -192,7 +189,7 @@ def test_verify_names_a_state_with_no_frame():
 
 def _state_parts():
     """The names a State defines: its methods and properties, and what __init__ binds."""
-    tree = ast.parse(Path(state.__file__).read_text(encoding="utf-8"))
+    tree = package_trees()["state.py"]
     (cls,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "State"]
     names = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
     init = next(n for n in cls.body if isinstance(n, ast.FunctionDef) and n.name == "__init__")
@@ -204,11 +201,11 @@ def test_only_the_state_writes_its_parts():
     parts = _state_parts()
     assert {"frame", "canonical", "space", "moved", "tol", "matrix"} <= parts
     writes = []
-    for path in sorted(Path(state.__file__).parent.glob("*.py")):
-        if path.name != "state.py":
+    for name, tree in package_trees().items():
+        if name != "state.py":
             writes += [
-                f"{path.name}:{node.lineno}: {ast.unparse(node)}"
-                for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                f"{name}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(tree)
                 if isinstance(node, ast.Attribute)
                 and isinstance(node.ctx, (ast.Store, ast.Del))
                 and node.attr in parts
@@ -284,7 +281,7 @@ def test_r_route_matches_the_complex_route(monkeypatch):
         ((_, (cf, _)),) = seen["_canonical_form"]
         ref = mds.canonicalize(moved_rho)
         u = tensor(ref.u1, ref.u2)
-        complex_residual = linalg.hs_norm(u @ moved_rho @ u.conj().T - build_T(ref.t))
+        complex_residual = np.linalg.norm(u @ moved_rho @ u.conj().T - build_T(ref.t))
         assert abs(cf.residual - complex_residual) <= 1e-14
         # the covariance twin residuals
         ((rows, R, residuals),) = seen["_twin_residuals"]
@@ -317,7 +314,7 @@ def test_canonical_form_roundtrip_reports_a_missed_bound(monkeypatch, capsys):
 
 def test_checks_are_one_table():
     # run_verification records every check under its _CHECKS row's name: no check names itself
-    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    tree = package_trees()["verify.py"]
     builds = [
         node
         for node in ast.walk(tree)
@@ -328,10 +325,10 @@ def test_checks_are_one_table():
     names = [name for name, _, _ in verify._CHECKS]
     assert len(set(names)) == len(names)
     written = []
-    for path in sorted(Path(verify.__file__).parent.glob("*.py")):
+    for tree in package_trees().values():
         written += [
             node.value
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and node.value in names
         ]
     assert sorted(written) == sorted(names)
@@ -515,11 +512,9 @@ def test_pauli_adjoint_formed_once_per_unitary(monkeypatch, capsys, tmp_path, t)
     rng = np.random.default_rng(31)
     t_vector = np.array([float(v) for v in t.split(",")])
     rho = local_move(build_T(t_vector), random_unitary(rng), random_unitary(rng))
-    path = tmp_path / "scrambled.txt"
-    rows = [" ".join(format_complex(z) for z in row) for row in rho]
-    path.write_text("matrix 4 4\n" + "\n".join(rows) + "\n")
+    path = matrix_file(tmp_path / "scrambled.txt", rho)
     counts = []
-    for spec in (["--input", str(path)], [f"--t={t}"]):
+    for spec in (["--input", path], [f"--t={t}"]):
         calls.clear()
         assert cli.run(["verify", *spec]) == 0
         counts.append(len(calls))
