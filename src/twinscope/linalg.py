@@ -34,16 +34,16 @@ within a factor RANK_GUARD of the cut makes the decision ambiguous
 (RankDecisionError); a spectrum that is not descending is a ValueError.
 Callers choose only what they cut and where.
 
-Every SVD and Hermitian eigensolver of the package runs through one seam,
-_lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s,
-eigvalsh_lo, eigh_lo), the kernels np.linalg.svd, eigvalsh and eigh call
-after their argument checks, under the same error state: svd and
-real_nullspace call svd_f or svd_s, the gate, is_state and PPT eigvalsh_lo,
-and verify's pure-state-commutant, the one reader of an eigenvector, eigh_lo.
-Results are bitwise those of np.linalg; what is skipped is the wrapper's
-per-call Python, which on a 4x4 costs about as much as the LAPACK work. The gufunc names are numpy 2's,
-hence numpy >= 2.0. random_unitary's np.linalg.qr is exempt: numpy's QR is
-two gufuncs plus relayout of their results, which the seam would have to copy.
+Every SVD, QR and Hermitian eigensolver of the package runs through one seam,
+_lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s, eigvalsh_lo,
+eigh_lo, qr_r_raw, qr_reduced), the kernels np.linalg.svd, eigvalsh, eigh and qr call
+after their argument checks, under the same error state, wrapped once per error
+message at import (hermitian_check's too): svd and real_nullspace call svd_f or
+svd_s, the gate, is_state and PPT eigvalsh_lo, verify's pure-state-commutant, the
+one reader of an eigenvector, eigh_lo, and random_unitary qr_r_raw then qr_reduced,
+reading r's diagonal from the factored operand. Results are bitwise those of
+np.linalg; what is skipped is the wrapper's per-call Python, which on a 4x4 costs
+about as much as the LAPACK work. The gufunc names are numpy 2's, hence numpy >= 2.0.
 
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
@@ -51,8 +51,9 @@ read-only product sigma_i x sigma_j, to_pauli(a) gives the real components
 Tr(sigma_k a)/2 of a 2x2 operator, and from_pauli(c) gives sum_k c_k sigma_k
 for a whole stack of coefficient rows in one product. pauli_adjoint(u) is the
 4x4 action of a 2x2 unitary on those components, one product with a read-only
-map derived from PAULI. pauli_coordinates(rho) is
-the 4x4 conversion beside them: the real R with rho = sum_ij R_ij sigma_i x sigma_j.
+map derived from PAULI. pauli_coordinates(rho) is the 4x4 conversion beside them:
+the real R with rho = sum_ij R_ij sigma_i x sigma_j. Both contract with their scale
+folded into the table (PAULI / 2, PAULI2 / 4): a power of two commutes with rounding.
 The reduced states are from_pauli(2 R[:, 0]) and from_pauli(2 R[0, :]), and
 4 R[1:, 1:] is the correlation matrix of a two-qubit state.
 R is what every private kernel reads, converted once at each public entry
@@ -134,6 +135,9 @@ PAULI.setflags(write=False)
 _PAULI_ROWS = PAULI.reshape(4, 4)
 PAULI2 = np.einsum("iab,jcd->ijacbd", PAULI, PAULI).reshape(4, 4, 4, 4)
 PAULI2.setflags(write=False)
+_HALF_PAULI, _QUARTER_PAULI2 = PAULI / 2, PAULI2 / 4  # to_pauli's, pauli_coordinates'
+_HALF_PAULI.setflags(write=False)
+_QUARTER_PAULI2.setflags(write=False)
 # pauli_adjoint(u) is (_ADJOINT_MAP @ (u outer u*)).real: row (k, l), column (b, c, a, d)
 # holds (sigma_k)_ab (sigma_l)_cd / 2, the coefficient of u_bc u*_ad in
 # Tr(sigma_k u sigma_l u^dag) / 2
@@ -149,30 +153,38 @@ def _eigenvalues_did_not_converge(err: str, flag: int) -> None:
     raise LinAlgError("Eigenvalues did not converge")
 
 
-# The LAPACK seam's kernels and the error each raises on non-convergence, as
-# np.linalg.svd (full_matrices=True, False), eigvalsh and eigh (UPLO="L") call them
-_KERNELS = {
-    "svd_f": _svd_did_not_converge,
-    "svd_s": _svd_did_not_converge,
-    "eigvalsh_lo": _eigenvalues_did_not_converge,
-    "eigh_lo": _eigenvalues_did_not_converge,
-}
+def _qr_argument_error(err: str, flag: int) -> None:
+    raise LinAlgError("Incorrect argument found while performing QR factorization")
 
 
-def _lapack(kernel: str, a: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
-    """numpy's linalg gufunc `kernel` on a float64 or complex128 matrix, or a stack (..., m, n).
+def _apply(gufunc: np.ufunc, *operands: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    return gufunc(*operands)
+
+
+# _apply under the state numpy's wrappers run their gufuncs in (LAPACK failure flags
+# invalid), wrapped once per error message; hermitian_check's subtraction ignores invalid
+_SVD, _EIGENVALUES, _QR = (
+    np.errstate(call=error, invalid="call", over="ignore", divide="ignore", under="ignore")(_apply)
+    for error in (_svd_did_not_converge, _eigenvalues_did_not_converge, _qr_argument_error)
+)
+_IGNORING_INVALID = np.errstate(invalid="ignore")(_apply)
+# the seam's kernels, as np.linalg.svd (full_matrices=True, False), eigvalsh, eigh and qr call them
+_KERNELS = {"svd_f": _SVD, "svd_s": _SVD, "eigvalsh_lo": _EIGENVALUES, "eigh_lo": _EIGENVALUES}
+_KERNELS.update(qr_r_raw=_QR, qr_reduced=_QR)
+
+
+def _lapack(kernel: str, *operands: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
+    """numpy's linalg gufunc `kernel` on float64 or complex128 matrices, or stacks (..., m, n).
 
     svd_f gives (u, s, vh) as np.linalg.svd(a), svd_s as np.linalg.svd(a,
     full_matrices=False), eigvalsh_lo the eigenvalues ascending as
     np.linalg.eigvalsh(a), eigh_lo (w, v) as np.linalg.eigh(a); each bitwise,
-    without the wrapper's checks. On float64 or complex128 input the gufunc picks
-    the loop np.linalg names by signature. Non-convergence (a nan entry included)
-    raises numpy's LinAlgError, with no warning.
+    without the wrapper's checks; qr_r_raw(a) factors a in place and returns tau,
+    and qr_reduced(a, tau) gives np.linalg.qr's q. On float64 or complex128 input
+    the gufunc picks the loop np.linalg names by signature. Non-convergence (a nan
+    entry included) raises numpy's LinAlgError, with no warning.
     """
-    error = _KERNELS[kernel]
-    # numpy's wrappers run their gufuncs under this state: LAPACK failure flags invalid
-    with np.errstate(call=error, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return getattr(_umath_linalg, kernel)(a)
+    return _KERNELS[kernel](getattr(_umath_linalg, kernel), *operands)
 
 
 class RankDecisionError(ValueError):
@@ -195,7 +207,8 @@ def to_pauli(a: np.ndarray) -> np.ndarray:
     Accepts a stack (..., 2, 2) and returns (..., 4). Only the real parts
     are kept, which is exact for Hermitian input.
     """
-    return np.einsum("kab,...ba->...k", PAULI, np.asarray(a, dtype=complex)).real / 2
+    a = np.asarray(a, dtype=complex)
+    return np.ascontiguousarray(np.einsum("kab,...ba->...k", _HALF_PAULI, a).real)
 
 
 def from_pauli(c: np.ndarray) -> np.ndarray:
@@ -206,7 +219,8 @@ def from_pauli(c: np.ndarray) -> np.ndarray:
 
 def pauli_coordinates(rho: np.ndarray) -> np.ndarray:
     """Real R with rho = sum_ij R_ij sigma_i x sigma_j, for a Hermitian rho or each of a stack."""
-    return np.einsum("ijab,...ba->...ij", PAULI2, np.asarray(rho, dtype=complex)).real / 4
+    rho = np.asarray(rho, dtype=complex)
+    return np.ascontiguousarray(np.einsum("ijab,...ba->...ij", _QUARTER_PAULI2, rho).real)
 
 
 def pauli_adjoint(u: np.ndarray) -> np.ndarray:
@@ -255,8 +269,7 @@ def hermitian_check(m: np.ndarray) -> float:
     if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"hermitian_check expects a square matrix, got {m.shape}")
     # inf - inf is nan, which require_hermitian names as a non-finite entry: no warning
-    with np.errstate(invalid="ignore"):
-        return float(np.abs(m - _dagger(m)).max()) if m.size else 0.0
+    return float(np.abs(_IGNORING_INVALID(np.subtract, m, _dagger(m))).max()) if m.size else 0.0
 
 
 def require_hermitian(m: np.ndarray, what: str, tol: float = HERMITIAN_TOL) -> np.ndarray:
@@ -369,10 +382,8 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
     n = m.shape[1]
     # vt must be n x n; a tall m gets it from the thin SVD, without the unread full u
     _, s, vt = _lapack("svd_f" if m.shape[0] < n else "svd_s", m)
-    s_full = np.zeros(n)
-    s_full[: s.size] = s
-    smax = s_full[0] if s_full.size else 0.0
-    rank, gap = rank_split(s_full.tolist(), tol * smax)
+    s_full = s.tolist() + [0.0] * (n - s.size)
+    rank, gap = rank_split(s_full, tol * (s_full[0] if s_full else 0.0))
     return NullspaceResult(basis=vt[rank:].copy(), gap=gap)
 
 
@@ -393,9 +404,9 @@ def random_unitary(rng: np.random.Generator, size: int | None = None) -> np.ndar
     Member i is bitwise the i-th of n single draws (LAPACK factors each member as it
     factors one matrix), and a single draw is the stack of one.
     """
-    # np.linalg.qr stays: numpy's QR is two gufuncs plus relayout, not one kernel to call
-    q, r = np.linalg.qr(_ginibre(rng, 2, size))
-    d = np.diagonal(r, axis1=-2, axis2=-1)
+    a = _ginibre(rng, 2, size)  # qr_r_raw factors its operand in place: only a fresh draw
+    q = _lapack("qr_reduced", a, _lapack("qr_r_raw", a))  # np.linalg.qr's two kernels
+    d = np.diagonal(a, axis1=-2, axis2=-1)  # r's diagonal
     u = q * (d / np.abs(d))[:, None, :]
     return u[0] if size is None else u
 

@@ -83,6 +83,7 @@ BELL_SIGNS.setflags(write=False)
 # build_T(t) is _T_MAP[0] + t @ _T_MAP[1:], flattened: row i is sigma_i x sigma_i / 4
 _T_MAP = np.einsum("iiab->iab", PAULI2).reshape(4, 16) / 4
 _T_MAP.setflags(write=False)
+_T_IDENTITY, _T_SIGMAS = _T_MAP[0], _T_MAP[1:]
 
 # a unit quaternion (w, x, y, z) lifts to w I - i (x sigma_1 + y sigma_2 + z sigma_3)
 _QUATERNION_TO_PAULI = np.array([1, -1j, -1j, -1j])
@@ -197,16 +198,17 @@ def build_T(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=float).reshape(-1)
     if t.shape != (3,):
         raise ValueError(f"expected a 3-component t-vector, got shape {t.shape}")
-    return (_T_MAP[0] + t @ _T_MAP[1:]).reshape(4, 4)
+    return (_T_IDENTITY + t @ _T_SIGMAS).reshape(4, 4)
 
 
-def state_test_rounding(w: np.ndarray) -> float:
-    """Rounding bound ROUNDING_TOL * max(1, sum_k |w_k|) between the two state tests.
+def state_test_rounding(w: list[float] | np.ndarray) -> float:
+    """Rounding bound ROUNDING_TOL * max(1, sum_k |w_k|) of the four Bell weights w.
 
     The smallest weight and the smallest eigenvalue of build_T are the same
     number computed two ways, so they may differ by this much and no more.
     """
-    return ROUNDING_TOL * max(1.0, float(np.abs(w).sum()))
+    a, b, c, d = (abs(float(x)) for x in w)  # left to right on Python floats: numpy's sum
+    return ROUNDING_TOL * max(1.0, a + b + c + d)
 
 
 def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
@@ -218,22 +220,22 @@ def is_state(t: np.ndarray, tol: float = DEFAULT_TOL) -> StateVerdict:
     with unit trace as built (its maps are real symmetric, and the identity
     row, added last, leaves no entry -0.0), so it is its own Hermitian part
     and passes the gate's other two tests: whatever tol, validate_density_matrix
-    accepts T(t) for every t is_state admits. The bytes of an admitted T are
-    the admission record, which only is_state writes, so
-    validate_density_matrix(build_T(t)) right after runs no test again and
-    returns T's bytes. The two minima are the same number
-    computed two ways, so InternalConsistencyError is raised when |min weight
+    accepts T(t) for every t is_state admits. The bytes of an admitted T are the
+    admission record, which only is_state writes, so validate_density_matrix(build_T(t))
+    right after runs no test again and returns T's bytes. The two minima are the same
+    number computed two ways, so InternalConsistencyError is raised when |min weight
     - min eigenvalue| exceeds state_test_rounding(w); the two landing on
     opposite sides of a cut is not an error.
     """
     global _last_accepted
     w = weights_from_t(t)
-    min_w = float(w.min())
-    arg = int(w.argmin())
+    weights = w.tolist()  # the scalar decisions on Python floats
+    min_w = min(weights)
+    arg = weights.index(min_w)
     T = build_T(t)
     # build_T is Hermitian by construction: no guard before the eigenvalues
     min_eig = float(_lapack("eigvalsh_lo", T)[0])
-    if abs(min_w - min_eig) > state_test_rounding(w):
+    if abs(min_w - min_eig) > state_test_rounding(weights):
         raise InternalConsistencyError(
             f"weight test ({min_w:.3e}) and eigenvalue test ({min_eig:.3e}) "
             f"disagree beyond rounding"

@@ -239,8 +239,9 @@ _TRIVIAL_ROW = np.array([0.5, 0, 0, 0, 0.5, 0, 0, 0])
 _TRIVIAL_ROW.setflags(write=False)
 # orthonormal columns spanning the complement of the trivial direction:
 # (x_0 - x_4) / sqrt(2), then x_1, x_2, x_3, x_5, x_6, x_7
+_SQRT2 = np.sqrt(2)
 _COMPLEMENT = np.eye(8)[:, [0, 1, 2, 3, 5, 6, 7]]
-_COMPLEMENT[[0, 4], 0] = 1 / np.sqrt(2), -1 / np.sqrt(2)
+_COMPLEMENT[[0, 4], 0] = 1 / _SQRT2, -1 / _SQRT2
 _COMPLEMENT.setflags(write=False)
 
 
@@ -281,7 +282,7 @@ def _simultaneous_twins(R: np.ndarray, tol: float) -> TwinSpace:
     rest = ns.basis @ _COMPLEMENT.T
     # sign convention: first significant entry of each row positive; scaled so each
     # pair has unit combined Hilbert-Schmidt norm
-    rest = rest * leading_phases(rest.T)[:, None] / np.sqrt(2)
+    rest = rest * leading_phases(rest.T)[:, None] / _SQRT2
     return TwinSpace(rows=np.concatenate([_TRIVIAL_ROW[None], rest]), singular_value_gap=ns.gap)
 
 

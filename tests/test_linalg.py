@@ -276,6 +276,22 @@ def test_pauli_coordinates_are_computed_in_one_place():
     assert not hasattr(schmidt, "PAULI2") and not hasattr(mds, "correlation_matrix")
 
 
+def test_pauli_conversions_are_bitwise_the_scaled_contractions():
+    # the scales live in the tables; on normal-range entries a power of two commutes with rounding
+    rng = np.random.default_rng(59)
+    for dim, convert, table, scale, spec in (
+        (4, pauli_coordinates, linalg.PAULI2, 4, "ijab,...ba->...ij"),
+        (2, to_pauli, linalg.PAULI, 2, "kab,...ba->...k"),
+    ):
+        for shape in ((), (1,), (6,), (2, 3)):
+            z = rng.standard_normal((*shape, dim, dim, 2)) @ [1, 1j]
+            for a in (z, (z + z.conj().swapaxes(-2, -1)) / 2):
+                got, want = convert(a), np.einsum(spec, table, a).real / scale
+                assert got.flags.c_contiguous and got.flags.owndata and got.flags.writeable
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+
 def parsed_functions(module):
     """A module's syntax tree and its function definitions by name."""
     tree = package_trees()[Path(module.__file__).name]
@@ -386,8 +402,8 @@ def linalg_references(tree):
 
 
 def test_lapack_kernels_are_called_through_one_seam():
-    # every SVD and Hermitian eigensolver of src/ runs numpy's gufunc through linalg._lapack,
-    # without np.linalg's wrapper; random_unitary's QR is the one np.linalg decomposition left
+    # every SVD, QR and Hermitian eigensolver of src/ runs numpy's gufunc through
+    # linalg._lapack, without np.linalg's wrapper
     decompositions = {"svd", "svdvals", "eig", "eigh", "eigvals", "eigvalsh", "qr"}
     kernels, imports = [], []
     for name, tree in package_trees().items():
@@ -401,11 +417,22 @@ def test_lapack_kernels_are_called_through_one_seam():
             if isinstance(node, ast.ImportFrom) and node.module in ("numpy", "numpy.linalg")
             for alias in node.names
         ]
-    assert sorted(kernels) == [
-        ("linalg", "_lapack", "_umath_linalg"),
-        ("linalg", "random_unitary", "np.linalg.qr"),
-    ]
+    assert sorted(kernels) == [("linalg", "_lapack", "_umath_linalg")]
     assert sorted(imports) == [("linalg", "LinAlgError"), ("linalg", "_umath_linalg")]
+
+
+def test_no_function_enters_an_error_state_per_call():
+    # an error state is wrapped around its callee once, at import (np.errstate's decorator form)
+    entered = [
+        (name, fn.name)
+        for name, tree in package_trees().items()
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.With, ast.AsyncWith))
+        and any("errstate" in ast.unparse(item.context_expr) for item in node.items)
+    ]
+    assert entered == []
 
 
 def _hermitian(rng, shape):
@@ -413,9 +440,22 @@ def _hermitian(rng, shape):
     return z + z.conj().swapaxes(-2, -1)
 
 
-# (kernel, its np.linalg reference, input) for every shape and dtype the package passes
-# the seam (canonical form 3x3, operator and pure Schmidt 4x4 and 2x2, the twin system
-# (32 n) x 7, the gate's and PPT's 4x4 spectra, pure-state-commutant's eigh) and for stacks
+def _seam_qr(a):
+    # random_unitary's QR: q, and r's diagonal read from the factored operand
+    a = a.copy()  # qr_r_raw factors its operand in place
+    q = linalg._lapack("qr_reduced", a, linalg._lapack("qr_r_raw", a))
+    return q, np.diagonal(a, axis1=-2, axis2=-1)
+
+
+def _np_qr(a):
+    q, r = np.linalg.qr(a.copy())
+    return q, np.diagonal(r, axis1=-2, axis2=-1)
+
+
+# (kernel or seam call, its np.linalg reference, input) for every shape and dtype the
+# package passes the seam (canonical form 3x3, operator and pure Schmidt 4x4 and 2x2, the
+# twin system (32 n) x 7, the gate's and PPT's 4x4 spectra, pure-state-commutant's eigh,
+# random_unitary's 2x2 QR) and for stacks
 _SEAM_RNG = np.random.default_rng(2001)
 SEAM_CASES = {
     "real 3x3 svd": ("svd_f", np.linalg.svd, _SEAM_RNG.standard_normal((3, 3))),
@@ -439,13 +479,16 @@ SEAM_CASES = {
     "complex (6,4,4) eigvalsh": ("eigvalsh_lo", np.linalg.eigvalsh, _hermitian(_SEAM_RNG, (6, 4, 4))),
     "complex 4x4 eigh": ("eigh_lo", np.linalg.eigh, _hermitian(_SEAM_RNG, (4, 4))),
     "complex (3,4,4) eigh": ("eigh_lo", np.linalg.eigh, _hermitian(_SEAM_RNG, (3, 4, 4))),
+    "complex (1,2,2) qr": (_seam_qr, _np_qr, _SEAM_RNG.standard_normal((1, 2, 2, 2)) @ [1, 1j]),
+    "complex (5,2,2) qr": (_seam_qr, _np_qr, _SEAM_RNG.standard_normal((5, 2, 2, 2)) @ [1, 1j]),
 }
 
 
 @pytest.mark.parametrize("case", SEAM_CASES)
 def test_lapack_seam_is_bitwise_np_linalg(case):
     kernel, reference, a = SEAM_CASES[case]
-    got, expected = linalg._lapack(kernel, a), reference(a)
+    got = kernel(a) if callable(kernel) else linalg._lapack(kernel, a)
+    expected = reference(a)
     got = got if isinstance(got, tuple) else (got,)
     expected = tuple(expected) if isinstance(expected, tuple) else (expected,)
     assert len(got) == len(expected)
@@ -708,6 +751,20 @@ def test_single_draws_match_the_one_matrix_recipes():
         ):
             got, want = draw(np.random.default_rng(seed)), recipe(np.random.default_rng(seed))
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("size", [None, 2, 5])
+def test_random_unitary_is_bitwise_the_np_linalg_qr_recipe(size):
+    # the seam's two QR kernels give np.linalg.qr's q and r's diagonal, bit for bit
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((1 if size is None else size, 2, 2, 2))
+        q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+        d = np.diagonal(r, axis1=-2, axis2=-1)
+        want = q * (d / np.abs(d))[:, None, :]
+        want = want[0] if size is None else want
+        got = random_unitary(np.random.default_rng(seed), size)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])

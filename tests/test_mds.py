@@ -177,6 +177,17 @@ def test_state_test_rounding_scales_with_weight_mass():
     assert state_test_rounding(np.array([-1.0, 1.0, 1.0, 1.0])) == 4e-12
 
 
+def test_state_test_rounding_is_bitwise_numpys_sum():
+    # the Python-float sum of four |w_k| rounds as numpy's sum does, for a list or an array
+    rng = np.random.default_rng(61)
+    for _ in range(2000):
+        for w in (weights_from_t(rng.uniform(-1.5, 1.5, 3)), rng.standard_normal(4)):
+            want = linalg.ROUNDING_TOL * max(1, float(np.abs(w).sum()))
+            for given in (w, w.tolist()):
+                got = state_test_rounding(given)
+                assert type(got) is float and got.hex() == want.hex()
+
+
 def test_classify_edge_case_a():
     cls = classify(np.array([0.4, -0.4, 1.0]))
     assert cls.kind == BINARY_EDGE
