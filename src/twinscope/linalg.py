@@ -35,15 +35,19 @@ within a factor RANK_GUARD of the cut makes the decision ambiguous
 Callers choose only what they cut and where.
 
 Every SVD, QR and Hermitian eigensolver of the package runs through one seam,
-_lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s, eigvalsh_lo,
-eigh_lo, qr_r_raw, qr_reduced), the kernels np.linalg.svd, eigvalsh, eigh and qr call
-after their argument checks, under the same error state, wrapped once per error
-message at import (hermitian_check's too): svd and real_nullspace call svd_f or
-svd_s, the gate, is_state and PPT eigvalsh_lo, verify's pure-state-commutant, the
-one reader of an eigenvector, eigh_lo, and random_unitary qr_r_raw then qr_reduced,
-reading r's diagonal from the factored operand. Results are bitwise those of
-np.linalg; what is skipped is the wrapper's per-call Python, which on a 4x4 costs
-about as much as the LAPACK work. The gufunc names are numpy 2's, hence numpy >= 2.0.
+_lapack: numpy's own gufuncs (numpy.linalg._umath_linalg's svd_f, svd_s, svd,
+eigvalsh_lo, eigh_lo, qr_r_raw, qr_reduced), the kernels np.linalg.svd, eigvalsh, eigh
+and qr call after their argument checks, under the same error state, wrapped once per
+error message at import (hermitian_check's too): function svd calls svd_f;
+real_nullspace reads a tall matrix's values alone (svd) and stops when the smallest
+clears the guard band above the cut by ROUNDING_TOL * s[0], more than svd's and
+svd_s's spectra differ, so rank_split keeps every value of either; else it calls
+svd_f or svd_s. The gate, is_state and PPT call eigvalsh_lo, verify's
+pure-state-commutant, the one reader of an eigenvector, eigh_lo, and random_unitary
+qr_r_raw then qr_reduced, reading r's diagonal from the factored operand. Results
+are bitwise those of np.linalg; what is skipped is the wrapper's per-call Python,
+which on a 4x4 costs about as much as the LAPACK work. The gufunc names are numpy
+2's, hence numpy >= 2.0.
 
 The Pauli basis lives here alone: PAULI is the read-only 4x2x2 stack
 (I, sigma_1, sigma_2, sigma_3) that pauli(i) indexes, PAULI2[i, j] is the
@@ -168,16 +172,17 @@ _SVD, _EIGENVALUES, _QR = (
     for error in (_svd_did_not_converge, _eigenvalues_did_not_converge, _qr_argument_error)
 )
 _IGNORING_INVALID = np.errstate(invalid="ignore")(_apply)
-# the seam's kernels, as np.linalg.svd (full_matrices=True, False), eigvalsh, eigh and qr call them
-_KERNELS = {"svd_f": _SVD, "svd_s": _SVD, "eigvalsh_lo": _EIGENVALUES, "eigh_lo": _EIGENVALUES}
-_KERNELS.update(qr_r_raw=_QR, qr_reduced=_QR)
+# the seam's kernels, as np.linalg.svd (full, thin, values only), eigvalsh, eigh and qr call them
+_KERNELS = {"svd_f": _SVD, "svd_s": _SVD, "svd": _SVD, "eigvalsh_lo": _EIGENVALUES}
+_KERNELS.update(eigh_lo=_EIGENVALUES, qr_r_raw=_QR, qr_reduced=_QR)
 
 
 def _lapack(kernel: str, *operands: np.ndarray) -> np.ndarray | tuple[np.ndarray, ...]:
     """numpy's linalg gufunc `kernel` on float64 or complex128 matrices, or stacks (..., m, n).
 
     svd_f gives (u, s, vh) as np.linalg.svd(a), svd_s as np.linalg.svd(a,
-    full_matrices=False), eigvalsh_lo the eigenvalues ascending as
+    full_matrices=False), svd the singular values alone as np.linalg.svd(a,
+    compute_uv=False), eigvalsh_lo the eigenvalues ascending as
     np.linalg.eigvalsh(a), eigh_lo (w, v) as np.linalg.eigh(a); each bitwise,
     without the wrapper's checks; qr_r_raw(a) factors a in place and returns tau,
     and qr_reduced(a, tau) gives np.linalg.qr's q. On float64 or complex128 input
@@ -374,12 +379,20 @@ def real_nullspace(m: np.ndarray, tol: float = DEFAULT_TOL) -> NullspaceResult:
 
     The singular values (padded with zeros to the column count) are split
     by rank_split at tol * (largest singular value); `gap` is its ratio of
-    the smallest retained to the largest discarded singular value.
+    the smallest retained to the largest discarded singular value. A tall m
+    whose smallest singular value clears the guard band above the cut by
+    ROUNDING_TOL * s[0] keeps every value: (empty, inf) is read from the
+    values alone (np.linalg.svd(m, compute_uv=False)), with no singular vector.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"real_nullspace expects a 2-d array, got ndim={m.ndim}")
     n = m.shape[1]
+    if m.shape[0] >= n:
+        s = _lapack("svd", m).tolist()
+        # rank_split's guard, in its association, with a margin for svd_s's other rounding
+        if s and s[-1] - ROUNDING_TOL * s[0] >= RANK_GUARD * (tol * s[0]) > 0:
+            return NullspaceResult(basis=np.empty((0, n)), gap=math.inf)
     # vt must be n x n; a tall m gets it from the thin SVD, without the unread full u
     _, s, vt = _lapack("svd_f" if m.shape[0] < n else "svd_s", m)
     s_full = s.tolist() + [0.0] * (n - s.size)

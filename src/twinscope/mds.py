@@ -288,7 +288,15 @@ def classify(
     order = sorted(rest, key=lambda k: abs(weights[k]), reverse=True)
     rank, gap = rank_split([abs(weights[k]) for k in order], tol)
     alive = sorted(order[:rank])
-    cut = f"cut {tol:g}, rank gap {gap:.3e}"
+    if len(alive) not in (1, 2):
+        return MdsClass(
+            kind=GENERIC_INTERIOR,
+            weights=w,
+            detail=f"at most one weight vanishes: the second smallest, w{rest[0]} = "
+            f"{weights[rest[0]]:.12g}, clears the cut {tol:g}",
+            verdict=verdict,
+        )
+    cut = f"cut {tol:g}, rank gap {gap:.3e}"  # only the vertex and edge details read it
     if len(alive) == 1:
         return MdsClass(
             kind=BELL_VERTEX,
@@ -297,26 +305,18 @@ def classify(
             detail=f"only w{alive[0]} survives the {cut}: Bell projector {alive[0]}",
             verdict=verdict,
         )
-    if len(alive) == 2:
-        _, (i, sign) = _shared_signs(alive)  # column 0, then the axis, where t_axis = sign
-        case = "A" if sign > 0 else "B"
-        j, _ = _CYCLIC[i]
-        u = float(t[j - 1])
-        return MdsClass(
-            kind=BINARY_EDGE,
-            weights=w,
-            axis=i,
-            case=case,
-            edge_parameter=u,
-            detail=f"w{alive[0]} and w{alive[1]} survive the {cut}: axis {i} "
-            f"case {case}, free coordinate t{j} = {u:.12g}",
-            verdict=verdict,
-        )
+    _, (i, sign) = _shared_signs(alive)  # column 0, then the axis, where t_axis = sign
+    case = "A" if sign > 0 else "B"
+    j, _ = _CYCLIC[i]
+    u = float(t[j - 1])
     return MdsClass(
-        kind=GENERIC_INTERIOR,
+        kind=BINARY_EDGE,
         weights=w,
-        detail=f"at most one weight vanishes: the second smallest, w{rest[0]} = "
-        f"{weights[rest[0]]:.12g}, clears the cut {tol:g}",
+        axis=i,
+        case=case,
+        edge_parameter=u,
+        detail=f"w{alive[0]} and w{alive[1]} survive the {cut}: axis {i} "
+        f"case {case}, free coordinate t{j} = {u:.12g}",
         verdict=verdict,
     )
 

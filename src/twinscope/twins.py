@@ -279,6 +279,8 @@ def _simultaneous_twins(R: np.ndarray, tol: float) -> TwinSpace:
     back, gives the rows after it.
     """
     ns = real_nullspace(twin_condition_matrix(R) @ _COMPLEMENT, tol)
+    if not len(ns.basis):  # full column rank: the trivial pair alone, nothing to lift
+        return TwinSpace(rows=_TRIVIAL_ROW[None].copy(), singular_value_gap=ns.gap)
     rest = ns.basis @ _COMPLEMENT.T
     # sign convention: first significant entry of each row positive; scaled so each
     # pair has unit combined Hilbert-Schmidt norm

@@ -1,11 +1,13 @@
 import ast
 import inspect
 import itertools
+import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.linalg import _umath_linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +15,10 @@ from conftest import local_move, package_sources, package_trees
 import twinscope
 from twinscope import cli, linalg, mds, schmidt, twins, verify
 from twinscope.linalg import (
+    DEFAULT_TOL,
     RANK_GUARD,
+    ROUNDING_TOL,
+    NullspaceResult,
     RankDecisionError,
     from_pauli,
     hermitian_check,
@@ -481,6 +486,22 @@ SEAM_CASES = {
     "complex (3,4,4) eigh": ("eigh_lo", np.linalg.eigh, _hermitian(_SEAM_RNG, (3, 4, 4))),
     "complex (1,2,2) qr": (_seam_qr, _np_qr, _SEAM_RNG.standard_normal((1, 2, 2, 2)) @ [1, 1j]),
     "complex (5,2,2) qr": (_seam_qr, _np_qr, _SEAM_RNG.standard_normal((5, 2, 2, 2)) @ [1, 1j]),
+    # real_nullspace's values-only read of the twin systems, one state and a 4-state mixture
+    "values-only 32x7 svd": (
+        "svd",
+        lambda a: np.linalg.svd(a, compute_uv=False),
+        _SEAM_RNG.standard_normal((32, 7)),
+    ),
+    "values-only 128x7 svd": (
+        "svd",
+        lambda a: np.linalg.svd(a, compute_uv=False),
+        _SEAM_RNG.standard_normal((128, 7)),
+    ),
+    "values-only complex (3,4,4) svd": (
+        "svd",
+        lambda a: np.linalg.svd(a, compute_uv=False),
+        _SEAM_RNG.standard_normal((3, 4, 4, 2)) @ [1, 1j],
+    ),
 }
 
 
@@ -496,7 +517,7 @@ def test_lapack_seam_is_bitwise_np_linalg(case):
         assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
-@pytest.mark.parametrize("kernel", ["svd_f", "svd_s", "eigvalsh_lo", "eigh_lo"])
+@pytest.mark.parametrize("kernel", ["svd_f", "svd_s", "svd", "eigvalsh_lo", "eigh_lo"])
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_lapack_seam_raises_numpys_error_without_a_warning(kernel, dtype):
     message = "SVD did not converge" if kernel.startswith("svd") else "Eigenvalues did not converge"
@@ -596,6 +617,133 @@ def test_real_nullspace_flags_ambiguous_rank():
         real_nullspace(m, tol=1e-9)
 
 
+def _real_nullspace_by_vectors(m, tol=DEFAULT_TOL):
+    """real_nullspace as it was before its values-only read, kept as its reference."""
+    m = np.asarray(m, dtype=float)
+    n = m.shape[1]
+    _, s, vt = linalg._lapack("svd_f" if m.shape[0] < n else "svd_s", m)
+    s_full = s.tolist() + [0.0] * (n - s.size)
+    rank, gap = rank_split(s_full, tol * (s_full[0] if s_full else 0.0))
+    return NullspaceResult(basis=vt[rank:].copy(), gap=gap)
+
+
+def _with_singular_values(rng, shape, values):
+    """U diag(values) V^T with seeded orthonormal U (shape[0] x k) and V (shape[1] x k)."""
+    u, _ = np.linalg.qr(rng.standard_normal((shape[0], len(values))))
+    v, _ = np.linalg.qr(rng.standard_normal((shape[1], len(values))))
+    return (u * values) @ v.T
+
+
+def _nullspace_outcome(fn, m):
+    """dtype, shape, bytes and gap of a nullspace, or the RankDecisionError text."""
+    try:
+        basis, gap = fn(m)
+    except RankDecisionError as exc:
+        return str(exc)
+    return basis.dtype, basis.shape, basis.tobytes(), float(gap).hex()
+
+
+def _nullspace_cases():
+    """(name, matrix, today's outcome: a basis shape or "ambiguous", whether vectors are computed)."""
+    rng = np.random.default_rng(39)
+    overflow = np.zeros((32, 7))  # every column's norm overflows: the spectrum is all inf
+    for k in range(7):
+        overflow[4 * k : 4 * k + 4, k] = 1.5e308
+    yield "full rank 32x7", rng.standard_normal((32, 7)), (0, 7), False
+    yield "full rank 128x7", rng.standard_normal((128, 7)), (0, 7), False
+    yield "rank 4 of 7", rng.standard_normal((32, 4)) @ rng.standard_normal((4, 7)), (3, 7), True
+    yield "zero 32x7", np.zeros((32, 7)), (7, 7), True
+    yield "n = 0", np.zeros((5, 0)), (0, 0), True
+    yield "wide 3x7", rng.standard_normal((3, 7)), (4, 7), True
+    yield "all-inf spectrum", overflow, (7, 7), True
+    # around the guard band over the cut tol * 1: above it by more than the margin, above
+    # it inside the margin, just below it (ambiguous), and under the cut's lower guard
+    guard = RANK_GUARD * DEFAULT_TOL
+    for name, smallest, want, vectors in (
+        ("clears the guard and margin", guard + 2 * ROUNDING_TOL, (0, 7), False),
+        ("clears the guard inside the margin", guard * (1 + 1e-6), (0, 7), True),
+        ("just below the guard", guard * (1 - 1e-6), "ambiguous", True),
+        ("under the cut", DEFAULT_TOL / RANK_GUARD / 2, (1, 7), True),
+    ):
+        values = [1.0, 0.5, 0.25, 0.1, 1e-3, 1e-5, smallest]
+        yield f"smallest {name}", _with_singular_values(rng, (32, 7), values), want, vectors
+
+
+_NULLSPACE_CASES = {name: case for name, *case in _nullspace_cases()}
+
+
+def _counting_vector_kernels(monkeypatch):
+    """Record each call of the SVD kernels that compute singular vectors."""
+    calls = []
+    for kernel in ("svd_f", "svd_s"):
+        fn = getattr(_umath_linalg, kernel)
+        monkeypatch.setattr(_umath_linalg, kernel, lambda m, fn=fn, k=kernel: calls.append(k) or fn(m))
+    return calls
+
+
+@pytest.mark.parametrize("case", _NULLSPACE_CASES)
+def test_real_nullspace_is_bitwise_the_vectors_path(case, monkeypatch):
+    # the values-only read returns early only where the vectors path keeps every value
+    m, want, vectors = _NULLSPACE_CASES[case]
+    expected = _nullspace_outcome(_real_nullspace_by_vectors, m)
+    calls = _counting_vector_kernels(monkeypatch)
+    got = _nullspace_outcome(real_nullspace, m)
+    assert got == expected
+    assert bool(calls) == vectors
+    if want == "ambiguous":
+        assert got.startswith("ambiguous rank decision")
+    else:
+        assert got[1] == want
+
+
+def _passes_the_guard(values, tol=DEFAULT_TOL):
+    return values[-1] >= RANK_GUARD * (tol * values[0]) > 0
+
+
+def test_real_nullspace_at_the_guard_where_the_two_spectra_disagree():
+    # a small last column e x: its singular value moves by an ulp per ulp of e, so a
+    # bisection on e finds where the values-only spectrum crosses the guard; within a few
+    # ulps of it svd's and svd_s's spectra fall on opposite sides, and the margin keeps
+    # real_nullspace on today's answer there
+    rng = np.random.default_rng(11)
+    disagreements = 0
+    for _ in range(10):
+        u, _ = np.linalg.qr(rng.standard_normal((32, 6)))
+        v, _ = np.linalg.qr(rng.standard_normal((6, 6)))
+        b = (u * [1.0, 0.5, 0.25, 0.1, 1e-3, 1e-5]) @ v.T
+        x = rng.standard_normal(32)
+        x /= np.linalg.norm(x)
+        lo, hi = 0.5e-8, 2e-8
+        while (mid := (lo + hi) / 2) not in (lo, hi):
+            if _passes_the_guard(linalg._lapack("svd", np.column_stack([b, mid * x])).tolist()):
+                hi = mid
+            else:
+                lo = mid
+        for e in lo + np.spacing(lo) * np.arange(-20, 21):
+            m = np.column_stack([b, e * x])
+            values_only = _passes_the_guard(linalg._lapack("svd", m).tolist())
+            disagreements += values_only and not _passes_the_guard(
+                linalg._lapack("svd_s", m)[1].tolist()
+            )
+            got = _nullspace_outcome(real_nullspace, m)
+            assert got == _nullspace_outcome(_real_nullspace_by_vectors, m)
+    # the window is real: the guard alone, without the margin, would answer differently
+    assert disagreements > 0
+
+
+def test_the_two_spectra_agree_far_inside_the_margin():
+    # the margin ROUNDING_TOL * s[0] bounds how far svd's values lie from svd_s's
+    rng = np.random.default_rng(40)
+    worst = 0.0
+    for rows in (32, 128):
+        for scales in (np.ones(7), np.logspace(0, -9, 7), np.logspace(0, -15, 7)):
+            for _ in range(50):
+                m = rng.standard_normal((rows, 7)) * scales
+                values, thin = linalg._lapack("svd", m), linalg._lapack("svd_s", m)[1]
+                worst = max(worst, float(np.abs(values - thin).max() / values[0]))
+    assert worst <= ROUNDING_TOL / 100
+
+
 def test_real_nullspace_rejects_an_input_that_is_not_2d():
     with pytest.raises(ValueError) as info:
         real_nullspace(np.zeros(3))
@@ -679,6 +827,16 @@ def test_rank_split_matches_the_generator_scans(drawn):
         return
     # the rank counts the kept values, the ones the mask does not mark vanishing
     assert rank_split(descending, cut) == (len(values) - int(np.count_nonzero(want[0])), want[1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(_values_around_a_cut())
+def test_the_values_only_accept_is_the_keep_everything_cut(drawn):
+    # real_nullspace's early return, with tol the drawn cut: rank_split would keep every value
+    values, tol = drawn
+    values = sorted(values, reverse=True)
+    if values[-1] - ROUNDING_TOL * values[0] >= RANK_GUARD * (tol * values[0]) > 0:
+        assert rank_split(values, tol * values[0]) == (len(values), math.inf)
 
 
 def test_hermitian_check():

@@ -276,6 +276,24 @@ def test_sweep_path_decomposes_no_eigenvectors(monkeypatch):
     assert kernel in calls
 
 
+def test_oracle_computes_singular_vectors_only_where_a_nullspace_exists(monkeypatch):
+    calls = []
+    for kernel in ("svd", "svd_s"):
+        fn = getattr(_umath_linalg, kernel)
+        monkeypatch.setattr(_umath_linalg, kernel, lambda m, fn=fn, k=kernel: calls.append(k) or fn(m))
+    # the interior system has full column rank: its singular values alone show it; a vertex's
+    # and an edge's are rank deficient, so their values are read once more with the vectors
+    for t, want in (
+        (np.array([0.2, 0.1, -0.05]), ["svd"]),
+        (bell_t_vector(2), ["svd", "svd_s"]),
+        (np.array([0.4, -0.4, 1.0]), ["svd", "svd_s"]),
+    ):
+        rho = build_T(t)
+        calls.clear()
+        twin_space(rho)
+        assert calls == want
+
+
 def test_sweep_path_checks_hermiticity_never(guard_callers):
     calls = guard_callers
     for t in (bell_t_vector(2), np.array([0.4, -0.4, 1.0]), np.array([0.2, 0.1, -0.05])):

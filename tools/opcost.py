@@ -2,8 +2,11 @@
 
 Runs stratum-sweep and verify-scrambled of benchmarks/workloads.py on their
 seeded inputs in this process and prints JSON with, per workload, the number
-of inputs and `us_per_op`: the shortest of 7 timed passes over the inputs,
-divided by their count. Every pass is preceded by the workload's own
+of inputs, `us_per_op`: the shortest of 7 timed passes over the inputs,
+divided by their count, and `by_stratum`: per stratum of the inputs (vertex,
+edge, interior), the shortest of the same 7 passes' time on that stratum's
+inputs, divided by their count. A pass reads the clock once per op, which adds
+a fraction of a µs to each. Every pass is preceded by the workload's own
 `warmup()` inputs, run untimed; the inputs are drawn before any timing, and
 outputs are neither checked nor kept (tools/parity.py compares outputs).
 The figure is the compute of one op without the benchmark's process start,
@@ -17,6 +20,7 @@ blocks, a hundred verify-scrambled cycles); --inputs N runs N of each.
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import platform
@@ -33,19 +37,31 @@ DEFAULT_INPUTS = {"stratum-sweep": 640, "verify-scrambled": 300}
 PASSES = 7
 
 
-def us_per_op(workload, n: int) -> float:
-    """The shortest of PASSES timed passes over the first n inputs, per input, in µs."""
+def op_costs(workload, n: int) -> tuple[float, dict[str, float]]:
+    """µs per input of the shortest of PASSES timed passes over the first n inputs, and by stratum.
+
+    The stratum figures are the shortest, over the same passes, of the time spent on
+    each stratum's inputs, per input of that stratum.
+    """
     inputs = list(itertools.islice(workload.inputs(), n))
+    strata = [getattr(x, "state", x).stratum for x in inputs]  # a verify input holds its state
+    counts = collections.Counter(strata)
     warmup = workload.warmup()
-    best = float("inf")
+    clock = time.perf_counter
+    best, best_by = float("inf"), dict.fromkeys(counts, float("inf"))
     for _ in range(PASSES):
         for x in warmup:
             workload.op(x)
-        start = time.perf_counter()
+        stamps = [clock()]
         for x in inputs:
             workload.op(x)
-        best = min(best, time.perf_counter() - start)
-    return best / n * 1e6
+            stamps.append(clock())
+        best = min(best, stamps[-1] - stamps[0])
+        spent = dict.fromkeys(counts, 0.0)
+        for stratum, start, end in zip(strata, stamps, stamps[1:]):
+            spent[stratum] += end - start
+        best_by = {k: min(best_by[k], spent[k]) for k in counts}
+    return best / n * 1e6, {k: best_by[k] / counts[k] * 1e6 for k in sorted(counts)}
 
 
 def main() -> None:
@@ -75,8 +91,12 @@ def main() -> None:
     with tempfile.TemporaryDirectory() as workdir:
         for cls in (workloads.StratumSweep, workloads.VerifyScrambled):
             n = inputs[cls.name]
-            cost = us_per_op(cls(args.seed, Path(workdir)), n)
-            report["workloads"][cls.name] = {"inputs": n, "us_per_op": round(cost, 2)}
+            cost, by_stratum = op_costs(cls(args.seed, Path(workdir)), n)
+            report["workloads"][cls.name] = {
+                "inputs": n,
+                "us_per_op": round(cost, 2),
+                "by_stratum": {k: round(v, 2) for k, v in by_stratum.items()},
+            }
     print(json.dumps(report, indent=1))
 
 
