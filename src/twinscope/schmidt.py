@@ -13,14 +13,13 @@ A Hermitian 4x4 operator, a supervector in the Hilbert-Schmidt space over
 the orthonormal product basis {sigma_i/sqrt(2) x sigma_j/sqrt(2)}, hands it
 the real 2R/||rho||_HS, R = linalg.pauli_coordinates(rho): operator_schmidt
 converts once and its kernel reads R alone. An OperatorSchmidt stores its
-bases as real rows and lifts their 2x2 operators on first read. At a pure
+bases as real rows and lifts their 2x2 operators when read. At a pure
 state the levels meet: the operator coefficients of |phi><phi| are the
 products c_i c_j of phi's.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -109,42 +108,28 @@ class AntiunitaryMap(NamedTuple):
         return w @ np.conj(np.asarray(op, dtype=complex)) @ w.conj().T
 
 
-class OperatorSchmidt:
+class OperatorSchmidt(NamedTuple):
     """Schmidt data of a Hermitian operator viewed as a unit supervector.
 
-    `rows` (2, rank, 4) is the one stored form of the bases, read-only:
-    rows[0, i] and rows[1, i] are the coordinates of the i-th left and right
-    Schmidt operator in the orthonormal basis sigma_k/sqrt(2). left_ops and
-    right_ops, the (rank, 2, 2) stacks from_pauli(rows) / sqrt(2), are
-    computed on first read and kept, read-only.
+    `rows` (2, rank, 4) is the one stored form of the bases: rows[0, i] and
+    rows[1, i] are the coordinates of the i-th left and right Schmidt
+    operator in the orthonormal basis sigma_k/sqrt(2). left_ops and
+    right_ops, the (rank, 2, 2) stacks from_pauli(rows[k]) / sqrt(2), are
+    lifted when read.
     """
 
-    def __init__(
-        self,
-        coefficients: np.ndarray,
-        rows: np.ndarray,
-        schmidt_rank: int,
-        degeneracy: tuple[int, ...],
-    ) -> None:
-        self.coefficients = coefficients
-        self.rows = rows
-        self.schmidt_rank = schmidt_rank
-        self.degeneracy = degeneracy
+    coefficients: np.ndarray
+    rows: np.ndarray
+    schmidt_rank: int
+    degeneracy: tuple[int, ...]
 
-    @cached_property
-    def _ops(self) -> np.ndarray:
-        # both bases lifted in one product
-        ops = from_pauli(self.rows) / np.sqrt(2)
-        ops.setflags(write=False)
-        return ops
-
-    @cached_property
+    @property
     def left_ops(self) -> np.ndarray:
-        return self._ops[0]
+        return from_pauli(self.rows[0]) / np.sqrt(2)
 
-    @cached_property
+    @property
     def right_ops(self) -> np.ndarray:
-        return self._ops[1]
+        return from_pauli(self.rows[1]) / np.sqrt(2)
 
 
 def pure_schmidt(phi: np.ndarray, tol: float = DEFAULT_TOL) -> PureSchmidt:
@@ -237,6 +222,4 @@ def _operator_schmidt(R: np.ndarray, tol: float) -> OperatorSchmidt:
     norm = 2 * float(np.sqrt(flat.dot(flat)))
     if norm == 0.0:
         raise ValueError("operator_schmidt: zero input")
-    coefficients, rows, rank, degeneracy = _expand(2 * R / norm, tol)
-    rows.setflags(write=False)  # lifted to left_ops and right_ops only when read
-    return OperatorSchmidt(coefficients, rows, rank, degeneracy)
+    return OperatorSchmidt(*_expand(2 * R / norm, tol))

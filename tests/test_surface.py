@@ -6,16 +6,22 @@ suite or README's library quickstart. A read is an import of the name, the
 bare name in its own module, or the name as an attribute of a twinscope
 module. Docstrings and comments are not code, and the rest of tests/ is the
 names' own tests.
+
+Every class the package defines is a typing.NamedTuple result, an exception,
+or state.State, the one class that keeps parts computed on first read.
 """
 
 import ast
+import importlib
 import re
+import typing
 from pathlib import Path
 
 import numpy as np
 
-from conftest import package_trees
+from conftest import package_sources, package_trees
 import twinscope
+from twinscope import state
 
 ROOT = Path(__file__).resolve().parent.parent
 # the files outside src/twinscope whose reads count; the package's own modules come parsed
@@ -130,3 +136,21 @@ def test_readme_quickstart_runs():
     expected = np.array([1, 1, 0.4, 0.4]) / np.sqrt(2.32)
     assert np.abs(namespace["os_"].coefficients - expected).max() <= 1e-12
     assert namespace["separable"] is False
+
+
+def test_every_result_is_a_named_tuple():
+    other_classes, caches = [], []
+    for name, tree in package_trees().items():
+        if name != "state.py" and "cached_property" in package_sources()[name]:
+            caches.append(name)
+        classes = [node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+        if not classes:
+            continue  # __main__ runs the CLI on import
+        module = importlib.import_module(f"twinscope.{name.removesuffix('.py')}")
+        for class_name in classes:
+            cls = getattr(module, class_name, None)
+            named_tuple = typing.NamedTuple in getattr(cls, "__orig_bases__", ())
+            exception = isinstance(cls, type) and issubclass(cls, BaseException)
+            if not (named_tuple or exception or cls is state.State):
+                other_classes.append(class_name)
+    assert (other_classes, caches) == ([], [])

@@ -71,6 +71,8 @@ def main() -> None:
     args = parser.parse_args()
     if args.inputs is not None and args.inputs < 1:
         parser.error("--inputs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
     inputs = {name: n if args.inputs is None else args.inputs for name, n in DEFAULT_INPUTS.items()}
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]

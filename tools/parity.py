@@ -44,11 +44,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "twinscope"
 DEFAULT_INPUTS = {"stratum-sweep": 704, "verify-scrambled": 300, "cli-oneshot": 70}
-# the stored fields of the package's plain classes; their cached properties are derived
-STORED = {
-    "TwinSpace": ("rows", "singular_value_gap"),
-    "OperatorSchmidt": ("coefficients", "rows", "schmidt_rank", "degeneracy"),
-}
 
 
 def feed(h, x) -> None:
@@ -73,9 +68,6 @@ def feed(h, x) -> None:
         h.update(f"seq {len(x)}\n".encode())
         for item in x:
             feed(h, item)
-    elif type(x).__name__ in STORED:
-        fields = STORED[type(x).__name__]
-        feed(h, (type(x).__name__, *((f, getattr(x, f)) for f in fields)))
     else:
         raise TypeError(f"parity cannot encode a {type(x).__name__}")
 
@@ -148,6 +140,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=611)
     parser.add_argument("--inputs", type=int, help="inputs per workload")
     args = parser.parse_args()
+    if args.inputs is not None and args.inputs < 1:
+        parser.error("--inputs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
     inputs = {name: n if args.inputs is None else args.inputs for name, n in DEFAULT_INPUTS.items()}
 
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "benchmarks")]

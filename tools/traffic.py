@@ -157,6 +157,10 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=611)
     parser.add_argument("--inputs", type=int, help="inputs per workload")
     args = parser.parse_args()
+    if args.inputs is not None and args.inputs < 1:
+        parser.error("--inputs must be at least 1")
+    if args.seed < 0:
+        parser.error("--seed must be at least 0")
     inputs = {name: n if args.inputs is None else args.inputs for name, n in DEFAULT_INPUTS.items()}
     recorder = Recorder({str(p) for p in PACKAGE.glob("*.py")})
     run_workloads(args.seed, inputs, recorder)
